@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import (SPHERE, YANG_MILLS, Metric, find_vanishing_set,
-                       make_metric)
+from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
+                       find_vanishing_set, make_metric)
 from .statics import build_harmonic_map, rescale_Q
 from .evolution import (RadialGrid, RadialField, Trajectory, BlowupRecord,
                         evolve, write_snapshot, read_snapshot,
@@ -194,6 +194,19 @@ def _validate_scales(scen):
             if abs(val - near.value) > 1e-6:
                 raise CliError(f"{scen.path}: [data] {key} = {val:g} is "
                                f"not a root of g")
+    if scen.family in ("bubble", "superposition"):
+        # build_data needs the connector from ell toward its neighbor root
+        ell = vset.nearest(float(scen.params.get("ell", "0"))).value
+        direction = scen.params.get("direction", "1")
+        try:
+            side = 1 if int(direction) > 0 else -1
+        except ValueError:
+            raise CliError(f"{scen.path}: [data] direction = {direction!r} "
+                           f"is not an integer")
+        if vset.neighbor(ell, side) is None:
+            raise CliError(f"{scen.path}: [data] no root of g "
+                           f"{'above' if side > 0 else 'below'} ell = "
+                           f"{ell:g} inside the metric window")
 
 
 def build_data(scen):
@@ -390,7 +403,10 @@ def run_simulate(args):
     cap = os.environ.get("WAVEMAP_THREADS")
     jobs = max(1, args.jobs)
     if cap is not None:
-        jobs = min(jobs, max(1, int(cap)))
+        try:
+            jobs = min(jobs, max(1, int(cap)))
+        except ValueError:
+            raise CliError(f"WAVEMAP_THREADS = {cap!r} is not an integer")
     scens = []
     for i, cfg in enumerate(args.config):
         out = None
@@ -684,7 +700,7 @@ def main(argv=None):
             return run_resolve(args)
         if args.cmd == "selftest":
             return run_selftest(args)
-    except CliError as e:
+    except (CliError, GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 2

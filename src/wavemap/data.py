@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import find_vanishing_set
 from .evolution import RadialField
 from .rng import XorShift64Star
-from .statics import build_harmonic_map, eval_Q, rescale_Q
+from .statics import build_harmonic_map, eval_Q
 
 
 def bump_profile(r, amplitude, center, width):
@@ -64,12 +64,6 @@ def make_superposition(grid, rng, n_bumps=2, amplitude_range=(0.02, 0.2),
         psi += bump_profile(grid.r, amp, center, width)
     return RadialField(grid, psi, np.zeros_like(psi), ell0=0.0, ell_inf=0.0,
                        time=0.0)
-
-
-def make_bubble(grid, metric, ell=0.0, direction=+1, scale=1.0):
-    """A single harmonic-map bubble (Q(r/scale), 0)."""
-    qmap = build_harmonic_map(metric, ell, direction)
-    return rescale_Q(qmap, scale, grid)
 
 
 def make_chain(grid, metric, ell_outer, steps):

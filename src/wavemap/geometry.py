@@ -210,14 +210,6 @@ def eval_G(metric, x, rtol=1e-10):
     return value if x > 0 else -value
 
 
-def eval_G_many(metric, values, rtol=1e-10):
-    """Vectorized eval_G; shares breakpoint discovery across calls."""
-    out = np.empty(len(values))
-    for k, v in enumerate(values):
-        out[k] = eval_G(metric, v, rtol=rtol)
-    return out
-
-
 @lru_cache(maxsize=256)
 def find_vanishing_set(metric, window=None, samples_per_unit=64,
                        min_samples=2048):

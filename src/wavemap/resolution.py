@@ -24,6 +24,7 @@ import math
 import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -53,6 +54,7 @@ class ResolutionError(ValueError):
     pass
 
 
+@lru_cache(maxsize=64)
 def compute_delta0(metric, K=None):
     """Transition thresholds (delta0, eps0) for a metric.
 
@@ -60,7 +62,8 @@ def compute_delta0(metric, K=None):
     roots inside [-K, K] (default K: the metric's search window).  eps0 is
     the smallest of the normalized connectors' tail radii at which |g(Q)|
     falls to delta0/2, folded to (0, 1) so that the transition zone of a
-    scale-lambda bubble sits inside [eps0*lambda, lambda/eps0].
+    scale-lambda bubble sits inside [eps0*lambda, lambda/eps0].  Memoized
+    per (metric, K): both are immutable and so is the result.
     """
     vset = find_vanishing_set(metric)
     if K is None:

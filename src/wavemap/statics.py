@@ -7,11 +7,15 @@ like powers r^{+-|g'(endpoint)|}, and carries energy
 
     E(Q) = 2 |G(m) - G(l)|.
 
-Profiles are built once by fixed-step RK4 in s from the normalization
-Q(r=1) = (l+m)/2, sampled on a uniform s-grid (plus the s=0 anchor so the
-normalization is exact), and interpolated by a cubic Hermite spline whose
-nodal derivatives are the ODE right-hand side itself.  Beyond the sampled
-range the stored power-law tails take over.
+Profiles are built once from the normalization Q(r=1) = (l+m)/2 by one
+adaptive DOP853 solve in s per direction.  Events on each solve locate the
+stitch point (|Q - endpoint| = 1e-6, where the tail model takes over) and
+the end of the sampled range (|Q - endpoint| = 1e-10), and stop a solve
+that runs away from its endpoint.  The dense output is sampled on a uniform
+s-grid (plus the s=0 anchor so the normalization is exact) and interpolated
+by a cubic Hermite spline whose nodal derivatives are the ODE right-hand
+side itself.  Beyond the sampled range the stored power-law tails take
+over.
 """
 
 import math
@@ -20,11 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .geometry import GeometryError, Metric, eval_G, find_vanishing_set
 
-RK4_STEP = 1e-3
+SOLVER_RTOL = 1e-13    # DOP853 tolerances of the connector solve
+SOLVER_ATOL = 1e-15
 ENDPOINT_TOL = 1e-10   # integration stops this close to the target root
 STITCH_TOL = 1e-6      # eval switches to the tail model this close
 N_SAMPLES = 4096
@@ -60,56 +66,41 @@ class HarmonicMap:
         return self.sign * self.metric.g(eval_Q(self, r))
 
 
-def _rk4_until(metric, sign, q0, target, h, s_max):
-    """Integrate dQ/ds = sign*g(Q) from s=0 until |Q - target| < ENDPOINT_TOL.
+def _solve_branch(metric, sign, q0, target, s_limit):
+    """Integrate dQ/ds = sign*g(Q) from (s=0, q0) toward the root `target`.
 
-    Returns (s_end, stitch_s, q_at_stitch).  h may be negative.  Raises on
-    stagnation, reporting the achieved endpoint gap.
+    One adaptive DOP853 solve over [0, s_limit] (s_limit may be negative)
+    with three events: |Q - target| falling through STITCH_TOL (the stitch
+    point), falling through ENDPOINT_TOL (terminal: the end of the sampled
+    range), and rising past 2 |q0 - target| + 1 (terminal: running away on
+    the wrong branch or toward a bad root).  Returns (dense solution, s at
+    the endpoint event, stitch_s, q_at_stitch).  Raises StaticsError,
+    reporting the achieved endpoint gap, unless the endpoint event fires.
     """
-    g = metric.g
-    q, s = q0, 0.0
-    stitch_s, q_stitch = None, None
     gap0 = abs(q0 - target)
-    n_max = int(abs(s_max / h)) + 1
-    for _ in range(n_max):
-        k1 = sign * float(g(q))
-        k2 = sign * float(g(q + 0.5 * h * k1))
-        k3 = sign * float(g(q + 0.5 * h * k2))
-        k4 = sign * float(g(q + h * k3))
-        q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s += h
-        gap = abs(q - target)
-        if stitch_s is None and gap < STITCH_TOL:
-            stitch_s, q_stitch = s, q
-        if gap < ENDPOINT_TOL:
-            return s, stitch_s, q_stitch
-        if gap > 2 * gap0 + 1.0:
-            break  # running away from the target: wrong branch or bad root
-    raise StaticsError(
-        f"harmonic map integration stagnated toward {target}: "
-        f"endpoint gap {abs(q - target):.3e} after |s| = {abs(s):.1f}")
 
+    def stitch(s, q):
+        return abs(q[0] - target) - STITCH_TOL
 
-def _rk4_to_targets(metric, sign, q0, s_targets, h):
-    """Q at prescribed s values (sorted away from 0), landing exactly."""
-    g = metric.g
-    out = np.empty(len(s_targets))
-    q, s = q0, 0.0
-    for i, st in enumerate(s_targets):
-        while True:
-            step = h if abs(st - s) > abs(h) else (st - s)
-            if step == 0.0:
-                break
-            k1 = sign * float(g(q))
-            k2 = sign * float(g(q + 0.5 * step * k1))
-            k3 = sign * float(g(q + 0.5 * step * k2))
-            k4 = sign * float(g(q + step * k3))
-            q = q + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            s = st if abs(step) < abs(h) else s + h
-            if s == st:
-                break
-        out[i] = q
-    return out
+    def endpoint(s, q):
+        return abs(q[0] - target) - ENDPOINT_TOL
+
+    def runaway(s, q):
+        return abs(q[0] - target) - (2.0 * gap0 + 1.0)
+
+    stitch.direction = endpoint.direction = -1.0
+    endpoint.terminal = runaway.terminal = True
+    runaway.direction = 1.0
+    sol = solve_ivp(lambda s, q: sign * metric.g(q), (0.0, s_limit), [q0],
+                    method="DOP853", rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
+                    dense_output=True, events=(stitch, endpoint, runaway))
+    if len(sol.t_events[1]) == 0:
+        raise StaticsError(
+            f"harmonic map integration stagnated toward {target}: "
+            f"endpoint gap {abs(sol.y[0, -1] - target):.3e} after "
+            f"|s| = {abs(sol.t[-1]):.1f}")
+    return (sol.sol, float(sol.t_events[1][0]), float(sol.t_events[0][0]),
+            float(sol.y_events[0][0][0]))
 
 
 @lru_cache(maxsize=64)
@@ -138,18 +129,18 @@ def build_harmonic_map(metric, ell, direction):
     k_hi = abs(float(metric.g_prime(hi)))
     s_max = max(80.0, 80.0 / min(k_lo, k_hi, 1.0))
 
-    s_hi, st_hi, q_st_hi = _rk4_until(metric, sign, mid, hi, RK4_STEP, s_max)
-    s_lo, st_lo, q_st_lo = _rk4_until(metric, sign, mid, lo, -RK4_STEP, s_max)
+    dense_hi, s_hi, st_hi, q_st_hi = _solve_branch(metric, sign, mid, hi,
+                                                   s_max)
+    dense_lo, s_lo, st_lo, q_st_lo = _solve_branch(metric, sign, mid, lo,
+                                                   -s_max)
 
     # uniform s-samples over the integrated range, with an exact s=0 anchor
     # so that profile(r=1) is the midpoint by construction
     s_grid = np.linspace(s_lo, s_hi, N_SAMPLES)
     s_neg = s_grid[s_grid < 0.0]
     s_pos = s_grid[s_grid > 0.0]
-    q_pos = _rk4_to_targets(metric, sign, mid, s_pos, RK4_STEP)
-    q_neg = _rk4_to_targets(metric, sign, mid, s_neg[::-1], -RK4_STEP)[::-1]
     s_all = np.concatenate([s_neg, [0.0], s_pos])
-    q_all = np.concatenate([q_neg, [mid], q_pos])
+    q_all = np.concatenate([dense_lo(s_neg)[0], [mid], dense_hi(s_pos)[0]])
     dq_all = sign * np.asarray(metric.g(q_all), dtype=float)
     profile = CubicHermiteSpline(s_all, q_all, dq_all)
 

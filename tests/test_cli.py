@@ -95,6 +95,36 @@ class TestScenarioValidation:
         scen = load_scenario(cfg)
         assert scen.metric.id == "demo-line"
 
+    def test_connector_without_neighbor_root_refused(self, tmp_path, capsys):
+        # yang-mills roots are -1 and 1: no connector leaves 1 upward
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        metric={"target": "yang-mills"},
+                        data={"family": "bubble", "ell": "1",
+                              "direction": "1", "scale": "2"})
+        with pytest.raises(CliError, match="no root of g above ell = 1"):
+            load_scenario(cfg)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_direction_refused(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        data={"family": "bubble", "ell": "0",
+                              "direction": "up", "scale": "2"})
+        with pytest.raises(CliError, match="direction = 'up' is not"):
+            load_scenario(cfg)
+
+    def test_geometry_error_is_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        metric={"target": "custom", "id": "bad",
+                                "g": "sin(rho)", "g_prime": "sin(rho)",
+                                "window": "-4 4"})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: g_prime expression disagrees")
+        assert err.count("\n") == 1
+
     def test_dt_overrides_cfl(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         time={"t_final": "2.0", "dt": "0.0390625"})
@@ -163,6 +193,14 @@ class TestSimulate:
         assert main(["simulate", "--config", *cfgs, "--jobs", "4"]) == 0
         assert (tmp_path / "outx" / "series.csv").exists()
         assert (tmp_path / "outy" / "series.csv").exists()
+
+    def test_bad_thread_cap_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WAVEMAP_THREADS", "x")
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out")
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: WAVEMAP_THREADS = 'x' is not an integer\n"
+        assert not (tmp_path / "out").exists()
 
     def test_shared_output_refused(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / "same")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from wavemap.geometry import SPHERE, YANG_MILLS, eval_G
-from wavemap.statics import (HarmonicMap, StaticsError, build_harmonic_map,
-                             eval_Q, rescale_Q)
+from wavemap.statics import (HarmonicMap, StaticsError, _solve_branch,
+                             build_harmonic_map, eval_Q, rescale_Q)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,20 @@ class TestYangMillsConnector:
     def test_no_root_above(self):
         with pytest.raises(StaticsError, match="outside search window"):
             build_harmonic_map(YANG_MILLS, 1.0, +1)
+
+
+class TestSolverFailure:
+    # dQ/ds = -(1 - Q^2) toward the root 1, on the wrong branch.  From Q = 2
+    # the solution blows up and the runaway event stops it at |Q - 1| =
+    # 2*1 + 1; from the midpoint 0 it drifts to the other root -1, where
+    # the gap stalls at 2 until the s range is used up.
+    @pytest.mark.parametrize("q0, message", [
+        (2.0, r"stagnated toward 1\.0: endpoint gap 3\.000e\+00"),
+        (0.0, r"endpoint gap 2\.000e\+00 after \|s\| = 80\.0"),
+    ], ids=["runaway", "range-used-up"])
+    def test_wrong_branch_reports_endpoint_gap(self, q0, message):
+        with pytest.raises(StaticsError, match=message):
+            _solve_branch(YANG_MILLS, -1, q0, 1.0, 80.0)
 
 
 class TestRescale:
