@@ -2,7 +2,7 @@
 
 Four subcommands cover the laboratory workflow:
 
-    wavemap simulate --config <cfg> [--out <dir>] [--jobs N]
+    wavemap simulate --config <cfg> [...] [--out <dir>]
     wavemap analyze  --traj <dir> --ops <comma-list>
     wavemap resolve  --snapshot <path> | --traj <dir>
     wavemap selftest [--filter <name>]
@@ -10,8 +10,9 @@ Four subcommands cover the laboratory workflow:
 Scenario configs are line-oriented "key = value" files under the
 sections [metric] [data] [grid] [time] [pipeline] [output].  All float
 text I/O uses 17 significant digits so values round trip losslessly,
-and identical config + seed produces byte-identical artifacts.  The
-environment variable WAVEMAP_THREADS caps --jobs.
+and identical config + seed produces byte-identical artifacts.  Several
+configs run one after another, each into its own output directory.
+Config errors are all caught by load_scenario, before any work is done.
 """
 
 import argparse
@@ -19,7 +20,6 @@ import math
 import os
 import sys
 from configparser import ConfigParser, Error as ConfigError
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -27,9 +27,10 @@ import numpy as np
 from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
                        find_vanishing_set, make_metric)
 from .statics import build_harmonic_map, rescale_Q
-from .evolution import (RadialGrid, RadialField, Trajectory, BlowupRecord,
-                        evolve, write_snapshot, read_snapshot,
-                        discrete_energy)
+from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
+                        BlowupRecord, EvolutionError, evolve, write_snapshot,
+                        read_snapshot, discrete_energy, _check_cfl)
+from .exprgrammar import ExpressionError
 from .data import make_bump, make_chain, bump_profile
 from .diagnostics import (energy, h_norms, write_series, select_times,
                           lightcone_concentration, linf_outside_cone,
@@ -46,6 +47,17 @@ GRID_FLOOR = 64          # nodes; below this no scenario is worth running
 SCALE_NODES = 8          # every requested length scale needs >= 8 cells
 KNOWN_STAGES = ("series", "bubbles", "scattering", "regular")
 KNOWN_OPS = ("series", "select-times", "lightcone", "linf", "s-norm")
+# the [data] keys each family requires; those of NUMERIC_KEYS that are
+# given must parse as numbers
+FAMILY_KEYS = {
+    "bubble": ("ell", "scale"),
+    "bump": ("amplitude", "center", "width"),
+    "superposition": ("scale", "amplitude", "center", "width"),
+    "chain": ("steps",),
+    "snapshot": ("path",),
+}
+NUMERIC_KEYS = ("ell", "ell_outer", "scale", "amplitude", "center", "width",
+                "velocity")
 
 
 class CliError(Exception):
@@ -90,6 +102,14 @@ def _getfloat(cp, section, key, path, default=None):
                        f"{cp.get(section, key)!r} is not a number")
 
 
+def _getint(cp, section, key, path, default=None):
+    value = _getfloat(cp, section, key, path, default)
+    if not math.isfinite(value):
+        raise CliError(f"{path}: [{section}] {key} = "
+                       f"{cp.get(section, key)!r} is not an integer")
+    return int(value)
+
+
 def load_scenario(path, out_override=None):
     if not os.path.isfile(path):
         raise CliError(f"no such config: {path}")
@@ -108,18 +128,22 @@ def load_scenario(path, out_override=None):
     if target in BUILTIN_METRICS:
         metric = BUILTIN_METRICS[target]
     elif target == "custom":
-        window = _require(cp, "metric", "window", path).split()
-        if len(window) != 2:
+        try:
+            lo, hi = map(float, _require(cp, "metric", "window", path).split())
+        except ValueError:
             raise CliError(f"{path}: [metric] window needs two numbers")
-        metric = make_metric(_require(cp, "metric", "id", path),
-                             _require(cp, "metric", "g", path),
-                             _require(cp, "metric", "g_prime", path),
-                             (float(window[0]), float(window[1])))
+        try:
+            metric = make_metric(_require(cp, "metric", "id", path),
+                                 _require(cp, "metric", "g", path),
+                                 _require(cp, "metric", "g_prime", path),
+                                 (lo, hi))
+        except ExpressionError as e:
+            raise CliError(f"{path}: [metric] {e}")
     else:
         raise CliError(f"{path}: unknown metric target {target!r} "
                        f"(sphere, yang-mills, custom)")
 
-    n_points = int(_getfloat(cp, "grid", "n_points", path))
+    n_points = _getint(cp, "grid", "n_points", path)
     r_max = _getfloat(cp, "grid", "r_max", path)
     if n_points < GRID_FLOOR:
         raise CliError(f"{path}: grid floor: n_points = {n_points} is "
@@ -131,13 +155,27 @@ def load_scenario(path, out_override=None):
     seed = int(params.pop("seed", "0"))
 
     t_final = _getfloat(cp, "time", "t_final", path)
+    if not 0 < t_final < math.inf:
+        raise CliError(f"{path}: [time] t_final = {t_final:g} must be "
+                       f"positive and finite")
     if cp.has_option("time", "dt"):
         cfl = _getfloat(cp, "time", "dt", path) / grid.dr
     else:
         cfl = _getfloat(cp, "time", "cfl", path, default=0.5)
-    record_every = int(_getfloat(cp, "time", "record_every", path,
-                                 default=64.0))
+    if not cfl > 0:
+        raise CliError(f"{path}: [time] dt must be positive")
+    try:
+        _check_cfl(grid, cfl * grid.dr)
+    except EvolutionError as e:
+        raise CliError(f"{path}: [time] {e}")
+    record_every = _getint(cp, "time", "record_every", path, default=64.0)
+    if record_every < 1:
+        raise CliError(f"{path}: [time] record_every = {record_every} must "
+                       f"be at least 1")
     boundary = cp.get("time", "boundary", fallback="fixed")
+    if boundary not in BOUNDARIES:
+        raise CliError(f"{path}: [time] unknown boundary {boundary!r} "
+                       f"({', '.join(BOUNDARIES)})")
 
     stages = []
     count = 5
@@ -148,8 +186,8 @@ def load_scenario(path, out_override=None):
             if s not in KNOWN_STAGES:
                 raise CliError(f"{path}: unknown pipeline stage {s!r} "
                                f"(known: {', '.join(KNOWN_STAGES)})")
-        count = int(_getfloat(cp, "pipeline", "scattering_count", path,
-                              default=5.0))
+        count = _getint(cp, "pipeline", "scattering_count", path,
+                        default=5.0)
     out_dir = out_override or _require(cp, "output", "dir", path)
 
     scen = Scenario(path=path, metric=metric, family=family, params=params,
@@ -157,29 +195,51 @@ def load_scenario(path, out_override=None):
                     record_every=record_every, boundary=boundary,
                     stages=stages, scattering_count=count,
                     out_dir=out_dir, seed=seed)
-    _validate_scales(scen)
+    _validate_data(scen)
     return scen
+
+
+def _chain_steps(scen):
+    """[data] steps = d:s, d:s, ... as (direction, scale) pairs."""
+    steps = []
+    for item in scen.params["steps"].split(","):
+        try:
+            d, lam = item.split(":")
+            steps.append((int(d), float(lam)))
+        except ValueError:
+            raise CliError(f"{scen.path}: [data] steps entry "
+                           f"{item.strip()!r} is not direction:scale")
+    return steps
 
 
 def _data_scales(scen):
     """Every length scale the data family requests from the grid."""
+    if scen.family == "chain":
+        return [abs(lam) for _, lam in _chain_steps(scen)]
+    return [float(scen.params[key]) for key in ("scale", "width")
+            if key in FAMILY_KEYS[scen.family]]
+
+
+def _validate_data(scen):
     p = scen.params
-    fam = scen.family
-    if fam == "bubble":
-        return [float(p["scale"])]
-    if fam == "bump":
-        return [float(p["width"])]
-    if fam == "superposition":
-        return [float(p["scale"]), float(p["width"])]
-    if fam == "chain":
-        return [abs(float(s.split(":")[1])) for s in p["steps"].split(",")]
-    if fam == "snapshot":
-        return []
-    raise CliError(f"{scen.path}: unknown data family {fam!r} "
-                   f"(bubble, bump, superposition, chain, snapshot)")
-
-
-def _validate_scales(scen):
+    if scen.family not in FAMILY_KEYS:
+        raise CliError(f"{scen.path}: unknown data family {scen.family!r} "
+                       f"({', '.join(FAMILY_KEYS)})")
+    for key in FAMILY_KEYS[scen.family]:
+        if key not in p:
+            raise CliError(f"{scen.path}: missing [data] {key}")
+    for key in NUMERIC_KEYS:
+        if key in p:
+            try:
+                float(p[key])
+            except ValueError:
+                raise CliError(f"{scen.path}: [data] {key} = {p[key]!r} is "
+                               f"not a number")
+    if scen.family == "bump" and float(p["center"]) < float(p["width"]):
+        raise CliError(f"{scen.path}: [data] bump support must avoid the "
+                       f"origin (center >= width)")
+    if scen.family == "snapshot" and not os.path.isfile(p["path"]):
+        raise CliError(f"{scen.path}: no such snapshot: {p['path']}")
     dr = scen.grid.dr
     for lam in _data_scales(scen):
         if lam < SCALE_NODES * dr:
@@ -188,25 +248,37 @@ def _validate_scales(scen):
                 f"{SCALE_NODES} grid cells but dr = {dr:g}")
     vset = find_vanishing_set(scen.metric)
     for key in ("ell", "ell_outer"):
-        if key in scen.params:
-            val = float(scen.params[key])
+        if key in p:
+            val = float(p[key])
             near = vset.nearest(val)
             if abs(val - near.value) > 1e-6:
                 raise CliError(f"{scen.path}: [data] {key} = {val:g} is "
                                f"not a root of g")
+    # build_data needs a connector for each step from a root toward its
+    # neighbor: one step from ell for a bubble, the chain's steps inward
+    # from ell_outer
     if scen.family in ("bubble", "superposition"):
-        # build_data needs the connector from ell toward its neighbor root
-        ell = vset.nearest(float(scen.params.get("ell", "0"))).value
-        direction = scen.params.get("direction", "1")
+        direction = p.get("direction", "1")
         try:
-            side = 1 if int(direction) > 0 else -1
+            sides = [int(direction)]
         except ValueError:
             raise CliError(f"{scen.path}: [data] direction = {direction!r} "
                            f"is not an integer")
-        if vset.neighbor(ell, side) is None:
+        level = float(p.get("ell", "0"))
+    elif scen.family == "chain":
+        sides = [d for d, _ in _chain_steps(scen)]
+        level = float(p.get("ell_outer", "0"))
+    else:
+        return
+    level = vset.nearest(level).value
+    for d in sides:
+        side = 1 if d > 0 else -1
+        inner = vset.neighbor(level, side)
+        if inner is None:
             raise CliError(f"{scen.path}: [data] no root of g "
                            f"{'above' if side > 0 else 'below'} ell = "
-                           f"{ell:g} inside the metric window")
+                           f"{level:g} inside the metric window")
+        level = inner.value
 
 
 def build_data(scen):
@@ -233,12 +305,9 @@ def build_data(scen):
                            base.psi_dot + float(p.get("velocity", "0"))
                            * bump, base.ell0, base.ell_inf, 0.0)
     if fam == "chain":
-        steps = []
-        for item in p["steps"].split(","):
-            d, s = item.split(":")
-            steps.append((int(d), float(s)))
         field, _, _ = make_chain(grid, scen.metric,
-                                 float(p.get("ell_outer", "0")), steps)
+                                 float(p.get("ell_outer", "0")),
+                                 _chain_steps(scen))
         return field
     if fam == "snapshot":
         field, metric_id = read_snapshot(p["path"])
@@ -400,15 +469,8 @@ def _write_regular_report(reg, path):
 
 
 def run_simulate(args):
-    cap = os.environ.get("WAVEMAP_THREADS")
-    jobs = max(1, args.jobs)
-    if cap is not None:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise CliError(f"WAVEMAP_THREADS = {cap!r} is not an integer")
     scens = []
-    for i, cfg in enumerate(args.config):
+    for cfg in args.config:
         out = None
         if args.out:
             stem = os.path.splitext(os.path.basename(cfg))[0]
@@ -419,10 +481,7 @@ def run_simulate(args):
     if len(set(outs)) != len(outs):
         raise CliError("scenarios share an output directory; batch runs "
                        "need disjoint outputs")
-    if jobs == 1 or len(scens) == 1:
-        return max(run_simulate_one(s) for s in scens)
-    with ThreadPoolExecutor(max_workers=min(jobs, len(scens))) as pool:
-        return max(pool.map(run_simulate_one, scens))
+    return max([run_simulate_one(s) for s in scens])
 
 
 def run_analyze(args):
@@ -663,8 +722,6 @@ def build_parser():
                      help="scenario config file(s)")
     sim.add_argument("--out", help="output directory (per-config subdirs "
                                    "for batches)")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="parallel scenarios (capped by WAVEMAP_THREADS)")
 
     ana = sub.add_parser("analyze", help="diagnostics over a stored "
                                          "trajectory")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .geometry import Metric, Root, eval_G, find_vanishing_set
-from .evolution import RadialField, Trajectory, evolve
+from .evolution import RadialField, evolve, _densities, _prefix
 from .data import make_superposition
 from .rng import XorShift64Star
 
@@ -86,32 +86,6 @@ class TimeSelection:
     times: list
     values: list     # criterion values, nonincreasing along times
     dyadic_floor: float
-
-
-def _zeroth_weight(system, psi):
-    """The zeroth-order energy density numerator: g(psi)^2 for the
-    nonlinear flow, g'(l)^2 psi^2 for the linear flow at l."""
-    if isinstance(system, Metric):
-        return np.asarray(system.g(psi)) ** 2
-    if isinstance(system, Root):
-        return system.slope ** 2 * psi ** 2
-    raise DiagnosticsError(f"system must be a Metric or Root, got {system!r}")
-
-
-def _densities(field, system):
-    """(r_ext, kin, grad, pot) densities (already times r) with the ghost."""
-    r = field.grid.r
-    grad = field.gradient()
-    kin = field.psi_dot ** 2 * r
-    gr = grad ** 2 * r
-    pot = _zeroth_weight(system, field.psi) / r
-    ghost = lambda arr: np.concatenate([[0.0], arr])
-    return ghost(r), ghost(kin), ghost(gr), ghost(pot)
-
-
-def _prefix(x, y):
-    return np.concatenate(
-        [[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 def _interval_integral(x, y, prefix, a, b):

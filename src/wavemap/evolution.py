@@ -8,12 +8,15 @@ Linearized flow at a root l of g:
 
     phi_tt = phi_rr + phi_r / r - g'(l)^2 phi / r^2
 
-Both are advanced by an explicit leapfrog (velocity Verlet) on (psi, psi_t)
-with a flux-form second-order radial Laplacian.  Nodes sit at r_i = i dr,
-i = 1..n; the origin enters only through the regularized ghost value
-(psi(0) = ell0, phi(0) = 0), and the outer boundary is fixed by default
-(an approximate absorbing variant is available).  The time step obeys
-dt <= 0.5 dr; steps refusing the CFL bound raise instead of running.
+Both run through one kernel: a flow object, built once per (system,
+grid), holds the coefficients of the flux-form second-order radial
+Laplacian, the origin ghost and the zeroth-order source, and one explicit
+leapfrog (velocity Verlet) loop advances (psi, psi_t).  Nodes sit at
+r_i = i dr, i = 1..n; the origin enters only through the regularized ghost
+value (psi(0) = ell0, phi(0) = 0), and the outer boundary is fixed by
+default (an approximate absorbing variant is available).  The time step
+obeys dt <= 0.5 dr; steps refusing the CFL bound raise instead of running.
+The energy densities shared with the diagnostics live here too.
 
 Blow-up is watched through the Struwe-style concentration criterion: the
 smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
@@ -27,13 +30,9 @@ Snapshot file format (text, 17 significant digits):
     # ell0 <value> ell_inf <value>
     # t <time>
     <r> <psi> <psi_dot>     one row per node
-
-A trajectory directory holds one snapshot per frame (frame-NNNNNN.dat),
-a meta.txt with run parameters, and the series.csv written by the cli.
 """
 
 import math
-import os
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Optional, Union
@@ -43,6 +42,7 @@ import numpy as np
 from .geometry import GeometryError, Metric, Root, eval_G, find_vanishing_set
 
 CFL_DEFAULT = 0.5
+BOUNDARIES = ("fixed", "absorbing")
 FMT = "%.17g"
 
 
@@ -142,31 +142,46 @@ def _check_cfl(grid, dt):
             f"{0.5 * grid.dr:.6g}")
 
 
-def _accel(psi, grid, ghost, source):
-    """Flux-form radial Laplacian minus the zeroth-order source.
+class _Flow:
+    """One radial flow on one grid, with its coefficients computed once.
 
-    L psi_i = (r_{i+1/2}(psi_{i+1}-psi_i) - r_{i-1/2}(psi_i-psi_{i-1}))
-              / (r_i dr^2), ghost = psi(0).
-    The last node's acceleration is set by the boundary handler, not here.
+    A Metric gives the wave-map flow, whose ghost psi(0) is ell0; a Root
+    gives the linearization at that root, whose ghost is 0.
     """
-    r = grid.r
-    dr = grid.dr
-    d = np.diff(psi, prepend=ghost)           # psi_i - psi_{i-1}
-    flux = (r - 0.5 * dr) * d                 # face r_{i-1/2} times jump
-    lap = np.empty_like(psi)
-    lap[:-1] = (flux[1:] - flux[:-1]) / (r[:-1] * dr * dr)
-    lap[-1] = 0.0
-    a = lap - source
-    a[-1] = 0.0
-    return a
 
+    def __init__(self, system, grid, ell0):
+        r, dr = grid.r, grid.dr
+        self.grid = grid
+        self.face = r - 0.5 * dr                  # r_{i-1/2}
+        self.lap_den = r[:-1] * dr * dr
+        self.r_sq = r ** 2
+        if isinstance(system, Metric):
+            self.ghost, self.source = ell0, system.f
+            self.scheme = f"leapfrog-nonlinear:{system.id}"
+        elif isinstance(system, Root):
+            slope_sq = system.slope ** 2
+            self.ghost, self.source = 0.0, lambda phi: slope_sq * phi
+            self.scheme = f"leapfrog-linear:ell={system.value:.12g}"
+        else:
+            raise EvolutionError(
+                f"system must be a Metric or Root, got {system!r}")
 
-def _nonlinear_accel(psi, grid, metric, ell0):
-    return _accel(psi, grid, ell0, metric.f(psi) / grid.r ** 2)
+    def accel(self, psi):
+        """Flux-form radial Laplacian minus the zeroth-order source.
 
-
-def _linear_accel(phi, grid, slope_sq):
-    return _accel(phi, grid, 0.0, slope_sq * phi / grid.r ** 2)
+        L psi_i = (r_{i+1/2}(psi_{i+1}-psi_i) - r_{i-1/2}(psi_i-psi_{i-1}))
+                  / (r_i dr^2), ghost = psi(0).
+        The last node's acceleration is set by the boundary handler, not
+        here.  The quotients stay divisions, not products with stored
+        reciprocals: those change last bits, and stored trajectories are
+        reproduced byte for byte.
+        """
+        flux = self.face * np.diff(psi, prepend=self.ghost)
+        source = self.source(psi) / self.r_sq
+        a = np.empty_like(psi)
+        a[:-1] = (flux[1:] - flux[:-1]) / self.lap_den - source[:-1]
+        a[-1] = 0.0
+        return a
 
 
 def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
@@ -180,35 +195,41 @@ def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
         raise EvolutionError(f"unknown boundary {boundary!r}")
 
 
-def step_nonlinear(field, metric, dt, boundary="fixed"):
-    """One leapfrog step of the wave-map flow; returns a new field."""
+def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
+    """Advance (psi, psi_dot) in place by n_steps velocity-Verlet steps.
+
+    `a` is the acceleration at the current psi; the acceleration at the
+    final psi is returned, so consecutive calls continue one run.
+    """
+    grid = flow.grid
+    for _ in range(n_steps):
+        psi_dot += 0.5 * dt * a
+        _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
+        psi += dt * psi_dot
+        a = flow.accel(psi)
+        psi_dot += 0.5 * dt * a
+        _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
+    return a
+
+
+def _step(field, system, dt, boundary):
     _check_cfl(field.grid, abs(dt))
+    flow = _Flow(system, field.grid, field.ell0)
     psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
-    a = _nonlinear_accel(psi, field.grid, metric, field.ell0)
-    psi_dot += 0.5 * dt * a
-    _apply_boundary(psi, psi_dot, field.grid, boundary, field.ell_inf)
-    psi += dt * psi_dot
-    a = _nonlinear_accel(psi, field.grid, metric, field.ell0)
-    psi_dot += 0.5 * dt * a
-    _apply_boundary(psi, psi_dot, field.grid, boundary, field.ell_inf)
+    _leapfrog(flow, psi, psi_dot, flow.accel(psi), dt, 1, boundary,
+              field.ell_inf)
     return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
                        field.time + dt)
 
 
+def step_nonlinear(field, metric, dt, boundary="fixed"):
+    """One leapfrog step of the wave-map flow; returns a new field."""
+    return _step(field, metric, dt, boundary)
+
+
 def step_linear(field, ell, dt, boundary="fixed"):
     """One leapfrog step of the linearized flow at the root `ell`."""
-    _check_cfl(field.grid, abs(dt))
-    slope_sq = ell.slope ** 2
-    phi, phi_dot = field.psi.copy(), field.psi_dot.copy()
-    a = _linear_accel(phi, field.grid, slope_sq)
-    phi_dot += 0.5 * dt * a
-    _apply_boundary(phi, phi_dot, field.grid, boundary, field.ell_inf)
-    phi += dt * phi_dot
-    a = _linear_accel(phi, field.grid, slope_sq)
-    phi_dot += 0.5 * dt * a
-    _apply_boundary(phi, phi_dot, field.grid, boundary, field.ell_inf)
-    return RadialField(field.grid, phi, phi_dot, field.ell0, field.ell_inf,
-                       field.time + dt)
+    return _step(field, ell, dt, boundary)
 
 
 @dataclass
@@ -266,10 +287,7 @@ def discrete_energy(field, system):
     r_half = np.concatenate([[0.5 * dr], 0.5 * (r[1:] + r[:-1])])
     kinetic = float(np.sum(r * dr * field.psi_dot ** 2))
     gradient = float(np.sum(r_half * jumps ** 2 / dr))
-    if isinstance(system, Metric):
-        zeroth = float(np.sum(np.asarray(system.g(field.psi)) ** 2 / r * dr))
-    else:
-        zeroth = float(np.sum(system.slope ** 2 * field.psi ** 2 / r * dr))
+    zeroth = float(np.sum(_zeroth_weight(system, field.psi) / r * dr))
     return kinetic + gradient + zeroth
 
 
@@ -289,24 +307,37 @@ def min_bubble_energy(metric, ell0):
     return min(energies) if energies else math.inf
 
 
-def _energy_prefix(field, system):
-    """Cumulative trapezoid of the energy density from r=0 (ghost node)."""
+def _zeroth_weight(system, psi):
+    """The zeroth-order energy density numerator: g(psi)^2 for the
+    nonlinear flow, g'(l)^2 psi^2 for the linear flow at l."""
+    if isinstance(system, Metric):
+        return np.asarray(system.g(psi)) ** 2
+    if isinstance(system, Root):
+        return system.slope ** 2 * psi ** 2
+    raise EvolutionError(f"system must be a Metric or Root, got {system!r}")
+
+
+def _densities(field, system):
+    """(r_ext, kin, grad, pot) densities (already times r) with the ghost."""
     r = field.grid.r
     grad = field.gradient()
-    if isinstance(system, Metric):
-        pot = system.g(field.psi) ** 2 / r
-    else:
-        pot = system.slope ** 2 * field.psi ** 2 / r
-    dens = field.psi_dot ** 2 * r + grad ** 2 * r + pot
-    dens_ext = np.concatenate([[0.0], dens])
-    r_ext = np.concatenate([[0.0], r])
-    return r_ext, np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens_ext[1:] + dens_ext[:-1]) * np.diff(r_ext))])
+    kin = field.psi_dot ** 2 * r
+    gr = grad ** 2 * r
+    pot = _zeroth_weight(system, field.psi) / r
+    ghost = lambda arr: np.concatenate([[0.0], arr])
+    return ghost(r), ghost(kin), ghost(gr), ghost(pot)
+
+
+def _prefix(x, y):
+    """Cumulative trapezoid of y over x, starting at 0."""
+    return np.concatenate(
+        [[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 def _concentration_radius(field, metric, e_crit):
     """Smallest node radius enclosing energy e_crit, or None."""
-    r_ext, prefix = _energy_prefix(field, metric)
+    r_ext, kin, grad, pot = _densities(field, metric)
+    prefix = _prefix(r_ext, kin + grad + pot)
     idx = np.searchsorted(prefix, e_crit)
     if idx >= len(prefix):
         return None
@@ -331,59 +362,54 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     _check_cfl(grid, dt)
     if t_final <= 0:
         raise EvolutionError("t_final must be positive")
+    if record_every < 1:
+        raise EvolutionError("record_every must be at least 1")
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
 
-    nonlinear = isinstance(system, Metric)
-    if nonlinear:
-        scheme = f"leapfrog-nonlinear:{system.id}"
-        accel = lambda psi: _nonlinear_accel(psi, grid, system, field.ell0)
-        e_crit = min_bubble_energy(system, field.ell0)
-    else:
-        scheme = f"leapfrog-linear:ell={system.value:.12g}"
-        slope_sq = system.slope ** 2
-        accel = lambda phi: _linear_accel(phi, grid, slope_sq)
-        e_crit = math.inf
+    flow = _Flow(system, grid, field.ell0)
+    e_crit = min_bubble_energy(system, field.ell0) \
+        if isinstance(system, Metric) else math.inf
+    watch = detect_blowup and math.isfinite(e_crit)
 
     psi = field.psi.copy()
     psi_dot = field.psi_dot.copy()
-    t = field.time
     snapshots = [field.copy()]
     blowup = None
     radius_series = []
     floor = blowup_floor_nodes * grid.dr
 
-    a = accel(psi)
-    for step in range(1, n_steps + 1):
-        psi_dot += 0.5 * dt * a
-        _apply_boundary(psi, psi_dot, grid, boundary, field.ell_inf)
-        psi += dt * psi_dot
-        a = accel(psi)
-        psi_dot += 0.5 * dt * a
-        _apply_boundary(psi, psi_dot, grid, boundary, field.ell_inf)
+    a = flow.accel(psi)
+    step = 0
+    while step < n_steps:
+        # advance to the next recorded step: a multiple of record_every,
+        # or the last step
+        chunk = min(record_every - step % record_every, n_steps - step)
+        a = _leapfrog(flow, psi, psi_dot, a, dt, chunk, boundary,
+                      field.ell_inf)
+        step += chunk
         t = field.time + step * dt
 
-        if step % record_every == 0 or step == n_steps:
-            if not np.all(np.isfinite(psi)) or not np.all(np.isfinite(psi_dot)):
-                last = snapshots[-1]
-                blowup = BlowupRecord(
-                    t_plus=t, concentration_radius=float("nan"),
-                    last_valid_time=last.time, reason="nan",
-                    radius_series=radius_series)
-                break
-            frame = RadialField(grid, psi.copy(), psi_dot.copy(),
-                                field.ell0, field.ell_inf, t)
-            snapshots.append(frame)
-            if detect_blowup and nonlinear and math.isfinite(e_crit):
-                rho = _concentration_radius(frame, system, e_crit)
-                if rho is not None:
-                    radius_series.append((t, rho))
-                    if rho <= floor and _shrinking(radius_series):
-                        blowup = _make_blowup_record(
-                            frame, system, radius_series)
-                        break
+        if not np.all(np.isfinite(psi)) or not np.all(np.isfinite(psi_dot)):
+            last = snapshots[-1]
+            blowup = BlowupRecord(
+                t_plus=t, concentration_radius=float("nan"),
+                last_valid_time=last.time, reason="nan",
+                radius_series=radius_series)
+            break
+        frame = RadialField(grid, psi.copy(), psi_dot.copy(),
+                            field.ell0, field.ell_inf, t)
+        snapshots.append(frame)
+        if watch:
+            rho = _concentration_radius(frame, system, e_crit)
+            if rho is not None:
+                radius_series.append((t, rho))
+                if rho <= floor and _shrinking(radius_series):
+                    blowup = _make_blowup_record(
+                        frame, system, radius_series)
+                    break
 
-    return Trajectory(snapshots=snapshots, dt=dt, scheme=scheme, cfl=cfl,
-                      system=system, blowup=blowup,
+    return Trajectory(snapshots=snapshots, dt=dt, scheme=flow.scheme,
+                      cfl=cfl, system=system, blowup=blowup,
                       meta={"boundary": boundary,
                             "record_every": record_every})
 
@@ -398,7 +424,8 @@ def _shrinking(series, window=3):
 def _make_blowup_record(frame, metric, radius_series):
     r = frame.grid.r
     grad = frame.gradient()
-    dens = frame.psi_dot ** 2 + grad ** 2 + metric.g(frame.psi) ** 2 / r ** 2
+    dens = (frame.psi_dot ** 2 + grad ** 2
+            + _zeroth_weight(metric, frame.psi) / r ** 2)
     r_peak = float(r[int(np.argmax(dens))])
     ts = np.array([t for t, _ in radius_series[-5:]])
     rhos = np.array([rho for _, rho in radius_series[-5:]])
@@ -416,7 +443,7 @@ def _make_blowup_record(frame, metric, radius_series):
 
 
 # ---------------------------------------------------------------------------
-# snapshot and trajectory I/O
+# snapshot I/O
 
 def write_snapshot(field, path, metric_id):
     with open(path, "w") as fh:
@@ -445,80 +472,3 @@ def read_snapshot(path):
         raise EvolutionError(f"{path}: nodes are not uniform")
     grid = RadialGrid(r_max=float(r[-1]), n_points=len(r))
     return RadialField(grid, psi, psi_dot, ell0, ell_inf, t), metric_id
-
-
-def write_trajectory(traj, dirpath, metric_id=None):
-    if metric_id is None:
-        metric_id = traj.system.id if isinstance(traj.system, Metric) \
-            else "none"
-    os.makedirs(dirpath, exist_ok=True)
-    for k, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, os.path.join(dirpath, f"frame-{k:06d}.dat"),
-                       metric_id)
-    with open(os.path.join(dirpath, "meta.txt"), "w") as fh:
-        fh.write(f"scheme = {traj.scheme}\n")
-        fh.write(f"dt = {FMT % traj.dt}\n")
-        fh.write(f"cfl = {FMT % traj.cfl}\n")
-        fh.write(f"frames = {len(traj.snapshots)}\n")
-        for key, value in traj.meta.items():
-            fh.write(f"{key} = {value}\n")
-        if isinstance(traj.system, Root):
-            fh.write(f"ell = {FMT % traj.system.value}\n")
-            fh.write(f"slope = {FMT % traj.system.slope}\n")
-            fh.write(f"gap = {FMT % traj.system.gap}\n")
-        if traj.blowup is not None:
-            b = traj.blowup
-            fh.write(f"blowup_t_plus = {FMT % b.t_plus}\n")
-            fh.write(f"blowup_radius = {FMT % b.concentration_radius}\n")
-            fh.write(f"blowup_reason = {b.reason}\n")
-            fh.write(f"blowup_last_valid = {FMT % b.last_valid_time}\n")
-
-
-def read_trajectory(dirpath, metric=None):
-    """Load a trajectory directory.  Returns (Trajectory, metric_id).
-
-    The system is reattached when possible: the stored root for linear
-    runs, or `metric` / a built-in looked up by id for nonlinear ones.
-    """
-    from .geometry import get_metric
-    names = sorted(n for n in os.listdir(dirpath)
-                   if n.startswith("frame-") and n.endswith(".dat"))
-    if not names:
-        raise EvolutionError(f"{dirpath}: no frames found")
-    snapshots, metric_id = [], None
-    for name in names:
-        snap, metric_id = read_snapshot(os.path.join(dirpath, name))
-        snapshots.append(snap)
-    meta = {}
-    meta_path = os.path.join(dirpath, "meta.txt")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            for line in fh:
-                if "=" in line:
-                    key, value = line.split("=", 1)
-                    meta[key.strip()] = value.strip()
-    scheme = meta.get("scheme", "unknown")
-    dt = float(meta.get("dt", "nan"))
-    cfl = float(meta.get("cfl", "nan"))
-    system = None
-    if scheme.startswith("leapfrog-linear") and "ell" in meta:
-        system = Root(float(meta["ell"]), float(meta["slope"]),
-                      float(meta.get("gap", "inf")))
-    elif scheme.startswith("leapfrog-nonlinear"):
-        if metric is not None:
-            system = metric
-        else:
-            try:
-                system = get_metric(metric_id)
-            except GeometryError:
-                system = None
-    blowup = None
-    if "blowup_t_plus" in meta:
-        blowup = BlowupRecord(
-            t_plus=float(meta["blowup_t_plus"]),
-            concentration_radius=float(meta["blowup_radius"]),
-            last_valid_time=float(meta["blowup_last_valid"]),
-            reason=meta.get("blowup_reason", "unknown"), radius_series=[])
-    traj = Trajectory(snapshots=snapshots, dt=dt, scheme=scheme, cfl=cfl,
-                      system=system, blowup=blowup, meta=meta)
-    return traj, metric_id

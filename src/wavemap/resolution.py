@@ -31,8 +31,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import Metric, Root, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
-from .evolution import (RadialField, Trajectory, evolve, step_linear,
-                        min_bubble_energy, write_snapshot)
+from .evolution import (RadialField, evolve, min_bubble_energy,
+                        write_snapshot, _Flow, _check_cfl, _leapfrog)
 from .diagnostics import (TimeSelection, energy, h_norms, select_times,
                           support_radius)
 
@@ -339,9 +339,13 @@ def extend_H(field, r1, r2, ell_target=0.0):
 
 
 def _linear_states_at(phi, ell, offsets, dt, boundary="fixed"):
-    """Linear-flow states at nonnegative time offsets (multiples of dt)."""
+    """Linear-flow states at nondecreasing time offsets (multiples of dt),
+    advanced in one run from phi."""
+    _check_cfl(phi.grid, dt)
+    flow = _Flow(ell, phi.grid, phi.ell0)
+    psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
+    a = flow.accel(psi)
     out = []
-    f = phi
     done = 0
     for off in offsets:
         n = int(round(off / dt))
@@ -349,10 +353,11 @@ def _linear_states_at(phi, ell, offsets, dt, boundary="fixed"):
             raise ResolutionError(
                 f"frame offset {off:.12g} is not a step multiple of "
                 f"dt = {dt:.12g}")
-        for _ in range(n - done):
-            f = step_linear(f, ell, dt, boundary=boundary)
+        a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, boundary,
+                      phi.ell_inf)
         done = n
-        out.append(f)
+        out.append(RadialField(phi.grid, psi.copy(), psi_dot.copy(),
+                               phi.ell0, phi.ell_inf, phi.time + n * dt))
     return out
 
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from wavemap.geometry import SPHERE
-from wavemap.evolution import RadialGrid, write_snapshot, read_snapshot
+from wavemap.evolution import (RadialGrid, evolve, write_snapshot,
+                               read_snapshot)
 from wavemap.data import make_chain
 from wavemap.diagnostics import SERIES_COLUMNS
-from wavemap.cli import main, load_scenario, CliError
+from wavemap.cli import (main, load_scenario, build_data, load_trajectory,
+                         CliError)
 
 
 def write_cfg(path, out_dir, **overrides):
@@ -32,7 +34,8 @@ def write_cfg(path, out_dir, **overrides):
         base.setdefault(section, {}).update(kv)
     cp = ConfigParser()
     for section, kv in base.items():
-        cp[section] = kv
+        # an override of None drops the key
+        cp[section] = {k: v for k, v in kv.items() if v is not None}
     with open(path, "w") as fh:
         cp.write(fh)
     return str(path)
@@ -125,6 +128,29 @@ class TestScenarioValidation:
         assert err.startswith("error: g_prime expression disagrees")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"time": {"dt": "0.2"}}, "CFL violation"),     # 0.5 dr = 0.039
+        ({"time": {"t_final": "-1"}}, "t_final = -1 must be positive"),
+        ({"time": {"record_every": "0"}}, "record_every = 0 must be"),
+        ({"time": {"boundary": "periodic"}}, "unknown boundary"),
+        ({"data": {"amplitude": None}}, "missing [data] amplitude"),
+        ({"metric": {"target": "custom", "id": "m", "g": "sin(rho",
+                     "g_prime": "cos(rho)", "window": "-4 4"}},
+         "expected ')'"),
+        ({"metric": {"target": "yang-mills"},
+          "data": {"family": "chain", "ell": None, "ell_outer": "1",
+                   "steps": "1:2"}}, "no root of g above ell = 1"),
+    ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
+            "expression", "chain"])
+    def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
+                                                  overrides, message):
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_dt_overrides_cfl(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         time={"t_final": "2.0", "dt": "0.0390625"})
@@ -185,22 +211,29 @@ class TestSimulate:
         assert cp.get("trajectory", "status") == "truncated"
         assert cp.has_section("blowup")
         assert cp.getfloat("blowup", "t_plus") > 0
+        # the store reads back the run bit for bit
+        scen = load_scenario(cfg)
+        ref = evolve(build_data(scen), scen.metric, scen.t_final,
+                     record_every=scen.record_every, cfl=scen.cfl,
+                     boundary=scen.boundary)
+        back = load_trajectory(str(out))
+        assert back.system is SPHERE
+        assert back.dt == ref.dt and back.scheme == ref.scheme
+        assert len(back.snapshots) == len(ref.snapshots)
+        for a, b in zip(ref.snapshots, back.snapshots):
+            np.testing.assert_array_equal(a.psi, b.psi)
+            np.testing.assert_array_equal(a.psi_dot, b.psi_dot)
+            assert a.time == b.time
+        assert back.blowup.t_plus == ref.blowup.t_plus
+        assert back.blowup.reason == ref.blowup.reason == \
+            "energy-concentration"
 
-    def test_jobs_batch_with_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVEMAP_THREADS", "1")
+    def test_batch_of_two_configs(self, tmp_path):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}")
                 for n in ("x", "y")]
-        assert main(["simulate", "--config", *cfgs, "--jobs", "4"]) == 0
+        assert main(["simulate", "--config", *cfgs]) == 0
         assert (tmp_path / "outx" / "series.csv").exists()
         assert (tmp_path / "outy" / "series.csv").exists()
-
-    def test_bad_thread_cap_refused(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WAVEMAP_THREADS", "x")
-        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out")
-        assert main(["simulate", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: WAVEMAP_THREADS = 'x' is not an integer\n"
-        assert not (tmp_path / "out").exists()
 
     def test_shared_output_refused(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / "same")

@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from wavemap.geometry import SPHERE, YANG_MILLS, find_vanishing_set, Root
+from wavemap.geometry import SPHERE, YANG_MILLS, find_vanishing_set
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
                                evolve, step_nonlinear, step_linear,
                                transform_T, discrete_energy,
                                min_bubble_energy, write_snapshot,
-                               read_snapshot, write_trajectory,
-                               read_trajectory)
+                               read_snapshot)
 from wavemap.data import make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 
@@ -53,6 +52,14 @@ class TestGridAndField:
             step_linear(f, ROOT0, dt=0.9 * grid.dr)
         with pytest.raises(EvolutionError, match="CFL"):
             evolve(f, ROOT0, 1.0, cfl=0.7)
+
+    @pytest.mark.parametrize("record_every", [0, -4])
+    def test_record_every_refusal(self, record_every):
+        # a nonpositive cadence would never reach the next recorded step
+        grid = RadialGrid(10.0, 100)
+        f = make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0)
+        with pytest.raises(EvolutionError, match="record_every"):
+            evolve(f, ROOT0, 1.0, record_every=record_every)
 
 
 class TestConstantAndStationary:
@@ -144,6 +151,48 @@ class TestConservation:
         e_flux = discrete_energy(f0, SPHERE)
         e_trap = energy(f0, SPHERE).total
         assert abs(e_flux - e_trap) / e_trap < 1e-4
+
+
+def _flow_case(label, grid):
+    """(data, system, single step) for one of the two flows; the nonlinear
+    data hangs from pi so the ghost and the far value are not zero."""
+    if label == "nonlinear":
+        return (make_bump(grid, SPHERE, np.pi, amplitude=0.3, center=5.0,
+                          width=3.0), SPHERE, step_nonlinear)
+    return (make_perturbation(grid, amplitude=0.3, center=5.0, width=3.0),
+            ROOT_PI, step_linear)
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("boundary", ["fixed", "absorbing"])
+    @pytest.mark.parametrize("label", ["nonlinear", "linear"])
+    def test_evolve_matches_repeated_steps(self, label, boundary):
+        grid = RadialGrid(20.0, 256)
+        f0, system, step = _flow_case(label, grid)
+        traj = evolve(f0, system, 3.0, record_every=8, boundary=boundary,
+                      detect_blowup=False)
+        f, done = f0, 0
+        for frame in traj.snapshots[1:]:
+            n = round((frame.time - f0.time) / traj.dt)
+            for _ in range(n - done):
+                f = step(f, system, traj.dt, boundary=boundary)
+            done = n
+            np.testing.assert_array_equal(frame.psi, f.psi)
+            np.testing.assert_array_equal(frame.psi_dot, f.psi_dot)
+        assert done == 77           # ceil(3 / (0.5 * 20 / 256))
+
+    @pytest.mark.parametrize("label", ["nonlinear", "linear"])
+    def test_frames_do_not_depend_on_record_every(self, label):
+        grid = RadialGrid(20.0, 256)
+        f0, system, _ = _flow_case(label, grid)
+        dense, sparse = (evolve(f0, system, 3.0, record_every=k,
+                                detect_blowup=False) for k in (4, 16))
+        by_time = {s.time: s for s in dense.snapshots}
+        assert len(sparse.snapshots) == 6
+        for frame in sparse.snapshots:
+            np.testing.assert_array_equal(frame.psi, by_time[frame.time].psi)
+            np.testing.assert_array_equal(frame.psi_dot,
+                                          by_time[frame.time].psi_dot)
 
 
 class TestRichardson:
@@ -339,44 +388,6 @@ class TestPersistence:
         path.write_text("# not-a-snapshot\n1 2 3\n")
         with pytest.raises(EvolutionError, match="snapshot"):
             read_snapshot(path)
-
-    def test_trajectory_round_trip(self, tmp_path):
-        grid = RadialGrid(20.0, 256)
-        f0 = make_perturbation(grid, amplitude=0.1, center=6.0, width=3.0)
-        traj = evolve(f0, ROOT_PI, 2.0, record_every=32,
-                      detect_blowup=False)
-        out = tmp_path / "run"
-        write_trajectory(traj, out)
-        back, metric_id = read_trajectory(out)
-        assert metric_id == "none"
-        assert len(back.snapshots) == len(traj.snapshots)
-        assert back.dt == traj.dt
-        assert back.scheme == traj.scheme
-        assert back.meta["boundary"] == "fixed"
-        assert isinstance(back.system, Root)
-        assert back.system.value == ROOT_PI.value
-        assert back.system.slope == ROOT_PI.slope
-        for a, b in zip(traj.snapshots, back.snapshots):
-            np.testing.assert_array_equal(a.psi, b.psi)
-            np.testing.assert_array_equal(a.psi_dot, b.psi_dot)
-            assert a.time == b.time
-
-    def test_blowup_record_round_trip(self, tmp_path):
-        grid = RadialGrid(6.0, 1024)
-        r = grid.r
-        psi = 2.0 * np.arctan(r) + 5.0 * r * np.exp(-r ** 2)
-        f = RadialField(grid, psi, np.zeros_like(r), 0.0, np.pi, 0.0)
-        traj = evolve(f, SPHERE, 5.0, record_every=16)
-        assert traj.blowup is not None
-        out = tmp_path / "blowrun"
-        write_trajectory(traj, out)
-        back, metric_id = read_trajectory(out)
-        assert metric_id == "sphere"
-        assert back.system is SPHERE
-        assert back.blowup is not None
-        assert back.blowup.t_plus == pytest.approx(traj.blowup.t_plus,
-                                                   rel=1e-15)
-        assert back.blowup.reason == traj.blowup.reason
 
 
 class TestAbsorbingBoundary:
