@@ -10,9 +10,10 @@ Four subcommands cover the laboratory workflow:
 Scenario configs are line-oriented "key = value" files under the
 sections [metric] [data] [grid] [time] [pipeline] [output].  All float
 text I/O uses 17 significant digits so values round trip losslessly,
-and identical config + seed produces byte-identical artifacts.  Several
+and identical configs produce byte-identical artifacts.  Several
 configs run one after another, each into its own output directory.
-Config errors are all caught by load_scenario, before any work is done.
+Config errors, the refusals of the data builders included, are all caught
+by load_scenario, which builds each initial field, before any work is done.
 """
 
 import argparse
@@ -20,21 +21,21 @@ import math
 import os
 import sys
 from configparser import ConfigParser, Error as ConfigError
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
-                       find_vanishing_set, make_metric)
+                       find_vanishing_set, get_metric, make_metric)
 from .statics import build_harmonic_map, rescale_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
                         read_snapshot, discrete_energy, _check_cfl)
 from .exprgrammar import ExpressionError
 from .data import make_bump, make_chain, bump_profile
-from .diagnostics import (energy, h_norms, write_series, select_times,
-                          lightcone_concentration, linf_outside_cone,
-                          s_norm, support_radius)
+from .diagnostics import (DiagnosticsError, energy, write_series,
+                          select_times, lightcone_concentration,
+                          linf_outside_cone, s_norm)
 from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
                          residual_norms, extend_H, build_scattering_state,
                          extract_regular_part, pythagorean_report,
@@ -42,7 +43,6 @@ from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
 from .rng import XorShift64Star
 
 FMT = "%.17g"
-BUILTIN_METRICS = {"sphere": SPHERE, "yang-mills": YANG_MILLS}
 GRID_FLOOR = 64          # nodes; below this no scenario is worth running
 SCALE_NODES = 8          # every requested length scale needs >= 8 cells
 KNOWN_STAGES = ("series", "bubbles", "scattering", "regular")
@@ -79,9 +79,8 @@ class Scenario:
     record_every: int
     boundary: str
     stages: list
-    scattering_count: int
     out_dir: str
-    seed: int
+    data: RadialField = None      # the initial field, built by load_scenario
 
 
 def _require(cp, section, key, path):
@@ -90,24 +89,28 @@ def _require(cp, section, key, path):
     return cp.get(section, key)
 
 
+def _finite(text):
+    """float(text), raising ValueError for nan and inf too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _getfloat(cp, section, key, path, default=None):
     if not cp.has_option(section, key):
         if default is None:
             raise CliError(f"{path}: missing [{section}] {key}")
         return default
     try:
-        return cp.getfloat(section, key)
+        return _finite(cp.get(section, key))
     except ValueError:
         raise CliError(f"{path}: [{section}] {key} = "
-                       f"{cp.get(section, key)!r} is not a number")
+                       f"{cp.get(section, key)!r} is not a finite number")
 
 
 def _getint(cp, section, key, path, default=None):
-    value = _getfloat(cp, section, key, path, default)
-    if not math.isfinite(value):
-        raise CliError(f"{path}: [{section}] {key} = "
-                       f"{cp.get(section, key)!r} is not an integer")
-    return int(value)
+    return int(_getfloat(cp, section, key, path, default))
 
 
 def load_scenario(path, out_override=None):
@@ -125,13 +128,12 @@ def load_scenario(path, out_override=None):
             raise CliError(f"{path}: missing [{section}] section")
 
     target = _require(cp, "metric", "target", path)
-    if target in BUILTIN_METRICS:
-        metric = BUILTIN_METRICS[target]
-    elif target == "custom":
+    if target == "custom":
         try:
-            lo, hi = map(float, _require(cp, "metric", "window", path).split())
+            lo, hi = map(_finite,
+                         _require(cp, "metric", "window", path).split())
         except ValueError:
-            raise CliError(f"{path}: [metric] window needs two numbers")
+            raise CliError(f"{path}: [metric] window needs two finite numbers")
         try:
             metric = make_metric(_require(cp, "metric", "id", path),
                                  _require(cp, "metric", "g", path),
@@ -140,24 +142,29 @@ def load_scenario(path, out_override=None):
         except ExpressionError as e:
             raise CliError(f"{path}: [metric] {e}")
     else:
-        raise CliError(f"{path}: unknown metric target {target!r} "
-                       f"(sphere, yang-mills, custom)")
+        try:
+            metric = get_metric(target)
+        except GeometryError:
+            raise CliError(f"{path}: unknown metric target {target!r} "
+                           f"(sphere, yang-mills, custom)")
 
     n_points = _getint(cp, "grid", "n_points", path)
     r_max = _getfloat(cp, "grid", "r_max", path)
     if n_points < GRID_FLOOR:
         raise CliError(f"{path}: grid floor: n_points = {n_points} is "
                        f"below {GRID_FLOOR}")
-    grid = RadialGrid(r_max, n_points)
+    try:
+        grid = RadialGrid(r_max, n_points)
+    except EvolutionError as e:
+        raise CliError(f"{path}: [grid] {e}")
 
     family = _require(cp, "data", "family", path)
     params = {k: v for k, v in cp.items("data") if k != "family"}
-    seed = int(params.pop("seed", "0"))
 
     t_final = _getfloat(cp, "time", "t_final", path)
-    if not 0 < t_final < math.inf:
+    if not t_final > 0:
         raise CliError(f"{path}: [time] t_final = {t_final:g} must be "
-                       f"positive and finite")
+                       f"positive")
     if cp.has_option("time", "dt"):
         cfl = _getfloat(cp, "time", "dt", path) / grid.dr
     else:
@@ -177,25 +184,23 @@ def load_scenario(path, out_override=None):
         raise CliError(f"{path}: [time] unknown boundary {boundary!r} "
                        f"({', '.join(BOUNDARIES)})")
 
-    stages = []
-    count = 5
-    if cp.has_section("pipeline"):
-        raw = cp.get("pipeline", "stages", fallback="")
-        stages = [s.strip() for s in raw.split(",") if s.strip()]
-        for s in stages:
-            if s not in KNOWN_STAGES:
-                raise CliError(f"{path}: unknown pipeline stage {s!r} "
-                               f"(known: {', '.join(KNOWN_STAGES)})")
-        count = _getint(cp, "pipeline", "scattering_count", path,
-                        default=5.0)
+    raw = cp.get("pipeline", "stages", fallback="")
+    stages = [s.strip() for s in raw.split(",") if s.strip()]
+    for s in stages:
+        if s not in KNOWN_STAGES:
+            raise CliError(f"{path}: unknown pipeline stage {s!r} "
+                           f"(known: {', '.join(KNOWN_STAGES)})")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
     scen = Scenario(path=path, metric=metric, family=family, params=params,
                     grid=grid, t_final=t_final, cfl=cfl,
                     record_every=record_every, boundary=boundary,
-                    stages=stages, scattering_count=count,
-                    out_dir=out_dir, seed=seed)
+                    stages=stages, out_dir=out_dir)
     _validate_data(scen)
+    try:
+        scen.data = build_data(scen)
+    except (GeometryError, EvolutionError) as e:
+        raise CliError(f"{path}: [data] {e}")
     return scen
 
 
@@ -205,7 +210,7 @@ def _chain_steps(scen):
     for item in scen.params["steps"].split(","):
         try:
             d, lam = item.split(":")
-            steps.append((int(d), float(lam)))
+            steps.append((int(d), _finite(lam)))
         except ValueError:
             raise CliError(f"{scen.path}: [data] steps entry "
                            f"{item.strip()!r} is not direction:scale")
@@ -215,7 +220,7 @@ def _chain_steps(scen):
 def _data_scales(scen):
     """Every length scale the data family requests from the grid."""
     if scen.family == "chain":
-        return [abs(lam) for _, lam in _chain_steps(scen)]
+        return [lam for _, lam in _chain_steps(scen)]
     return [float(scen.params[key]) for key in ("scale", "width")
             if key in FAMILY_KEYS[scen.family]]
 
@@ -231,13 +236,17 @@ def _validate_data(scen):
     for key in NUMERIC_KEYS:
         if key in p:
             try:
-                float(p[key])
+                _finite(p[key])
             except ValueError:
                 raise CliError(f"{scen.path}: [data] {key} = {p[key]!r} is "
-                               f"not a number")
-    if scen.family == "bump" and float(p["center"]) < float(p["width"]):
-        raise CliError(f"{scen.path}: [data] bump support must avoid the "
-                       f"origin (center >= width)")
+                               f"not a finite number")
+    if scen.family in ("bubble", "superposition"):
+        direction = p.get("direction", "1")
+        try:
+            int(direction)
+        except ValueError:
+            raise CliError(f"{scen.path}: [data] direction = {direction!r} "
+                           f"is not an integer")
     if scen.family == "snapshot" and not os.path.isfile(p["path"]):
         raise CliError(f"{scen.path}: no such snapshot: {p['path']}")
     dr = scen.grid.dr
@@ -249,36 +258,10 @@ def _validate_data(scen):
     vset = find_vanishing_set(scen.metric)
     for key in ("ell", "ell_outer"):
         if key in p:
-            val = float(p[key])
-            near = vset.nearest(val)
-            if abs(val - near.value) > 1e-6:
-                raise CliError(f"{scen.path}: [data] {key} = {val:g} is "
-                               f"not a root of g")
-    # build_data needs a connector for each step from a root toward its
-    # neighbor: one step from ell for a bubble, the chain's steps inward
-    # from ell_outer
-    if scen.family in ("bubble", "superposition"):
-        direction = p.get("direction", "1")
-        try:
-            sides = [int(direction)]
-        except ValueError:
-            raise CliError(f"{scen.path}: [data] direction = {direction!r} "
-                           f"is not an integer")
-        level = float(p.get("ell", "0"))
-    elif scen.family == "chain":
-        sides = [d for d, _ in _chain_steps(scen)]
-        level = float(p.get("ell_outer", "0"))
-    else:
-        return
-    level = vset.nearest(level).value
-    for d in sides:
-        side = 1 if d > 0 else -1
-        inner = vset.neighbor(level, side)
-        if inner is None:
-            raise CliError(f"{scen.path}: [data] no root of g "
-                           f"{'above' if side > 0 else 'below'} ell = "
-                           f"{level:g} inside the metric window")
-        level = inner.value
+            try:
+                vset.root_at(float(p[key]))
+            except GeometryError as e:
+                raise CliError(f"{scen.path}: [data] {key}: {e}")
 
 
 def build_data(scen):
@@ -312,9 +295,9 @@ def build_data(scen):
     if fam == "snapshot":
         field, metric_id = read_snapshot(p["path"])
         if metric_id != scen.metric.id:
-            raise CliError(f"snapshot {p['path']} was written for metric "
-                           f"{metric_id!r}, scenario uses "
-                           f"{scen.metric.id!r}")
+            raise GeometryError(f"snapshot {p['path']} was written for "
+                                f"metric {metric_id!r}, scenario uses "
+                                f"{scen.metric.id!r}")
         return field
     raise CliError(f"unknown data family {fam!r}")
 
@@ -357,10 +340,10 @@ def load_trajectory(traj_dir):
                        f"directory")
     cp = ConfigParser()
     cp.read(manifest)
-    metric_id = cp.get("trajectory", "metric")
-    if metric_id not in BUILTIN_METRICS:
-        raise CliError(f"{traj_dir}: metric {metric_id!r} is not a "
-                       f"builtin; re-run from the original config")
+    try:
+        metric = get_metric(cp.get("trajectory", "metric"))
+    except GeometryError as e:
+        raise CliError(f"{traj_dir}: {e}; re-run from the original config")
     names = sorted(n for n in os.listdir(traj_dir)
                    if n.startswith("frame-") and n.endswith(".snap"))
     if not names:
@@ -378,7 +361,7 @@ def load_trajectory(traj_dir):
     return Trajectory(snapshots=snaps, dt=cp.getfloat("trajectory", "dt"),
                       scheme=cp.get("trajectory", "scheme"),
                       cfl=cp.getfloat("trajectory", "cfl"),
-                      system=BUILTIN_METRICS[metric_id], blowup=blow,
+                      system=metric, blowup=blow,
                       meta={"dir": traj_dir})
 
 
@@ -386,8 +369,7 @@ def load_trajectory(traj_dir):
 # subcommands
 
 def run_simulate_one(scen):
-    data = build_data(scen)
-    traj = evolve(data, scen.metric, scen.t_final,
+    traj = evolve(scen.data, scen.metric, scen.t_final,
                   record_every=scen.record_every, cfl=scen.cfl,
                   boundary=scen.boundary)
     os.makedirs(scen.out_dir, exist_ok=True)
@@ -417,8 +399,7 @@ def run_simulate_one(scen):
                     print(f"{scen.path}: skipped scattering (blow-up)")
                     continue
                 ell = vset.nearest(traj.snapshots[0].ell_inf)
-                state = build_scattering_state(traj, ell,
-                                               count=scen.scattering_count)
+                state = build_scattering_state(traj, ell)
                 _write_scattering_report(
                     state, os.path.join(scen.out_dir, "scattering.report"))
                 print(f"{scen.path}: scattering t* = {state.t_star:.6g}, "
@@ -434,7 +415,7 @@ def run_simulate_one(scen):
                 print(f"{scen.path}: regular part ell* = "
                       f"{reg.ell_star.value:.6g}, final interior norm = "
                       f"{reg.interior_norms[-1]:.6g}")
-        except ResolutionError as e:
+        except (ResolutionError, DiagnosticsError) as e:
             print(f"{scen.path}: error in stage {stage}: {e}",
                   file=sys.stderr)
             code = 1
@@ -522,10 +503,10 @@ def run_resolve(args):
         if not os.path.isfile(args.snapshot):
             raise CliError(f"no such snapshot: {args.snapshot}")
         field, metric_id = read_snapshot(args.snapshot)
-        if metric_id not in BUILTIN_METRICS:
-            raise CliError(f"{args.snapshot}: metric {metric_id!r} is not "
-                           f"a builtin")
-        metric = BUILTIN_METRICS[metric_id]
+        try:
+            metric = get_metric(metric_id)
+        except GeometryError as e:
+            raise CliError(f"{args.snapshot}: {e}")
         rep = extract_bubbles(field, metric)
         out = args.snapshot + ".bubbles"
         write_bubble_report(rep, out)
@@ -757,7 +738,8 @@ def main(argv=None):
             return run_resolve(args)
         if args.cmd == "selftest":
             return run_selftest(args)
-    except (CliError, GeometryError) as e:
+    except (CliError, GeometryError, EvolutionError, ResolutionError,
+            DiagnosticsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 2

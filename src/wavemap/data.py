@@ -7,12 +7,14 @@ compact bump
 
 (so B(0) = 1 and every derivative vanishes at the support edge) keep the
 data in the energy space: fields equal their endpoint value at the origin
-whenever center >= width.
+whenever center >= width.  Data that cannot be built (a bump reaching
+the origin, an ell that is not a root, a step with no neighbor root) is
+refused with GeometryError.
 """
 
 import numpy as np
 
-from .geometry import find_vanishing_set
+from .geometry import GeometryError, find_vanishing_set
 from .evolution import RadialField
 from .rng import XorShift64Star
 from .statics import build_harmonic_map, eval_Q
@@ -30,7 +32,8 @@ def make_bump(grid, metric, ell=0.0, amplitude=0.1, center=5.0, width=2.0,
               velocity=0.0):
     """Nonlinear data: psi = ell + bump, psi_t = velocity * bump-shape."""
     if center < width:
-        raise ValueError("bump support must avoid the origin (center >= width)")
+        raise GeometryError("bump support must avoid the origin "
+                            "(center >= width)")
     vset = find_vanishing_set(metric)
     root = vset.root_at(ell)
     shape = bump_profile(grid.r, 1.0, center, width)
@@ -43,7 +46,8 @@ def make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0,
                       velocity=0.0):
     """Linear-flow data: a compact bump perturbation around 0."""
     if center < width:
-        raise ValueError("bump support must avoid the origin (center >= width)")
+        raise GeometryError("bump support must avoid the origin "
+                            "(center >= width)")
     shape = bump_profile(grid.r, 1.0, center, width)
     return RadialField(grid, amplitude * shape, velocity * shape,
                        ell0=0.0, ell_inf=0.0, time=0.0)
@@ -82,8 +86,9 @@ def make_chain(grid, metric, ell_outer, steps):
     for direction, scale in steps:
         inner = vset.neighbor(level, +1 if direction > 0 else -1)
         if inner is None:
-            raise ValueError(f"no root {'above' if direction > 0 else 'below'} "
-                             f"{level} to chain to")
+            raise GeometryError(
+                f"no root of g {'above' if direction > 0 else 'below'} "
+                f"ell = {level:g} to chain to")
         # connector with Q(0) = inner, Q(inf) = level
         qmap = build_harmonic_map(metric, inner.value,
                                   +1 if level > inner.value else -1)

@@ -33,6 +33,7 @@ Snapshot file format (text, 17 significant digits):
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Optional, Union
@@ -456,16 +457,31 @@ def write_snapshot(field, path, metric_id):
 
 
 def read_snapshot(path):
-    """Returns (RadialField, metric_id)."""
-    with open(path) as fh:
+    """Returns (RadialField, metric_id).
+
+    Raises EvolutionError unless the file holds the four header lines and
+    then rows of three numbers (r psi psi_dot) on at least 4 uniform nodes.
+    """
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip()
         if header != "# wavemap-snapshot v1":
             raise EvolutionError(f"{path}: not a wavemap snapshot (v1)")
-        metric_id = fh.readline().split()[2]
-        parts = fh.readline().split()
-        ell0, ell_inf = float(parts[2]), float(parts[4])
-        t = float(fh.readline().split()[2])
-        rows = np.loadtxt(fh, ndmin=2)
+        head = [fh.readline().split() for _ in range(3)]
+        try:
+            metric_id = head[0][2]
+            ell0, ell_inf = float(head[1][2]), float(head[1][4])
+            t = float(head[2][2])
+        except (IndexError, ValueError):
+            raise EvolutionError(f"{path}: truncated or malformed header")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # an empty body: refused below
+            try:
+                rows = np.loadtxt(fh, ndmin=2)
+            except ValueError as e:
+                raise EvolutionError(f"{path}: {e}")
+    if rows.shape[1] != 3 or len(rows) < 4:
+        raise EvolutionError(f"{path}: expected rows of three numbers "
+                             f"(r psi psi_dot) on at least 4 nodes")
     r, psi, psi_dot = rows[:, 0], rows[:, 1], rows[:, 2]
     dr = r[0]
     if np.max(np.abs(np.diff(r) - dr)) > 1e-9 * dr:

@@ -88,7 +88,7 @@ class VanishingSet:
         if len(self.roots) == 0:
             raise GeometryError("vanishing set is empty")
         k = int(np.argmin(np.abs(self.roots - value)))
-        if abs(self.roots[k] - value) > tol:
+        if not abs(self.roots[k] - value) <= tol:     # NaN is no root
             raise GeometryError(
                 f"{value} is not a root of g (nearest: {self.roots[k]})")
         return Root(float(self.roots[k]), float(self.slopes[k]),

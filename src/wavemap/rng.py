@@ -33,7 +33,3 @@ class XorShift64Star:
     def uniform(self, lo=0.0, hi=1.0):
         u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
         return lo + (hi - lo) * u
-
-    def randint(self, lo, hi):
-        """Integer in [lo, hi] inclusive (modulo bias negligible here)."""
-        return lo + self.next_u64() % (hi - lo + 1)

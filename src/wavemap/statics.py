@@ -61,10 +61,6 @@ class HarmonicMap:
     def __call__(self, r):
         return eval_Q(self, r)
 
-    def d_dlogr(self, r):
-        """r Q'(r), exact through the ODE: sign * g(Q(r))."""
-        return self.sign * self.metric.g(eval_Q(self, r))
-
 
 def _solve_branch(metric, sign, q0, target, s_limit):
     """Integrate dQ/ds = sign*g(Q) from (s=0, q0) toward the root `target`.
@@ -116,8 +112,9 @@ def build_harmonic_map(metric, ell, direction):
     root_m = vset.neighbor(root_l.value, +1 if direction > 0 else -1)
     if root_m is None:
         raise StaticsError(
-            f"target endpoint outside search window: no root "
-            f"{'above' if direction > 0 else 'below'} {root_l.value}")
+            f"target endpoint outside search window: no root of g "
+            f"{'above' if direction > 0 else 'below'} ell = "
+            f"{root_l.value:g}")
     lo, hi = root_l.value, root_m.value
 
     mid = 0.5 * (lo + hi)

@@ -5,11 +5,15 @@ Everything runs in-process through cli.main so exits and output are
 captured; scenarios are sized to keep each run under a few seconds.
 """
 
+import contextlib
+import io
 import os
+import tempfile
 from configparser import ConfigParser
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavemap.geometry import SPHERE
 from wavemap.evolution import (RadialGrid, evolve, write_snapshot,
@@ -39,6 +43,10 @@ def write_cfg(path, out_dir, **overrides):
     with open(path, "w") as fh:
         cp.write(fh)
     return str(path)
+
+
+SNAP_HEADER = ("# wavemap-snapshot v1\n# metric sphere\n"
+               "# ell0 0 ell_inf 0\n# t 0\n")
 
 
 class TestScenarioValidation:
@@ -140,8 +148,22 @@ class TestScenarioValidation:
         ({"metric": {"target": "yang-mills"},
           "data": {"family": "chain", "ell": None, "ell_outer": "1",
                    "steps": "1:2"}}, "no root of g above ell = 1"),
+        ({"grid": {"r_max": "nan"}}, "r_max = 'nan' is not a finite number"),
+        ({"grid": {"r_max": "-1"}}, "[grid] r_max must be positive"),
+        ({"time": {"t_final": "inf"}}, "t_final = 'inf' is not a finite"),
+        ({"data": {"ell": "nan"}}, "ell = 'nan' is not a finite number"),
+        ({"data": {"amplitude": "nan"}}, "amplitude = 'nan' is not a finite"),
+        ({"data": {"family": "chain", "ell": None, "steps": "1:nan"}},
+         "steps entry '1:nan' is not direction:scale"),
+        ({"data": {"center": "1"}},
+         "[data] bump support must avoid the origin"),
+        ({"metric": {"target": "custom", "id": "m", "g": "sin(rho)",
+                     "g_prime": "cos(rho)", "window": "-4 inf"}},
+         "window needs two finite numbers"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
-            "expression", "chain"])
+            "expression", "chain", "r_max_nan", "r_max_negative",
+            "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
+            "bump_support", "window_inf"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -156,6 +178,85 @@ class TestScenarioValidation:
                         time={"t_final": "2.0", "dt": "0.0390625"})
         scen = load_scenario(cfg)
         assert scen.cfl == pytest.approx(0.0390625 / scen.grid.dr)
+
+    def test_batch_refused_whole(self, tmp_path, capsys):
+        # the second config names a snapshot written for another metric,
+        # which only building its data finds: the first config must not run
+        field, _, _ = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0,
+                                 [(1, 2.0)])
+        snap = tmp_path / "seed.snap"
+        write_snapshot(field, snap, "sphere")
+        first = write_cfg(tmp_path / "a.cfg", tmp_path / "outa")
+        second = write_cfg(tmp_path / "b.cfg", tmp_path / "outb",
+                           metric={"target": "yang-mills"},
+                           data={"family": "snapshot", "path": str(snap),
+                                 "ell": None})
+        assert main(["simulate", "--config", first, second]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {second}: [data] snapshot ")
+        assert "written for metric 'sphere'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "outa").exists()
+        assert not (tmp_path / "outb").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("r psi psi_dot\n1 0 0\n", "not a wavemap snapshot"),
+        ("\xff\xfe binary\n", "not a wavemap snapshot"),
+        ("# wavemap-snapshot v1\n# metric sphere\n",
+         "truncated or malformed header"),
+        (SNAP_HEADER, "rows of three numbers"),
+        (SNAP_HEADER + "".join(f"{i} 0\n" for i in range(1, 9)),
+         "rows of three numbers"),
+        (SNAP_HEADER + "1 0 0\n2 x 0\n", "could not convert"),
+    ], ids=["header", "binary", "truncated", "no-rows", "two-columns",
+            "not-a-number"])
+    def test_malformed_snapshot_is_one_line(self, tmp_path, capsys, text,
+                                            message):
+        snap = tmp_path / "bad.snap"
+        snap.write_bytes(text.encode("latin-1"))    # one byte per character
+        assert main(["resolve", "--snapshot", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snap}: ") and err.count("\n") == 1
+        assert message in err
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        data={"family": "snapshot", "path": str(snap)})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [data] {snap}: ")
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+
+# every value of the write_cfg base but the output directory, and tokens
+# that are malformed, non-finite, nonpositive or merely small: the list has
+# no tiny r_max and no large n_points or t_final, so no draw starts a long
+# run
+BASE_KEYS = [("metric", "target"), ("data", "family"), ("data", "ell"),
+             ("data", "amplitude"), ("data", "center"), ("data", "width"),
+             ("grid", "r_max"), ("grid", "n_points"), ("time", "t_final"),
+             ("time", "record_every"), ("pipeline", "stages")]
+TOKENS = ["", "abc", "nan", "inf", "-1", "0", "0.3", "up", "1:", "x:2"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(BASE_KEYS), st.sampled_from(TOKENS),
+                       min_size=1, max_size=3))
+def test_any_config_runs_or_is_refused_in_one_line(replaced):
+    overrides = {}
+    for (section, key), token in replaced.items():
+        overrides.setdefault(section, {})[key] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        cfg = write_cfg(os.path.join(tmp, "s.cfg"), out, **overrides)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", cfg])
+        assert code in (0, 1)
+        if code == 1:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not os.path.exists(out)
 
 
 class TestSimulate:
@@ -355,6 +456,37 @@ class TestAnalyzeResolve:
         norms = [float(v) for v in
                  cp.get("regular", "interior_norms").split()]
         assert norms[-1] < norms[0]
+
+    def test_resolve_rewrites_simulate_scattering_report(self, tmp_path,
+                                                         capsys):
+        # simulate's scattering stage and resolve --traj make one call; the
+        # scattering_count key of older configs is no longer read
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        data={"family": "bump", "ell": "0",
+                              "amplitude": "0.08", "center": "10",
+                              "width": "4"},
+                        grid={"r_max": "100", "n_points": "1024"},
+                        time={"t_final": "70", "record_every": "16"},
+                        pipeline={"stages": "series, scattering",
+                                  "scattering_count": "3"})
+        assert main(["simulate", "--config", cfg]) == 0
+        before = (out / "scattering.report").read_bytes()
+        assert main(["resolve", "--traj", str(out)]) == 0
+        assert (out / "scattering.report").read_bytes() == before
+
+    def test_pre_asymptotic_store_reports_one_error(self, tmp_path, capsys):
+        # two frames of zero data: quiet-time selection has too few frames
+        out = tmp_path / "short"
+        cfg = write_cfg(tmp_path / "s.cfg", out, data={"amplitude": "0"},
+                        pipeline={"stages": "series, scattering"})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cfg}: error in stage scattering: ")
+        assert err.count("\n") == 1
+        assert main(["resolve", "--traj", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_resolve_needs_exactly_one_input(self, capsys):
         assert main(["resolve"]) == 1

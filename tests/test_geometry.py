@@ -96,6 +96,12 @@ class TestVanishingSet:
         assert down.value == pytest.approx(-math.pi)
         assert vset.neighbor(3 * math.pi, +1) is None
 
+    def test_root_at_refuses_nan(self):
+        # every comparison with NaN is false, so a '> tol' test would pass
+        # it through to the first root of the window
+        with pytest.raises(GeometryError, match="not a root"):
+            find_vanishing_set(SPHERE).root_at(math.nan)
+
     def test_degenerate_root_rejected(self):
         # g = (1 - rho^2)^2 has double roots at +-1
         m = make_metric("degenerate", "(1 - rho^2) * (1 - rho^2)",
