@@ -298,6 +298,12 @@ def build_data(scen):
             raise GeometryError(f"snapshot {p['path']} was written for "
                                 f"metric {metric_id!r}, scenario uses "
                                 f"{scen.metric.id!r}")
+        if field.grid.n_points != grid.n_points or \
+                abs(field.grid.r_max - grid.r_max) > 1e-9 * grid.r_max:
+            raise EvolutionError(
+                f"snapshot {p['path']} has {field.grid.n_points} nodes up "
+                f"to r = {field.grid.r_max:g}, [grid] asks for "
+                f"{grid.n_points} up to r_max = {grid.r_max:g}")
         return field
     raise CliError(f"unknown data family {fam!r}")
 

@@ -11,7 +11,10 @@ Linearized flow at a root l of g:
 Both run through one kernel: a flow object, built once per (system,
 grid), holds the coefficients of the flux-form second-order radial
 Laplacian, the origin ghost and the zeroth-order source, and one explicit
-leapfrog (velocity Verlet) loop advances (psi, psi_t).  Nodes sit at
+leapfrog (velocity Verlet) loop advances (psi, psi_t).  The node axis is
+the last axis, so the kernel also advances a stack of members of shape
+(m, n) on one grid in one run; the arithmetic is elementwise, so each
+member evolves bit for bit as it would alone.  Nodes sit at
 r_i = i dr, i = 1..n; the origin enters only through the regularized ghost
 value (psi(0) = ell0, phi(0) = 0), and the outer boundary is fixed by
 default (an approximate absorbing variant is available).  The time step
@@ -143,6 +146,16 @@ def _check_cfl(grid, dt):
             f"{0.5 * grid.dr:.6g}")
 
 
+def _step_plan(grid, t_final, cfl):
+    """(dt, n_steps) of a run to t_final at CFL number cfl: the last step
+    ends at or just past t_final."""
+    dt = cfl * grid.dr
+    _check_cfl(grid, dt)
+    if t_final <= 0:
+        raise EvolutionError("t_final must be positive")
+    return dt, max(1, int(math.ceil(t_final / dt - 1e-9)))
+
+
 class _Flow:
     """One radial flow on one grid, with its coefficients computed once.
 
@@ -167,7 +180,7 @@ class _Flow:
             raise EvolutionError(
                 f"system must be a Metric or Root, got {system!r}")
 
-    def accel(self, psi):
+    def accel(self, psi, a=None, flux=None):
         """Flux-form radial Laplacian minus the zeroth-order source.
 
         L psi_i = (r_{i+1/2}(psi_{i+1}-psi_i) - r_{i-1/2}(psi_i-psi_{i-1}))
@@ -175,23 +188,29 @@ class _Flow:
         The last node's acceleration is set by the boundary handler, not
         here.  The quotients stay divisions, not products with stored
         reciprocals: those change last bits, and stored trajectories are
-        reproduced byte for byte.
+        reproduced byte for byte.  `a` and `flux` (shaped like psi) are
+        filled when given, else allocated; `a` is returned.
         """
-        flux = self.face * np.diff(psi, prepend=self.ghost)
-        source = self.source(psi) / self.r_sq
-        a = np.empty_like(psi)
-        a[:-1] = (flux[1:] - flux[:-1]) / self.lap_den - source[:-1]
-        a[-1] = 0.0
+        if a is None:
+            a, flux = np.empty_like(psi), np.empty_like(psi)
+        np.subtract(psi[..., :1], self.ghost, out=flux[..., :1])
+        np.subtract(psi[..., 1:], psi[..., :-1], out=flux[..., 1:])
+        flux *= self.face
+        inner = a[..., :-1]
+        np.subtract(flux[..., 1:], flux[..., :-1], out=inner)
+        inner /= self.lap_den
+        inner -= (self.source(psi) / self.r_sq)[..., :-1]
+        a[..., -1] = 0.0
         return a
 
 
 def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
     if boundary == "fixed":
-        psi_dot[-1] = 0.0
+        psi_dot[..., -1] = 0.0
     elif boundary == "absorbing":
         # approximate outgoing condition psi_t = -psi_r - (psi - ell_inf)/(2r)
-        psi_dot[-1] = (-(psi[-1] - psi[-2]) / grid.dr
-                       - (psi[-1] - ell_inf) / (2 * grid.r[-1]))
+        psi_dot[..., -1] = (-(psi[..., -1] - psi[..., -2]) / grid.dr
+                            - (psi[..., -1] - ell_inf) / (2 * grid.r[-1]))
     else:
         raise EvolutionError(f"unknown boundary {boundary!r}")
 
@@ -199,16 +218,22 @@ def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
 def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
     """Advance (psi, psi_dot) in place by n_steps velocity-Verlet steps.
 
-    `a` is the acceleration at the current psi; the acceleration at the
-    final psi is returned, so consecutive calls continue one run.
+    The arrays are one field, shape (n,), or a stack of m members on the
+    flow's grid, shape (m, n).  `a` is the acceleration at the current
+    psi; it is updated in place to the acceleration at the final psi and
+    returned, so consecutive calls continue one run.  The flux and the
+    kick and drift products live in two work arrays allocated once per
+    call.
     """
     grid = flow.grid
+    half = 0.5 * dt
+    flux, work = np.empty_like(psi), np.empty_like(psi)
     for _ in range(n_steps):
-        psi_dot += 0.5 * dt * a
+        psi_dot += np.multiply(a, half, out=work)
         _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
-        psi += dt * psi_dot
-        a = flow.accel(psi)
-        psi_dot += 0.5 * dt * a
+        psi += np.multiply(psi_dot, dt, out=work)
+        flow.accel(psi, a, flux)
+        psi_dot += np.multiply(a, half, out=work)
         _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
     return a
 
@@ -359,13 +384,9 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     10-20 cells, so the floor sits above that.
     """
     grid = field.grid
-    dt = cfl * grid.dr
-    _check_cfl(grid, dt)
-    if t_final <= 0:
-        raise EvolutionError("t_final must be positive")
+    dt, n_steps = _step_plan(grid, t_final, cfl)
     if record_every < 1:
         raise EvolutionError("record_every must be at least 1")
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-9)))
 
     flow = _Flow(system, grid, field.ell0)
     e_crit = min_bubble_energy(system, field.ell0) \

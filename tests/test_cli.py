@@ -199,6 +199,21 @@ class TestScenarioValidation:
         assert not (tmp_path / "outa").exists()
         assert not (tmp_path / "outb").exists()
 
+    def test_snapshot_on_another_grid_refused(self, tmp_path, capsys):
+        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])[0]
+        snap = tmp_path / "seed.snap"
+        write_snapshot(field, snap, "sphere")
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        data={"family": "snapshot", "path": str(snap)},
+                        grid={"r_max": "100", "n_points": "1024"})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [data] snapshot {snap} has "
+                              f"256 nodes up to r = 20, [grid] asks for "
+                              f"1024 up to r_max = 100")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("r psi psi_dot\n1 0 0\n", "not a wavemap snapshot"),
         ("\xff\xfe binary\n", "not a wavemap snapshot"),

@@ -15,8 +15,8 @@ from wavemap.geometry import (SPHERE, YANG_MILLS, Root, find_vanishing_set,
                               make_metric)
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
-from wavemap.data import make_bump, make_perturbation
-from wavemap.diagnostics import (DiagnosticsError, EnergyLedger, energy,
+from wavemap.data import make_bump, make_perturbation, make_superposition
+from wavemap.diagnostics import (DiagnosticsError, _exterior_reports, EnergyLedger, energy,
                                  h_norms, energy_h_equivalence,
                                  pointwise_energy_bound, sup_norm_vs_H,
                                  SUP_H_PROOF_CONSTANT, self_similar_energy,
@@ -466,6 +466,40 @@ class TestExteriorEnergy:
         rep = exterior_energy_ratio(p, ROOT0, 10.0)
         assert 0.0 < rep.ratio <= 1.0 + 1e-12
         assert rep.flagged == ""
+
+    @pytest.mark.parametrize("column", ["psi", "psi_dot"])
+    def test_non_finite_data_refused(self, column):
+        grid = RadialGrid(60.0, 512)
+        p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
+        getattr(p, column)[100] = np.nan
+        for t in (0.0, 5.0):
+            with pytest.raises(DiagnosticsError,
+                               match="member 0: initial data is not finite"):
+                exterior_energy_ratio(p, ROOT0, t)
+
+    def test_non_finite_run_names_the_member(self):
+        # finite data under so steep a slope that the flow overflows: an
+        # error naming the member, not a report from the frame at t = 0
+        grid = RadialGrid(60.0, 512)
+        p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
+        steep = Root(0.0, 1e154, math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError,
+                               match="member 0: the linear flow is not "
+                                     "finite"):
+                exterior_energy_ratio(p, steep, 5.0)
+            with pytest.raises(DiagnosticsError, match="member 7: "):
+                _exterior_reports([p, p], steep, 5.0, 0.5, "fixed", 7)
+
+    def test_ensemble_blocks_match_single_runs(self):
+        # 11 members at n = 2048 make one full block and one short block
+        grid = RadialGrid(128.0, 2048)
+        _, ratios = beta_hat_ensemble(grid, ROOT0, 2.0, n_data=11)
+        rng = XorShift64Star(20260819)
+        single = [exterior_energy_ratio(make_superposition(grid, rng),
+                                        ROOT0, 2.0).ratio
+                  for _ in range(11)]
+        assert ratios.tobytes() == np.array(single).tobytes()
 
     def test_ensemble_deterministic(self):
         grid = RadialGrid(128.0, 512)

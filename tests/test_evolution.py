@@ -16,7 +16,7 @@ from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
                                evolve, step_nonlinear, step_linear,
                                transform_T, discrete_energy,
                                min_bubble_energy, write_snapshot,
-                               read_snapshot)
+                               read_snapshot, _Flow, _leapfrog)
 from wavemap.data import make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 
@@ -153,14 +153,14 @@ class TestConservation:
         assert abs(e_flux - e_trap) / e_trap < 1e-4
 
 
-def _flow_case(label, grid):
+def _flow_case(label, grid, amplitude=0.3):
     """(data, system, single step) for one of the two flows; the nonlinear
     data hangs from pi so the ghost and the far value are not zero."""
     if label == "nonlinear":
-        return (make_bump(grid, SPHERE, np.pi, amplitude=0.3, center=5.0,
-                          width=3.0), SPHERE, step_nonlinear)
-    return (make_perturbation(grid, amplitude=0.3, center=5.0, width=3.0),
-            ROOT_PI, step_linear)
+        return (make_bump(grid, SPHERE, np.pi, amplitude=amplitude,
+                          center=5.0, width=3.0), SPHERE, step_nonlinear)
+    return (make_perturbation(grid, amplitude=amplitude, center=5.0,
+                              width=3.0), ROOT_PI, step_linear)
 
 
 class TestOneKernel:
@@ -180,6 +180,32 @@ class TestOneKernel:
             np.testing.assert_array_equal(frame.psi, f.psi)
             np.testing.assert_array_equal(frame.psi_dot, f.psi_dot)
         assert done == 77           # ceil(3 / (0.5 * 20 / 256))
+
+    @pytest.mark.parametrize("boundary", ["fixed", "absorbing"])
+    @pytest.mark.parametrize("label", ["nonlinear", "linear"])
+    def test_member_stack_matches_single_runs(self, label, boundary):
+        # a (3, n) stack through the kernel against three 1-D evolve runs;
+        # a boundary that indexes [-1] in place of [..., -1] hits a whole
+        # member instead of the last node of each
+        grid = RadialGrid(20.0, 256)
+        members = [_flow_case(label, grid, amp)[0] for amp in (0.1, 0.2, 0.3)]
+        system = _flow_case(label, grid)[1]
+        trajs = [evolve(f, system, 3.0, record_every=8, boundary=boundary,
+                        detect_blowup=False) for f in members]
+        flow = _Flow(system, grid, members[0].ell0)
+        psi = np.stack([f.psi for f in members])
+        psi_dot = np.stack([f.psi_dot for f in members])
+        a, done, dt = flow.accel(psi), 0, trajs[0].dt
+        for i, t in enumerate(trajs[0].times[1:], 1):
+            n = round(t / dt)
+            a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, boundary,
+                          members[0].ell_inf)
+            done = n
+            for k, traj in enumerate(trajs):
+                np.testing.assert_array_equal(psi[k], traj.snapshots[i].psi)
+                np.testing.assert_array_equal(psi_dot[k],
+                                              traj.snapshots[i].psi_dot)
+        assert done == 77
 
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_frames_do_not_depend_on_record_every(self, label):
