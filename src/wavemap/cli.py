@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass
 
@@ -45,34 +46,76 @@ from .rng import XorShift64Star
 FMT = "%.17g"
 GRID_FLOOR = 64          # nodes; below this no scenario is worth running
 SCALE_NODES = 8          # every requested length scale needs >= 8 cells
-KNOWN_STAGES = ("series", "bubbles", "scattering", "regular")
-KNOWN_OPS = ("series", "select-times", "lightcone", "linf", "s-norm")
-# the [data] keys each family requires; those of NUMERIC_KEYS that are
-# given must parse as numbers
-FAMILY_KEYS = {
-    "bubble": ("ell", "scale"),
-    "bump": ("amplitude", "center", "width"),
-    "superposition": ("scale", "amplitude", "center", "width"),
-    "chain": ("steps",),
-    "snapshot": ("path",),
-}
-NUMERIC_KEYS = ("ell", "ell_outer", "scale", "amplitude", "center", "width",
-                "velocity")
 
 
 class CliError(Exception):
     """Scenario or invocation problem; caught in main, exit 1."""
 
 
+def _write_ini(path, sections):
+    cp = ConfigParser()
+    cp.read_dict(sections)
+    with open(path, "w") as fh:
+        cp.write(fh)
+
+
 # ---------------------------------------------------------------------------
 # scenario parsing
+
+def _bubble(grid, metric, p):
+    qmap = build_harmonic_map(metric, p["ell"], p["direction"])
+    return rescale_Q(qmap, p["scale"], grid)
+
+
+def _superposition(grid, metric, p):
+    base = _bubble(grid, metric, p)
+    bump = p["amplitude"] * bump_profile(grid.r, 1.0, p["center"],
+                                         p["width"])
+    return RadialField(grid, base.psi + bump,
+                       base.psi_dot + p["velocity"] * bump,
+                       base.ell0, base.ell_inf, 0.0)
+
+
+def _snapshot(grid, metric, p):
+    field, metric_id = read_snapshot(p["path"])
+    if metric_id != metric.id:
+        raise GeometryError(f"snapshot {p['path']} was written for "
+                            f"metric {metric_id!r}, scenario uses "
+                            f"{metric.id!r}")
+    if field.grid.n_points != grid.n_points or \
+            abs(field.grid.r_max - grid.r_max) > 1e-9 * grid.r_max:
+        raise EvolutionError(
+            f"snapshot {p['path']} has {field.grid.n_points} nodes up "
+            f"to r = {field.grid.r_max:g}, [grid] asks for "
+            f"{grid.n_points} up to r_max = {grid.r_max:g}")
+    return field
+
+
+# one row per [data] family: the keys it needs, the keys it reads when
+# given with their defaults, and build(grid, metric, params) -> RadialField;
+# its scales (scale, width, the steps' scales) must span SCALE_NODES cells
+Family = namedtuple("Family", "required optional build")
+FAMILIES = {
+    "bubble": Family(("ell", "scale"), {"direction": 1}, _bubble),
+    "bump": Family(("amplitude", "center", "width"),
+                   {"ell": 0.0, "velocity": 0.0},
+                   lambda grid, metric, p: make_bump(grid, metric, **p)),
+    "superposition": Family(("scale", "amplitude", "center", "width"),
+                            {"ell": 0.0, "direction": 1, "velocity": 0.0},
+                            _superposition),
+    "chain": Family(("steps",), {"ell_outer": 0.0},
+                    lambda grid, metric, p: make_chain(
+                        grid, metric, p["ell_outer"], p["steps"])[0]),
+    "snapshot": Family(("path",), {}, _snapshot),
+}
+
 
 @dataclass
 class Scenario:
     path: str
     metric: Metric
     family: str
-    params: dict
+    params: dict        # the family's [data] values, parsed, defaults filled
     grid: RadialGrid
     t_final: float
     cfl: float
@@ -159,7 +202,6 @@ def load_scenario(path, out_override=None):
         raise CliError(f"{path}: [grid] {e}")
 
     family = _require(cp, "data", "family", path)
-    params = {k: v for k, v in cp.items("data") if k != "family"}
 
     t_final = _getfloat(cp, "time", "t_final", path)
     if not t_final > 0:
@@ -187,16 +229,16 @@ def load_scenario(path, out_override=None):
     raw = cp.get("pipeline", "stages", fallback="")
     stages = [s.strip() for s in raw.split(",") if s.strip()]
     for s in stages:
-        if s not in KNOWN_STAGES:
+        if s not in STAGES:
             raise CliError(f"{path}: unknown pipeline stage {s!r} "
-                           f"(known: {', '.join(KNOWN_STAGES)})")
+                           f"(known: {', '.join(STAGES)})")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
-    scen = Scenario(path=path, metric=metric, family=family, params=params,
+    scen = Scenario(path=path, metric=metric, family=family,
+                    params=_data_params(cp, path, family, grid, metric),
                     grid=grid, t_final=t_final, cfl=cfl,
                     record_every=record_every, boundary=boundary,
                     stages=stages, out_dir=out_dir)
-    _validate_data(scen)
     try:
         scen.data = build_data(scen)
     except (GeometryError, EvolutionError) as e:
@@ -204,134 +246,92 @@ def load_scenario(path, out_override=None):
     return scen
 
 
-def _chain_steps(scen):
-    """[data] steps = d:s, d:s, ... as (direction, scale) pairs."""
-    steps = []
-    for item in scen.params["steps"].split(","):
-        try:
-            d, lam = item.split(":")
-            steps.append((int(d), _finite(lam)))
-        except ValueError:
-            raise CliError(f"{scen.path}: [data] steps entry "
-                           f"{item.strip()!r} is not direction:scale")
-    return steps
-
-
-def _data_scales(scen):
-    """Every length scale the data family requests from the grid."""
-    if scen.family == "chain":
-        return [lam for _, lam in _chain_steps(scen)]
-    return [float(scen.params[key]) for key in ("scale", "width")
-            if key in FAMILY_KEYS[scen.family]]
-
-
-def _validate_data(scen):
-    p = scen.params
-    if scen.family not in FAMILY_KEYS:
-        raise CliError(f"{scen.path}: unknown data family {scen.family!r} "
-                       f"({', '.join(FAMILY_KEYS)})")
-    for key in FAMILY_KEYS[scen.family]:
-        if key not in p:
-            raise CliError(f"{scen.path}: missing [data] {key}")
-    for key in NUMERIC_KEYS:
-        if key in p:
+def _data_value(path, key, text):
+    """A [data] value parsed as its key's kind: an existing snapshot path,
+    direction:scale steps, an integer direction or a finite number."""
+    if key == "path":
+        if not os.path.isfile(text):
+            raise CliError(f"{path}: no such snapshot: {text}")
+        return text
+    if key == "steps":
+        steps = []
+        for item in text.split(","):
             try:
-                _finite(p[key])
+                d, lam = item.split(":")
+                steps.append((int(d), _finite(lam)))
             except ValueError:
-                raise CliError(f"{scen.path}: [data] {key} = {p[key]!r} is "
-                               f"not a finite number")
-    if scen.family in ("bubble", "superposition"):
-        direction = p.get("direction", "1")
-        try:
-            int(direction)
-        except ValueError:
-            raise CliError(f"{scen.path}: [data] direction = {direction!r} "
-                           f"is not an integer")
-    if scen.family == "snapshot" and not os.path.isfile(p["path"]):
-        raise CliError(f"{scen.path}: no such snapshot: {p['path']}")
-    dr = scen.grid.dr
-    for lam in _data_scales(scen):
-        if lam < SCALE_NODES * dr:
+                raise CliError(f"{path}: [data] steps entry "
+                               f"{item.strip()!r} is not direction:scale")
+        return steps
+    try:
+        return int(text) if key == "direction" else _finite(text)
+    except ValueError:
+        kind = "an integer" if key == "direction" else "a finite number"
+        raise CliError(f"{path}: [data] {key} = {text!r} is not {kind}")
+
+
+def _data_params(cp, path, family, grid, metric):
+    """The family's [data] values, defaults filled in, once every given key
+    is read by some family and parses, the family's scales are resolved by
+    the grid and any given base root is a root of g."""
+    if family not in FAMILIES:
+        raise CliError(f"{path}: unknown data family {family!r} "
+                       f"({', '.join(FAMILIES)})")
+    row = FAMILIES[family]
+    raw = {k: v for k, v in cp.items("data") if k != "family"}
+    known = dict.fromkeys(k for f in FAMILIES.values()
+                          for k in (*f.required, *f.optional))
+    for key in raw:
+        if key not in known:
+            raise CliError(f"{path}: [data] {key} is read by no data family "
+                           f"({', '.join(known)})")
+    for key in row.required:
+        if key not in raw:
+            raise CliError(f"{path}: missing [data] {key}")
+    given = {key: _data_value(path, key, text) for key, text in raw.items()}
+    p = {k: given.get(k, row.optional.get(k))
+         for k in (*row.required, *row.optional)}
+    scales = [p[k] for k in ("scale", "width") if k in p]
+    for lam in scales + [lam for _, lam in p.get("steps", ())]:
+        if lam < SCALE_NODES * grid.dr:
             raise CliError(
-                f"{scen.path}: under-resolved: scale {lam:g} needs >= "
-                f"{SCALE_NODES} grid cells but dr = {dr:g}")
-    vset = find_vanishing_set(scen.metric)
+                f"{path}: under-resolved: scale {lam:g} needs >= "
+                f"{SCALE_NODES} grid cells but dr = {grid.dr:g}")
+    vset = find_vanishing_set(metric)
     for key in ("ell", "ell_outer"):
-        if key in p:
+        if key in given:
             try:
-                vset.root_at(float(p[key]))
+                vset.root_at(given[key])
             except GeometryError as e:
-                raise CliError(f"{scen.path}: [data] {key}: {e}")
+                raise CliError(f"{path}: [data] {key}: {e}")
+    return p
 
 
 def build_data(scen):
-    p = scen.params
-    fam = scen.family
-    grid = scen.grid
-    if fam == "bubble":
-        qmap = build_harmonic_map(scen.metric, float(p["ell"]),
-                                  int(p.get("direction", "1")))
-        return rescale_Q(qmap, float(p["scale"]), grid)
-    if fam == "bump":
-        return make_bump(grid, scen.metric, float(p.get("ell", "0")),
-                         amplitude=float(p["amplitude"]),
-                         center=float(p["center"]),
-                         width=float(p["width"]),
-                         velocity=float(p.get("velocity", "0")))
-    if fam == "superposition":
-        qmap = build_harmonic_map(scen.metric, float(p.get("ell", "0")),
-                                  int(p.get("direction", "1")))
-        base = rescale_Q(qmap, float(p["scale"]), grid)
-        bump = float(p["amplitude"]) * bump_profile(
-            grid.r, 1.0, float(p["center"]), float(p["width"]))
-        return RadialField(grid, base.psi + bump,
-                           base.psi_dot + float(p.get("velocity", "0"))
-                           * bump, base.ell0, base.ell_inf, 0.0)
-    if fam == "chain":
-        field, _, _ = make_chain(grid, scen.metric,
-                                 float(p.get("ell_outer", "0")),
-                                 _chain_steps(scen))
-        return field
-    if fam == "snapshot":
-        field, metric_id = read_snapshot(p["path"])
-        if metric_id != scen.metric.id:
-            raise GeometryError(f"snapshot {p['path']} was written for "
-                                f"metric {metric_id!r}, scenario uses "
-                                f"{scen.metric.id!r}")
-        if field.grid.n_points != grid.n_points or \
-                abs(field.grid.r_max - grid.r_max) > 1e-9 * grid.r_max:
-            raise EvolutionError(
-                f"snapshot {p['path']} has {field.grid.n_points} nodes up "
-                f"to r = {field.grid.r_max:g}, [grid] asks for "
-                f"{grid.n_points} up to r_max = {grid.r_max:g}")
-        return field
-    raise CliError(f"unknown data family {fam!r}")
+    return FAMILIES[scen.family].build(scen.grid, scen.metric, scen.params)
 
 
 # ---------------------------------------------------------------------------
 # trajectory directories
 
+# the manifest's [blowup] times, in BlowupRecord's field order
+BLOWUP_TIMES = ("t_plus", "concentration_radius", "last_valid_time")
+
 def save_trajectory(traj, out_dir, metric_id):
     os.makedirs(out_dir, exist_ok=True)
-    cp = ConfigParser()
-    cp["trajectory"] = {
+    sections = {"trajectory": {
         "metric": metric_id,
         "scheme": traj.scheme,
         "dt": FMT % traj.dt,
         "cfl": FMT % traj.cfl,
         "frames": str(len(traj.snapshots)),
         "status": "truncated" if traj.blowup is not None else "completed",
-    }
+    }}
     if traj.blowup is not None:
-        b = traj.blowup
-        cp["blowup"] = {
-            "t_plus": FMT % b.t_plus,
-            "concentration_radius": FMT % b.concentration_radius,
-            "last_valid_time": FMT % b.last_valid_time,
-            "reason": b.reason,
-        }
-    with open(os.path.join(out_dir, "manifest.cfg"), "w") as fh:
-        cp.write(fh)
+        sections["blowup"] = {k: FMT % getattr(traj.blowup, k)
+                              for k in BLOWUP_TIMES}
+        sections["blowup"]["reason"] = traj.blowup.reason
+    _write_ini(os.path.join(out_dir, "manifest.cfg"), sections)
     for i, snap in enumerate(traj.snapshots):
         write_snapshot(snap, os.path.join(out_dir, "frame-%06d.snap" % i),
                        metric_id)
@@ -345,9 +345,22 @@ def load_trajectory(traj_dir):
         raise CliError(f"{traj_dir}: no manifest.cfg; not a trajectory "
                        f"directory")
     cp = ConfigParser()
-    cp.read(manifest)
     try:
-        metric = get_metric(cp.get("trajectory", "metric"))
+        cp.read(manifest)
+        metric_id = cp.get("trajectory", "metric")
+        scheme = cp.get("trajectory", "scheme")
+        dt = cp.getfloat("trajectory", "dt")
+        cfl = cp.getfloat("trajectory", "cfl")
+        blow = BlowupRecord(
+            *(cp.getfloat("blowup", k) for k in BLOWUP_TIMES),
+            reason=cp.get("blowup", "reason"), radius_series=[]) \
+            if cp.has_section("blowup") else None
+    except (ConfigError, ValueError) as e:
+        # configparser's messages span lines; the error is one
+        raise CliError(f"{manifest}: malformed manifest: "
+                       f"{' '.join(str(e).split())}")
+    try:
+        metric = get_metric(metric_id)
     except GeometryError as e:
         raise CliError(f"{traj_dir}: {e}; re-run from the original config")
     names = sorted(n for n in os.listdir(traj_dir)
@@ -355,20 +368,117 @@ def load_trajectory(traj_dir):
     if not names:
         raise CliError(f"{traj_dir}: no frame files")
     snaps = [read_snapshot(os.path.join(traj_dir, n))[0] for n in names]
-    blow = None
-    if cp.has_section("blowup"):
-        blow = BlowupRecord(
-            t_plus=cp.getfloat("blowup", "t_plus"),
-            concentration_radius=cp.getfloat("blowup",
-                                             "concentration_radius"),
-            last_valid_time=cp.getfloat("blowup", "last_valid_time"),
-            reason=cp.get("blowup", "reason"),
-            radius_series=[])
-    return Trajectory(snapshots=snaps, dt=cp.getfloat("trajectory", "dt"),
-                      scheme=cp.get("trajectory", "scheme"),
-                      cfl=cp.getfloat("trajectory", "cfl"),
-                      system=metric, blowup=blow,
-                      meta={"dir": traj_dir})
+    return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,
+                      system=metric, blowup=blow, meta={"dir": traj_dir})
+
+
+# ---------------------------------------------------------------------------
+# pipeline stages
+
+def _bubbles(traj, report):
+    rep = extract_bubbles(traj.snapshots[-1], traj.system)
+    write_bubble_report(rep, report)
+    pyth = pythagorean_report(rep)
+    return (f"bubbles J = {rep.J}, scales = "
+            f"{[float(FMT % s) for s in rep.scales]}",
+            [f"J = {rep.J}",
+             *(f"scale {j} = {FMT % lam}"
+               for j, lam in enumerate(rep.scales, start=1)),
+             f"defect_fraction = {FMT % rep.defect_fraction}",
+             *(f"note: {note}" for note in rep.notes),
+             f"report = {report}",
+             f"within_bound = {pyth.within_bound} "
+             f"(J = {pyth.j}, J_max = {pyth.j_max})"])
+
+
+def _scattering(traj, report):
+    ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+    state = build_scattering_state(traj, ell)
+    _write_ini(report, {
+        "scattering": {
+            "t_star": FMT % state.t_star,
+            "ell": FMT % state.ell.value,
+            "alpha_rule": state.alpha_rule,
+            "defect": FMT % state.defect,
+            "selected_times": " ".join(FMT % t for t in state.selected.times),
+        },
+        "match": {FMT % t: FMT % e
+                  for t, e in zip(state.match_times, state.match_errors)},
+    })
+    worst = max(state.match_errors)
+    return (f"scattering t* = {state.t_star:.6g}, defect = "
+            f"{state.defect:.6g}, worst match = {worst:.6g}",
+            [f"t_star = {FMT % state.t_star}",
+             f"defect = {FMT % state.defect}",
+             f"worst_match = {FMT % worst}",
+             f"report = {report}"])
+
+
+def _regular(traj, report):
+    reg = extract_regular_part(traj)
+    _write_ini(report, {"regular": {
+        "ell_star": FMT % reg.ell_star.value,
+        "settle_gap": FMT % reg.settle_gap,
+        "interior_times": " ".join(FMT % t for t in reg.interior_times),
+        "interior_norms": " ".join(FMT % v for v in reg.interior_norms),
+    }})
+    return (f"regular part ell* = {reg.ell_star.value:.6g}, final interior "
+            f"norm = {reg.interior_norms[-1]:.6g}",
+            [f"ell_star = {FMT % reg.ell_star.value}",
+             f"settle_gap = {FMT % reg.settle_gap}",
+             f"final_interior_norm = {FMT % reg.interior_norms[-1]}",
+             f"report = {report}"])
+
+
+# one row per pipeline stage: whether it runs on a trajectory that blew up
+# and on one that did not, run(traj, report path) -> (simulate's summary,
+# resolve's lines), which writes <stage>.report, and simulate's note where
+# the stage does not run; series.csv is written with every trajectory, so
+# the series stage has nothing left to run
+class Stage(namedtuple("Stage", "after_blowup without_blowup run skipped",
+                       defaults=(None, ""))):
+    def runs_on(self, traj):
+        return self.after_blowup if traj.blowup is not None \
+            else self.without_blowup
+
+
+STAGES = {
+    "series": Stage(True, True),
+    "bubbles": Stage(True, True, _bubbles),
+    "scattering": Stage(False, True, _scattering,
+                        "skipped scattering (blow-up)"),
+    "regular": Stage(True, False, _regular,
+                     "skipped regular part (no blow-up)"),
+}
+
+
+# ---------------------------------------------------------------------------
+# analyze ops: each returns the lines analyze prints for a trajectory
+
+def _series_op(traj, args, ell):
+    path = os.path.join(args.traj, "series.csv")
+    write_series(traj, path)
+    return [f"series = {path}"]
+
+
+def _select_times_op(traj, args, ell):
+    sel = select_times(traj)
+    return [f"select {FMT % t} = {FMT % v}"
+            for t, v in zip(sel.times, sel.values)]
+
+
+OPS = {
+    "series": _series_op,
+    "select-times": _select_times_op,
+    "lightcone": lambda traj, args, ell: [
+        f"lightcone {FMT % row.t} = {FMT % row.outside} "
+        f"{FMT % row.hl_fraction} {FMT % row.kin_fraction}"
+        for row in lightcone_concentration(traj, args.A, ell=ell)],
+    "linf": lambda traj, args, ell: [
+        f"linf {FMT % t} = {FMT % v}"
+        for t, v in linf_outside_cone(traj, args.cone_lambda)],
+    "s-norm": lambda traj, args, ell: [f"s_norm = {FMT % s_norm(traj, ell)}"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +488,6 @@ def run_simulate_one(scen):
     traj = evolve(scen.data, scen.metric, scen.t_final,
                   record_every=scen.record_every, cfl=scen.cfl,
                   boundary=scen.boundary)
-    os.makedirs(scen.out_dir, exist_ok=True)
     save_trajectory(traj, scen.out_dir, scen.metric.id)
     write_series(traj, os.path.join(scen.out_dir, "series.csv"))
     status = "truncated" if traj.blowup is not None else "completed"
@@ -389,70 +498,22 @@ def run_simulate_one(scen):
               f"(rho_c = {traj.blowup.concentration_radius:.6g})")
 
     code = 0
-    vset = find_vanishing_set(scen.metric)
-    for stage in scen.stages:
-        if stage == "series":
-            continue            # always written above
+    for name in scen.stages:
+        stage = STAGES[name]
+        if stage.run is None:
+            continue
+        if not stage.runs_on(traj):
+            print(f"{scen.path}: {stage.skipped}")
+            continue
         try:
-            if stage == "bubbles":
-                rep = extract_bubbles(traj.snapshots[-1], scen.metric)
-                write_bubble_report(rep, os.path.join(scen.out_dir,
-                                                      "bubbles.report"))
-                print(f"{scen.path}: bubbles J = {rep.J}, scales = "
-                      f"{[float(FMT % s) for s in rep.scales]}")
-            elif stage == "scattering":
-                if traj.blowup is not None:
-                    print(f"{scen.path}: skipped scattering (blow-up)")
-                    continue
-                ell = vset.nearest(traj.snapshots[0].ell_inf)
-                state = build_scattering_state(traj, ell)
-                _write_scattering_report(
-                    state, os.path.join(scen.out_dir, "scattering.report"))
-                print(f"{scen.path}: scattering t* = {state.t_star:.6g}, "
-                      f"defect = {state.defect:.6g}, worst match = "
-                      f"{max(state.match_errors):.6g}")
-            elif stage == "regular":
-                if traj.blowup is None:
-                    print(f"{scen.path}: skipped regular part (no blow-up)")
-                    continue
-                reg = extract_regular_part(traj)
-                _write_regular_report(
-                    reg, os.path.join(scen.out_dir, "regular.report"))
-                print(f"{scen.path}: regular part ell* = "
-                      f"{reg.ell_star.value:.6g}, final interior norm = "
-                      f"{reg.interior_norms[-1]:.6g}")
+            summary, _ = stage.run(
+                traj, os.path.join(scen.out_dir, name + ".report"))
+            print(f"{scen.path}: {summary}")
         except (ResolutionError, DiagnosticsError) as e:
-            print(f"{scen.path}: error in stage {stage}: {e}",
+            print(f"{scen.path}: error in stage {name}: {e}",
                   file=sys.stderr)
             code = 1
     return code
-
-
-def _write_scattering_report(state, path):
-    cp = ConfigParser()
-    cp["scattering"] = {
-        "t_star": FMT % state.t_star,
-        "ell": FMT % state.ell.value,
-        "alpha_rule": state.alpha_rule,
-        "defect": FMT % state.defect,
-        "selected_times": " ".join(FMT % t for t in state.selected.times),
-    }
-    cp["match"] = {FMT % t: FMT % e
-                   for t, e in zip(state.match_times, state.match_errors)}
-    with open(path, "w") as fh:
-        cp.write(fh)
-
-
-def _write_regular_report(reg, path):
-    cp = ConfigParser()
-    cp["regular"] = {
-        "ell_star": FMT % reg.ell_star.value,
-        "settle_gap": FMT % reg.settle_gap,
-        "interior_times": " ".join(FMT % t for t in reg.interior_times),
-        "interior_norms": " ".join(FMT % v for v in reg.interior_norms),
-    }
-    with open(path, "w") as fh:
-        cp.write(fh)
 
 
 def run_simulate(args):
@@ -475,37 +536,22 @@ def run_analyze(args):
     traj = load_trajectory(args.traj)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     for op in ops:
-        if op not in KNOWN_OPS:
-            raise CliError(f"unknown op {op!r} (known: "
-                           f"{', '.join(KNOWN_OPS)})")
-    vset = find_vanishing_set(traj.system)
-    ell = vset.nearest(traj.snapshots[0].ell_inf)
+        if op not in OPS:
+            raise CliError(f"unknown op {op!r} (known: {', '.join(OPS)})")
+    ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
     for op in ops:
-        if op == "series":
-            path = os.path.join(args.traj, "series.csv")
-            write_series(traj, path)
-            print(f"series = {path}")
-        elif op == "select-times":
-            sel = select_times(traj)
-            for t, v in zip(sel.times, sel.values):
-                print(f"select {FMT % t} = {FMT % v}")
-        elif op == "lightcone":
-            for row in lightcone_concentration(traj, args.A, ell=ell):
-                print(f"lightcone {FMT % row.t} = {FMT % row.outside} "
-                      f"{FMT % row.hl_fraction} {FMT % row.kin_fraction}")
-        elif op == "linf":
-            for t, v in linf_outside_cone(traj, args.cone_lambda):
-                print(f"linf {FMT % t} = {FMT % v}")
-        elif op == "s-norm":
-            val = s_norm(traj, ell)
-            print(f"s_norm = {FMT % val}")
+        for line in OPS[op](traj, args, ell):
+            print(line)
     return 0
 
 
 def run_resolve(args):
     if bool(args.snapshot) == bool(args.traj):
         raise CliError("resolve needs exactly one of --snapshot or --traj")
-    if args.snapshot:
+    if args.traj:
+        traj = load_trajectory(args.traj)
+        report = lambda name: os.path.join(args.traj, name + ".report")
+    else:
         if not os.path.isfile(args.snapshot):
             raise CliError(f"no such snapshot: {args.snapshot}")
         field, metric_id = read_snapshot(args.snapshot)
@@ -513,40 +559,17 @@ def run_resolve(args):
             metric = get_metric(metric_id)
         except GeometryError as e:
             raise CliError(f"{args.snapshot}: {e}")
-        rep = extract_bubbles(field, metric)
-        out = args.snapshot + ".bubbles"
-        write_bubble_report(rep, out)
-        print(f"J = {rep.J}")
-        for j, lam in enumerate(rep.scales, start=1):
-            print(f"scale {j} = {FMT % lam}")
-        print(f"defect_fraction = {FMT % rep.defect_fraction}")
-        for note in rep.notes:
-            print(f"note: {note}")
-        print(f"report = {out}")
-        pyth = pythagorean_report(rep)
-        print(f"within_bound = {pyth.within_bound} "
-              f"(J = {pyth.j}, J_max = {pyth.j_max})")
-        return 0
-
-    traj = load_trajectory(args.traj)
-    vset = find_vanishing_set(traj.system)
-    if traj.blowup is not None:
-        reg = extract_regular_part(traj)
-        out = os.path.join(args.traj, "regular.report")
-        _write_regular_report(reg, out)
-        print(f"ell_star = {FMT % reg.ell_star.value}")
-        print(f"settle_gap = {FMT % reg.settle_gap}")
-        print(f"final_interior_norm = {FMT % reg.interior_norms[-1]}")
-        print(f"report = {out}")
-    else:
-        ell = vset.nearest(traj.snapshots[0].ell_inf)
-        state = build_scattering_state(traj, ell)
-        out = os.path.join(args.traj, "scattering.report")
-        _write_scattering_report(state, out)
-        print(f"t_star = {FMT % state.t_star}")
-        print(f"defect = {FMT % state.defect}")
-        print(f"worst_match = {FMT % max(state.match_errors)}")
-        print(f"report = {out}")
+        traj = Trajectory([field], 0.0, "one-frame", 0.0, metric)
+        report = lambda name: f"{args.snapshot}.{name}"
+    # a trajectory resolves through the stage that runs in its case only:
+    # the scattering state of a global run, the regular part left at a
+    # blow-up; a snapshot, taken as a one-frame trajectory, through the
+    # stage that runs in either case: bubble extraction
+    for name, stage in STAGES.items():
+        if stage.run and stage.runs_on(traj) and bool(args.snapshot) == \
+                (stage.after_blowup and stage.without_blowup):
+            for line in stage.run(traj, report(name))[1]:
+                print(line)
     return 0
 
 
@@ -709,46 +732,41 @@ def build_parser():
                      help="scenario config file(s)")
     sim.add_argument("--out", help="output directory (per-config subdirs "
                                    "for batches)")
+    sim.set_defaults(run=run_simulate)
 
     ana = sub.add_parser("analyze", help="diagnostics over a stored "
                                          "trajectory")
     ana.add_argument("--traj", required=True, help="trajectory directory")
     ana.add_argument("--ops", required=True,
-                     help="comma list: " + ", ".join(KNOWN_OPS))
+                     help="comma list: " + ", ".join(OPS))
     ana.add_argument("--A", type=float, default=10.0,
                      help="lightcone shell width")
     ana.add_argument("--cone-lambda", type=float, default=0.5)
+    ana.set_defaults(run=run_analyze)
 
     res = sub.add_parser("resolve", help="bubble / scattering / regular "
                                          "pipelines")
     res.add_argument("--snapshot", help="snapshot file to decompose")
     res.add_argument("--traj", help="trajectory directory to resolve")
+    res.set_defaults(run=run_resolve)
 
     st = sub.add_parser("selftest", help="fast invariant suite")
     st.add_argument("--filter", help="substring of suite names to run")
+    st.set_defaults(run=run_selftest)
     return ap
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        if args.cmd == "simulate":
-            return run_simulate(args)
-        if args.cmd == "analyze":
-            return run_analyze(args)
-        if args.cmd == "resolve":
-            return run_resolve(args)
-        if args.cmd == "selftest":
-            return run_selftest(args)
+        return args.run(args)
     except (CliError, GeometryError, EvolutionError, ResolutionError,
             DiagnosticsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

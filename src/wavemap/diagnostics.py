@@ -25,13 +25,14 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .geometry import Metric, Root, eval_G, find_vanishing_set
+from .geometry import Root, eval_G, find_vanishing_set
 from .evolution import (RadialField, _densities, _prefix, _Flow, _leapfrog,
                         _step_plan)
 from .data import make_superposition
 from .rng import XorShift64Star
 
 SUP_H_PROOF_CONSTANT = math.sqrt(4.0 / math.log(1.25))
+UNIT_ROOT = Root(0.0, 1.0, math.inf)     # g'(l) = 1: the plain H norm
 
 # beta_hat_ensemble evolves its members in stacks of about this many nodes
 # (128 KB per float64 array), so the kernel's temporaries stay in cache: one
@@ -141,25 +142,13 @@ def h_norms(field, ell, r1=0.0, r2=None):
     The H and Hl zeroth-order terms use the raw psi, so callers pass
     perturbation fields (psi - l subtracted where applicable).
     """
-    if r2 is None:
-        r2 = field.grid.r_max
-    r = field.grid.r
-    grad = field.gradient()
-    ghost = lambda arr: np.concatenate([[0.0], arr])
-    x = ghost(r)
-    pieces = {}
-    for name, dens in (("grad", grad ** 2 * r),
-                       ("zero", field.psi ** 2 / r),
-                       ("kin", field.psi_dot ** 2 * r)):
-        d = ghost(dens)
-        pieces[name] = _interval_integral(x, d, _prefix(x, d), r1, r2)
-    slope_sq = ell.slope ** 2
-    h_sq = pieces["grad"] + pieces["zero"]
-    hl_sq = pieces["grad"] + slope_sq * pieces["zero"]
-    l2_sq = pieces["kin"]
+    # under the unit root the energy's zeroth-order term is psi^2 / r
+    e = energy(field, UNIT_ROOT, r1, r2)
+    h_sq = e.gradient + e.potential
+    hl_sq = e.gradient + ell.slope ** 2 * e.potential
     return HNorms(h=math.sqrt(h_sq), h_ell=math.sqrt(hl_sq),
-                  l2=math.sqrt(l2_sq), h_x_l2=math.sqrt(h_sq + l2_sq),
-                  h_ell_x_l2=math.sqrt(hl_sq + l2_sq))
+                  l2=math.sqrt(e.kinetic), h_x_l2=math.sqrt(h_sq + e.kinetic),
+                  h_ell_x_l2=math.sqrt(hl_sq + e.kinetic))
 
 
 def pointwise_energy_bound(field, metric, r1, r2):
@@ -219,7 +208,7 @@ def sup_norm_vs_H(field, r1, r2):
     if not np.any(mask):
         raise DiagnosticsError("no nodes inside the interval")
     sup = float(np.max(np.abs(field.psi[mask])))
-    h = h_norms(field, Root(0.0, 1.0, math.inf), r1, r2).h
+    h = h_norms(field, UNIT_ROOT, r1, r2).h
     ratio = sup / h if h > 0 else math.inf if sup > 0 else 0.0
     return sup, h, ratio, SUP_H_PROOF_CONSTANT
 
@@ -231,8 +220,6 @@ def self_similar_energy(traj, lam, A=0.0):
     After blow-up detection: E(psi(t); lam*(T+ - t), T+ - t) on frames
     before T+.  Returns a list of (t, value) pairs.
     """
-    if traj.system is None:
-        raise DiagnosticsError("trajectory has no attached system")
     out = []
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
     for snap in traj.snapshots:
@@ -439,7 +426,8 @@ def exterior_energy_ratio(field0, ell, t, cfl=0.5, boundary="fixed"):
     Evolves (phi0, 0) to time t and reports the squared fraction of the
     initial H x L^2 norm remaining at r >= t.  Even slopes run but are
     flagged: the lower bound is only claimed for odd g'(l).  Non-finite
-    data, or a run that does not stay finite, raises DiagnosticsError.
+    data, data whose initial norm is zero or overflows, or a run that does
+    not stay finite, raises DiagnosticsError.
     """
     return _exterior_reports([field0], ell, t, cfl, boundary)[0]
 
@@ -448,12 +436,17 @@ def _exterior_reports(fields0, ell, t, cfl, boundary, first=0):
     """ExteriorReports of members sharing one grid and far value, evolved
     as one (m, n) stack through the leapfrog kernel.  Errors name a member
     by its index counted from `first`."""
+    norms0 = []
     for k, f in enumerate(fields0, first):
         if not (np.all(np.isfinite(f.psi)) and np.all(np.isfinite(f.psi_dot))):
             raise DiagnosticsError(f"member {k}: initial data is not finite")
         if np.max(np.abs(f.psi_dot)) > 0:
             raise DiagnosticsError(
                 "exterior-energy bound needs time-symmetric data (psi_t = 0)")
+        norms0.append(h_norms(f, ell).h_x_l2 ** 2)
+        if not 0 < norms0[-1] < math.inf:
+            raise DiagnosticsError(f"member {k}: initial norm squared "
+                                   f"{norms0[-1]:g} is not in (0, inf)")
     grid = fields0[0].grid
     r_max = grid.r_max
     hypothesis = ""
@@ -478,15 +471,14 @@ def _exterior_reports(fields0, ell, t, cfl, boundary, first=0):
                               f.time + n_steps * dt)
                   for f, p, pd in zip(fields0, psi, psi_dot)]
     reports = []
-    for field0, final in zip(fields0, finals):
+    for field0, final, norm0_sq in zip(fields0, finals, norms0):
         flagged = hypothesis
         if support_radius(field0) + t > r_max:
             flagged = (flagged + "; " if flagged else "") + "boundary-tainted"
-        norms0 = h_norms(field0, ell)
         ext = h_norms(final, ell, min(abs(t), r_max), r_max)
         reports.append(ExteriorReport(
-            ratio=ext.h_x_l2 ** 2 / norms0.h_x_l2 ** 2, t=final.time,
-            flagged=flagged, initial_norm_sq=norms0.h_x_l2 ** 2,
+            ratio=ext.h_x_l2 ** 2 / norm0_sq, t=final.time,
+            flagged=flagged, initial_norm_sq=norm0_sq,
             exterior_norm_sq=ext.h_x_l2 ** 2))
     return reports
 
@@ -568,14 +560,10 @@ SERIES_COLUMNS = ["t", "E_total", "E_kin", "E_grad", "E_pot", "E_drift",
 def write_series(traj, path, selfsim_lambda=0.5, selfsim_A=0.0,
                  cone_lambda=0.5, ell=None):
     """series.csv for a trajectory directory: one row per frame."""
-    if ell is None and isinstance(traj.system, Root):
-        ell = traj.system
-    if ell is None and isinstance(traj.system, Metric):
-        vset = find_vanishing_set(traj.system)
-        ref = traj.snapshots[0].ell_inf
-        ell = vset.nearest(ref)
-    selfsim = dict(self_similar_energy(traj, selfsim_lambda, selfsim_A)) \
-        if traj.system is not None else {}
+    if ell is None:
+        ell = traj.system if isinstance(traj.system, Root) else \
+            find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+    selfsim = dict(self_similar_energy(traj, selfsim_lambda, selfsim_A))
     cone = dict(linf_outside_cone(traj, cone_lambda))
     fmt = "%.17g"
     e0 = None
@@ -583,25 +571,18 @@ def write_series(traj, path, selfsim_lambda=0.5, selfsim_A=0.0,
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for snap in traj.snapshots:
             t = snap.time
-            if traj.system is not None:
-                e = energy(snap, traj.system)
-                if e0 is None:
-                    e0 = e.total
-                drift = (e.total - e0) / e0 if e0 > 0 else 0.0
-                e_vals = (e.total, e.kinetic, e.gradient, e.potential,
-                          drift)
-            else:
-                e_vals = (math.nan,) * 5
-            if ell is not None:
-                pert = snap if snap.ell_inf == 0.0 else RadialField(
-                    snap.grid, snap.psi - snap.ell_inf, snap.psi_dot,
-                    ell0=snap.ell0 - snap.ell_inf, ell_inf=0.0, time=t)
-                n = h_norms(pert, ell)
-                tot = n.h_ell_x_l2 ** 2
-                fracs = (n.h_ell ** 2 / tot if tot > 0 else math.nan,
-                         n.l2 ** 2 / tot if tot > 0 else math.nan)
-            else:
-                fracs = (math.nan, math.nan)
-            row = (t, *e_vals, selfsim.get(t, math.nan),
+            e = energy(snap, traj.system)
+            if e0 is None:
+                e0 = e.total
+            drift = (e.total - e0) / e0 if e0 > 0 else 0.0
+            pert = snap if snap.ell_inf == 0.0 else RadialField(
+                snap.grid, snap.psi - snap.ell_inf, snap.psi_dot,
+                ell0=snap.ell0 - snap.ell_inf, ell_inf=0.0, time=t)
+            n = h_norms(pert, ell)
+            tot = n.h_ell_x_l2 ** 2
+            fracs = (n.h_ell ** 2 / tot if tot > 0 else math.nan,
+                     n.l2 ** 2 / tot if tot > 0 else math.nan)
+            row = (t, e.total, e.kinetic, e.gradient, e.potential, drift,
+                   selfsim.get(t, math.nan),
                    cone.get(t, math.nan), *fracs)
             fh.write(",".join(fmt % v for v in row) + "\n")

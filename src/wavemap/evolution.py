@@ -126,7 +126,7 @@ class Trajectory:
     dt: float
     scheme: str
     cfl: float
-    system: Union[Metric, Root, None] = None
+    system: Union[Metric, Root]
     blowup: Optional[BlowupRecord] = None
     meta: dict = dataclass_field(default_factory=dict)
 

@@ -8,6 +8,8 @@ captured; scenarios are sized to keep each run under a few seconds.
 import contextlib
 import io
 import os
+import re
+import shutil
 import tempfile
 from configparser import ConfigParser
 
@@ -20,6 +22,7 @@ from wavemap.evolution import (RadialGrid, evolve, write_snapshot,
                                read_snapshot)
 from wavemap.data import make_chain
 from wavemap.diagnostics import SERIES_COLUMNS
+from wavemap import cli
 from wavemap.cli import (main, load_scenario, build_data, load_trajectory,
                          CliError)
 
@@ -160,10 +163,12 @@ class TestScenarioValidation:
         ({"metric": {"target": "custom", "id": "m", "g": "sin(rho)",
                      "g_prime": "cos(rho)", "window": "-4 inf"}},
          "window needs two finite numbers"),
+        ({"data": {"velocty": "0.5"}},
+         "[data] velocty is read by no data family"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
-            "bump_support", "window_inf"])
+            "bump_support", "window_inf", "unread_key"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -408,6 +413,26 @@ class TestAnalyzeResolve:
                      "--ops", "series"]) == 1
         assert "no such trajectory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.split("\n", 1)[1], "no section headers"),
+        (lambda text: text.replace("[trajectory]", "[run]"),
+         "No section: 'trajectory'"),
+        (lambda text: re.sub(r"(?m)^dt = .*$", "dt = fast", text),
+         "could not convert string to float: 'fast'"),
+        (lambda text: re.sub(r"(?m)^cfl = .*$", "cfl = half", text),
+         "could not convert string to float: 'half'"),
+    ], ids=["no-header", "no-trajectory-section", "dt", "cfl"])
+    def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
+                                            edit, message):
+        traj = tmp_path / "run"
+        shutil.copytree(run_dir, traj)
+        manifest = traj / "manifest.cfg"
+        manifest.write_text(edit(manifest.read_text()))
+        assert main(["analyze", "--traj", str(traj), "--ops", "series"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: malformed manifest: ")
+        assert err.count("\n") == 1 and message in err
+
     def test_analyze_unknown_op(self, run_dir, capsys):
         assert main(["analyze", "--traj", str(run_dir),
                      "--ops", "frobnicate"]) == 1
@@ -534,3 +559,31 @@ class TestTopLevel:
     def test_selftest_unknown_filter(self, capsys):
         assert main(["selftest", "--filter", "zzz"]) == 1
         assert "no selftest matches" in capsys.readouterr().err
+
+
+class TestDocs:
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    def test_readme_family_table_matches_families(self):
+        # rows "| `family` | `key`, ... | `key` (default), ... |"
+        with open(self.README) as fh:
+            rows = [line for line in fh if line.startswith("| `")]
+        table = {}
+        for row in rows:
+            name, required, optional = (
+                cell.strip() for cell in row.strip().strip("|").split("|"))
+            table[name.strip("`")] = (
+                tuple(re.findall(r"`(\w+)`", required)),
+                {k: float(v) for k, v in
+                 re.findall(r"`(\w+)` \(([^)]*)\)", optional)})
+        assert table == {name: (f.required, f.optional)
+                         for name, f in cli.FAMILIES.items()}
+
+    def test_help_and_readme_list_the_ops(self, capsys):
+        assert main(["analyze", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"comma list: (.*?) --A", text).group(1)
+        assert listed.split(", ") == list(cli.OPS)
+        with open(self.README) as fh:
+            usage = re.search(r"wavemap analyze .*--ops (\S+)", fh.read())
+        assert usage.group(1).split(",") == list(cli.OPS)

@@ -491,6 +491,19 @@ class TestExteriorEnergy:
             with pytest.raises(DiagnosticsError, match="member 7: "):
                 _exterior_reports([p, p], steep, 5.0, 0.5, "fixed", 7)
 
+    @pytest.mark.parametrize("amplitude, norm", [(0.0, "0"), (1e306, "inf")])
+    def test_degenerate_initial_norm_refused(self, amplitude, norm):
+        # a zero norm leaves the ratio undefined and an overflowing one
+        # makes it nan; both are refused before the flow runs
+        grid = RadialGrid(60.0, 512)
+        p = make_perturbation(grid, amplitude=amplitude, center=15.0,
+                              width=5.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DiagnosticsError,
+                               match=f"member 0: initial norm squared "
+                                     f"{norm} is not in \\(0, inf\\)"):
+                exterior_energy_ratio(p, ROOT0, 5.0)
+
     def test_ensemble_blocks_match_single_runs(self):
         # 11 members at n = 2048 make one full block and one short block
         grid = RadialGrid(128.0, 2048)
