@@ -164,8 +164,9 @@ def load_scenario(path, out_override=None):
         with open(path) as fh:
             cp.read_file(fh, source=path)
     except ConfigError as e:
-        # configparser reports offending lines by number already
-        raise CliError(str(e))
+        # configparser names the offending line, over several lines
+        raise CliError(f"{path}: malformed config: "
+                       f"{' '.join(str(e).split())}")
     for section in ("metric", "data", "grid", "time", "output"):
         if not cp.has_section(section):
             raise CliError(f"{path}: missing [{section}] section")

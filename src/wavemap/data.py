@@ -53,18 +53,18 @@ def make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0,
                        ell0=0.0, ell_inf=0.0, time=0.0)
 
 
-def make_superposition(grid, rng, n_bumps=2, amplitude_range=(0.02, 0.2),
-                       center_range=(5.0, 40.0), width_range=(5.0, 40.0)):
-    """Seeded superposition of compact bumps (time-symmetric, around 0).
+def make_superposition(grid, rng):
+    """Seeded superposition of two compact bumps (time-symmetric, around 0).
 
-    Widths are clipped to the drawn center so each bump's support stays
-    inside r > 0 and the data sits in the energy space.
+    Each bump draws |amplitude| in [0.02, 0.2] with a random sign, a center
+    in [5, 40] and a width in [5, 40], clipped to the center so its support
+    stays inside r > 0 and the data sits in the energy space.
     """
     psi = np.zeros_like(grid.r)
-    for _ in range(n_bumps):
-        amp = rng.uniform(*amplitude_range) * (1 if rng.uniform() < 0.5 else -1)
-        center = rng.uniform(*center_range)
-        width = min(rng.uniform(*width_range), center)
+    for _ in range(2):
+        amp = rng.uniform(0.02, 0.2) * (1 if rng.uniform() < 0.5 else -1)
+        center = rng.uniform(5.0, 40.0)
+        width = min(rng.uniform(5.0, 40.0), center)
         psi += bump_profile(grid.r, amp, center, width)
     return RadialField(grid, psi, np.zeros_like(psi), ell0=0.0, ell_inf=0.0,
                        time=0.0)

@@ -21,13 +21,13 @@ estimate beta_hat.
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Root, eval_G, find_vanishing_set
-from .evolution import (RadialField, _densities, _prefix, _Flow, _leapfrog,
-                        _step_plan)
+from .evolution import (CFL_DEFAULT, RadialField, _densities, _prefix, _Flow,
+                        _leapfrog, _step_plan)
 from .data import make_superposition
 from .rng import XorShift64Star
 
@@ -55,28 +55,6 @@ class EnergyEntry:
     @property
     def total(self):
         return self.kinetic + self.gradient + self.potential
-
-
-@dataclass
-class EnergyLedger:
-    """Interval energy bookkeeping with splits; adjacent entries add."""
-    entries: list = dataclass_field(default_factory=list)
-
-    @property
-    def total(self):
-        return sum(e.total for e in self.entries)
-
-    def add(self, entry):
-        self.entries.append(entry)
-        return entry
-
-    def combined(self):
-        return EnergyEntry(
-            r1=min(e.r1 for e in self.entries),
-            r2=max(e.r2 for e in self.entries),
-            kinetic=sum(e.kinetic for e in self.entries),
-            gradient=sum(e.gradient for e in self.entries),
-            potential=sum(e.potential for e in self.entries))
 
 
 @dataclass
@@ -122,16 +100,13 @@ def _interval_integral(x, y, prefix, a, b):
     return out
 
 
-def energy(field, system, r1=0.0, r2=None, include_kinetic=True):
+def energy(field, system, r1=0.0, r2=None):
     """Energy of the field over [r1, r2] as an EnergyEntry."""
     if r2 is None:
         r2 = field.grid.r_max
     x, kin, gr, pot = _densities(field, system)
-    parts = []
-    for dens in (kin, gr, pot):
-        parts.append(_interval_integral(x, dens, _prefix(x, dens), r1, r2))
-    if not include_kinetic:
-        parts[0] = 0.0
+    parts = [_interval_integral(x, dens, _prefix(x, dens), r1, r2)
+             for dens in (kin, gr, pot)]
     return EnergyEntry(r1=r1, r2=r2, kinetic=parts[0], gradient=parts[1],
                        potential=parts[2])
 
@@ -162,16 +137,17 @@ def pointwise_energy_bound(field, metric, r1, r2):
     psi1 = float(np.interp(r1, field.grid.r, field.psi))
     psi2 = float(np.interp(r2, field.grid.r, field.psi))
     lhs = 2.0 * abs(eval_G(metric, psi2) - eval_G(metric, psi1))
-    rhs = energy(field, metric, r1, r2, include_kinetic=False).total
+    e = energy(field, metric, r1, r2)
+    rhs = e.gradient + e.potential
     return lhs, rhs, lhs <= rhs * (1 + 1e-9) + 1e-12
 
 
-def energy_h_equivalence(metric, ell, delta=None, n_samples=4096):
+def energy_h_equivalence(metric, ell, delta=None):
     """Sampled equivalence constants between E and the H norm near a root.
 
     For fields with sup |psi - l| <= delta the potential density g(psi)^2
-    compares to (psi - l)^2 through the sampled bounds of |g(l+x)/x| on
-    0 < |x| <= delta, giving
+    compares to (psi - l)^2 through the bounds of |g(l+x)/x| sampled at
+    4096 points of 0 < |x| <= delta, giving
 
         (1/C) ||psi - l||_{HxL2}^2 <= E <= C ||psi - l||_{HxL2}^2.
 
@@ -183,7 +159,7 @@ def energy_h_equivalence(metric, ell, delta=None, n_samples=4096):
             raise DiagnosticsError(
                 "lone root: pass delta explicitly, no neighbor sets a scale")
         delta = 0.5 * ell.gap
-    x = np.linspace(-delta, delta, n_samples)
+    x = np.linspace(-delta, delta, 4096)
     x = x[x != 0.0]
     ratio = np.abs(np.asarray(metric.g(ell.value + x)) / x)
     m, big = float(np.min(ratio)), float(np.max(ratio))
@@ -252,21 +228,6 @@ def _inner_kinetic(snap, t_plus=None):
     return _interval_integral(x, d, _prefix(x, d), 0.0, min(cut, r[-1]))
 
 
-def _resolve_t_plus(traj, inner_radius_rule):
-    """None for the t'/2 rule, T+ for the blow-up rule."""
-    if inner_radius_rule == "auto":
-        inner_radius_rule = "T+-t" if traj.blowup is not None else "t/2"
-    if inner_radius_rule == "t/2":
-        return None
-    if inner_radius_rule == "T+-t":
-        if traj.blowup is None:
-            raise DiagnosticsError(
-                "blow-up inner-radius rule on a trajectory with no "
-                "blow-up record")
-        return traj.blowup.t_plus
-    raise DiagnosticsError(f"unknown inner radius rule {inner_radius_rule!r}")
-
-
 def _kinetic_series(traj, t_plus):
     return np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
 
@@ -294,17 +255,16 @@ def _window_average(times, values, t, s):
     return float(np.trapezoid(vs, ts)) / s
 
 
-def kinetic_average(traj, t, s, inner_radius_rule="auto"):
+def kinetic_average(traj, t, s):
     """(1/s) int_{t-s}^{t+s} (kinetic energy inside the inner cone) dt'.
 
-    The inner radius is t'/2 ("t/2" rule, global trajectories) or
-    T+ - t' ("T+-t" rule after blow-up detection); "auto" picks by the
-    trajectory's blow-up record.  Frame values are trapezoid-interpolated;
+    The inner radius is t'/2 on a global trajectory and T+ - t' on one
+    with a blow-up record.  Frame values are trapezoid-interpolated;
     windows below the frame spacing fall back to a single-frame rectangle.
     """
     if s <= 0:
         raise DiagnosticsError("window s must be positive")
-    t_plus = _resolve_t_plus(traj, inner_radius_rule)
+    t_plus = traj.blowup.t_plus if traj.blowup is not None else None
     return _window_average(traj.times, _kinetic_series(traj, t_plus), t, s)
 
 
@@ -359,13 +319,14 @@ def select_times(traj, count=5, t_min=None):
                          values=[v for _, v in chosen], dyadic_floor=floor)
 
 
-def support_radius(field, rel_tol=1e-12):
-    """Outermost node where the field differs from its far value."""
+def support_radius(field):
+    """Outermost node where the field differs from its far value by more
+    than 1e-12 of the largest difference."""
     dev = np.abs(field.psi - field.ell_inf) + np.abs(field.psi_dot)
     scale = float(np.max(dev))
     if scale == 0.0:
         return 0.0
-    idx = np.flatnonzero(dev > rel_tol * scale)
+    idx = np.flatnonzero(dev > 1e-12 * scale)
     return float(field.grid.r[idx[-1]]) if len(idx) else 0.0
 
 
@@ -378,9 +339,19 @@ class ConcentrationRow:
     boundary_tainted: bool
 
 
+def _perturbation(snap):
+    """The field psi - ell_inf, which vanishes at infinity."""
+    if snap.ell_inf == 0.0:
+        return snap
+    return RadialField(snap.grid, snap.psi - snap.ell_inf, snap.psi_dot,
+                       ell0=snap.ell0 - snap.ell_inf, ell_inf=0.0,
+                       time=snap.time)
+
+
 def lightcone_concentration(traj, A, ell=None):
-    """Per frame: the H x L^2 norm outside the shell |r - t| < A, plus the
-    equipartition fractions of the conserved Hl x L^2 norm.
+    """Per frame: the H x L^2 norm of psi - ell_inf outside the shell
+    |r - t| < A, plus the equipartition fractions of the conserved
+    Hl x L^2 norm.
 
     Rows are flagged boundary-tainted once the run can feel the outer
     boundary (t beyond r_max minus the data support radius).
@@ -395,13 +366,14 @@ def lightcone_concentration(traj, A, ell=None):
     rows = []
     for snap in traj.snapshots:
         t = snap.time
-        inner = h_norms(snap, ell, 0.0, max(t - A, 0.0)) \
+        pert = _perturbation(snap)
+        inner = h_norms(pert, ell, 0.0, max(t - A, 0.0)) \
             if t - A > 0 else None
-        outer = h_norms(snap, ell, min(t + A, r_max), r_max) \
+        outer = h_norms(pert, ell, min(t + A, r_max), r_max) \
             if t + A < r_max else None
         out_sq = (inner.h_x_l2 ** 2 if inner else 0.0) + \
                  (outer.h_x_l2 ** 2 if outer else 0.0)
-        full = h_norms(snap, ell)
+        full = h_norms(pert, ell)
         total_sq = full.h_ell_x_l2 ** 2
         rows.append(ConcentrationRow(
             t=t, outside=math.sqrt(out_sq),
@@ -420,19 +392,20 @@ class ExteriorReport:
     exterior_norm_sq: float
 
 
-def exterior_energy_ratio(field0, ell, t, cfl=0.5, boundary="fixed"):
+def exterior_energy_ratio(field0, ell, t):
     """Exterior-energy retention of the linear flow for time-symmetric data.
 
-    Evolves (phi0, 0) to time t and reports the squared fraction of the
-    initial H x L^2 norm remaining at r >= t.  Even slopes run but are
-    flagged: the lower bound is only claimed for odd g'(l).  Non-finite
+    Evolves (phi0, 0) to time t, at the default CFL number with a fixed
+    outer boundary, and reports the squared fraction of the initial
+    H x L^2 norm remaining at r >= t.  Even slopes run but are flagged:
+    the lower bound is only claimed for odd g'(l).  Non-finite
     data, data whose initial norm is zero or overflows, or a run that does
     not stay finite, raises DiagnosticsError.
     """
-    return _exterior_reports([field0], ell, t, cfl, boundary)[0]
+    return _exterior_reports([field0], ell, t)[0]
 
 
-def _exterior_reports(fields0, ell, t, cfl, boundary, first=0):
+def _exterior_reports(fields0, ell, t, first=0):
     """ExteriorReports of members sharing one grid and far value, evolved
     as one (m, n) stack through the leapfrog kernel.  Errors name a member
     by its index counted from `first`."""
@@ -455,12 +428,12 @@ def _exterior_reports(fields0, ell, t, cfl, boundary, first=0):
     if t == 0:
         finals = fields0
     else:
-        dt, n_steps = _step_plan(grid, t, cfl)
+        dt, n_steps = _step_plan(grid, t, CFL_DEFAULT)
         flow = _Flow(ell, grid, fields0[0].ell0)
         psi = np.stack([f.psi for f in fields0])
         psi_dot = np.stack([f.psi_dot for f in fields0])
         _leapfrog(flow, psi, psi_dot, flow.accel(psi), dt, n_steps,
-                  boundary, fields0[0].ell_inf)
+                  "fixed", fields0[0].ell_inf)
         finite = (np.isfinite(psi).all(axis=-1)
                   & np.isfinite(psi_dot).all(axis=-1))
         if not finite.all():
@@ -483,9 +456,9 @@ def _exterior_reports(fields0, ell, t, cfl, boundary, first=0):
     return reports
 
 
-def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819, n_bumps=2,
-                      cfl=0.5):
-    """Empirical exterior-energy lower bound over a seeded data ensemble.
+def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
+    """Empirical exterior-energy lower bound over a seeded ensemble of
+    make_superposition data.
 
     Returns (beta_hat, ratios): beta_hat = min over the ensemble of the
     squared exterior ratio.  Purely empirical; no claim beyond the sample.
@@ -496,15 +469,16 @@ def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819, n_bumps=2,
     block = max(1, BLOCK_NODES // grid.n_points)
     ratios = np.empty(n_data)
     for first in range(0, n_data, block):
-        members = [make_superposition(grid, rng, n_bumps=n_bumps)
+        members = [make_superposition(grid, rng)
                    for _ in range(min(block, n_data - first))]
-        reports = _exterior_reports(members, ell, t, cfl, "fixed", first)
+        reports = _exterior_reports(members, ell, t, first)
         ratios[first:first + len(members)] = [rep.ratio for rep in reports]
     return float(np.min(ratios)), ratios
 
 
-def s_norm(traj, ell, t_interval=None):
-    """Scattering norm: (int int |psi - far|^{2 + 3/k} dr dt / r^2)^{1/p}.
+def s_norm(traj, ell):
+    """Scattering norm: (int int |psi - far|^{2 + 3/k} dr dt / r^2)^{1/p}
+    over the stored frames.
 
     k = |g'(l)| must be 1 or 2; the exponent is p = 2 + 3/k.  The far value
     subtracted per frame is the field's own ell_inf (the root the field
@@ -516,15 +490,9 @@ def s_norm(traj, ell, t_interval=None):
             f"exponent undefined: g'(l) = {ell.slope} not in {{1, 2}} "
             "after the sign convention")
     p = 2.0 + 3.0 / k
-    times = traj.times
-    if t_interval is None:
-        t_interval = (times[0], times[-1])
-    a, b = t_interval
     frame_vals = []
     frame_ts = []
     for snap in traj.snapshots:
-        if snap.time < a - 1e-12 or snap.time > b + 1e-12:
-            continue
         r = snap.grid.r
         dens = np.abs(snap.psi - snap.ell_inf) ** p / r ** 2
         # the integrand vanishes at the origin for fields decaying to the
@@ -534,7 +502,7 @@ def s_norm(traj, ell, t_interval=None):
         frame_vals.append(float(np.trapezoid(d, x)))
         frame_ts.append(snap.time)
     if len(frame_ts) < 2:
-        raise DiagnosticsError("need at least two frames inside the interval")
+        raise DiagnosticsError("need at least two frames")
     return float(np.trapezoid(frame_vals, frame_ts)) ** (1.0 / p)
 
 
@@ -557,14 +525,14 @@ SERIES_COLUMNS = ["t", "E_total", "E_kin", "E_grad", "E_pot", "E_drift",
                   "E_selfsim", "sup_out_cone", "Hl_fraction", "kin_fraction"]
 
 
-def write_series(traj, path, selfsim_lambda=0.5, selfsim_A=0.0,
-                 cone_lambda=0.5, ell=None):
-    """series.csv for a trajectory directory: one row per frame."""
-    if ell is None:
-        ell = traj.system if isinstance(traj.system, Root) else \
-            find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
-    selfsim = dict(self_similar_energy(traj, selfsim_lambda, selfsim_A))
-    cone = dict(linf_outside_cone(traj, cone_lambda))
+def write_series(traj, path):
+    """series.csv for a trajectory directory: one row per frame.  E_selfsim
+    is self_similar_energy at lam = 1/2, A = 0 and sup_out_cone is
+    linf_outside_cone at lam = 1/2."""
+    ell = traj.system if isinstance(traj.system, Root) else \
+        find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+    selfsim = dict(self_similar_energy(traj, 0.5))
+    cone = dict(linf_outside_cone(traj, 0.5))
     fmt = "%.17g"
     e0 = None
     with open(path, "w") as fh:
@@ -575,10 +543,7 @@ def write_series(traj, path, selfsim_lambda=0.5, selfsim_A=0.0,
             if e0 is None:
                 e0 = e.total
             drift = (e.total - e0) / e0 if e0 > 0 else 0.0
-            pert = snap if snap.ell_inf == 0.0 else RadialField(
-                snap.grid, snap.psi - snap.ell_inf, snap.psi_dot,
-                ell0=snap.ell0 - snap.ell_inf, ell_inf=0.0, time=t)
-            n = h_norms(pert, ell)
+            n = h_norms(_perturbation(snap), ell)
             tot = n.h_ell_x_l2 ** 2
             fracs = (n.h_ell ** 2 / tot if tot > 0 else math.nan,
                      n.l2 ** 2 / tot if tot > 0 else math.nan)

@@ -48,6 +48,7 @@ from .geometry import GeometryError, Metric, Root, eval_G, find_vanishing_set
 CFL_DEFAULT = 0.5
 BOUNDARIES = ("fixed", "absorbing")
 FMT = "%.17g"
+BLOWUP_FLOOR_NODES = 24   # above the 10-20 cells where focusing bounces
 
 
 class EvolutionError(ValueError):
@@ -371,7 +372,7 @@ def _concentration_radius(field, metric, e_crit):
 
 
 def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
-           boundary="fixed", detect_blowup=True, blowup_floor_nodes=24):
+           boundary="fixed", detect_blowup=True):
     """Advance a field to t_final, recording frames every `record_every`
     steps (the initial and final states are always frames).
 
@@ -380,8 +381,7 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     the trajectory is truncated at the last recorded frame and a
     BlowupRecord is attached.  Detection fires when the radius enclosing
     one bubble energy shrinks over consecutive frames down to
-    blowup_floor_nodes grid cells; under-resolved focusing bounces at
-    10-20 cells, so the floor sits above that.
+    BLOWUP_FLOOR_NODES grid cells.
     """
     grid = field.grid
     dt, n_steps = _step_plan(grid, t_final, cfl)
@@ -398,7 +398,7 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     snapshots = [field.copy()]
     blowup = None
     radius_series = []
-    floor = blowup_floor_nodes * grid.dr
+    floor = BLOWUP_FLOOR_NODES * grid.dr
 
     a = flow.accel(psi)
     step = 0

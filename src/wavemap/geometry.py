@@ -83,16 +83,13 @@ class VanishingSet:
     def __len__(self):
         return len(self.roots)
 
-    def root_at(self, value, tol=1e-6):
-        """The Root record whose value is closest to `value` (within tol)."""
-        if len(self.roots) == 0:
-            raise GeometryError("vanishing set is empty")
-        k = int(np.argmin(np.abs(self.roots - value)))
-        if not abs(self.roots[k] - value) <= tol:     # NaN is no root
+    def root_at(self, value):
+        """The Root record whose value is within 1e-6 of `value`."""
+        root = self.nearest(value)
+        if not abs(root.value - value) <= 1e-6:     # NaN is no root
             raise GeometryError(
-                f"{value} is not a root of g (nearest: {self.roots[k]})")
-        return Root(float(self.roots[k]), float(self.slopes[k]),
-                    float(self.gaps[k]))
+                f"{value} is not a root of g (nearest: {root.value})")
+        return root
 
     def nearest(self, value):
         """Nearest root record to an arbitrary value (no tolerance check)."""
@@ -211,20 +208,20 @@ def eval_G(metric, x, rtol=1e-10):
 
 
 @lru_cache(maxsize=256)
-def find_vanishing_set(metric, window=None, samples_per_unit=64,
-                       min_samples=2048):
+def find_vanishing_set(metric, window=None):
     """Locate the roots of g in the window to ~1e-12.
 
-    Roots are bracketed on a dense sample grid, bisected, then polished by
-    one Newton step.  A root where g' also vanishes violates (A2) and is an
-    error rather than a result.
+    Roots are bracketed on a sample grid of 64 points per unit length (at
+    least 2048 points), bisected, then polished by one Newton step.  A root
+    where g' also vanishes violates (A2) and is an error rather than a
+    result.
     """
     if window is None:
         window = metric.search_window
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise GeometryError(f"empty search window {window}")
-    n = max(min_samples, int(samples_per_unit * (hi - lo)))
+    n = max(2048, int(64 * (hi - lo)))
     xs = np.linspace(lo, hi, n + 1)
     gs = np.asarray(metric.g(xs), dtype=float)
 

@@ -33,13 +33,15 @@ from .geometry import Metric, Root, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import (RadialField, evolve, min_bubble_energy,
                         write_snapshot, _Flow, _check_cfl, _leapfrog)
-from .diagnostics import (TimeSelection, energy, h_norms, select_times,
-                          support_radius)
+from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
+                          select_times, support_radius)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
 MIN_SCALE_NODES = 4         # scales below 4 dr are unresolved
 MIN_FIT_NODES = 8
+SETTLE_FRAMES = 5           # last cone-trace frames that must settle on ell*
+MARGIN_NODES = 8            # the regular part's fill keeps rho_c >= 8 dr
 
 # closed-form H contributions of the affine extension ramps, for a unit
 # boundary value: gradient term on either ramp, zeroth-order terms on
@@ -125,7 +127,7 @@ class BubbleReport:
     delta0: float
     eps0: float
     outer_root: float           # Q_1(inf), the field's root at R
-    outer_limit: float
+    outer_limit: float          # r_max: extraction covers the whole grid
     misfits: list               # windowed H^2 misfit per accepted bubble
     notes: list = dataclass_field(default_factory=list)
 
@@ -136,10 +138,10 @@ class BubbleReport:
         return abs(self.ledger.defect) / self.ledger.e_total
 
 
-def extract_bubbles(field, metric, outer_limit=None, delta0=None, eps0=None):
+def extract_bubbles(field, metric):
     """Decompose a field into chained bubbles at separated scales.
 
-    Scans inward from the outer limit for the outermost node where
+    Scans inward from r_max for the outermost node where
     |g(psi)| reaches delta0, identifies the connector from the adjacent
     roots and the approach side, reads the scale off the normalized
     profile's own delta0 crossing, refines it by least squares in
@@ -154,19 +156,15 @@ def extract_bubbles(field, metric, outer_limit=None, delta0=None, eps0=None):
     """
     grid = field.grid
     r = grid.r
-    R = float(min(outer_limit, grid.r_max)) if outer_limit else grid.r_max
+    R = grid.r_max
     vset = find_vanishing_set(metric)
-    if delta0 is None or eps0 is None:
-        d0, e0 = compute_delta0(metric)
-        delta0 = d0 if delta0 is None else delta0
-        eps0 = e0 if eps0 is None else eps0
+    delta0, eps0 = compute_delta0(metric)
 
     origin_root = vset.nearest(field.ell0)
     if abs(field.ell0 - origin_root.value) > 1e-6:
         raise ResolutionError(
             f"origin value {field.ell0:.6g} is not a root of g")
-    i_R = int(np.searchsorted(r, R * (1 + 1e-12), side="right")) - 1
-    psi_R = float(field.psi[i_R])
+    psi_R = float(field.psi[-1])
     if abs(float(metric.g(psi_R))) >= delta0:
         raise ResolutionError(
             f"|g(psi(R))| = {abs(float(metric.g(psi_R))):.4g} >= delta0 = "
@@ -328,9 +326,8 @@ def extend_H(field, r1, r2, ell_target=0.0):
                       ell_inf=ell_target, time=field.time)
 
     pert = RadialField(grid, u, np.zeros_like(u), 0.0, 0.0, field.time)
-    probe = Root(0.0, 1.0, math.inf)
-    h_ext = h_norms(pert, probe).h
-    h_int = h_norms(pert, probe, r1, r2).h
+    h_ext = h_norms(pert, UNIT_ROOT).h
+    h_int = h_norms(pert, UNIT_ROOT, r1, r2).h
     sup_int = float(np.max(np.abs(u[inside]))) if np.any(inside) else 0.0
     bound = h_int + 3.0 * sup_int
     return ExtensionReport(field=ext, h_extension=h_ext, h_interior=h_int,
@@ -338,9 +335,9 @@ def extend_H(field, r1, r2, ell_target=0.0):
                            slack=bound - h_ext)
 
 
-def _linear_states_at(phi, ell, offsets, dt, boundary="fixed"):
+def _linear_states_at(phi, ell, offsets, dt):
     """Linear-flow states at nondecreasing time offsets (multiples of dt),
-    advanced in one run from phi."""
+    advanced in one run from phi with a fixed outer boundary."""
     _check_cfl(phi.grid, dt)
     flow = _Flow(ell, phi.grid, phi.ell0)
     psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
@@ -353,7 +350,7 @@ def _linear_states_at(phi, ell, offsets, dt, boundary="fixed"):
             raise ResolutionError(
                 f"frame offset {off:.12g} is not a step multiple of "
                 f"dt = {dt:.12g}")
-        a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, boundary,
+        a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, "fixed",
                       phi.ell_inf)
         done = n
         out.append(RadialField(phi.grid, psi.copy(), psi_dot.copy(),
@@ -373,7 +370,7 @@ class ScatteringState:
     selected: TimeSelection
 
 
-def build_scattering_state(traj, ell, count=5, boundary="fixed"):
+def build_scattering_state(traj, ell):
     """Linear state matching the solution outside the cone r >= t/2.
 
     At the latest selected time t*, the solution is cut at r = t*/2 and
@@ -394,7 +391,7 @@ def build_scattering_state(traj, ell, count=5, boundary="fixed"):
     # Frames before the data has crossed into r <= t/2 have a vacuously
     # quiet cone and would win the selection; restrict to the window where
     # the interior average measures the actual asymptotics.
-    sel = select_times(traj, count=count, t_min=4.0 * support)
+    sel = select_times(traj, t_min=4.0 * support)
     t_star = sel.times[-1]
     snap = traj.frame_at(t_star)
     grid = snap.grid
@@ -421,16 +418,14 @@ def build_scattering_state(traj, ell, count=5, boundary="fixed"):
     earlier = [s for s in traj.snapshots
                if t_min - 1e-12 <= s.time < t_star - 1e-12]
     matches = [(t_star, 0.0)]
-    lin = _linear_states_at(phi, ell, [s.time - t_star for s in later], dt,
-                            boundary)
+    lin = _linear_states_at(phi, ell, [s.time - t_star for s in later], dt)
     for s, L in zip(later, lin):
         matches.append((s.time, _match_error(s, L, base, ell)))
     # time reversal: the state at t* - d is the d-evolution of the
     # velocity-flipped data, with the velocity flipped back
     phi_rev = RadialField(grid, phi0.copy(), -phi1, 0.0, 0.0, t_star)
     back = _linear_states_at(phi_rev, ell,
-                             [t_star - s.time for s in earlier[::-1]], dt,
-                             boundary)
+                             [t_star - s.time for s in earlier[::-1]], dt)
     for s, L in zip(earlier[::-1], back):
         Lr = RadialField(grid, L.psi, -L.psi_dot, 0.0, 0.0, s.time)
         matches.append((s.time, _match_error(s, Lr, base, ell)))
@@ -458,7 +453,7 @@ class RegularPart:
     settle_gap: float
 
 
-def extract_regular_part(traj, settle_frames=5, margin_nodes=8):
+def extract_regular_part(traj):
     """Wave map matching a blow-up solution outside the backward cone.
 
     Samples the solution along r = T+ - t, snaps the settled trace to the
@@ -483,11 +478,11 @@ def extract_regular_part(traj, settle_frames=5, margin_nodes=8):
         rho = t_plus - snap.time
         if grid.dr <= rho <= grid.r_max:
             trace.append((snap.time, float(np.interp(rho, r, snap.psi))))
-    if len(trace) < settle_frames:
+    if len(trace) < SETTLE_FRAMES:
         raise ResolutionError(
             f"only {len(trace)} frames sample the backward cone; need "
-            f"{settle_frames}")
-    tail = np.array([v for _, v in trace[-settle_frames:]])
+            f"{SETTLE_FRAMES}")
+    tail = np.array([v for _, v in trace[-SETTLE_FRAMES:]])
     root = vset.nearest(float(np.median(tail)))
     tol = 0.25 * (root.gap if math.isfinite(root.gap) else 1.0)
     settle_gap = float(np.max(np.abs(tail - root.value)))
@@ -497,10 +492,10 @@ def extract_regular_part(traj, settle_frames=5, margin_nodes=8):
             f"the nearest root {root.value:.6g} (tolerance {tol:.4g})")
 
     safe = [s for s in traj.snapshots
-            if margin_nodes * grid.dr <= t_plus - s.time <= grid.r_max]
+            if MARGIN_NODES * grid.dr <= t_plus - s.time <= grid.r_max]
     if not safe:
         raise ResolutionError("no stored frame keeps the cone radius above "
-                              f"{margin_nodes} grid cells")
+                              f"{MARGIN_NODES} grid cells")
     last = safe[-1]
     rho_c = t_plus - last.time
     val = float(np.interp(rho_c, r, last.psi))

@@ -58,9 +58,6 @@ class HarmonicMap:
     k_lo: float            # |g'(ell)|
     k_hi: float            # |g'(m)|
 
-    def __call__(self, r):
-        return eval_Q(self, r)
-
 
 def _solve_branch(metric, sign, q0, target, s_limit):
     """Integrate dQ/ds = sign*g(Q) from (s=0, q0) toward the root `target`.

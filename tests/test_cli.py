@@ -6,6 +6,7 @@ captured; scenarios are sized to keep each run under a few seconds.
 """
 
 import contextlib
+import csv
 import io
 import os
 import re
@@ -58,6 +59,22 @@ class TestScenarioValidation:
         cfg.write_text("[metric]\ntarget = sphere\nthis line is garbage\n")
         with pytest.raises(CliError, match="line"):
             load_scenario(str(cfg))
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "garbage\n" + text,
+        lambda text: text.replace("[data]\n", "[data]\nnot a key line\n"),
+    ], ids=["no-section-header", "garbage-in-section"])
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, edit):
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out")
+        with open(cfg) as fh:
+            text = fh.read()
+        with open(cfg, "w") as fh:
+            fh.write(edit(text))
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: malformed config: ")
+        assert err.count("\n") == 1 and "line" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config(self):
         with pytest.raises(CliError, match="no such config"):
@@ -433,6 +450,24 @@ class TestAnalyzeResolve:
         assert err.startswith(f"error: {manifest}: malformed manifest: ")
         assert err.count("\n") == 1 and message in err
 
+    def test_lightcone_fractions_match_series_off_zero(self, tmp_path,
+                                                       capsys):
+        # a run hanging from pi: lightcone and series.csv both measure the
+        # equipartition of psi - pi
+        out = tmp_path / "pi"
+        cfg = write_cfg(tmp_path / "s.cfg", out, data={"ell": repr(np.pi)},
+                        time={"t_final": "4.0", "record_every": "8"})
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out), "--ops", "lightcone"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        with open(out / "series.csv") as fh:
+            series = list(csv.DictReader(fh))
+        assert len(rows) == len(series) > 2
+        for row, frame in zip(rows, series):
+            assert row[1] == frame["t"]
+            assert row[-2:] == [frame["Hl_fraction"], frame["kin_fraction"]]
+
     def test_analyze_unknown_op(self, run_dir, capsys):
         assert main(["analyze", "--traj", str(run_dir),
                      "--ops", "frobnicate"]) == 1
@@ -555,6 +590,13 @@ class TestTopLevel:
         text = capsys.readouterr().out
         assert text.startswith("PASS")
         assert "1 passed, 0 failed" in text
+
+    def test_selftest_runs_every_check(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == \
+            [["PASS", name] for name, _ in cli.SELFTESTS]
+        assert lines[-1] == "9 passed, 0 failed"
 
     def test_selftest_unknown_filter(self, capsys):
         assert main(["selftest", "--filter", "zzz"]) == 1

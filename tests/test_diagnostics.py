@@ -16,7 +16,7 @@ from wavemap.geometry import (SPHERE, YANG_MILLS, Root, find_vanishing_set,
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_perturbation, make_superposition
-from wavemap.diagnostics import (DiagnosticsError, _exterior_reports, EnergyLedger, energy,
+from wavemap.diagnostics import (DiagnosticsError, _exterior_reports, energy,
                                  h_norms, energy_h_equivalence,
                                  pointwise_energy_bound, sup_norm_vs_H,
                                  SUP_H_PROOF_CONSTANT, self_similar_energy,
@@ -72,18 +72,6 @@ class TestEnergy:
         for attr in ("kinetic", "gradient", "potential"):
             total = sum(getattr(p, attr) for p in parts)
             assert total == pytest.approx(getattr(whole, attr), rel=1e-13)
-
-    def test_ledger_combines(self):
-        grid = RadialGrid(20.0, 256)
-        f = make_bump(grid, SPHERE, 0.0, amplitude=0.2, center=8.0,
-                      width=4.0)
-        ledger = EnergyLedger()
-        ledger.add(energy(f, SPHERE, 0.0, 10.0))
-        ledger.add(energy(f, SPHERE, 10.0, 20.0))
-        combined = ledger.combined()
-        whole = energy(f, SPHERE)
-        assert combined.total == pytest.approx(whole.total, rel=1e-13)
-        assert ledger.total == pytest.approx(whole.total, rel=1e-13)
 
     def test_interval_clipped_with_warning(self):
         grid = RadialGrid(10.0, 128)
@@ -282,13 +270,6 @@ class TestKineticAverage:
         traj = _static_traj(q, list(np.arange(0.0, 22.0, 2.0)))
         with pytest.raises(DiagnosticsError, match="exceeds"):
             kinetic_average(traj, 18.0, 6.0)
-
-    def test_blowup_rule_requires_record(self):
-        grid = RadialGrid(40.0, 512)
-        q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
-        traj = _static_traj(q, list(np.arange(0.0, 22.0, 2.0)))
-        with pytest.raises(DiagnosticsError, match="blow-up"):
-            kinetic_average(traj, 10.0, 2.0, inner_radius_rule="T+-t")
 
     def test_single_frame_rectangle_rule(self):
         grid = RadialGrid(40.0, 256)
@@ -489,7 +470,7 @@ class TestExteriorEnergy:
                                      "finite"):
                 exterior_energy_ratio(p, steep, 5.0)
             with pytest.raises(DiagnosticsError, match="member 7: "):
-                _exterior_reports([p, p], steep, 5.0, 0.5, "fixed", 7)
+                _exterior_reports([p, p], steep, 5.0, first=7)
 
     @pytest.mark.parametrize("amplitude, norm", [(0.0, "0"), (1e306, "inf")])
     def test_degenerate_initial_norm_refused(self, amplitude, norm):
