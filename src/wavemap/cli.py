@@ -273,25 +273,23 @@ def _data_value(path, key, text):
 
 def _data_params(cp, path, family, grid, metric):
     """The family's [data] values, defaults filled in, once every given key
-    is read by some family and parses, the family's scales are resolved by
+    is read by the family and parses, the family's scales are resolved by
     the grid and any given base root is a root of g."""
     if family not in FAMILIES:
         raise CliError(f"{path}: unknown data family {family!r} "
                        f"({', '.join(FAMILIES)})")
     row = FAMILIES[family]
     raw = {k: v for k, v in cp.items("data") if k != "family"}
-    known = dict.fromkeys(k for f in FAMILIES.values()
-                          for k in (*f.required, *f.optional))
+    reads = (*row.required, *row.optional)
     for key in raw:
-        if key not in known:
+        if key not in reads:
             raise CliError(f"{path}: [data] {key} is read by no data family "
-                           f"({', '.join(known)})")
+                           f"in use ({family} reads {', '.join(reads)})")
     for key in row.required:
         if key not in raw:
             raise CliError(f"{path}: missing [data] {key}")
     given = {key: _data_value(path, key, text) for key, text in raw.items()}
-    p = {k: given.get(k, row.optional.get(k))
-         for k in (*row.required, *row.optional)}
+    p = {k: given.get(k, row.optional.get(k)) for k in reads}
     scales = [p[k] for k in ("scale", "width") if k in p]
     for lam in scales + [lam for _, lam in p.get("steps", ())]:
         if lam < SCALE_NODES * grid.dr:
@@ -540,8 +538,12 @@ def run_analyze(args):
         if op not in OPS:
             raise CliError(f"unknown op {op!r} (known: {', '.join(OPS)})")
     ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+    # every op runs before any line prints, and series, the op that writes
+    # a file, runs last: an op that refuses the store leaves it untouched
+    order = sorted(dict.fromkeys(ops), key=lambda op: op == "series")
+    lines = {op: OPS[op](traj, args, ell) for op in order}
     for op in ops:
-        for line in OPS[op](traj, args, ell):
+        for line in lines[op]:
             print(line)
     return 0
 

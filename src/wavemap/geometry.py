@@ -25,12 +25,14 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exprgrammar import parse_expression
 
 ROOT_TOL = 1e-12
 SLOPE_TOL = 1e-9
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+PANELS_PER_PIECE = 4    # Gauss-Legendre panels between adjacent breakpoints
+MAX_BISECTIONS = 200    # panels split before the quadrature gives up
 
 
 class GeometryError(ValueError):
@@ -184,13 +186,61 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
     return Metric(metric_id, g, gp, (lo, hi))
 
 
+def _gauss_legendre(metric, lo, hi):
+    """Node terms of the 24-point Gauss-Legendre rule for |g| on each panel
+    [lo_i, hi_i]; row i sums to the panel's integral."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
+    absg = np.abs(np.asarray(metric.g(x.ravel()), dtype=float))
+    return (half[:, None] * GL_WEIGHTS) * np.broadcast_to(
+        absg, (x.size,)).reshape(x.shape)
+
+
+def _integrate_abs_g(metric, a, b, points, rtol, atol):
+    """(int_a^b |g|, error estimate), with the breakpoints `points` inside
+    (a, b) where |g| may kink.
+
+    Each piece between breakpoints starts as PANELS_PER_PIECE panels.  A
+    panel's error is the gap between its rule and the sum over its two
+    halves, and the halves make the value.  A panel whose error exceeds its
+    share by length of max(atol, rtol |value|) is bisected, until none does
+    or MAX_BISECTIONS panels have been split.  A NaN of g gives a NaN
+    error, which meets no bound.
+    """
+    edges = np.array([a, *points, b], dtype=float)
+    grid = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(
+        0.0, 1.0, PANELS_PER_PIECE + 1)
+    grid[:, -1] = edges[1:]
+    lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+    whole = _gauss_legendre(metric, lo, hi).sum(axis=1)
+    bisections = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        left = _gauss_legendre(metric, lo, mid)
+        right = _gauss_legendre(metric, mid, hi)
+        halves = left.sum(axis=1), right.sum(axis=1)
+        err = np.abs(whole - (halves[0] + halves[1]))
+        value = math.fsum(np.concatenate((left, right), axis=None))
+        total = math.fsum(err)
+        bound = max(atol, rtol * abs(value))
+        split = ~(err <= bound * (hi - lo) / (b - a))
+        if not split.any() or bisections >= MAX_BISECTIONS:
+            return value, total
+        keep = ~split
+        bisections += int(np.count_nonzero(split))
+        lo = np.concatenate([lo[keep], lo[split], mid[split]])
+        hi = np.concatenate([hi[keep], mid[split], hi[split]])
+        whole = np.concatenate([whole[keep], halves[0][split],
+                                halves[1][split]])
+
+
 @lru_cache(maxsize=65536)
 def eval_G(metric, x, rtol=1e-10):
     """G(x) = int_0^x |g(y)| dy, strictly increasing, G(0) = 0.
 
-    The integrand has kinks at the roots of g, so those are passed to the
-    quadrature as breakpoints.  Raises QuadratureError when the adaptive
-    rule cannot meet the tolerance.
+    The integrand kinks at the roots of g, so those are the breakpoints of
+    the Gauss-Legendre panels (`_integrate_abs_g`).  Raises QuadratureError
+    when the error estimate misses the tolerance or is NaN.
     """
     x = float(x)
     if x == 0.0:
@@ -199,10 +249,8 @@ def eval_G(metric, x, rtol=1e-10):
     # breakpoints: roots of g inside (a, b); the full-window set is cached
     vset = find_vanishing_set(metric)
     points = [r for r in vset.roots if a < r < b]
-    absg = lambda y: abs(metric.g(y))
-    value, abserr = quad(absg, a, b, points=points or None,
-                         epsabs=1e-13, epsrel=rtol, limit=200)
-    if abserr > rtol * max(1.0, abs(value)) * 10 + 1e-12:
+    value, abserr = _integrate_abs_g(metric, a, b, points, rtol, 1e-13)
+    if not abserr <= rtol * max(1.0, abs(value)) * 10 + 1e-12:
         raise QuadratureError(f"G({x}) did not converge", abserr)
     return value if x > 0 else -value
 
@@ -295,15 +343,14 @@ def find_vanishing_set(metric, window=None):
 
 def _probe_G(metric, a, b, rtol=1e-7):
     """|int_a^b |g|| with root breakpoints searched inside [a, b]."""
-    try:
-        vset = find_vanishing_set(metric, (min(a, b), max(a, b)))
-        points = [r for r in vset.roots if min(a, b) < r < max(a, b)]
-    except GeometryError:
-        points = None
     lo, hi = min(a, b), max(a, b)
-    value, abserr = quad(lambda y: abs(metric.g(y)), lo, hi,
-                         points=points or None, epsrel=rtol, limit=400)
-    if abserr > rtol * max(1.0, abs(value)) * 10 + 1e-10:
+    try:
+        vset = find_vanishing_set(metric, (lo, hi))
+        points = [r for r in vset.roots if lo < r < hi]
+    except GeometryError:
+        points = []
+    value, abserr = _integrate_abs_g(metric, lo, hi, points, rtol, 1.49e-8)
+    if not abserr <= rtol * max(1.0, abs(value)) * 10 + 1e-10:
         raise QuadratureError(f"G probe on [{lo}, {hi}] did not converge",
                               abserr)
     return abs(value)

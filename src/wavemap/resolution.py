@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import Metric, Root, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
@@ -67,6 +66,7 @@ def compute_delta0(metric, K=None):
     scale-lambda bubble sits inside [eps0*lambda, lambda/eps0].  Memoized
     per (metric, K): both are immutable and so is the result.
     """
+    from scipy.optimize import minimize_scalar
     vset = find_vanishing_set(metric)
     if K is None:
         K = max(abs(metric.search_window[0]), abs(metric.search_window[1]))
@@ -95,6 +95,7 @@ def compute_delta0(metric, K=None):
 
 def _crossing_radii(qmap, level):
     """Radii where |g(Q)| crosses `level` on the inner and outer tails."""
+    from scipy.optimize import brentq
     s = np.linspace(qmap.s_lo, qmap.s_hi, 4096)
     vals = np.abs(np.asarray(qmap.metric.g(eval_Q(qmap, np.exp(s)))))
     peak = int(np.argmax(vals))
@@ -154,6 +155,7 @@ def extract_bubbles(field, metric):
     under 4 dr reports "under-resolved scale", and a scale ratio above
     SEPARATION_FLOOR reports "separation floor".
     """
+    from scipy.optimize import minimize_scalar
     grid = field.grid
     r = grid.r
     R = grid.r_max

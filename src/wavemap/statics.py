@@ -15,7 +15,8 @@ that runs away from its endpoint.  The dense output is sampled on a uniform
 s-grid (plus the s=0 anchor so the normalization is exact) and interpolated
 by a cubic Hermite spline whose nodal derivatives are the ODE right-hand
 side itself.  Beyond the sampled range the stored power-law tails take
-over.
+over.  The solver and the spline come from scipy, which the first
+construction imports: code that builds no connector runs on numpy alone.
 """
 
 import math
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .geometry import GeometryError, Metric, eval_G, find_vanishing_set
 
@@ -48,7 +47,7 @@ class HarmonicMap:
     m: float               # endpoint at r = inf
     sign: int              # branch of r Q' = sign * g(Q)
     energy: float          # 2 |G(m) - G(ell)|
-    profile: CubicHermiteSpline
+    profile: object        # scipy CubicHermiteSpline in s = log r
     s_lo: float
     s_hi: float
     stitch_lo: float       # s below which the inner tail model is used
@@ -70,6 +69,7 @@ def _solve_branch(metric, sign, q0, target, s_limit):
     the endpoint event, stitch_s, q_at_stitch).  Raises StaticsError,
     reporting the achieved endpoint gap, unless the endpoint event fires.
     """
+    from scipy.integrate import solve_ivp
     gap0 = abs(q0 - target)
 
     def stitch(s, q):
@@ -136,6 +136,7 @@ def build_harmonic_map(metric, ell, direction):
     s_all = np.concatenate([s_neg, [0.0], s_pos])
     q_all = np.concatenate([dense_lo(s_neg)[0], [mid], dense_hi(s_pos)[0]])
     dq_all = sign * np.asarray(metric.g(q_all), dtype=float)
+    from scipy.interpolate import CubicHermiteSpline
     profile = CubicHermiteSpline(s_all, q_all, dq_all)
 
     c_lo = (q_st_lo - lo) * math.exp(-k_lo * st_lo)

@@ -39,6 +39,8 @@ def write_cfg(path, out_dir, **overrides):
         "output": {"dir": str(out_dir)},
     }
     for section, kv in overrides.items():
+        if section == "data" and "family" in kv:
+            base["data"] = {}   # a family's keys only: no bump keys left
         base.setdefault(section, {}).update(kv)
     cp = ConfigParser()
     for section, kv in base.items():
@@ -193,6 +195,18 @@ class TestScenarioValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_key_of_another_family_refused(self, tmp_path, capsys):
+        # amplitude is a bump key; a bubble would ignore it
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        data={"family": "bubble", "ell": "0", "scale": "2",
+                              "amplitude": "0.08"})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}: [data] amplitude is read by no data "
+                       f"family in use (bubble reads ell, scale, "
+                       f"direction)\n")
         assert not (tmp_path / "out").exists()
 
     def test_dt_overrides_cfl(self, tmp_path):
@@ -424,6 +438,24 @@ class TestAnalyzeResolve:
         assert main(["analyze", "--traj", str(run_dir),
                      "--ops", "series"]) == 0
         assert (run_dir / "series.csv").read_bytes() == before
+
+    def test_analyze_refuses_before_any_op_runs(self, tmp_path, capsys):
+        # select-times needs 10 frames; the series op listed before it
+        # must neither print nor write series.csv
+        out = tmp_path / "short"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        time={"t_final": "2.0", "record_every": "16"})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert len(list(out.glob("frame-*.snap"))) < 10
+        (out / "series.csv").unlink()
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out), "--ops",
+                     "series,select-times,lightcone"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (out / "series.csv").exists()
 
     def test_analyze_missing_dir_exits_one(self, capsys):
         assert main(["analyze", "--traj", "/no/such/dir",

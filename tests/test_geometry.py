@@ -2,7 +2,9 @@
 
 Expected values are frozen from independent derivations:
   - G(sphere, x) has antiderivative 1 - cos x on [0, pi], so G(pi) = 2
-  - G(yang-mills, 1) = int_0^1 (1 - y^2) dy = 2/3
+  - G(yang-mills, 1) = int_0^1 (1 - y^2) dy = 2/3, G(yang-mills, 2) = 2
+  - G(kink, pi) = 2 + pi/2 - sin 1 for g = sin(rho) (1 + |rho - 1|/2),
+    from int_0^pi |y - 1| sin y dy = pi - 2 sin 1
   - roots of sin are k*pi with slopes cos(k*pi) = (-1)^k
   - roots of 1 - rho^2 are +-1 with slopes -2*rho = -+2
 """
@@ -13,9 +15,15 @@ import numpy as np
 import pytest
 
 from wavemap import geometry
-from wavemap.geometry import (GeometryError, SPHERE, YANG_MILLS,
-                              check_assumptions, eval_G, find_vanishing_set,
-                              get_metric, make_metric)
+from wavemap.geometry import (GeometryError, Metric, QuadratureError,
+                              SPHERE, YANG_MILLS, check_assumptions, eval_G,
+                              find_vanishing_set, get_metric, make_metric)
+
+# |g| kinks at rho = 1, which is no root, so no breakpoint marks it
+KINK = make_metric("kink", "sin(rho) * (1 + 0.5 * pow(pow(rho - 1, 2), 0.5))",
+                   "cos(rho) * (1 + 0.5 * pow(pow(rho - 1, 2), 0.5))"
+                   " + 0.5 * sin(rho) * (rho - 1) / pow(pow(rho - 1, 2), 0.5)",
+                   (-7.0, 7.0))
 
 
 def brute_force_bisect(f, a, b, iters=200):
@@ -52,6 +60,31 @@ class TestEvalG:
 
     def test_zero(self):
         assert eval_G(SPHERE, 0.0) == 0.0
+
+    @pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 3])
+    def test_sphere_multiples_of_pi(self, k):
+        assert eval_G(SPHERE, k * math.pi) == pytest.approx(2.0 * k,
+                                                             rel=1e-14)
+
+    @pytest.mark.parametrize("x, value", [(1.0, 2.0 / 3.0),
+                                          (-1.0, -2.0 / 3.0), (2.0, 2.0)])
+    def test_yang_mills_closed_forms(self, x, value):
+        assert eval_G(YANG_MILLS, x) == pytest.approx(value, rel=1e-14)
+
+    def test_kink_off_the_roots(self):
+        # the panel holding rho = 1 must be bisected down to the kink
+        exact = 2.0 + math.pi / 2.0 - math.sin(1.0)
+        assert eval_G(KINK, math.pi) == pytest.approx(exact, rel=1e-10)
+
+    def test_nan_integrand_raises(self):
+        # every comparison with NaN is false, so a NaN error estimate must
+        # fail the convergence test rather than pass it
+        def g(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(np.abs(y - 1.0) < 1e-3, np.nan, np.sin(y))
+        m = Metric("nan-band", g, np.cos, (-7.0, 7.0))
+        with pytest.raises(QuadratureError, match="did not converge"):
+            eval_G(m, 2.0)
 
 
 class TestVanishingSet:
@@ -131,6 +164,15 @@ class TestAssumptions:
                         "(1 - rho^2) / ((1 + rho^2)^2)", (-4.0, 4.0))
         rep = check_assumptions(m)
         assert not rep.a1
+
+    @pytest.mark.parametrize("metric, flags", [
+        (SPHERE, (True, True, True, True)),
+        (YANG_MILLS, (True, True, False, True)),
+        (KINK, (True, True, False, False)),
+    ], ids=["sphere", "yang-mills", "kink"])
+    def test_flags(self, metric, flags):
+        rep = check_assumptions(metric)
+        assert (rep.a1, rep.a2, rep.a3, rep.a3_prime) == flags
 
     def test_report_numbers(self):
         rep = check_assumptions(SPHERE)
