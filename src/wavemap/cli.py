@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 from collections import namedtuple
 from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass
@@ -28,12 +29,12 @@ import numpy as np
 
 from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
                        find_vanishing_set, get_metric, make_metric)
-from .statics import build_harmonic_map, rescale_Q
+from .statics import build_harmonic_map, eval_Q, rescale_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
                         read_snapshot, discrete_energy, _check_cfl)
 from .exprgrammar import ExpressionError
-from .data import make_bump, make_chain, bump_profile
+from .data import make_bump, make_chain, make_perturbation, bump_profile
 from .diagnostics import (DiagnosticsError, energy, write_series,
                           select_times, lightcone_concentration,
                           linf_outside_cone, s_norm)
@@ -153,7 +154,11 @@ def _getfloat(cp, section, key, path, default=None):
 
 
 def _getint(cp, section, key, path, default=None):
-    return int(_getfloat(cp, section, key, path, default))
+    value = _getfloat(cp, section, key, path, default)
+    if value != int(value):
+        raise CliError(f"{path}: [{section}] {key} = "
+                       f"{cp.get(section, key)!r} is not an integer")
+    return int(value)
 
 
 def load_scenario(path, out_override=None):
@@ -368,7 +373,7 @@ def load_trajectory(traj_dir):
         raise CliError(f"{traj_dir}: no frame files")
     snaps = [read_snapshot(os.path.join(traj_dir, n))[0] for n in names]
     return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,
-                      system=metric, blowup=blow, meta={"dir": traj_dir})
+                      system=metric, blowup=blow)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +587,6 @@ def run_resolve(args):
 def _check_harmonic_oracle():
     qmap = build_harmonic_map(SPHERE, 0.0, +1)
     r = np.logspace(-3, 3, 2000)
-    from .statics import eval_Q
     err = float(np.max(np.abs(eval_Q(qmap, r) - 2.0 * np.arctan(r))))
     assert err < 1e-8, f"profile error {err:.3g}"
     assert abs(qmap.energy - 4.0) < 1e-6, f"energy {qmap.energy!r}"
@@ -619,7 +623,6 @@ def _check_stationarity():
 def _check_linear_conservation():
     root = find_vanishing_set(SPHERE).root_at(0.0)
     grid = RadialGrid(12.0, 4096)
-    from .data import make_perturbation
     f = make_perturbation(grid, amplitude=0.1, center=4.0, width=2.5)
     traj = evolve(f, root, 3.0, record_every=256, cfl=0.25,
                   detect_blowup=False)
@@ -658,7 +661,6 @@ def _check_extension_bound():
     return f"least slack {worst:.2e}"
 
 def _check_snapshot_roundtrip():
-    import tempfile
     grid = RadialGrid(10.0, 257)
     gen = np.random.default_rng(3)
     f = RadialField(grid, gen.standard_normal(257),
@@ -674,8 +676,6 @@ def _check_snapshot_roundtrip():
     return "write -> read -> write byte-identical"
 
 def _check_series_determinism():
-    import tempfile
-    from .data import make_perturbation
     root = find_vanishing_set(SPHERE).root_at(0.0)
     grid = RadialGrid(30.0, 512)
     f = make_perturbation(grid, amplitude=0.1, center=8.0, width=3.0)

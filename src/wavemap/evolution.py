@@ -37,7 +37,7 @@ Snapshot file format (text, 17 significant digits):
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -129,7 +129,6 @@ class Trajectory:
     cfl: float
     system: Union[Metric, Root]
     blowup: Optional[BlowupRecord] = None
-    meta: dict = dataclass_field(default_factory=dict)
 
     @property
     def times(self):
@@ -431,9 +430,7 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
                     break
 
     return Trajectory(snapshots=snapshots, dt=dt, scheme=flow.scheme,
-                      cfl=cfl, system=system, blowup=blowup,
-                      meta={"boundary": boundary,
-                            "record_every": record_every})
+                      cfl=cfl, system=system, blowup=blowup)
 
 
 def _shrinking(series, window=3):

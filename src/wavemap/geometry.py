@@ -255,6 +255,24 @@ def eval_G(metric, x, rtol=1e-10):
     return value if x > 0 else -value
 
 
+def bisect(f, a, b, tol):
+    """Bracket [a, b] of a sign change of f, halved until it is narrower
+    than tol (at most 100 times); [m, m] when f(m) is exactly zero."""
+    fa = f(a)
+    for _ in range(100):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m, m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+        if b - a < tol:
+            break
+    return a, b
+
+
 @lru_cache(maxsize=256)
 def find_vanishing_set(metric, window=None):
     """Locate the roots of g in the window to ~1e-12.
@@ -281,20 +299,8 @@ def find_vanishing_set(metric, window=None):
     sign = np.sign(gs)
     crossings = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
     for k in crossings:
-        a, b = xs[k], xs[k + 1]
-        fa, fb = gs[k], gs[k + 1]
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = float(metric.g(m))
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-            if b - a < ROOT_TOL:
-                break
+        a, b = bisect(lambda x: float(metric.g(x)), xs[k], xs[k + 1],
+                      ROOT_TOL)
         root = 0.5 * (a + b)
         gp = float(metric.g_prime(root))
         if gp != 0.0:

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Metric, Root, find_vanishing_set
+from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import (RadialField, evolve, min_bubble_energy,
                         write_snapshot, _Flow, _check_cfl, _leapfrog)
@@ -66,7 +66,6 @@ def compute_delta0(metric, K=None):
     scale-lambda bubble sits inside [eps0*lambda, lambda/eps0].  Memoized
     per (metric, K): both are immutable and so is the result.
     """
-    from scipy.optimize import minimize_scalar
     vset = find_vanishing_set(metric)
     if K is None:
         K = max(abs(metric.search_window[0]), abs(metric.search_window[1]))
@@ -79,11 +78,10 @@ def compute_delta0(metric, K=None):
         x = np.linspace(lo, hi, 4097)[1:-1]
         vals = np.abs(np.asarray(metric.g(x)))
         k = int(np.argmax(vals))
-        res = minimize_scalar(
-            lambda t: -abs(float(metric.g(t))),
-            bounds=(x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)]),
-            method="bounded", options={"xatol": 1e-14})
-        eta = min(eta, -res.fun)
+        # the peak of |g| is where g' changes sign
+        a, b = bisect(lambda t: float(metric.g_prime(t)), x[max(k - 1, 0)],
+                      x[min(k + 1, len(x) - 1)], ROOT_TOL)
+        eta = min(eta, abs(float(metric.g(0.5 * (a + b)))))
     delta0 = 0.5 * eta
     eps0 = 1.0
     for lo in roots[:-1]:
@@ -93,10 +91,13 @@ def compute_delta0(metric, K=None):
     return delta0, eps0
 
 
+@lru_cache(maxsize=256)
 def _crossing_radii(qmap, level):
-    """Radii where |g(Q)| crosses `level` on the inner and outer tails."""
-    from scipy.optimize import brentq
-    s = np.linspace(qmap.s_lo, qmap.s_hi, 4096)
+    """Radii where |g(Q)| crosses `level` on the inner and outer tails.
+
+    Memoized per (connector, level): connectors are cached objects.
+    """
+    s = np.linspace(qmap.stitch_lo, qmap.stitch_hi, 4096)
     vals = np.abs(np.asarray(qmap.metric.g(eval_Q(qmap, np.exp(s)))))
     peak = int(np.argmax(vals))
     if vals[peak] <= level:
@@ -104,9 +105,26 @@ def _crossing_radii(qmap, level):
             f"connector {qmap.ell:.6g} -> {qmap.m:.6g} never reaches "
             f"|g| = {level:.6g}")
     f = lambda t: abs(float(qmap.metric.g(eval_Q(qmap, math.exp(t))))) - level
-    s_in = brentq(f, s[0], s[peak])
-    s_out = brentq(f, s[peak], s[-1])
+    s_in = 0.5 * sum(bisect(f, s[0], s[peak], ROOT_TOL))
+    s_out = 0.5 * sum(bisect(f, s[peak], s[-1], ROOT_TOL))
     return math.exp(s_in), math.exp(s_out)
+
+
+def _fit_log_scale(qmap, r, psi, u0):
+    """Least-squares log-scale u of Q(r e^{-u}) against psi, by Gauss-Newton
+    with the exact Jacobian d/du Q(r e^{-u}) = -sign g(Q), kept inside
+    u0 +- log 2 and stopped once a step is below 1e-12."""
+    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
+    u = u0
+    for _ in range(100):
+        q = eval_Q(qmap, r * math.exp(-u))
+        jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
+        u_next = min(max(u - float(jac @ (psi - q)) / float(jac @ jac),
+                         u_lo), u_hi)
+        if abs(u_next - u) < 1e-12:
+            return u_next
+        u = u_next
+    return u
 
 
 @dataclass
@@ -155,7 +173,6 @@ def extract_bubbles(field, metric):
     under 4 dr reports "under-resolved scale", and a scale ratio above
     SEPARATION_FLOOR reports "separation floor".
     """
-    from scipy.optimize import minimize_scalar
     grid = field.grid
     r = grid.r
     R = grid.r_max
@@ -205,12 +222,7 @@ def extract_bubbles(field, metric):
             break
         rw = r[window]
         pw = work[window]
-        obj = lambda u: float(np.sum((pw - eval_Q(qmap, rw * math.exp(-u)))
-                                     ** 2))
-        res = minimize_scalar(obj, bounds=(math.log(lam_guess) - math.log(2),
-                                           math.log(lam_guess) + math.log(2)),
-                              method="bounded", options={"xatol": 1e-12})
-        lam = math.exp(res.x)
+        lam = math.exp(_fit_log_scale(qmap, rw, pw, math.log(lam_guess)))
         if lam < MIN_SCALE_NODES * grid.dr:
             notes.append(f"under-resolved scale {lam:.4g} < "
                          f"{MIN_SCALE_NODES} dr = "

@@ -7,16 +7,17 @@ like powers r^{+-|g'(endpoint)|}, and carries energy
 
     E(Q) = 2 |G(m) - G(l)|.
 
-Profiles are built once from the normalization Q(r=1) = (l+m)/2 by one
-adaptive DOP853 solve in s per direction.  Events on each solve locate the
-stitch point (|Q - endpoint| = 1e-6, where the tail model takes over) and
-the end of the sampled range (|Q - endpoint| = 1e-10), and stop a solve
-that runs away from its endpoint.  The dense output is sampled on a uniform
-s-grid (plus the s=0 anchor so the normalization is exact) and interpolated
-by a cubic Hermite spline whose nodal derivatives are the ODE right-hand
-side itself.  Beyond the sampled range the stored power-law tails take
-over.  The solver and the spline come from scipy, which the first
-construction imports: code that builds no connector runs on numpy alone.
+The flow is separable, so its solution is a quadrature: from the
+normalization Q(r=1) = (l+m)/2, s(q) = int dy / (+-g(y)).  Each branch
+toward a root `target` is parametrized by u = log(|mid - target| /
+|q - target|), in which q(u) is explicit and ds/du = (target - q) /
+(+-g(q)) is smooth and bounded up to the root.  A uniform u-grid from the
+midpoint to the stitch point (|Q - target| = 1e-6, where the tail model
+takes over) is integrated interval by interval with the Gauss-Legendre
+rule of `geometry`, which makes the Hermite data (s_i, q_i, +-g(q_i))
+exact to rounding.  Between the stitch points Q is the cubic Hermite
+interpolant of that data; beyond them the stored power-law tails take
+over.  Everything here runs on numpy.
 """
 
 import math
@@ -26,30 +27,32 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GeometryError, Metric, eval_G, find_vanishing_set
+from .geometry import (GL_NODES, GL_WEIGHTS, GeometryError, Metric, eval_G,
+                       find_vanishing_set)
 
-SOLVER_RTOL = 1e-13    # DOP853 tolerances of the connector solve
-SOLVER_ATOL = 1e-15
-ENDPOINT_TOL = 1e-10   # integration stops this close to the target root
 STITCH_TOL = 1e-6      # eval switches to the tail model this close
-N_SAMPLES = 4096
+N_SAMPLES = 4096       # u-intervals per branch
 
 
 class StaticsError(GeometryError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class HarmonicMap:
-    """A connector Q with Q(0) = ell, Q(inf) = m, normalized Q(1) = (ell+m)/2."""
+    """A connector Q with Q(0) = ell, Q(inf) = m, normalized Q(1) = (ell+m)/2.
+
+    Compared and hashed by identity: `build_harmonic_map` memoizes, so one
+    connector is one object, and per-connector results can be cached.
+    """
     metric: Metric
     ell: float             # endpoint at r = 0
     m: float               # endpoint at r = inf
     sign: int              # branch of r Q' = sign * g(Q)
     energy: float          # 2 |G(m) - G(ell)|
-    profile: object        # scipy CubicHermiteSpline in s = log r
-    s_lo: float
-    s_hi: float
+    knots: np.ndarray      # s = log r of the Hermite data, stitch_lo..stitch_hi
+    coeffs: np.ndarray     # rows c0..c3 of the cubic on [knots[i], knots[i+1]]
+                           # in powers of s - knots[i]
     stitch_lo: float       # s below which the inner tail model is used
     stitch_hi: float
     c_lo: float            # Q - ell ~ c_lo * r^{k_lo} as r -> 0
@@ -58,42 +61,28 @@ class HarmonicMap:
     k_hi: float            # |g'(m)|
 
 
-def _solve_branch(metric, sign, q0, target, s_limit):
-    """Integrate dQ/ds = sign*g(Q) from (s=0, q0) toward the root `target`.
+def _branch(metric, sign, mid, target):
+    """(s_i, q_i) from the midpoint (s = 0) to the stitch point near
+    `target`, on N_SAMPLES uniform intervals in u."""
+    u = np.linspace(0.0, math.log(abs(mid - target) / STITCH_TOL),
+                    N_SAMPLES + 1)
+    half = 0.5 * np.diff(u)
+    u_gl = (u[:-1] + half)[:, None] + half[:, None] * GL_NODES
+    q_gl = target + (mid - target) * np.exp(-u_gl)
+    dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl), dtype=float))
+    s = np.concatenate(([0.0], np.cumsum(half * (dsdu @ GL_WEIGHTS))))
+    q = np.concatenate(([mid], target + (mid - target) * np.exp(-u[1:])))
+    return s, q
 
-    One adaptive DOP853 solve over [0, s_limit] (s_limit may be negative)
-    with three events: |Q - target| falling through STITCH_TOL (the stitch
-    point), falling through ENDPOINT_TOL (terminal: the end of the sampled
-    range), and rising past 2 |q0 - target| + 1 (terminal: running away on
-    the wrong branch or toward a bad root).  Returns (dense solution, s at
-    the endpoint event, stitch_s, q_at_stitch).  Raises StaticsError,
-    reporting the achieved endpoint gap, unless the endpoint event fires.
-    """
-    from scipy.integrate import solve_ivp
-    gap0 = abs(q0 - target)
 
-    def stitch(s, q):
-        return abs(q[0] - target) - STITCH_TOL
-
-    def endpoint(s, q):
-        return abs(q[0] - target) - ENDPOINT_TOL
-
-    def runaway(s, q):
-        return abs(q[0] - target) - (2.0 * gap0 + 1.0)
-
-    stitch.direction = endpoint.direction = -1.0
-    endpoint.terminal = runaway.terminal = True
-    runaway.direction = 1.0
-    sol = solve_ivp(lambda s, q: sign * metric.g(q), (0.0, s_limit), [q0],
-                    method="DOP853", rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
-                    dense_output=True, events=(stitch, endpoint, runaway))
-    if len(sol.t_events[1]) == 0:
-        raise StaticsError(
-            f"harmonic map integration stagnated toward {target}: "
-            f"endpoint gap {abs(sol.y[0, -1] - target):.3e} after "
-            f"|s| = {abs(sol.t[-1]):.1f}")
-    return (sol.sol, float(sol.t_events[1][0]), float(sol.t_events[0][0]),
-            float(sol.y_events[0][0][0]))
+def _hermite_coeffs(s, q, dq):
+    """Rows c0..c3 of the per-interval cubic Hermite interpolant of values
+    q and slopes dq at the knots s, in powers of s - s_i."""
+    h = np.diff(s)
+    secant = np.diff(q) / h
+    return np.array((q[:-1], dq[:-1],
+                     (3.0 * secant - 2.0 * dq[:-1] - dq[1:]) / h,
+                     (dq[:-1] + dq[1:] - 2.0 * secant) / h ** 2))
 
 
 @lru_cache(maxsize=64)
@@ -102,7 +91,7 @@ def build_harmonic_map(metric, ell, direction):
     and joining the adjacent root above it (direction=+1) or below (-1).
 
     Raises StaticsError when no adjacent root exists inside the metric's
-    search window, or when the ODE integration stagnates.
+    search window.
     """
     vset = find_vanishing_set(metric)
     root_l = vset.root_at(ell)
@@ -121,64 +110,49 @@ def build_harmonic_map(metric, ell, direction):
 
     k_lo = abs(float(metric.g_prime(lo)))
     k_hi = abs(float(metric.g_prime(hi)))
-    s_max = max(80.0, 80.0 / min(k_lo, k_hi, 1.0))
-
-    dense_hi, s_hi, st_hi, q_st_hi = _solve_branch(metric, sign, mid, hi,
-                                                   s_max)
-    dense_lo, s_lo, st_lo, q_st_lo = _solve_branch(metric, sign, mid, lo,
-                                                   -s_max)
-
-    # uniform s-samples over the integrated range, with an exact s=0 anchor
-    # so that profile(r=1) is the midpoint by construction
-    s_grid = np.linspace(s_lo, s_hi, N_SAMPLES)
-    s_neg = s_grid[s_grid < 0.0]
-    s_pos = s_grid[s_grid > 0.0]
-    s_all = np.concatenate([s_neg, [0.0], s_pos])
-    q_all = np.concatenate([dense_lo(s_neg)[0], [mid], dense_hi(s_pos)[0]])
+    s_hi, q_hi = _branch(metric, sign, mid, hi)
+    s_lo, q_lo = _branch(metric, sign, mid, lo)
+    s_all = np.concatenate((s_lo[:0:-1], s_hi))
+    q_all = np.concatenate((q_lo[:0:-1], q_hi))
     dq_all = sign * np.asarray(metric.g(q_all), dtype=float)
-    from scipy.interpolate import CubicHermiteSpline
-    profile = CubicHermiteSpline(s_all, q_all, dq_all)
 
-    c_lo = (q_st_lo - lo) * math.exp(-k_lo * st_lo)
-    c_hi = (q_st_hi - hi) * math.exp(k_hi * st_hi)
+    st_lo, st_hi = float(s_lo[-1]), float(s_hi[-1])
+    c_lo = (q_lo[-1] - lo) * math.exp(-k_lo * st_lo)
+    c_hi = (q_hi[-1] - hi) * math.exp(k_hi * st_hi)
     energy = 2.0 * abs(eval_G(metric, hi) - eval_G(metric, lo))
 
     return HarmonicMap(metric=metric, ell=lo, m=hi, sign=sign, energy=energy,
-                       profile=profile, s_lo=s_lo, s_hi=s_hi,
+                       knots=s_all,
+                       coeffs=_hermite_coeffs(s_all, q_all, dq_all),
                        stitch_lo=st_lo, stitch_hi=st_hi,
-                       c_lo=c_lo, c_hi=c_hi, k_lo=k_lo, k_hi=k_hi)
+                       c_lo=float(c_lo), c_hi=float(c_hi),
+                       k_lo=k_lo, k_hi=k_hi)
 
 
 def eval_Q(qmap, r):
     """Q(r) for scalar or array r >= 0, tails included.
 
-    Q(0) = ell and Q(inf) = m are honored exactly; in between the spline
-    covers log r in [s_lo, s_hi] and the power tails take over beyond the
-    stitch radii (|Q - endpoint| < 1e-6).
+    Between the stitch radii (|Q - endpoint| = 1e-6) the Hermite cubics
+    cover s = log r; beyond them the power tails take over, and at s = -inf
+    and +inf these give Q(0) = ell and Q(inf) = m exactly.
     """
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    out = np.empty_like(r)
-    zero = r == 0.0
-    inf = np.isinf(r)
-    pos = ~zero & ~inf
-    out[zero] = qmap.ell
-    out[inf] = qmap.m
-    if np.any(pos):
-        s = np.log(r[pos])
-        vals = np.empty_like(s)
-        lo_tail = s < qmap.stitch_lo
-        hi_tail = s > qmap.stitch_hi
-        mid = ~lo_tail & ~hi_tail
-        if np.any(mid):
-            vals[mid] = qmap.profile(s[mid])
-        if np.any(lo_tail):
-            vals[lo_tail] = qmap.ell + qmap.c_lo * np.exp(qmap.k_lo * s[lo_tail])
-        if np.any(hi_tail):
-            vals[hi_tail] = qmap.m + qmap.c_hi * np.exp(-qmap.k_hi * s[hi_tail])
-        out[pos] = vals
+    with np.errstate(divide="ignore"):
+        s = np.log(r)
+    lo_tail, hi_tail = s < qmap.stitch_lo, s > qmap.stitch_hi
+    sc = np.clip(s, qmap.stitch_lo, qmap.stitch_hi)
+    n = len(qmap.knots)
+    # interval index: interp's search beats searchsorted; a NaN clips to 0
+    i = np.clip(np.interp(sc, qmap.knots, np.arange(n)).astype(np.intp), 0,
+                n - 2)
+    t = sc - qmap.knots[i]
+    c0, c1, c2, c3 = qmap.coeffs
+    out = ((c3[i] * t + c2[i]) * t + c1[i]) * t + c0[i]
+    out[lo_tail] = qmap.ell + qmap.c_lo * np.exp(qmap.k_lo * s[lo_tail])
+    out[hi_tail] = qmap.m + qmap.c_hi * np.exp(-qmap.k_hi * s[hi_tail])
     return float(out[0]) if scalar else out
 
 
@@ -189,7 +163,7 @@ def rescale_Q(qmap, lam, grid):
     the bubble is then unresolved by the grid.
     """
     from .evolution import RadialField  # deferred: statics stays grid-free
-    if lam <= 0:
+    if not lam > 0:                             # NaN is no scale either
         raise ValueError("scale must be positive")
     if lam < 4.0 * grid.dr:
         warnings.warn(f"under-resolved bubble: scale {lam:.3e} < 4 dr "

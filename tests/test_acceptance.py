@@ -266,7 +266,7 @@ def test_c10_blowup_pipeline():
     from wavemap.evolution import Trajectory, BlowupRecord
     straj = Trajectory(frames, 0.002, "synthetic", 0.5, SPHERE,
                        BlowupRecord(1.0, 0.01, 0.96, "energy-concentration",
-                                    []), {})
+                                    []))
     sreg = extract_regular_part(straj)
     decay = sreg.interior_norms[-1] / sreg.interior_norms[0]
     ok = (detected and shrinking and on_root and settled and decay < 0.2)

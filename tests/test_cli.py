@@ -184,10 +184,15 @@ class TestScenarioValidation:
          "window needs two finite numbers"),
         ({"data": {"velocty": "0.5"}},
          "[data] velocty is read by no data family"),
+        ({"grid": {"n_points": "1024.7"}},
+         "[grid] n_points = '1024.7' is not an integer"),
+        ({"time": {"record_every": "16.9"}},
+         "[time] record_every = '16.9' is not an integer"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
-            "bump_support", "window_inf", "unread_key"])
+            "bump_support", "window_inf", "unread_key", "n_points_fraction",
+            "record_every_fraction"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)

@@ -36,7 +36,7 @@ def _static_traj(field, times, system=SPHERE, dt=0.5):
     frames = [RadialField(field.grid, field.psi, field.psi_dot,
                           field.ell0, field.ell_inf, t) for t in times]
     return Trajectory(snapshots=frames, dt=dt, scheme="synthetic", cfl=0.5,
-                      system=system, blowup=None, meta={})
+                      system=system, blowup=None)
 
 
 class TestEnergy:
@@ -292,7 +292,7 @@ def _burst_trajectory():
         frames.append(RadialField(grid, np.zeros_like(prof), c * prof,
                                   0.0, 0.0, float(t)))
     return Trajectory(snapshots=frames, dt=0.5, scheme="synthetic",
-                      cfl=0.5, system=ROOT0, blowup=None, meta={})
+                      cfl=0.5, system=ROOT0, blowup=None)
 
 
 class TestSelectTimes:
@@ -353,7 +353,7 @@ class TestSelectTimes:
                          for s in traj.snapshots]
         scaled = Trajectory(snapshots=scaled_frames, dt=traj.dt,
                             scheme=traj.scheme, cfl=traj.cfl,
-                            system=traj.system, blowup=None, meta={})
+                            system=traj.system, blowup=None)
         a = select_times(traj, count=5)
         b = select_times(scaled, count=5)
         assert a.times == b.times
@@ -523,8 +523,8 @@ class TestSNorm:
         frames2 = [RadialField(grid2, (1.0 + 0.25 * t) * prof,
                                np.zeros(n), 0.0, 0.0, 2.0 * t)
                    for t in times1]
-        t1 = Trajectory(frames1, 0.1, "synthetic", 0.5, ROOT0, None, {})
-        t2 = Trajectory(frames2, 0.2, "synthetic", 0.5, ROOT0, None, {})
+        t1 = Trajectory(frames1, 0.1, "synthetic", 0.5, ROOT0, None)
+        t2 = Trajectory(frames2, 0.2, "synthetic", 0.5, ROOT0, None)
         s1 = s_norm(t1, ROOT0)
         s2 = s_norm(t2, ROOT0)
         assert s1 == pytest.approx(s2, rel=1e-13)

@@ -105,7 +105,7 @@ def _surrogate_blowup_traj(values=None, bump_amp=0.3):
     blow = BlowupRecord(t_plus=1.0, concentration_radius=0.01,
                         last_valid_time=0.96, reason="energy-concentration",
                         radius_series=[])
-    return Trajectory(frames, 0.002, "synthetic", 0.5, SPHERE, blow, {})
+    return Trajectory(frames, 0.002, "synthetic", 0.5, SPHERE, blow)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,17 @@ class TestThresholds:
         d_all, e_all = compute_delta0(SPHERE)
         assert d_all == pytest.approx(d_ref, rel=1e-9)
         assert e_all == pytest.approx(e_ref, rel=1e-9)
+
+    @pytest.mark.parametrize("metric", [SPHERE, YANG_MILLS],
+                             ids=["sphere", "yang-mills"])
+    def test_delta0_is_exact(self, metric):
+        # the peak of |g| is 1 at g' = 0 for both; half of it is exact
+        assert compute_delta0(metric)[0] == 0.5
+
+    def test_sphere_eps0_closed_form(self):
+        # sin(2 arctan r) = 2r / (1 + r^2) = 1/4 at r = 4 - sqrt(15)
+        e0 = compute_delta0(SPHERE)[1]
+        assert abs(e0 - (4.0 - math.sqrt(15.0))) < 1e-12
 
     def test_single_root_has_no_pair(self):
         line = make_metric("line", "rho", "1", (-5.0, 5.0))

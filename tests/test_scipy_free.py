@@ -1,8 +1,8 @@
-"""The global path runs on numpy alone.
+"""The package runs on numpy alone.
 
-A run that neither builds a connector nor extracts bubbles (a bump evolved
-to a scattering state, the analyze ops, resolve on its store and the
-beta-hat ensemble) must not import scipy.  Each check runs in a fresh
+With scipy blocked from import, the selftest, the shipped demo (a global
+run with bubble extraction), analyze, resolve on its store and on its last
+frame, and the beta-hat ensemble all complete.  The check runs in a fresh
 interpreter, because this test session may have imported scipy already.
 """
 
@@ -12,75 +12,50 @@ import subprocess
 import sys
 import textwrap
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DEMO = ROOT / "configs" / "sphere-small-data.cfg"
 
-GLOBAL_PATH = textwrap.dedent("""
-    import sys
-
-    def assert_no_scipy(step):
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, f"{step} imported {loaded[:3]}"
+WITHOUT_SCIPY = textwrap.dedent("""
+    import contextlib, io, os, sys
+    sys.modules["scipy"] = None          # any scipy import now fails
 
     import wavemap.cli as cli
-    assert_no_scipy("import wavemap.cli")
-    cfg, out = sys.argv[1], sys.argv[2]
-    cli.load_scenario(cfg)
-    assert_no_scipy("load_scenario")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["selftest"]) == 0
+    print(buf.getvalue().splitlines()[-1])
+
+    cfg, out = sys.argv[1], "out/sphere-small-data"
     assert cli.main(["simulate", "--config", cfg]) == 0
-    assert_no_scipy("simulate")
     assert cli.main(["analyze", "--traj", out, "--ops",
                      "series,select-times,lightcone,linf,s-norm"]) == 0
-    assert_no_scipy("analyze")
     assert cli.main(["resolve", "--traj", out]) == 0
-    assert_no_scipy("resolve --traj")
+    last = sorted(n for n in os.listdir(out) if n.startswith("frame-"))[-1]
+    assert cli.main(["resolve", "--snapshot", os.path.join(out, last)]) == 0
 
     from wavemap.diagnostics import beta_hat_ensemble
     from wavemap.evolution import RadialGrid
     from wavemap.geometry import SPHERE, find_vanishing_set
     root = find_vanishing_set(SPHERE).root_at(0.0)
     beta_hat_ensemble(RadialGrid(20.0, 128), root, 2.0, n_data=3)
-    assert_no_scipy("beta_hat_ensemble")
-
-    from wavemap.statics import build_harmonic_map
-    assert abs(build_harmonic_map(SPHERE, 0.0, +1).energy - 4.0) < 1e-6
-    assert "scipy" in sys.modules, "a connector was built without scipy"
     print("ok")
 """)
 
-CONFIG = """\
-[metric]
-target = sphere
 
-[data]
-family = bump
-ell = 0
-amplitude = 0.08
-center = 10
-width = 4
-
-[grid]
-r_max = 100
-n_points = 512
-
-[time]
-t_final = 70
-record_every = 16
-
-[pipeline]
-stages = series, scattering
-
-[output]
-dir = run
-"""
-
-
-def test_global_path_imports_no_scipy(tmp_path):
-    (tmp_path / "s.cfg").write_text(CONFIG)
+def test_package_runs_with_scipy_blocked(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", GLOBAL_PATH, "s.cfg", "run"],
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(DEMO)],
                           cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "ok"
-    assert (tmp_path / "run" / "scattering.report").is_file()
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "9 passed, 0 failed"
+    assert lines[-1] == "ok"
+    out = tmp_path / "out" / "sphere-small-data"
+    for name in ("manifest.cfg", "series.csv", "bubbles.report",
+                 "scattering.report"):
+        assert (out / name).is_file(), name
+    frames = sorted(out.glob("frame-*.snap"))
+    assert (out / (frames[-1].name + ".bubbles")).is_file()

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from wavemap.geometry import SPHERE, YANG_MILLS, eval_G
-from wavemap.statics import (HarmonicMap, StaticsError, _solve_branch,
-                             build_harmonic_map, eval_Q, rescale_Q)
+from wavemap.statics import (HarmonicMap, StaticsError, build_harmonic_map,
+                             eval_Q, rescale_Q)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +64,21 @@ class TestSphereGroundState:
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_ode_residual_at_samples(self, ground_state):
+        # slope of the Hermite cubics between the knots against sign g(Q)
         q = ground_state
-        s = np.linspace(q.s_lo, q.s_hi, 4096)
-        r = np.exp(s)
-        qp = q.profile.derivative()(s)
-        residual = np.abs(qp - q.sign * np.sin(q.profile(s)))
+        s = np.linspace(q.stitch_lo, q.stitch_hi, 4096)
+        i = np.clip(np.searchsorted(q.knots, s, side="right") - 1, 0,
+                    len(q.knots) - 2)
+        t = s - q.knots[i]
+        _, c1, c2, c3 = q.coeffs
+        qp = (3.0 * c3[i] * t + 2.0 * c2[i]) * t + c1[i]
+        residual = np.abs(qp - q.sign * np.sin(eval_Q(q, np.exp(s))))
         assert np.max(residual) < 1e-8
+
+    def test_tail_constants(self, ground_state):
+        # 2 arctan r = 2r + O(r^3) at 0 and pi - 2/r + O(r^-3) at infinity
+        assert ground_state.c_lo == pytest.approx(2.0, rel=1e-9)
+        assert ground_state.c_hi == pytest.approx(-2.0, rel=1e-9)
 
     def test_monotone_profile(self, ground_state):
         r = np.logspace(-8, 8, 20001)
@@ -107,21 +116,13 @@ class TestYangMillsConnector:
             build_harmonic_map(YANG_MILLS, 1.0, +1)
 
 
-class TestSolverFailure:
-    # dQ/ds = -(1 - Q^2) toward the root 1, on the wrong branch.  From Q = 2
-    # the solution blows up and the runaway event stops it at |Q - 1| =
-    # 2*1 + 1; from the midpoint 0 it drifts to the other root -1, where
-    # the gap stalls at 2 until the s range is used up.
-    @pytest.mark.parametrize("q0, message", [
-        (2.0, r"stagnated toward 1\.0: endpoint gap 3\.000e\+00"),
-        (0.0, r"endpoint gap 2\.000e\+00 after \|s\| = 80\.0"),
-    ], ids=["runaway", "range-used-up"])
-    def test_wrong_branch_reports_endpoint_gap(self, q0, message):
-        with pytest.raises(StaticsError, match=message):
-            _solve_branch(YANG_MILLS, -1, q0, 1.0, 80.0)
-
-
 class TestRescale:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_non_positive_scale_refused(self, ground_state, lam):
+        from wavemap.evolution import RadialGrid
+        with pytest.raises(ValueError, match="scale must be positive"):
+            rescale_Q(ground_state, lam, RadialGrid(r_max=10.0, n_points=100))
+
     def test_under_resolved_warning(self, ground_state):
         from wavemap.evolution import RadialGrid
         grid = RadialGrid(r_max=10.0, n_points=100)  # dr = 0.1
