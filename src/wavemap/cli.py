@@ -8,10 +8,13 @@ Four subcommands cover the laboratory workflow:
     wavemap selftest [--filter <name>]
 
 Scenario configs are line-oriented "key = value" files under the
-sections [metric] [data] [grid] [time] [pipeline] [output].  All float
-text I/O uses 17 significant digits so values round trip losslessly,
-and identical configs produce byte-identical artifacts.  Several
-configs run one after another, each into its own output directory.
+sections [metric] [data] [grid] [time] [pipeline] [output].  A stored
+trajectory is a directory holding manifest.cfg, which names the metric,
+grid, end states and frame times, and frames.npy, the frames' psi and
+psi_dot as one float64 array.  Floats written as text use 17 significant
+digits and frames are stored as raw float64, so values round trip
+losslessly, and identical configs produce byte-identical artifacts.
+Several configs run one after another, each into its own output directory.
 Config errors, the refusals of the data builders included, are all caught
 by load_scenario, which builds each initial field, before any work is done.
 """
@@ -115,6 +118,7 @@ FAMILIES = {
 class Scenario:
     path: str
     metric: Metric
+    metric_keys: dict   # the [metric] keys read, copied into the manifest
     family: str
     params: dict        # the family's [data] values, parsed, defaults filled
     grid: RadialGrid
@@ -161,6 +165,31 @@ def _getint(cp, section, key, path, default=None):
     return int(value)
 
 
+def read_metric(cp, path):
+    """The metric of cp's [metric] section and the keys it was built from:
+    target, and for a custom target its id, g, g_prime and window."""
+    target = _require(cp, "metric", "target", path)
+    if target != "custom":
+        try:
+            return get_metric(target), {"target": target}
+        except GeometryError:
+            raise CliError(f"{path}: unknown metric target {target!r} "
+                           f"(sphere, yang-mills, custom)")
+    keys = {"target": target,
+            "window": _require(cp, "metric", "window", path)}
+    try:
+        lo, hi = map(_finite, keys["window"].split())
+    except ValueError:
+        raise CliError(f"{path}: [metric] window needs two finite numbers")
+    for key in ("id", "g", "g_prime"):
+        keys[key] = _require(cp, "metric", key, path)
+    try:
+        metric = make_metric(keys["id"], keys["g"], keys["g_prime"], (lo, hi))
+    except ExpressionError as e:
+        raise CliError(f"{path}: [metric] {e}")
+    return metric, keys
+
+
 def load_scenario(path, out_override=None):
     if not os.path.isfile(path):
         raise CliError(f"no such config: {path}")
@@ -176,26 +205,7 @@ def load_scenario(path, out_override=None):
         if not cp.has_section(section):
             raise CliError(f"{path}: missing [{section}] section")
 
-    target = _require(cp, "metric", "target", path)
-    if target == "custom":
-        try:
-            lo, hi = map(_finite,
-                         _require(cp, "metric", "window", path).split())
-        except ValueError:
-            raise CliError(f"{path}: [metric] window needs two finite numbers")
-        try:
-            metric = make_metric(_require(cp, "metric", "id", path),
-                                 _require(cp, "metric", "g", path),
-                                 _require(cp, "metric", "g_prime", path),
-                                 (lo, hi))
-        except ExpressionError as e:
-            raise CliError(f"{path}: [metric] {e}")
-    else:
-        try:
-            metric = get_metric(target)
-        except GeometryError:
-            raise CliError(f"{path}: unknown metric target {target!r} "
-                           f"(sphere, yang-mills, custom)")
+    metric, metric_keys = read_metric(cp, path)
 
     n_points = _getint(cp, "grid", "n_points", path)
     r_max = _getfloat(cp, "grid", "r_max", path)
@@ -240,7 +250,8 @@ def load_scenario(path, out_override=None):
                            f"(known: {', '.join(STAGES)})")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
-    scen = Scenario(path=path, metric=metric, family=family,
+    scen = Scenario(path=path, metric=metric, metric_keys=metric_keys,
+                    family=family,
                     params=_data_params(cp, path, family, grid, metric),
                     grid=grid, t_final=t_final, cfl=cfl,
                     record_every=record_every, boundary=boundary,
@@ -320,58 +331,97 @@ def build_data(scen):
 
 # the manifest's [blowup] times, in BlowupRecord's field order
 BLOWUP_TIMES = ("t_plus", "concentration_radius", "last_valid_time")
+FRAMES = "frames.npy"       # (frames, 2, n_points) float64: psi, psi_dot
 
-def save_trajectory(traj, out_dir, metric_id):
+
+def save_trajectory(traj, out_dir, metric_keys):
+    """Write manifest.cfg and frames.npy; the frames are streamed into the
+    .npy one at a time, with the bytes np.save gives their stack."""
     os.makedirs(out_dir, exist_ok=True)
+    first = traj.snapshots[0]
     sections = {"trajectory": {
-        "metric": metric_id,
         "scheme": traj.scheme,
         "dt": FMT % traj.dt,
         "cfl": FMT % traj.cfl,
         "frames": str(len(traj.snapshots)),
         "status": "truncated" if traj.blowup is not None else "completed",
-    }}
+        "r_max": FMT % first.grid.r_max,
+        "n_points": str(first.grid.n_points),
+        "ell0": FMT % first.ell0,
+        "ell_inf": FMT % first.ell_inf,
+        "times": " ".join(FMT % s.time for s in traj.snapshots),
+    }, "metric": metric_keys}
     if traj.blowup is not None:
         sections["blowup"] = {k: FMT % getattr(traj.blowup, k)
                               for k in BLOWUP_TIMES}
         sections["blowup"]["reason"] = traj.blowup.reason
+        sections["blowup"]["radius_series"] = " ".join(
+            f"{FMT % t} {FMT % rho}" for t, rho in traj.blowup.radius_series)
     _write_ini(os.path.join(out_dir, "manifest.cfg"), sections)
-    for i, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, os.path.join(out_dir, "frame-%06d.snap" % i),
-                       metric_id)
+    with open(os.path.join(out_dir, FRAMES), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+            "fortran_order": False,
+            "shape": (len(traj.snapshots), 2, first.grid.n_points)})
+        for snap in traj.snapshots:
+            snap.psi.tofile(fh)
+            snap.psi_dot.tofile(fh)
 
 
 def load_trajectory(traj_dir):
     manifest = os.path.join(traj_dir, "manifest.cfg")
+    frames_path = os.path.join(traj_dir, FRAMES)
     if not os.path.isdir(traj_dir):
         raise CliError(f"no such trajectory directory: {traj_dir}")
     if not os.path.isfile(manifest):
         raise CliError(f"{traj_dir}: no manifest.cfg; not a trajectory "
                        f"directory")
+    if not os.path.isfile(frames_path) and any(
+            n.startswith("frame-") and n.endswith(".snap")
+            for n in os.listdir(traj_dir)):
+        raise CliError(f"{traj_dir}: frame-*.snap store from an older "
+                       f"wavemap; re-simulate it to get {FRAMES}")
     cp = ConfigParser()
     try:
         cp.read(manifest)
-        metric_id = cp.get("trajectory", "metric")
         scheme = cp.get("trajectory", "scheme")
         dt = cp.getfloat("trajectory", "dt")
         cfl = cp.getfloat("trajectory", "cfl")
-        blow = BlowupRecord(
-            *(cp.getfloat("blowup", k) for k in BLOWUP_TIMES),
-            reason=cp.get("blowup", "reason"), radius_series=[]) \
-            if cp.has_section("blowup") else None
+        n_frames = cp.getint("trajectory", "frames")
+        grid = RadialGrid(cp.getfloat("trajectory", "r_max"),
+                          cp.getint("trajectory", "n_points"))
+        ell0 = cp.getfloat("trajectory", "ell0")
+        ell_inf = cp.getfloat("trajectory", "ell_inf")
+        times = [float(t) for t in cp.get("trajectory", "times").split()]
+        if len(times) != n_frames:
+            raise ValueError(f"[trajectory] times holds {len(times)} "
+                             f"values, frames = {n_frames}")
+        blow = None
+        if cp.has_section("blowup"):
+            pairs = [float(v) for v in
+                     cp.get("blowup", "radius_series").split()]
+            if len(pairs) % 2:
+                raise ValueError("[blowup] radius_series needs t rho pairs")
+            blow = BlowupRecord(
+                *(cp.getfloat("blowup", k) for k in BLOWUP_TIMES),
+                reason=cp.get("blowup", "reason"),
+                radius_series=list(zip(pairs[::2], pairs[1::2])))
     except (ConfigError, ValueError) as e:
         # configparser's messages span lines; the error is one
         raise CliError(f"{manifest}: malformed manifest: "
                        f"{' '.join(str(e).split())}")
+    metric, _ = read_metric(cp, manifest)
     try:
-        metric = get_metric(metric_id)
-    except GeometryError as e:
-        raise CliError(f"{traj_dir}: {e}; re-run from the original config")
-    names = sorted(n for n in os.listdir(traj_dir)
-                   if n.startswith("frame-") and n.endswith(".snap"))
-    if not names:
-        raise CliError(f"{traj_dir}: no frame files")
-    snaps = [read_snapshot(os.path.join(traj_dir, n))[0] for n in names]
+        frames = np.load(frames_path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise CliError(f"{frames_path}: unreadable: {e}")
+    shape = (n_frames, 2, grid.n_points)
+    if frames.dtype != np.dtype(float) or frames.shape != shape:
+        raise CliError(f"{frames_path}: holds {frames.dtype} {frames.shape}, "
+                       f"manifest.cfg says float64 {shape}")
+    # each field's psi and psi_dot are views into the one loaded array
+    snaps = [RadialField(grid, frame[0], frame[1], ell0, ell_inf, t)
+             for frame, t in zip(frames, times)]
     return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,
                       system=metric, blowup=blow)
 
@@ -492,7 +542,7 @@ def run_simulate_one(scen):
     traj = evolve(scen.data, scen.metric, scen.t_final,
                   record_every=scen.record_every, cfl=scen.cfl,
                   boundary=scen.boundary)
-    save_trajectory(traj, scen.out_dir, scen.metric.id)
+    save_trajectory(traj, scen.out_dir, scen.metric_keys)
     write_series(traj, os.path.join(scen.out_dir, "series.csv"))
     status = "truncated" if traj.blowup is not None else "completed"
     print(f"{scen.path}: status {status}, {len(traj.snapshots)} frames "

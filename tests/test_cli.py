@@ -51,6 +51,31 @@ def write_cfg(path, out_dir, **overrides):
     return str(path)
 
 
+def _manifest_edit(change):
+    def edit(traj):
+        manifest = traj / "manifest.cfg"
+        manifest.write_text(change(manifest.read_text()))
+    return edit
+
+
+def _frames_edit(change):
+    def edit(traj):
+        frames = traj / "frames.npy"
+        np.save(frames, change(np.load(frames)), allow_pickle=True)
+    return edit
+
+
+def _older_store(traj):
+    for i, snap in enumerate(load_trajectory(str(traj)).snapshots):
+        write_snapshot(snap, traj / ("frame-%06d.snap" % i), "sphere")
+    (traj / "frames.npy").unlink()
+
+
+def _truncate_frames(traj):
+    frames = traj / "frames.npy"
+    frames.write_bytes(frames.read_bytes()[:-8])
+
+
 SNAP_HEADER = ("# wavemap-snapshot v1\n# metric sphere\n"
                "# ell0 0 ell_inf 0\n# t 0\n")
 
@@ -330,8 +355,10 @@ class TestSimulate:
         frames = cp.getint("trajectory", "frames")
         assert cp.get("trajectory", "status") == "completed"
         assert len(lines) == 1 + frames
-        snaps = [n for n in os.listdir(out) if n.endswith(".snap")]
-        assert len(snaps) == frames
+        stored = np.load(out / "frames.npy", allow_pickle=False)
+        assert stored.dtype == np.float64
+        assert stored.shape == (frames, 2, 256)
+        assert not [n for n in os.listdir(out) if n.endswith(".snap")]
 
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
@@ -341,12 +368,15 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg]) == 0
             outs.append(out)
         a, b = outs
-        assert (a / "series.csv").read_bytes() == \
-            (b / "series.csv").read_bytes()
-        assert (a / "manifest.cfg").read_bytes() == \
-            (b / "manifest.cfg").read_bytes()
-        assert (a / "frame-000000.snap").read_bytes() == \
-            (b / "frame-000000.snap").read_bytes()
+        for name in ("series.csv", "manifest.cfg", "frames.npy"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # the streamed store is np.save of the stacked frames, byte for byte
+        scen = load_scenario(cfg)
+        ref = evolve(build_data(scen), scen.metric, scen.t_final,
+                     record_every=scen.record_every, cfl=scen.cfl)
+        buf = io.BytesIO()
+        np.save(buf, np.stack([(s.psi, s.psi_dot) for s in ref.snapshots]))
+        assert (a / "frames.npy").read_bytes() == buf.getvalue()
 
     def test_blowup_truncates_with_exit_zero(self, tmp_path, capsys):
         # steep bubble-plus-spike data concentrates; the run must stop,
@@ -384,6 +414,8 @@ class TestSimulate:
         assert back.blowup.t_plus == ref.blowup.t_plus
         assert back.blowup.reason == ref.blowup.reason == \
             "energy-concentration"
+        assert len(ref.blowup.radius_series) > 3
+        assert back.blowup.radius_series == ref.blowup.radius_series
 
     def test_batch_of_two_configs(self, tmp_path):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}")
@@ -444,6 +476,47 @@ class TestAnalyzeResolve:
                      "--ops", "series"]) == 0
         assert (run_dir / "series.csv").read_bytes() == before
 
+    def test_analyze_series_rewrites_on_inexact_grid(self, tmp_path, capsys):
+        # 1500 * (7 / 1500) != 7: the store keeps r_max, not the last node
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        data={"center": "3.5", "width": "1.5"},
+                        grid={"r_max": "7", "n_points": "1500"},
+                        time={"t_final": "5", "record_every": "32"})
+        assert 1500 * (7 / 1500) != 7
+        assert main(["simulate", "--config", cfg]) == 0
+        before = (out / "series.csv").read_bytes()
+        assert main(["analyze", "--traj", str(out), "--ops", "series"]) == 0
+        assert (out / "series.csv").read_bytes() == before
+        assert load_trajectory(str(out)).snapshots[0].grid == \
+            load_scenario(cfg).grid
+
+    def test_custom_metric_store_reads_back(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        metric={"target": "custom", "id": "wiggle",
+                                "g": "sin(rho) + 0.1*sin(rho)^3",
+                                "g_prime":
+                                    "cos(rho) + 0.3*sin(rho)^2*cos(rho)",
+                                "window": "-7 7"},
+                        data={"amplitude": "0.08", "center": "10",
+                              "width": "4"},
+                        grid={"r_max": "100", "n_points": "1024"},
+                        time={"t_final": "70", "record_every": "16"},
+                        pipeline={"stages": "series, scattering"})
+        assert main(["simulate", "--config", cfg]) == 0
+        series = (out / "series.csv").read_bytes()
+        report = (out / "scattering.report").read_bytes()
+        assert load_trajectory(str(out)).system.id == "wiggle"
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out), "--ops",
+                     ",".join(cli.OPS)]) == 0
+        assert "s_norm = " in capsys.readouterr().out
+        assert (out / "series.csv").read_bytes() == series
+        assert main(["resolve", "--traj", str(out)]) == 0
+        assert "t_star = " in capsys.readouterr().out
+        assert (out / "scattering.report").read_bytes() == report
+
     def test_analyze_refuses_before_any_op_runs(self, tmp_path, capsys):
         # select-times needs 10 frames; the series op listed before it
         # must neither print nor write series.csv
@@ -451,7 +524,9 @@ class TestAnalyzeResolve:
         cfg = write_cfg(tmp_path / "s.cfg", out,
                         time={"t_final": "2.0", "record_every": "16"})
         assert main(["simulate", "--config", cfg]) == 0
-        assert len(list(out.glob("frame-*.snap"))) < 10
+        cp = ConfigParser()
+        cp.read(out / "manifest.cfg")
+        assert cp.getint("trajectory", "frames") < 10
         (out / "series.csv").unlink()
         capsys.readouterr()
         assert main(["analyze", "--traj", str(out), "--ops",
@@ -467,25 +542,55 @@ class TestAnalyzeResolve:
                      "--ops", "series"]) == 1
         assert "no such trajectory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda text: text.split("\n", 1)[1], "no section headers"),
-        (lambda text: text.replace("[trajectory]", "[run]"),
-         "No section: 'trajectory'"),
-        (lambda text: re.sub(r"(?m)^dt = .*$", "dt = fast", text),
-         "could not convert string to float: 'fast'"),
-        (lambda text: re.sub(r"(?m)^cfl = .*$", "cfl = half", text),
-         "could not convert string to float: 'half'"),
-    ], ids=["no-header", "no-trajectory-section", "dt", "cfl"])
+    @pytest.mark.parametrize("edit, where, message", [
+        (_manifest_edit(lambda text: text.split("\n", 1)[1]),
+         "manifest.cfg",
+         "malformed manifest: File contains no section headers"),
+        (_manifest_edit(lambda text: text.replace("[trajectory]", "[run]")),
+         "manifest.cfg", "malformed manifest: No section: 'trajectory'"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^dt = .*$", "dt = fast",
+                                            text)),
+         "manifest.cfg",
+         "malformed manifest: could not convert string to float: 'fast'"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^cfl = .*$", "cfl = half",
+                                            text)),
+         "manifest.cfg",
+         "malformed manifest: could not convert string to float: 'half'"),
+        *((_manifest_edit(lambda text, key=key: re.sub(
+            rf"(?m)^{key} = .*\n", "", text)),
+           "manifest.cfg",
+           f"malformed manifest: No option '{key}' in section: 'trajectory'")
+          for key in ("r_max", "n_points", "ell0", "ell_inf", "times")),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^(times = .*) \S+$",
+                                            r"\1", text)),
+         "manifest.cfg", "malformed manifest: [trajectory] times holds"),
+        (_older_store, "", "frame-*.snap store from an older wavemap; "
+                           "re-simulate it"),
+        (_frames_edit(lambda a: a.astype(np.float32)), "frames.npy",
+         "holds float32"),
+        (_frames_edit(lambda a: a[:-1]), "frames.npy", "manifest.cfg says"),
+        (_frames_edit(lambda a: a[:, :, ::2]), "frames.npy",
+         "manifest.cfg says"),
+        (_truncate_frames, "frames.npy", "unreadable: "),
+        (_frames_edit(lambda a: a.astype(object)), "frames.npy",
+         "allow_pickle=False"),
+    ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
+            "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
+            "times-count", "older-store", "frames-dtype",
+            "frames-count", "frames-nodes", "frames-truncated",
+            "frames-object"])
     def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
-                                            edit, message):
+                                            edit, where, message):
         traj = tmp_path / "run"
         shutil.copytree(run_dir, traj)
-        manifest = traj / "manifest.cfg"
-        manifest.write_text(edit(manifest.read_text()))
+        edit(traj)
+        (traj / "series.csv").unlink()
         assert main(["analyze", "--traj", str(traj), "--ops", "series"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest}: malformed manifest: ")
-        assert err.count("\n") == 1 and message in err
+        # where = "" names the directory itself
+        assert err.startswith(f"error: {traj / where}: ")
+        assert err.count("\n") == 1 and message in err, err
+        assert not (traj / "series.csv").exists()
 
     def test_lightcone_fractions_match_series_off_zero(self, tmp_path,
                                                        capsys):
