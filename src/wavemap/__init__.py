@@ -4,10 +4,11 @@ Modules
 -------
 geometry    targets g, G, the vanishing set V, structural assumptions
 statics     harmonic-map connectors Q between consecutive roots
-evolution   nonlinear and linearized radial flows, snapshots, trajectories
+evolution   nonlinear and linearized radial flows, trajectories, frame I/O
 diagnostics energies, weighted norms, time selection, cone diagnostics
 resolution  bubble extraction, scattering states, regular parts at blow-up
-cli         scenario configs and the `wavemap` command line tool
+cli         scenario configs, trajectory stores (a single field is a
+            one-frame store) and the `wavemap` command line tool
 """
 
 __version__ = "0.1.0"

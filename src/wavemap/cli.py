@@ -4,16 +4,18 @@ Four subcommands cover the laboratory workflow:
 
     wavemap simulate --config <cfg> [...] [--out <dir>]
     wavemap analyze  --traj <dir> --ops <comma-list>
-    wavemap resolve  --snapshot <path> | --traj <dir>
+    wavemap resolve  --snapshot <dir> | --traj <dir>
     wavemap selftest [--filter <name>]
 
 Scenario configs are line-oriented "key = value" files under the
 sections [metric] [data] [grid] [time] [pipeline] [output].  A stored
 trajectory is a directory holding manifest.cfg, which names the metric,
 grid, end states and frame times, and frames.npy, the frames' psi and
-psi_dot as one float64 array.  Floats written as text use 17 significant
-digits and frames are stored as raw float64, so values round trip
-losslessly, and identical configs produce byte-identical artifacts.
+psi_dot as one float64 array.  A single field, such as a seed for
+`family = snapshot` or the residual the bubble stage leaves, is stored
+the same way, as a one-frame trajectory.  Floats written as text use 17
+significant digits and frames are stored as raw float64, so values round
+trip losslessly, and identical configs produce byte-identical artifacts.
 Several configs run one after another, each into its own output directory.
 Config errors, the refusals of the data builders included, are all caught
 by load_scenario, which builds each initial field, before any work is done.
@@ -81,13 +83,14 @@ def _superposition(grid, metric, p):
 
 
 def _snapshot(grid, metric, p):
-    field, metric_id = read_snapshot(p["path"])
-    if metric_id != metric.id:
+    """The last frame of the store at p["path"]."""
+    traj = load_trajectory(p["path"])
+    if traj.system.id != metric.id:
         raise GeometryError(f"snapshot {p['path']} was written for "
-                            f"metric {metric_id!r}, scenario uses "
+                            f"metric {traj.system.id!r}, scenario uses "
                             f"{metric.id!r}")
-    if field.grid.n_points != grid.n_points or \
-            abs(field.grid.r_max - grid.r_max) > 1e-9 * grid.r_max:
+    field = traj.snapshots[-1]
+    if field.grid != grid:
         raise EvolutionError(
             f"snapshot {p['path']} has {field.grid.n_points} nodes up "
             f"to r = {field.grid.r_max:g}, [grid] asks for "
@@ -118,7 +121,6 @@ FAMILIES = {
 class Scenario:
     path: str
     metric: Metric
-    metric_keys: dict   # the [metric] keys read, copied into the manifest
     family: str
     params: dict        # the family's [data] values, parsed, defaults filled
     grid: RadialGrid
@@ -141,7 +143,7 @@ def _finite(text):
     """float(text), raising ValueError for nan and inf too."""
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(text)
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
@@ -166,28 +168,24 @@ def _getint(cp, section, key, path, default=None):
 
 
 def read_metric(cp, path):
-    """The metric of cp's [metric] section and the keys it was built from:
-    target, and for a custom target its id, g, g_prime and window."""
+    """The metric of cp's [metric] section: target, and for a custom target
+    its id, g, g_prime and window."""
     target = _require(cp, "metric", "target", path)
     if target != "custom":
         try:
-            return get_metric(target), {"target": target}
+            return get_metric(target)
         except GeometryError:
             raise CliError(f"{path}: unknown metric target {target!r} "
                            f"(sphere, yang-mills, custom)")
-    keys = {"target": target,
-            "window": _require(cp, "metric", "window", path)}
     try:
-        lo, hi = map(_finite, keys["window"].split())
+        lo, hi = map(_finite, _require(cp, "metric", "window", path).split())
     except ValueError:
         raise CliError(f"{path}: [metric] window needs two finite numbers")
-    for key in ("id", "g", "g_prime"):
-        keys[key] = _require(cp, "metric", key, path)
     try:
-        metric = make_metric(keys["id"], keys["g"], keys["g_prime"], (lo, hi))
+        return make_metric(*(_require(cp, "metric", key, path)
+                             for key in ("id", "g", "g_prime")), (lo, hi))
     except ExpressionError as e:
         raise CliError(f"{path}: [metric] {e}")
-    return metric, keys
 
 
 def load_scenario(path, out_override=None):
@@ -205,7 +203,7 @@ def load_scenario(path, out_override=None):
         if not cp.has_section(section):
             raise CliError(f"{path}: missing [{section}] section")
 
-    metric, metric_keys = read_metric(cp, path)
+    metric = read_metric(cp, path)
 
     n_points = _getint(cp, "grid", "n_points", path)
     r_max = _getfloat(cp, "grid", "r_max", path)
@@ -250,25 +248,23 @@ def load_scenario(path, out_override=None):
                            f"(known: {', '.join(STAGES)})")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
-    scen = Scenario(path=path, metric=metric, metric_keys=metric_keys,
-                    family=family,
+    scen = Scenario(path=path, metric=metric, family=family,
                     params=_data_params(cp, path, family, grid, metric),
                     grid=grid, t_final=t_final, cfl=cfl,
                     record_every=record_every, boundary=boundary,
                     stages=stages, out_dir=out_dir)
     try:
         scen.data = build_data(scen)
-    except (GeometryError, EvolutionError) as e:
+    except (GeometryError, EvolutionError, CliError) as e:
         raise CliError(f"{path}: [data] {e}")
     return scen
 
 
 def _data_value(path, key, text):
-    """A [data] value parsed as its key's kind: an existing snapshot path,
-    direction:scale steps, an integer direction or a finite number."""
+    """A [data] value parsed as its key's kind: a store path, read when the
+    data is built, direction:scale steps, an integer direction or a finite
+    number."""
     if key == "path":
-        if not os.path.isfile(text):
-            raise CliError(f"{path}: no such snapshot: {text}")
         return text
     if key == "steps":
         steps = []
@@ -334,10 +330,13 @@ BLOWUP_TIMES = ("t_plus", "concentration_radius", "last_valid_time")
 FRAMES = "frames.npy"       # (frames, 2, n_points) float64: psi, psi_dot
 
 
-def save_trajectory(traj, out_dir, metric_keys):
-    """Write manifest.cfg and frames.npy; the frames are streamed into the
-    .npy one at a time, with the bytes np.save gives their stack."""
-    os.makedirs(out_dir, exist_ok=True)
+def save_trajectory(traj, out_dir):
+    """Write manifest.cfg, with the [metric] keys of traj.system, and the
+    frames to frames.npy."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"{out_dir}: not a store directory: {e.strerror}")
     first = traj.snapshots[0]
     sections = {"trajectory": {
         "scheme": traj.scheme,
@@ -350,7 +349,7 @@ def save_trajectory(traj, out_dir, metric_keys):
         "ell0": FMT % first.ell0,
         "ell_inf": FMT % first.ell_inf,
         "times": " ".join(FMT % s.time for s in traj.snapshots),
-    }, "metric": metric_keys}
+    }, "metric": dict(traj.system.keys)}
     if traj.blowup is not None:
         sections["blowup"] = {k: FMT % getattr(traj.blowup, k)
                               for k in BLOWUP_TIMES}
@@ -358,14 +357,7 @@ def save_trajectory(traj, out_dir, metric_keys):
         sections["blowup"]["radius_series"] = " ".join(
             f"{FMT % t} {FMT % rho}" for t, rho in traj.blowup.radius_series)
     _write_ini(os.path.join(out_dir, "manifest.cfg"), sections)
-    with open(os.path.join(out_dir, FRAMES), "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-            "fortran_order": False,
-            "shape": (len(traj.snapshots), 2, first.grid.n_points)})
-        for snap in traj.snapshots:
-            snap.psi.tofile(fh)
-            snap.psi_dot.tofile(fh)
+    write_snapshot(traj.snapshots, os.path.join(out_dir, FRAMES))
 
 
 def load_trajectory(traj_dir):
@@ -384,15 +376,14 @@ def load_trajectory(traj_dir):
     cp = ConfigParser()
     try:
         cp.read(manifest)
+        number = lambda key: _finite(cp.get("trajectory", key))
         scheme = cp.get("trajectory", "scheme")
-        dt = cp.getfloat("trajectory", "dt")
-        cfl = cp.getfloat("trajectory", "cfl")
+        dt, cfl = number("dt"), number("cfl")
         n_frames = cp.getint("trajectory", "frames")
-        grid = RadialGrid(cp.getfloat("trajectory", "r_max"),
+        grid = RadialGrid(number("r_max"),
                           cp.getint("trajectory", "n_points"))
-        ell0 = cp.getfloat("trajectory", "ell0")
-        ell_inf = cp.getfloat("trajectory", "ell_inf")
-        times = [float(t) for t in cp.get("trajectory", "times").split()]
+        ell0, ell_inf = number("ell0"), number("ell_inf")
+        times = [_finite(t) for t in cp.get("trajectory", "times").split()]
         if len(times) != n_frames:
             raise ValueError(f"[trajectory] times holds {len(times)} "
                              f"values, frames = {n_frames}")
@@ -410,18 +401,8 @@ def load_trajectory(traj_dir):
         # configparser's messages span lines; the error is one
         raise CliError(f"{manifest}: malformed manifest: "
                        f"{' '.join(str(e).split())}")
-    metric, _ = read_metric(cp, manifest)
-    try:
-        frames = np.load(frames_path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as e:
-        raise CliError(f"{frames_path}: unreadable: {e}")
-    shape = (n_frames, 2, grid.n_points)
-    if frames.dtype != np.dtype(float) or frames.shape != shape:
-        raise CliError(f"{frames_path}: holds {frames.dtype} {frames.shape}, "
-                       f"manifest.cfg says float64 {shape}")
-    # each field's psi and psi_dot are views into the one loaded array
-    snaps = [RadialField(grid, frame[0], frame[1], ell0, ell_inf, t)
-             for frame, t in zip(frames, times)]
+    metric = read_metric(cp, manifest)
+    snaps = read_snapshot(frames_path, grid, ell0, ell_inf, times)
     return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,
                       system=metric, blowup=blow)
 
@@ -432,6 +413,8 @@ def load_trajectory(traj_dir):
 def _bubbles(traj, report):
     rep = extract_bubbles(traj.snapshots[-1], traj.system)
     write_bubble_report(rep, report)
+    save_trajectory(Trajectory([rep.residual], 0.0, "one-frame", 0.0,
+                               traj.system), report + ".residual")
     pyth = pythagorean_report(rep)
     return (f"bubbles J = {rep.J}, scales = "
             f"{[float(FMT % s) for s in rep.scales]}",
@@ -542,7 +525,7 @@ def run_simulate_one(scen):
     traj = evolve(scen.data, scen.metric, scen.t_final,
                   record_every=scen.record_every, cfl=scen.cfl,
                   boundary=scen.boundary)
-    save_trajectory(traj, scen.out_dir, scen.metric_keys)
+    save_trajectory(traj, scen.out_dir)
     write_series(traj, os.path.join(scen.out_dir, "series.csv"))
     status = "truncated" if traj.blowup is not None else "completed"
     print(f"{scen.path}: status {status}, {len(traj.snapshots)} frames "
@@ -587,6 +570,10 @@ def run_simulate(args):
 
 
 def run_analyze(args):
+    for flag, value in (("--A", args.A), ("--cone-lambda", args.cone_lambda)):
+        if not 0 < value < math.inf:
+            raise CliError(f"{flag} = {value!r} must be a positive finite "
+                           f"number")
     traj = load_trajectory(args.traj)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     for op in ops:
@@ -606,27 +593,17 @@ def run_analyze(args):
 def run_resolve(args):
     if bool(args.snapshot) == bool(args.traj):
         raise CliError("resolve needs exactly one of --snapshot or --traj")
-    if args.traj:
-        traj = load_trajectory(args.traj)
-        report = lambda name: os.path.join(args.traj, name + ".report")
-    else:
-        if not os.path.isfile(args.snapshot):
-            raise CliError(f"no such snapshot: {args.snapshot}")
-        field, metric_id = read_snapshot(args.snapshot)
-        try:
-            metric = get_metric(metric_id)
-        except GeometryError as e:
-            raise CliError(f"{args.snapshot}: {e}")
-        traj = Trajectory([field], 0.0, "one-frame", 0.0, metric)
-        report = lambda name: f"{args.snapshot}.{name}"
+    store = args.snapshot or args.traj
+    traj = load_trajectory(store)
     # a trajectory resolves through the stage that runs in its case only:
     # the scattering state of a global run, the regular part left at a
-    # blow-up; a snapshot, taken as a one-frame trajectory, through the
-    # stage that runs in either case: bubble extraction
+    # blow-up; a snapshot, the store's last frame, through the stage that
+    # runs in either case and reads the last frame: bubble extraction
     for name, stage in STAGES.items():
         if stage.run and stage.runs_on(traj) and bool(args.snapshot) == \
                 (stage.after_blowup and stage.without_blowup):
-            for line in stage.run(traj, report(name))[1]:
+            report = os.path.join(store, name + ".report")
+            for line in stage.run(traj, report)[1]:
                 print(line)
     return 0
 
@@ -716,14 +693,15 @@ def _check_snapshot_roundtrip():
     f = RadialField(grid, gen.standard_normal(257),
                     gen.standard_normal(257), 0.25, -1.75, 3.0625)
     with tempfile.TemporaryDirectory() as d:
-        p1 = os.path.join(d, "a.snap")
-        p2 = os.path.join(d, "b.snap")
-        write_snapshot(f, p1, "sphere")
-        g, _ = read_snapshot(p1)
-        write_snapshot(g, p2, "sphere")
-        with open(p1, "rb") as fh1, open(p2, "rb") as fh2:
-            assert fh1.read() == fh2.read(), "bytes differ"
-    return "write -> read -> write byte-identical"
+        p1 = os.path.join(d, "a")
+        p2 = os.path.join(d, "b")
+        save_trajectory(Trajectory([f], 0.0, "one-frame", 0.0, SPHERE), p1)
+        save_trajectory(load_trajectory(p1), p2)
+        for name in ("manifest.cfg", FRAMES):
+            with open(os.path.join(p1, name), "rb") as fh1, \
+                    open(os.path.join(p2, name), "rb") as fh2:
+                assert fh1.read() == fh2.read(), f"{name} bytes differ"
+    return "save -> load -> save byte-identical"
 
 def _check_series_determinism():
     root = find_vanishing_set(SPHERE).root_at(0.0)
@@ -799,7 +777,7 @@ def build_parser():
 
     res = sub.add_parser("resolve", help="bubble / scattering / regular "
                                          "pipelines")
-    res.add_argument("--snapshot", help="snapshot file to decompose")
+    res.add_argument("--snapshot", help="store whose last frame to decompose")
     res.add_argument("--traj", help="trajectory directory to resolve")
     res.set_defaults(run=run_resolve)
 

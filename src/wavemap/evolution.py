@@ -26,17 +26,11 @@ smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
 that radius shrinks to a few grid spacings (or the state goes NaN), the
 trajectory is truncated and a blow-up record is attached.
 
-Snapshot file format (text, 17 significant digits):
-
-    # wavemap-snapshot v1
-    # metric <id>
-    # ell0 <value> ell_inf <value>
-    # t <time>
-    <r> <psi> <psi_dot>     one row per node
+Frames are stored by `write_snapshot` and read by `read_snapshot` as one
+standard .npy file of float64 (frames, 2, n_points), rows psi and psi_dot.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -47,7 +41,6 @@ from .geometry import GeometryError, Metric, Root, eval_G, find_vanishing_set
 
 CFL_DEFAULT = 0.5
 BOUNDARIES = ("fixed", "absorbing")
-FMT = "%.17g"
 BLOWUP_FLOOR_NODES = 24   # above the 10-20 cells where focusing bounces
 
 
@@ -64,8 +57,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_points < 4:
             raise EvolutionError("grid needs at least 4 nodes")
-        if self.r_max <= 0:
-            raise EvolutionError("r_max must be positive")
+        if not 0 < self.r_max < math.inf:
+            raise EvolutionError("r_max must be positive and finite")
 
     @property
     def dr(self):
@@ -462,47 +455,38 @@ def _make_blowup_record(frame, metric, radius_series):
 
 
 # ---------------------------------------------------------------------------
-# snapshot I/O
+# frame I/O
 
-def write_snapshot(field, path, metric_id):
-    with open(path, "w") as fh:
-        fh.write("# wavemap-snapshot v1\n")
-        fh.write(f"# metric {metric_id}\n")
-        fh.write(f"# ell0 {FMT % field.ell0} ell_inf {FMT % field.ell_inf}\n")
-        fh.write(f"# t {FMT % field.time}\n")
-        for r, p, pd in zip(field.grid.r, field.psi, field.psi_dot):
-            fh.write(f"{FMT % r} {FMT % p} {FMT % pd}\n")
+def write_snapshot(fields, path):
+    """Write fields on one grid to path as float64 (frames, 2, n_points).
 
-
-def read_snapshot(path):
-    """Returns (RadialField, metric_id).
-
-    Raises EvolutionError unless the file holds the four header lines and
-    then rows of three numbers (r psi psi_dot) on at least 4 uniform nodes.
+    The fields are streamed one at a time, never stacked, and the bytes
+    are those np.save gives their stack.
     """
-    with open(path, errors="replace") as fh:
-        header = fh.readline().strip()
-        if header != "# wavemap-snapshot v1":
-            raise EvolutionError(f"{path}: not a wavemap snapshot (v1)")
-        head = [fh.readline().split() for _ in range(3)]
-        try:
-            metric_id = head[0][2]
-            ell0, ell_inf = float(head[1][2]), float(head[1][4])
-            t = float(head[2][2])
-        except (IndexError, ValueError):
-            raise EvolutionError(f"{path}: truncated or malformed header")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # an empty body: refused below
-            try:
-                rows = np.loadtxt(fh, ndmin=2)
-            except ValueError as e:
-                raise EvolutionError(f"{path}: {e}")
-    if rows.shape[1] != 3 or len(rows) < 4:
-        raise EvolutionError(f"{path}: expected rows of three numbers "
-                             f"(r psi psi_dot) on at least 4 nodes")
-    r, psi, psi_dot = rows[:, 0], rows[:, 1], rows[:, 2]
-    dr = r[0]
-    if np.max(np.abs(np.diff(r) - dr)) > 1e-9 * dr:
-        raise EvolutionError(f"{path}: nodes are not uniform")
-    grid = RadialGrid(r_max=float(r[-1]), n_points=len(r))
-    return RadialField(grid, psi, psi_dot, ell0, ell_inf, t), metric_id
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+            "fortran_order": False,
+            "shape": (len(fields), 2, fields[0].grid.n_points)})
+        for field in fields:
+            field.psi.tofile(fh)
+            field.psi_dot.tofile(fh)
+
+
+def read_snapshot(path, grid, ell0, ell_inf, times):
+    """The fields write_snapshot stored at path, one per time in `times`;
+    their psi and psi_dot are views into the one loaded array.
+
+    Raises EvolutionError unless path holds float64 frames of the shape
+    the times and grid give.
+    """
+    try:
+        frames = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise EvolutionError(f"{path}: unreadable: {e}")
+    shape = (len(times), 2, grid.n_points)
+    if frames.dtype != np.dtype(float) or frames.shape != shape:
+        raise EvolutionError(f"{path}: holds {frames.dtype} {frames.shape}, "
+                             f"manifest.cfg says float64 {shape}")
+    return [RadialField(grid, frame[0], frame[1], ell0, ell_inf, t)
+            for frame, t in zip(frames, times)]

@@ -50,12 +50,14 @@ class Metric:
     """The factor g of a surface of revolution, with derivative and window.
 
     `search_window` bounds where roots of g are looked for; fields of maps
-    into this target are expected to take values inside it.
+    into this target are expected to take values inside it.  `keys` are
+    the config's [metric] (key, value) pairs the metric is built from.
     """
     id: str
     g: Callable
     g_prime: Callable
     search_window: tuple
+    keys: tuple = ()
 
     def f(self, psi):
         """Nonlinearity of the wave-map flow: f = g * g'."""
@@ -146,8 +148,10 @@ def _ym_g_prime(rho):
     return -2.0 * np.asarray(rho) if np.ndim(rho) else -2.0 * rho
 
 
-SPHERE = Metric("sphere", np.sin, _sphere_g_prime, (-4 * math.pi, 4 * math.pi))
-YANG_MILLS = Metric("yang-mills", _ym_g, _ym_g_prime, (-3.0, 3.0))
+SPHERE = Metric("sphere", np.sin, _sphere_g_prime,
+                (-4 * math.pi, 4 * math.pi), (("target", "sphere"),))
+YANG_MILLS = Metric("yang-mills", _ym_g, _ym_g_prime, (-3.0, 3.0),
+                    (("target", "yang-mills"),))
 
 _BUILTIN = {m.id: m for m in (SPHERE, YANG_MILLS)}
 
@@ -165,7 +169,8 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
     """Build a custom metric from expression strings in `rho`.
 
     The claimed derivative is validated against a centered finite
-    difference of g at a handful of probe points.
+    difference of g at a handful of probe points.  The metric's keys are
+    the [metric] section that rebuilds it, the window at 17 digits.
     """
     g = parse_expression(g_expr)
     gp = parse_expression(g_prime_expr)
@@ -183,7 +188,9 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
             "g_prime expression disagrees with finite difference of g "
             f"(at rho={probes[k]:.6g}: claimed {claimed[k]:.6g}, "
             f"measured {fd[k]:.6g})")
-    return Metric(metric_id, g, gp, (lo, hi))
+    return Metric(metric_id, g, gp, (lo, hi), (
+        ("target", "custom"), ("id", metric_id), ("g", g_expr),
+        ("g_prime", g_prime_expr), ("window", "%.17g %.17g" % (lo, hi))))
 
 
 def _gauss_legendre(metric, lo, hi):

@@ -21,7 +21,6 @@ different fields can be computed in parallel with no shared state.
 """
 
 import math
-import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -30,8 +29,8 @@ import numpy as np
 
 from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
-from .evolution import (RadialField, evolve, min_bubble_energy,
-                        write_snapshot, _Flow, _check_cfl, _leapfrog)
+from .evolution import (RadialField, evolve, min_bubble_energy, _Flow,
+                        _check_cfl, _leapfrog)
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
                           select_times, support_radius)
 
@@ -581,8 +580,8 @@ def pythagorean_report(report, state=None):
 
 
 def write_bubble_report(report, path):
-    """Key-value tree of a BubbleReport; the residual goes to a sibling
-    snapshot file `<path>.residual`."""
+    """Key-value tree of a BubbleReport: thresholds, bubbles and ledger.
+    The residual field is the caller's to store."""
     cp = ConfigParser()
     cp["report"] = {
         "J": str(report.J),
@@ -612,5 +611,3 @@ def write_bubble_report(report, path):
     }
     with open(path, "w") as fh:
         cp.write(fh)
-    write_snapshot(report.residual, os.fspath(path) + ".residual",
-                   report.metric.id)

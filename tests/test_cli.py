@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavemap.geometry import SPHERE
-from wavemap.evolution import (RadialGrid, evolve, write_snapshot,
-                               read_snapshot)
-from wavemap.data import make_chain
+from wavemap.evolution import RadialGrid, Trajectory, evolve
+from wavemap.data import make_bump, make_chain
 from wavemap.diagnostics import SERIES_COLUMNS
+from wavemap.resolution import extract_bubbles
 from wavemap import cli
 from wavemap.cli import (main, load_scenario, build_data, load_trajectory,
-                         CliError)
+                         save_trajectory, CliError)
 
 
 def write_cfg(path, out_dir, **overrides):
@@ -51,6 +51,14 @@ def write_cfg(path, out_dir, **overrides):
     return str(path)
 
 
+def write_store(field, path, metric=SPHERE):
+    """Store one field the way wavemap keeps single fields: as a one-frame
+    trajectory."""
+    save_trajectory(Trajectory([field], 0.0, "one-frame", 0.0, metric),
+                    str(path))
+    return path
+
+
 def _manifest_edit(change):
     def edit(traj):
         manifest = traj / "manifest.cfg"
@@ -66,18 +74,14 @@ def _frames_edit(change):
 
 
 def _older_store(traj):
-    for i, snap in enumerate(load_trajectory(str(traj)).snapshots):
-        write_snapshot(snap, traj / ("frame-%06d.snap" % i), "sphere")
+    # an older store is recognized by its file names alone
+    (traj / "frame-000000.snap").touch()
     (traj / "frames.npy").unlink()
 
 
 def _truncate_frames(traj):
     frames = traj / "frames.npy"
     frames.write_bytes(frames.read_bytes()[:-8])
-
-
-SNAP_HEADER = ("# wavemap-snapshot v1\n# metric sphere\n"
-               "# ell0 0 ell_inf 0\n# t 0\n")
 
 
 class TestScenarioValidation:
@@ -250,8 +254,7 @@ class TestScenarioValidation:
         # which only building its data finds: the first config must not run
         field, _, _ = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0,
                                  [(1, 2.0)])
-        snap = tmp_path / "seed.snap"
-        write_snapshot(field, snap, "sphere")
+        snap = write_store(field, tmp_path / "seed")
         first = write_cfg(tmp_path / "a.cfg", tmp_path / "outa")
         second = write_cfg(tmp_path / "b.cfg", tmp_path / "outb",
                            metric={"target": "yang-mills"},
@@ -267,8 +270,7 @@ class TestScenarioValidation:
 
     def test_snapshot_on_another_grid_refused(self, tmp_path, capsys):
         field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])[0]
-        snap = tmp_path / "seed.snap"
-        write_snapshot(field, snap, "sphere")
+        snap = write_store(field, tmp_path / "seed")
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         data={"family": "snapshot", "path": str(snap)},
                         grid={"r_max": "100", "n_points": "1024"})
@@ -280,32 +282,59 @@ class TestScenarioValidation:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ("r psi psi_dot\n1 0 0\n", "not a wavemap snapshot"),
-        ("\xff\xfe binary\n", "not a wavemap snapshot"),
-        ("# wavemap-snapshot v1\n# metric sphere\n",
-         "truncated or malformed header"),
-        (SNAP_HEADER, "rows of three numbers"),
-        (SNAP_HEADER + "".join(f"{i} 0\n" for i in range(1, 9)),
-         "rows of three numbers"),
-        (SNAP_HEADER + "1 0 0\n2 x 0\n", "could not convert"),
+    @pytest.mark.parametrize("edit, where, message", [
+        (_manifest_edit(lambda text: text.split("\n", 1)[1]),
+         "manifest.cfg",
+         "malformed manifest: File contains no section headers"),
+        (lambda store: (store / "manifest.cfg").write_bytes(
+            b"\xff\xfe binary\n"), "manifest.cfg", "malformed manifest: "),
+        (_truncate_frames, "frames.npy", "unreadable: "),
+        (lambda store: (store / "frames.npy").unlink(), "frames.npy",
+         "unreadable: "),
+        (_frames_edit(lambda a: a[:, :1]), "frames.npy",
+         "manifest.cfg says float64 (1, 2, 256)"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^ell0 = .*$", "ell0 = x",
+                                            text)),
+         "manifest.cfg",
+         "malformed manifest: could not convert string to float: 'x'"),
     ], ids=["header", "binary", "truncated", "no-rows", "two-columns",
             "not-a-number"])
-    def test_malformed_snapshot_is_one_line(self, tmp_path, capsys, text,
-                                            message):
-        snap = tmp_path / "bad.snap"
-        snap.write_bytes(text.encode("latin-1"))    # one byte per character
+    def test_malformed_snapshot_is_one_line(self, tmp_path, capsys, edit,
+                                            where, message):
+        # a store defect is refused in one line by both readers of a
+        # single field: resolve --snapshot and family = snapshot
+        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])[0]
+        snap = write_store(field, tmp_path / "seed")
+        edit(snap)
         assert main(["resolve", "--snapshot", str(snap)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {snap}: ") and err.count("\n") == 1
-        assert message in err
+        assert err.startswith(f"error: {snap / where}: ")
+        assert err.count("\n") == 1 and message in err, err
+        assert not (snap / "bubbles.report").exists()
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         data={"family": "snapshot", "path": str(snap)})
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: [data] {snap}: ")
-        assert err.count("\n") == 1 and message in err
+        assert err.startswith(f"error: {cfg}: [data] {snap / where}: ")
+        assert err.count("\n") == 1 and message in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_inexact_grid_seed_keeps_its_grid(self, tmp_path):
+        # 1500 * (7 / 1500) != 7: the seed's grid is the one [grid] names
+        grid = RadialGrid(7.0, 1500)
+        snap = write_store(make_bump(grid, SPHERE, 0.0, amplitude=0.1,
+                                     center=3.5, width=1.5),
+                           tmp_path / "seed")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        data={"family": "snapshot", "path": str(snap)},
+                        grid={"r_max": "7", "n_points": "1500"},
+                        time={"t_final": "0.1", "record_every": "64"})
+        assert main(["simulate", "--config", cfg]) == 0
+        cp = ConfigParser()
+        cp.read(out / "manifest.cfg")
+        assert cp.get("trajectory", "r_max") == "7"
+        assert load_trajectory(str(out)).snapshots[0].grid == grid
 
 
 # every value of the write_cfg base but the output directory, and tokens
@@ -423,6 +452,20 @@ class TestSimulate:
         assert main(["simulate", "--config", *cfgs]) == 0
         assert (tmp_path / "outx" / "series.csv").exists()
         assert (tmp_path / "outy" / "series.csv").exists()
+
+    def test_store_path_that_is_a_file_refused(self, tmp_path, capsys):
+        # an older wavemap wrote the bubble residual as a file; a store
+        # cannot take its place
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "bubbles.report.residual").write_text("")
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        pipeline={"stages": "series, bubbles"})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'bubbles.report.residual'}: "
+                              f"not a store directory: ")
+        assert err.count("\n") == 1
 
     def test_shared_output_refused(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / "same")
@@ -564,6 +607,15 @@ class TestAnalyzeResolve:
         (_manifest_edit(lambda text: re.sub(r"(?m)^(times = .*) \S+$",
                                             r"\1", text)),
          "manifest.cfg", "malformed manifest: [trajectory] times holds"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^r_max = .*$",
+                                            "r_max = nan", text)),
+         "manifest.cfg", "malformed manifest: 'nan' is not a finite number"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^ell0 = .*$", "ell0 = nan",
+                                            text)),
+         "manifest.cfg", "malformed manifest: 'nan' is not a finite number"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^(times = \S+) \S+",
+                                            r"\1 inf", text)),
+         "manifest.cfg", "malformed manifest: 'inf' is not a finite number"),
         (_older_store, "", "frame-*.snap store from an older wavemap; "
                            "re-simulate it"),
         (_frames_edit(lambda a: a.astype(np.float32)), "frames.npy",
@@ -576,7 +628,8 @@ class TestAnalyzeResolve:
          "allow_pickle=False"),
     ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
             "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
-            "times-count", "older-store", "frames-dtype",
+            "times-count", "r_max-nan", "ell0-nan", "times-inf",
+            "older-store", "frames-dtype",
             "frames-count", "frames-nodes", "frames-truncated",
             "frames-object"])
     def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
@@ -619,22 +672,90 @@ class TestAnalyzeResolve:
         grid = RadialGrid(2.0, 2 ** 17)
         field, _, _ = make_chain(grid, SPHERE, 0.0,
                                  [(-1, 1e-1), (-1, 1e-4)])
-        snap = tmp_path / "chain.snap"
-        write_snapshot(field, snap, "sphere")
+        snap = write_store(field, tmp_path / "chain")
         assert main(["resolve", "--snapshot", str(snap)]) == 0
         text = capsys.readouterr().out
         assert "J = 2" in text
         assert "within_bound = True" in text
         cp = ConfigParser()
-        cp.read(str(snap) + ".bubbles")
+        cp.read(snap / "bubbles.report")
         assert cp.getint("report", "J") == 2
         assert cp.getfloat("bubble 1", "scale") == \
             pytest.approx(1e-1, rel=5e-3)
         assert cp.getfloat("bubble 2", "scale") == \
             pytest.approx(1e-4, rel=1e-3)
-        res, metric_id = read_snapshot(str(snap) + ".bubbles.residual")
-        assert metric_id == "sphere"
+        residual = load_trajectory(str(snap / "bubbles.report.residual"))
+        assert residual.system is SPHERE
+        res, = residual.snapshots
         assert float(np.max(np.abs(res.psi - res.ell_inf))) < 0.1
+
+    def test_custom_metric_residual_resolves(self, tmp_path, capsys):
+        # the bubble stage stores its residual with the run's metric keys,
+        # so the residual of a custom target resolves in turn
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        metric={"target": "custom", "id": "wiggle",
+                                "g": "sin(rho) + 0.1*sin(rho)^3",
+                                "g_prime":
+                                    "cos(rho) + 0.3*sin(rho)^2*cos(rho)",
+                                "window": "-7.0 7"},
+                        pipeline={"stages": "series, bubbles"})
+        assert main(["simulate", "--config", cfg]) == 0
+        run = load_trajectory(str(out))
+        store = out / "bubbles.report.residual"
+        residual = load_trajectory(str(store))
+        assert residual.system.keys == run.system.keys
+        assert dict(run.system.keys)["window"] == "-7 7"
+        res, = residual.snapshots
+        ref = extract_bubbles(run.snapshots[-1], run.system).residual
+        np.testing.assert_array_equal(res.psi, ref.psi)
+        np.testing.assert_array_equal(res.psi_dot, ref.psi_dot)
+        assert (res.grid, res.ell0, res.ell_inf, res.time) == \
+            (ref.grid, ref.ell0, ref.ell_inf, ref.time)
+        capsys.readouterr()
+        assert main(["resolve", "--snapshot", str(store)]) == 0
+        assert "J = 0" in capsys.readouterr().out
+        assert (store / "bubbles.report").is_file()
+
+    def test_store_io_runs_through_the_frame_functions(self, tmp_path,
+                                                       monkeypatch):
+        # the benchmark times frame I/O as evolution.write_snapshot and
+        # read_snapshot, so every store must be written and read by them
+        calls = []
+        for name, at in (("write_snapshot", 1), ("read_snapshot", 0)):
+            def spy(*args, name=name, at=at, original=getattr(cli, name)):
+                calls.append((name, os.path.relpath(args[at], tmp_path)))
+                return original(*args)
+            monkeypatch.setattr(cli, name, spy)
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "run",
+                        pipeline={"stages": "series, bubbles"})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert calls == [
+            ("write_snapshot", os.path.join("run", "frames.npy")),
+            ("write_snapshot", os.path.join("run", "bubbles.report.residual",
+                                            "frames.npy"))]
+        del calls[:]
+        assert main(["analyze", "--traj", str(tmp_path / "run"),
+                     "--ops", "series"]) == 0
+        assert calls == [("read_snapshot", os.path.join("run", "frames.npy"))]
+        del calls[:]
+        cfg = write_cfg(tmp_path / "t.cfg", tmp_path / "seeded",
+                        data={"family": "snapshot",
+                              "path": str(tmp_path / "run")})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert calls == [
+            ("read_snapshot", os.path.join("run", "frames.npy")),
+            ("write_snapshot", os.path.join("seeded", "frames.npy"))]
+
+    @pytest.mark.parametrize("flag", ["--A", "--cone-lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_analyze_refuses_bad_cone_values(self, capsys, flag, value):
+        # refused before the store is read: the directory does not exist
+        assert main(["analyze", "--traj", "/no/such/dir", "--ops",
+                     "lightcone,linf", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} = ") and err.count("\n") == 1
+        assert "must be a positive finite number" in err
 
     def test_resolve_trajectory_scattering(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -712,8 +833,7 @@ class TestAnalyzeResolve:
     def test_snapshot_family_round_trip(self, tmp_path, capsys):
         grid = RadialGrid(20.0, 256)
         field, _, _ = make_chain(grid, SPHERE, 0.0, [(1, 2.0)])
-        snap = tmp_path / "seed.snap"
-        write_snapshot(field, snap, "sphere")
+        snap = write_store(field, tmp_path / "seed")
         out = tmp_path / "resumed"
         cfg = write_cfg(tmp_path / "s.cfg", out,
                         data={"family": "snapshot", "path": str(snap)},

@@ -1,11 +1,13 @@
 """Evolution tests: scheme order, conservation, covariance, causality,
-blow-up detection, and snapshot persistence.
+blow-up detection, and frame persistence.
 
 Reference values are frozen from refined-grid oracle runs; scenarios are
 deterministic so the numbers reproduce exactly.
 """
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,32 +390,49 @@ class TestBlowup:
         assert traj.blowup is None
 
 
+def _random_fields(grid, times):
+    rng = np.random.default_rng(7)
+    return [RadialField(grid, rng.standard_normal(grid.n_points),
+                        rng.standard_normal(grid.n_points), ell0=0.25,
+                        ell_inf=-1.75, time=t) for t in times]
+
+
 class TestPersistence:
     def test_snapshot_round_trip_bitexact(self, tmp_path):
-        grid = RadialGrid(10.0, 257)
-        rng = np.random.default_rng(7)
-        psi = rng.standard_normal(grid.n_points)
-        psi_dot = rng.standard_normal(grid.n_points)
-        f = RadialField(grid, psi, psi_dot, ell0=0.25,
-                        ell_inf=-1.75, time=3.0625)
-        path = tmp_path / "snap.dat"
-        write_snapshot(f, path, metric_id="sphere")
-        g, metric_id = read_snapshot(path)
-        np.testing.assert_array_equal(g.psi, psi)
-        np.testing.assert_array_equal(g.psi_dot, psi_dot)
-        assert g.ell0 == 0.25 and g.ell_inf == -1.75 and g.time == 3.0625
-        assert g.grid.r_max == grid.r_max
-        assert metric_id == "sphere"
-        # write -> read -> write is byte-identical
-        path2 = tmp_path / "snap2.dat"
-        write_snapshot(g, path2, metric_id=metric_id)
-        assert path.read_bytes() == path2.read_bytes()
+        grid = RadialGrid(7.0, 1500)
+        times = [0.0, 3.0625]
+        fields = _random_fields(grid, times)
+        path = tmp_path / "frames.npy"
+        write_snapshot(fields, path)
+        # the streamed file is np.save of the stacked frames, byte for byte
+        buf = io.BytesIO()
+        np.save(buf, np.stack([(f.psi, f.psi_dot) for f in fields]))
+        assert path.read_bytes() == buf.getvalue()
+        back = read_snapshot(path, grid, 0.25, -1.75, times)
+        assert len(back) == 2
+        for f, g in zip(fields, back):
+            np.testing.assert_array_equal(g.psi, f.psi)
+            np.testing.assert_array_equal(g.psi_dot, f.psi_dot)
+            assert (g.grid, g.ell0, g.ell_inf, g.time) == \
+                (grid, 0.25, -1.75, f.time)
 
     def test_snapshot_header_validation(self, tmp_path):
-        path = tmp_path / "bad.dat"
-        path.write_text("# not-a-snapshot\n1 2 3\n")
-        with pytest.raises(EvolutionError, match="snapshot"):
-            read_snapshot(path)
+        # the .npy header must give float64 frames of the expected shape
+        grid = RadialGrid(10.0, 64)
+        stack = np.stack([(f.psi, f.psi_dot)
+                          for f in _random_fields(grid, [0.0, 1.0])])
+        path = tmp_path / "frames.npy"
+        for bad, shape in [(stack.astype(np.float32), "(2, 2, 64)"),
+                           (stack[:1], "(1, 2, 64)"),
+                           (stack[:, :, 1:], "(2, 2, 63)")]:
+            np.save(path, bad)
+            with pytest.raises(EvolutionError, match=re.escape(
+                    f"{path}: holds {bad.dtype} {shape}, manifest.cfg says "
+                    f"float64 (2, 2, 64)")):
+                read_snapshot(path, grid, 0.0, 0.0, [0.0, 1.0])
+        path.write_text("# not frames\n1 2 3\n")
+        with pytest.raises(EvolutionError, match="unreadable"):
+            read_snapshot(path, grid, 0.0, 0.0, [0.0, 1.0])
 
 
 class TestAbsorbingBoundary:
