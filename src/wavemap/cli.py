@@ -333,6 +333,9 @@ FRAMES = "frames.npy"       # (frames, 2, n_points) float64: psi, psi_dot
 def save_trajectory(traj, out_dir):
     """Write manifest.cfg, with the [metric] keys of traj.system, and the
     frames to frames.npy."""
+    if not traj.system.keys:
+        raise CliError(f"{out_dir}: {traj.system!r} has no [metric] keys to "
+                       f"store; build it with get_metric or make_metric")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
@@ -566,6 +569,12 @@ def run_simulate(args):
     if len(set(outs)) != len(outs):
         raise CliError("scenarios share an output directory; batch runs "
                        "need disjoint outputs")
+    for out in outs:
+        while not os.path.exists(out):      # up to an existing path
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise CliError(f"{out}: exists and is not a directory; "
+                           f"simulate writes a store directory")
     return max([run_simulate_one(s) for s in scens])
 
 
@@ -641,8 +650,7 @@ def _check_energy_conservation():
 def _check_stationarity():
     grid = RadialGrid(20.0, 1000)
     f = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
-    traj = evolve(f, SPHERE, 1.0, record_every=10 ** 9,
-                  detect_blowup=False)
+    traj = evolve(f, SPHERE, 1.0, record_every=10 ** 9)
     dev = float(np.max(np.abs(traj.snapshots[-1].psi - f.psi)))
     assert dev < 1e-4, f"deviation {dev:.3g}"
     return f"max deviation {dev:.2e}"
@@ -651,8 +659,7 @@ def _check_linear_conservation():
     root = find_vanishing_set(SPHERE).root_at(0.0)
     grid = RadialGrid(12.0, 4096)
     f = make_perturbation(grid, amplitude=0.1, center=4.0, width=2.5)
-    traj = evolve(f, root, 3.0, record_every=256, cfl=0.25,
-                  detect_blowup=False)
+    traj = evolve(f, root, 3.0, record_every=256, cfl=0.25)
     e0 = discrete_energy(traj.snapshots[0], root)
     drift = max(abs(discrete_energy(s, root) - e0)
                 for s in traj.snapshots) / e0
@@ -707,7 +714,7 @@ def _check_series_determinism():
     root = find_vanishing_set(SPHERE).root_at(0.0)
     grid = RadialGrid(30.0, 512)
     f = make_perturbation(grid, amplitude=0.1, center=8.0, width=3.0)
-    traj = evolve(f, root, 3.0, record_every=64, detect_blowup=False)
+    traj = evolve(f, root, 3.0, record_every=64)
     with tempfile.TemporaryDirectory() as d:
         p1 = os.path.join(d, "a.csv")
         p2 = os.path.join(d, "b.csv")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Root, eval_G, find_vanishing_set
-from .evolution import (CFL_DEFAULT, RadialField, _densities, _prefix, _Flow,
-                        _leapfrog, _step_plan)
+from .evolution import (CFL_DEFAULT, RadialField, _advance, _densities,
+                        _prefix, _step_plan)
 from .data import make_superposition
 from .rng import XorShift64Star
 
@@ -407,8 +407,8 @@ def exterior_energy_ratio(field0, ell, t):
 
 def _exterior_reports(fields0, ell, t, first=0):
     """ExteriorReports of members sharing one grid and far value, evolved
-    as one (m, n) stack through the leapfrog kernel.  Errors name a member
-    by its index counted from `first`."""
+    as one (m, n) stack through the evolution module's run loop.  Errors
+    name a member by its index counted from `first`."""
     norms0 = []
     for k, f in enumerate(fields0, first):
         if not (np.all(np.isfinite(f.psi)) and np.all(np.isfinite(f.psi_dot))):
@@ -429,11 +429,9 @@ def _exterior_reports(fields0, ell, t, first=0):
         finals = fields0
     else:
         dt, n_steps = _step_plan(grid, t, CFL_DEFAULT)
-        flow = _Flow(ell, grid, fields0[0].ell0)
         psi = np.stack([f.psi for f in fields0])
         psi_dot = np.stack([f.psi_dot for f in fields0])
-        _leapfrog(flow, psi, psi_dot, flow.accel(psi), dt, n_steps,
-                  "fixed", fields0[0].ell_inf)
+        next(_advance(ell, fields0[0], psi, psi_dot, dt, [n_steps]))
         finite = (np.isfinite(psi).all(axis=-1)
                   & np.isfinite(psi_dot).all(axis=-1))
         if not finite.all():

@@ -11,15 +11,17 @@ Linearized flow at a root l of g:
 Both run through one kernel: a flow object, built once per (system,
 grid), holds the coefficients of the flux-form second-order radial
 Laplacian, the origin ghost and the zeroth-order source, and one explicit
-leapfrog (velocity Verlet) loop advances (psi, psi_t).  The node axis is
-the last axis, so the kernel also advances a stack of members of shape
-(m, n) on one grid in one run; the arithmetic is elementwise, so each
-member evolves bit for bit as it would alone.  Nodes sit at
-r_i = i dr, i = 1..n; the origin enters only through the regularized ghost
-value (psi(0) = ell0, phi(0) = 0), and the outer boundary is fixed by
-default (an approximate absorbing variant is available).  The time step
-obeys dt <= 0.5 dr; steps refusing the CFL bound raise instead of running.
-The energy densities shared with the diagnostics live here too.
+leapfrog (velocity Verlet) loop advances (psi, psi_t).  Every run goes
+through one stop-step loop, `_advance`, whose step dt may be negative to
+run the flow backward.  The node axis is the last axis, so the kernel also
+advances a stack of members of shape (m, n) on one grid in one run; the
+arithmetic is elementwise, so each member evolves bit for bit as it would
+alone.  Nodes sit at r_i = i dr, i = 1..n; the origin enters only through
+the regularized ghost value (psi(0) = ell0, phi(0) = 0), and the outer
+boundary is fixed by default (an approximate absorbing variant is
+available).  The time step obeys |dt| <= 0.5 dr; steps refusing the CFL
+bound raise instead of running.  The energy densities shared with the
+diagnostics live here too.
 
 Blow-up is watched through the Struwe-style concentration criterion: the
 smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
@@ -164,11 +166,9 @@ class _Flow:
         self.r_sq = r ** 2
         if isinstance(system, Metric):
             self.ghost, self.source = ell0, system.f
-            self.scheme = f"leapfrog-nonlinear:{system.id}"
         elif isinstance(system, Root):
             slope_sq = system.slope ** 2
             self.ghost, self.source = 0.0, lambda phi: slope_sq * phi
-            self.scheme = f"leapfrog-linear:ell={system.value:.12g}"
         else:
             raise EvolutionError(
                 f"system must be a Metric or Root, got {system!r}")
@@ -213,10 +213,9 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
 
     The arrays are one field, shape (n,), or a stack of m members on the
     flow's grid, shape (m, n).  `a` is the acceleration at the current
-    psi; it is updated in place to the acceleration at the final psi and
-    returned, so consecutive calls continue one run.  The flux and the
-    kick and drift products live in two work arrays allocated once per
-    call.
+    psi; it is updated in place to the acceleration at the final psi, so
+    consecutive calls continue one run.  The flux and the kick and drift
+    products live in two work arrays allocated once per call.
     """
     grid = flow.grid
     half = 0.5 * dt
@@ -228,15 +227,24 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
         flow.accel(psi, a, flux)
         psi_dot += np.multiply(a, half, out=work)
         _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
-    return a
+
+
+def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
+    """Run the flow of `system` in place on psi, psi_dot (one field or a
+    stack of members on field's grid, ell0 and ell_inf) by steps of dt,
+    yielding each count of the increasing `stops` once that many are done."""
+    _check_cfl(field.grid, abs(dt))
+    flow = _Flow(system, field.grid, field.ell0)
+    a = flow.accel(psi)
+    for done, stop in zip([0, *stops], stops):
+        _leapfrog(flow, psi, psi_dot, a, dt, stop - done, boundary,
+                  field.ell_inf)
+        yield stop
 
 
 def _step(field, system, dt, boundary):
-    _check_cfl(field.grid, abs(dt))
-    flow = _Flow(system, field.grid, field.ell0)
     psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
-    _leapfrog(flow, psi, psi_dot, flow.accel(psi), dt, 1, boundary,
-              field.ell_inf)
+    next(_advance(system, field, psi, psi_dot, dt, [1], boundary))
     return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
                        field.time + dt)
 
@@ -364,7 +372,7 @@ def _concentration_radius(field, metric, e_crit):
 
 
 def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
-           boundary="fixed", detect_blowup=True):
+           boundary="fixed"):
     """Advance a field to t_final, recording frames every `record_every`
     steps (the initial and final states are always frames).
 
@@ -380,10 +388,8 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     if record_every < 1:
         raise EvolutionError("record_every must be at least 1")
 
-    flow = _Flow(system, grid, field.ell0)
     e_crit = min_bubble_energy(system, field.ell0) \
         if isinstance(system, Metric) else math.inf
-    watch = detect_blowup and math.isfinite(e_crit)
 
     psi = field.psi.copy()
     psi_dot = field.psi_dot.copy()
@@ -392,17 +398,9 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     radius_series = []
     floor = BLOWUP_FLOOR_NODES * grid.dr
 
-    a = flow.accel(psi)
-    step = 0
-    while step < n_steps:
-        # advance to the next recorded step: a multiple of record_every,
-        # or the last step
-        chunk = min(record_every - step % record_every, n_steps - step)
-        a = _leapfrog(flow, psi, psi_dot, a, dt, chunk, boundary,
-                      field.ell_inf)
-        step += chunk
+    stops = [*range(record_every, n_steps, record_every), n_steps]
+    for step in _advance(system, field, psi, psi_dot, dt, stops, boundary):
         t = field.time + step * dt
-
         if not np.all(np.isfinite(psi)) or not np.all(np.isfinite(psi_dot)):
             last = snapshots[-1]
             blowup = BlowupRecord(
@@ -413,7 +411,7 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
         frame = RadialField(grid, psi.copy(), psi_dot.copy(),
                             field.ell0, field.ell_inf, t)
         snapshots.append(frame)
-        if watch:
+        if math.isfinite(e_crit):
             rho = _concentration_radius(frame, system, e_crit)
             if rho is not None:
                 radius_series.append((t, rho))
@@ -422,7 +420,11 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
                         frame, system, radius_series)
                     break
 
-    return Trajectory(snapshots=snapshots, dt=dt, scheme=flow.scheme,
+    # _advance has refused any system that is not a Metric or a Root
+    scheme = f"leapfrog-nonlinear:{system.id}" \
+        if isinstance(system, Metric) \
+        else f"leapfrog-linear:ell={system.value:.12g}"
+    return Trajectory(snapshots=snapshots, dt=dt, scheme=scheme,
                       cfl=cfl, system=system, blowup=blowup)
 
 

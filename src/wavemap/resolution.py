@@ -29,8 +29,7 @@ import numpy as np
 
 from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
-from .evolution import (RadialField, evolve, min_bubble_energy, _Flow,
-                        _check_cfl, _leapfrog)
+from .evolution import RadialField, evolve, min_bubble_energy, _advance
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
                           select_times, support_radius)
 
@@ -349,26 +348,21 @@ def extend_H(field, r1, r2, ell_target=0.0):
 
 
 def _linear_states_at(phi, ell, offsets, dt):
-    """Linear-flow states at nondecreasing time offsets (multiples of dt),
-    advanced in one run from phi with a fixed outer boundary."""
-    _check_cfl(phi.grid, dt)
-    flow = _Flow(ell, phi.grid, phi.ell0)
-    psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
-    a = flow.accel(psi)
-    out = []
-    done = 0
+    """Linear-flow states at time offsets (multiples of dt) that grow in
+    the direction of dt, advanced in one run from phi with a fixed outer
+    boundary; a negative dt runs the flow backward."""
+    stops = []
     for off in offsets:
         n = int(round(off / dt))
         if abs(off - n * dt) > 1e-9 * max(1.0, abs(off)):
             raise ResolutionError(
                 f"frame offset {off:.12g} is not a step multiple of "
                 f"dt = {dt:.12g}")
-        a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, "fixed",
-                      phi.ell_inf)
-        done = n
-        out.append(RadialField(phi.grid, psi.copy(), psi_dot.copy(),
-                               phi.ell0, phi.ell_inf, phi.time + n * dt))
-    return out
+        stops.append(n)
+    psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
+    return [RadialField(phi.grid, psi.copy(), psi_dot.copy(), phi.ell0,
+                        phi.ell_inf, phi.time + n * dt)
+            for n in _advance(ell, phi, psi, psi_dot, dt, stops)]
 
 
 @dataclass
@@ -389,8 +383,9 @@ def build_scattering_state(traj, ell):
     At the latest selected time t*, the solution is cut at r = t*/2 and
     extended inward by the affine profile 2 (psi(t*, t*/2) - ell) r / t*,
     the velocity by zero; subtracting (ell, 0) gives linear data phi_L.
-    The linear flow of phi_L is then compared against every stored frame
-    of the selected window on r >= t/2.
+    The linear flow of phi_L, run forward from t* and backward from t* at
+    -dt, is then compared against every stored frame of the selected
+    window on r >= t/2.
     """
     if traj.blowup is not None:
         raise ResolutionError(
@@ -434,14 +429,10 @@ def build_scattering_state(traj, ell):
     lin = _linear_states_at(phi, ell, [s.time - t_star for s in later], dt)
     for s, L in zip(later, lin):
         matches.append((s.time, _match_error(s, L, base, ell)))
-    # time reversal: the state at t* - d is the d-evolution of the
-    # velocity-flipped data, with the velocity flipped back
-    phi_rev = RadialField(grid, phi0.copy(), -phi1, 0.0, 0.0, t_star)
-    back = _linear_states_at(phi_rev, ell,
-                             [t_star - s.time for s in earlier[::-1]], dt)
+    back = _linear_states_at(phi, ell,
+                             [s.time - t_star for s in earlier[::-1]], -dt)
     for s, L in zip(earlier[::-1], back):
-        Lr = RadialField(grid, L.psi, -L.psi_dot, 0.0, 0.0, s.time)
-        matches.append((s.time, _match_error(s, Lr, base, ell)))
+        matches.append((s.time, _match_error(s, L, base, ell)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavemap.geometry import SPHERE
+from wavemap.geometry import SPHERE, Metric
 from wavemap.evolution import RadialGrid, Trajectory, evolve
 from wavemap.data import make_bump, make_chain
 from wavemap.diagnostics import SERIES_COLUMNS
@@ -467,6 +467,24 @@ class TestSimulate:
                               f"not a store directory: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_output_path_that_is_a_file_refused_before_evolve(
+            self, tmp_path, capsys, monkeypatch, batch):
+        # a batch writes to <out>/<config stem>, under the file
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve ran")
+        monkeypatch.setattr(cli, "evolve", no_run)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}")
+                for n in ("x", "y")[:1 + batch]]
+        assert main(["simulate", "--config", *cfgs,
+                     "--out", str(afile)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {afile}: exists and is not a directory; simulate " \
+            f"writes a store directory\n"
+        assert afile.read_text() == "kept"
+
     def test_shared_output_refused(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / "same")
                 for n in ("x", "y")]
@@ -716,6 +734,15 @@ class TestAnalyzeResolve:
         assert main(["resolve", "--snapshot", str(store)]) == 0
         assert "J = 0" in capsys.readouterr().out
         assert (store / "bubbles.report").is_file()
+
+    def test_metric_without_keys_refused_before_writing(self, tmp_path):
+        # a Metric built by hand has no [metric] keys, and a store without
+        # them cannot be read back
+        bare = Metric("bare", np.sin, np.cos, (-4.0, 4.0))
+        field = make_chain(RadialGrid(20.0, 256), bare, 0.0, [(1, 2.0)])[0]
+        with pytest.raises(CliError, match="get_metric or make_metric"):
+            write_store(field, tmp_path / "bare", bare)
+        assert not (tmp_path / "bare").exists()
 
     def test_store_io_runs_through_the_frame_functions(self, tmp_path,
                                                        monkeypatch):

@@ -250,8 +250,7 @@ class TestSelfSimilar:
         # A = 25 the annulus [t/2, t - A] sees only tails
         grid = RadialGrid(120.0, 1024)
         p = make_perturbation(grid, amplitude=0.1, center=10.0, width=5.0)
-        traj = evolve(p, ROOT0, 80.0, record_every=512,
-                      detect_blowup=False)
+        traj = evolve(p, ROOT0, 80.0, record_every=512)
         series = self_similar_energy(traj, 0.5, 25.0)
         total = h_norms(traj.snapshots[0], ROOT0).h_ell_x_l2 ** 2
         assert series and max(v for _, v in series) < 0.01 * total
@@ -378,7 +377,7 @@ class TestSelectTimes:
 def linear_run():
     grid = RadialGrid(300.0, 4096)
     p = make_perturbation(grid, amplitude=0.1, center=20.0, width=10.0)
-    return evolve(p, ROOT0, 150.0, record_every=1024, detect_blowup=False)
+    return evolve(p, ROOT0, 150.0, record_every=1024)
 
 
 class TestLightcone:
@@ -411,8 +410,7 @@ class TestLightcone:
         grid = RadialGrid(40.0, 256)
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=10.0,
                       width=5.0)
-        traj = evolve(f, SPHERE, 4.0, record_every=64,
-                      detect_blowup=False)
+        traj = evolve(f, SPHERE, 4.0, record_every=64)
         with pytest.raises(DiagnosticsError, match="root"):
             lightcone_concentration(traj, 5.0)
         rows = lightcone_concentration(traj, 5.0, ell=ROOT0)
@@ -546,8 +544,7 @@ class TestSNorm:
         for amp in (0.1, 0.2):
             p = make_perturbation(grid, amplitude=amp, center=15.0,
                                   width=5.0)
-            traj = evolve(p, ROOT0, 20.0, record_every=128,
-                          detect_blowup=False)
+            traj = evolve(p, ROOT0, 20.0, record_every=128)
             sup = max(float(np.max(np.abs(s.psi))) for s in traj.snapshots)
             norm0 = h_norms(traj.snapshots[0], ROOT0).h_ell_x_l2
             s_val = s_norm(traj, ROOT0)
@@ -577,8 +574,7 @@ class TestLinfOutsideCone:
     def test_linear_run_decay(self):
         grid = RadialGrid(380.0, 2048)
         p = make_perturbation(grid, amplitude=0.2, center=10.0, width=5.0)
-        traj = evolve(p, ROOT0, 300.0, record_every=512,
-                      detect_blowup=False)
+        traj = evolve(p, ROOT0, 300.0, record_every=512)
         rows = linf_outside_cone(traj, 0.5)
         vals = [v for _, v in rows]
         assert all(b <= a * 1.001 for a, b in zip(vals, vals[1:]))
@@ -590,8 +586,7 @@ class TestExteriorMonotonicity:
         grid = RadialGrid(40.0, 2048)
         f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.4, center=10.0,
                        width=4.0, velocity=0.2)
-        traj = evolve(f0, SPHERE, 8.0, record_every=256,
-                      detect_blowup=False)
+        traj = evolve(f0, SPHERE, 8.0, record_every=256)
         a = 12.0
         e0 = energy(traj.snapshots[0], SPHERE, a, grid.r_max).total
         for snap in traj.snapshots[1:]:
@@ -603,8 +598,7 @@ class TestSeriesOutput:
     def test_series_csv(self, tmp_path):
         grid = RadialGrid(40.0, 512)
         p = make_perturbation(grid, amplitude=0.1, center=10.0, width=5.0)
-        traj = evolve(p, ROOT_PI, 5.0, record_every=64,
-                      detect_blowup=False)
+        traj = evolve(p, ROOT_PI, 5.0, record_every=64)
         path = tmp_path / "series.csv"
         write_series(traj, path)
         lines = path.read_text().strip().split("\n")

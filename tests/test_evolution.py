@@ -18,8 +18,8 @@ from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
                                evolve, step_nonlinear, step_linear,
                                transform_T, discrete_energy,
                                min_bubble_energy, write_snapshot,
-                               read_snapshot, _Flow, _leapfrog)
-from wavemap.data import make_bump, make_perturbation
+                               read_snapshot, _advance)
+from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 
 
@@ -52,6 +52,8 @@ class TestGridAndField:
         f = make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0)
         with pytest.raises(EvolutionError, match="CFL"):
             step_linear(f, ROOT0, dt=0.9 * grid.dr)
+        with pytest.raises(EvolutionError, match="CFL"):
+            step_linear(f, ROOT0, dt=-0.9 * grid.dr)
         with pytest.raises(EvolutionError, match="CFL"):
             evolve(f, ROOT0, 1.0, cfl=0.7)
 
@@ -104,8 +106,7 @@ class TestConstantAndStationary:
         for n in (1000, 2000):
             grid = RadialGrid(20.0, n)
             f0 = rescale_Q(qmap, 1.0, grid)
-            traj = evolve(f0, SPHERE, 1.0, record_every=10 ** 9,
-                          detect_blowup=False)
+            traj = evolve(f0, SPHERE, 1.0, record_every=10 ** 9)
             devs[n] = float(np.max(np.abs(traj.snapshots[-1].psi - f0.psi)))
         assert devs[2000] < 2e-5
         ratio = devs[1000] / devs[2000]
@@ -117,8 +118,7 @@ class TestConservation:
         grid = RadialGrid(20.0, 2048)
         f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0,
                        width=3.0)
-        traj = evolve(f0, SPHERE, 10.0, record_every=256,
-                      detect_blowup=False)
+        traj = evolve(f0, SPHERE, 10.0, record_every=256)
         e0 = energy(traj.snapshots[0], SPHERE).total
         drift = max(abs(energy(s, SPHERE).total - e0)
                     for s in traj.snapshots) / e0
@@ -129,8 +129,7 @@ class TestConservation:
         # Verlet oscillation below 1e-6 at n = 4096
         grid = RadialGrid(12.0, 4096)
         f0 = make_perturbation(grid, amplitude=0.1, center=4.0, width=2.5)
-        traj = evolve(f0, ROOT0, 5.0, record_every=512, cfl=0.25,
-                      detect_blowup=False)
+        traj = evolve(f0, ROOT0, 5.0, record_every=512, cfl=0.25)
         e0 = discrete_energy(traj.snapshots[0], ROOT0)
         drift = max(abs(discrete_energy(s, ROOT0) - e0)
                     for s in traj.snapshots) / e0
@@ -139,8 +138,7 @@ class TestConservation:
     def test_linear_h_norm_drift(self):
         grid = RadialGrid(40.0, 2048)
         f0 = make_perturbation(grid, amplitude=0.1, center=10.0, width=5.0)
-        traj = evolve(f0, ROOT_PI, 10.0, record_every=256,
-                      detect_blowup=False)
+        traj = evolve(f0, ROOT_PI, 10.0, record_every=256)
         n0 = h_norms(traj.snapshots[0], ROOT_PI).h_ell_x_l2
         drift = max(abs(h_norms(s, ROOT_PI).h_ell_x_l2 - n0)
                     for s in traj.snapshots) / n0
@@ -171,8 +169,7 @@ class TestOneKernel:
     def test_evolve_matches_repeated_steps(self, label, boundary):
         grid = RadialGrid(20.0, 256)
         f0, system, step = _flow_case(label, grid)
-        traj = evolve(f0, system, 3.0, record_every=8, boundary=boundary,
-                      detect_blowup=False)
+        traj = evolve(f0, system, 3.0, record_every=8, boundary=boundary)
         f, done = f0, 0
         for frame in traj.snapshots[1:]:
             n = round((frame.time - f0.time) / traj.dt)
@@ -192,29 +189,46 @@ class TestOneKernel:
         grid = RadialGrid(20.0, 256)
         members = [_flow_case(label, grid, amp)[0] for amp in (0.1, 0.2, 0.3)]
         system = _flow_case(label, grid)[1]
-        trajs = [evolve(f, system, 3.0, record_every=8, boundary=boundary,
-                        detect_blowup=False) for f in members]
-        flow = _Flow(system, grid, members[0].ell0)
+        trajs = [evolve(f, system, 3.0, record_every=8, boundary=boundary)
+                 for f in members]
         psi = np.stack([f.psi for f in members])
         psi_dot = np.stack([f.psi_dot for f in members])
-        a, done, dt = flow.accel(psi), 0, trajs[0].dt
-        for i, t in enumerate(trajs[0].times[1:], 1):
-            n = round(t / dt)
-            a = _leapfrog(flow, psi, psi_dot, a, dt, n - done, boundary,
-                          members[0].ell_inf)
-            done = n
+        dt = trajs[0].dt
+        stops = [round(t / dt) for t in trajs[0].times[1:]]
+        for i, n in enumerate(_advance(system, members[0], psi, psi_dot, dt,
+                                       stops, boundary), 1):
             for k, traj in enumerate(trajs):
                 np.testing.assert_array_equal(psi[k], traj.snapshots[i].psi)
                 np.testing.assert_array_equal(psi_dot[k],
                                               traj.snapshots[i].psi_dot)
-        assert done == 77
+        assert n == 77
+
+    @pytest.mark.parametrize("label", ["nonlinear", "linear"])
+    def test_backward_run_is_the_flipped_forward_run(self, label):
+        # velocity Verlet at -dt against the run at +dt from the flipped
+        # velocity: negating a float is exact, so psi agrees bit for bit
+        # and psi_dot up to sign; the fixed boundary keeps the run
+        # time-reversible, the absorbing one does not
+        grid = RadialGrid(20.0, 256)
+        f0, system, _ = _flow_case(label, grid)
+        f0.psi_dot = bump_profile(grid.r, 0.2, 6.0, 2.0)
+        dt = 0.5 * grid.dr
+        back = f0.psi.copy(), f0.psi_dot.copy()
+        flip = f0.psi.copy(), -f0.psi_dot
+        stops = [1, 8, 40]
+        for n, _ in zip(_advance(system, f0, *back, -dt, stops),
+                        _advance(system, f0, *flip, dt, stops)):
+            np.testing.assert_array_equal(back[0], flip[0])
+            np.testing.assert_array_equal(back[1], -flip[1])
+        assert n == 40
+        assert np.max(np.abs(back[0] - f0.psi)) > 1e-3
 
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_frames_do_not_depend_on_record_every(self, label):
         grid = RadialGrid(20.0, 256)
         f0, system, _ = _flow_case(label, grid)
-        dense, sparse = (evolve(f0, system, 3.0, record_every=k,
-                                detect_blowup=False) for k in (4, 16))
+        dense, sparse = (evolve(f0, system, 3.0, record_every=k)
+                         for k in (4, 16))
         by_time = {s.time: s for s in dense.snapshots}
         assert len(sparse.snapshots) == 6
         for frame in sparse.snapshots:
@@ -237,8 +251,7 @@ class TestRichardson:
                 f = make_perturbation(grid, amplitude=0.3, center=5.0,
                                       width=2.0)
                 system = ROOT0
-            traj = evolve(f, system, 2.0, record_every=10 ** 9,
-                          detect_blowup=False)
+            traj = evolve(f, system, 2.0, record_every=10 ** 9)
             finals.append(traj.snapshots[-1].psi)
         coarse, mid, fine = finals
         e_c = np.max(np.abs(coarse - fine[3::4]))
@@ -258,10 +271,8 @@ class TestCovarianceAndCausality:
         f2 = make_bump(grid2, SPHERE, 0.0, amplitude=0.4, center=8.0,
                        width=4.0)
         np.testing.assert_array_equal(f1.psi, f2.psi)
-        t1 = evolve(f1, SPHERE, 3.0, record_every=10 ** 9,
-                    detect_blowup=False)
-        t2 = evolve(f2, SPHERE, 6.0, record_every=10 ** 9,
-                    detect_blowup=False)
+        t1 = evolve(f1, SPHERE, 3.0, record_every=10 ** 9)
+        t2 = evolve(f2, SPHERE, 6.0, record_every=10 ** 9)
         np.testing.assert_array_equal(t1.snapshots[-1].psi,
                                       t2.snapshots[-1].psi)
         np.testing.assert_array_equal(t1.snapshots[-1].psi_dot,
@@ -278,10 +289,8 @@ class TestCovarianceAndCausality:
                                   center=35.0, width=4.0).psi
         f2 = RadialField(grid, psi2, np.zeros_like(psi2), 0.0, 0.0, 0.0)
         t = 5.0
-        out1 = evolve(f1, SPHERE, t, record_every=10 ** 9,
-                      detect_blowup=False).snapshots[-1]
-        out2 = evolve(f2, SPHERE, t, record_every=10 ** 9,
-                      detect_blowup=False).snapshots[-1]
+        out1 = evolve(f1, SPHERE, t, record_every=10 ** 9).snapshots[-1]
+        out2 = evolve(f2, SPHERE, t, record_every=10 ** 9).snapshots[-1]
         # second bump support starts at 31; influence speed is
         # dr/dt = 2, so r < 31 - 2t is untouched
         mask = grid.r < 31.0 - 2.0 * t - 2 * grid.dr
@@ -292,8 +301,7 @@ class TestCovarianceAndCausality:
         grid = RadialGrid(60.0, 1200)
         f0 = make_perturbation(grid, amplitude=0.2, center=10.0, width=5.0)
         t_final = 20.0
-        traj = evolve(f0, ROOT0, t_final, record_every=10 ** 9,
-                      detect_blowup=False)
+        traj = evolve(f0, ROOT0, t_final, record_every=10 ** 9)
         final = traj.snapshots[-1]
         tol = 1e-8 * np.max(np.abs(f0.psi))
         busy = np.abs(final.psi) + np.abs(final.psi_dot) > tol
@@ -443,7 +451,7 @@ class TestAbsorbingBoundary:
         results = {}
         for bc in ("fixed", "absorbing"):
             traj = evolve(f0, ROOT_PI, 45.0, record_every=10 ** 9,
-                          boundary=bc, detect_blowup=False)
+                          boundary=bc)
             results[bc] = h_norms(traj.snapshots[-1], ROOT_PI).h_ell_x_l2
         assert results["fixed"] == pytest.approx(n0, rel=1e-3)
         assert results["absorbing"] < 0.2 * results["fixed"]
