@@ -569,7 +569,10 @@ def run_simulate(args):
     if len(set(outs)) != len(outs):
         raise CliError("scenarios share an output directory; batch runs "
                        "need disjoint outputs")
-    for out in outs:
+    # every store the batch writes: each output and its bubble residual
+    stores = outs + [os.path.join(out, "bubbles.report.residual")
+                     for out, s in zip(outs, scens) if "bubbles" in s.stages]
+    for out in stores:
         while not os.path.exists(out):      # up to an existing path
             out = os.path.dirname(out)
         if not os.path.isdir(out):

@@ -100,15 +100,30 @@ def _interval_integral(x, y, prefix, a, b):
     return out
 
 
+def _energies(field, system, intervals):
+    """EnergyEntries of the field over each [r1, r2] of `intervals`, all
+    read from one density pass and its prefixes."""
+    x, *dens = _densities(field, system)
+    prefixes = [_prefix(x, d) for d in dens]
+    return [EnergyEntry(r1, r2, *(_interval_integral(x, d, p, r1, r2)
+                                  for d, p in zip(dens, prefixes)))
+            for r1, r2 in intervals]
+
+
 def energy(field, system, r1=0.0, r2=None):
     """Energy of the field over [r1, r2] as an EnergyEntry."""
-    if r2 is None:
-        r2 = field.grid.r_max
-    x, kin, gr, pot = _densities(field, system)
-    parts = [_interval_integral(x, dens, _prefix(x, dens), r1, r2)
-             for dens in (kin, gr, pot)]
-    return EnergyEntry(r1=r1, r2=r2, kinetic=parts[0], gradient=parts[1],
-                       potential=parts[2])
+    r2 = field.grid.r_max if r2 is None else r2
+    return _energies(field, system, [(r1, r2)])[0]
+
+
+def _h_norms(e, ell):
+    """HNorms from an energy under UNIT_ROOT, whose zeroth-order term is
+    psi^2 / r."""
+    h_sq = e.gradient + e.potential
+    hl_sq = e.gradient + ell.slope ** 2 * e.potential
+    return HNorms(h=math.sqrt(h_sq), h_ell=math.sqrt(hl_sq),
+                  l2=math.sqrt(e.kinetic), h_x_l2=math.sqrt(h_sq + e.kinetic),
+                  h_ell_x_l2=math.sqrt(hl_sq + e.kinetic))
 
 
 def h_norms(field, ell, r1=0.0, r2=None):
@@ -117,13 +132,7 @@ def h_norms(field, ell, r1=0.0, r2=None):
     The H and Hl zeroth-order terms use the raw psi, so callers pass
     perturbation fields (psi - l subtracted where applicable).
     """
-    # under the unit root the energy's zeroth-order term is psi^2 / r
-    e = energy(field, UNIT_ROOT, r1, r2)
-    h_sq = e.gradient + e.potential
-    hl_sq = e.gradient + ell.slope ** 2 * e.potential
-    return HNorms(h=math.sqrt(h_sq), h_ell=math.sqrt(hl_sq),
-                  l2=math.sqrt(e.kinetic), h_x_l2=math.sqrt(h_sq + e.kinetic),
-                  h_ell_x_l2=math.sqrt(hl_sq + e.kinetic))
+    return _h_norms(energy(field, UNIT_ROOT, r1, r2), ell)
 
 
 def pointwise_energy_bound(field, metric, r1, r2):
@@ -196,24 +205,20 @@ def self_similar_energy(traj, lam, A=0.0):
     After blow-up detection: E(psi(t); lam*(T+ - t), T+ - t) on frames
     before T+.  Returns a list of (t, value) pairs.
     """
-    out = []
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
-    for snap in traj.snapshots:
-        t = snap.time
-        if t_plus is None:
-            r_in, r_out = lam * t, t - A
-        else:
-            theta = t_plus - t
-            if theta <= 0:
-                continue
-            r_in, r_out = lam * theta, theta
-        if not 0 <= r_in < r_out:
-            continue
-        r_out = min(r_out, snap.grid.r_max)
-        if r_in >= r_out:
-            continue
-        out.append((t, energy(snap, traj.system, r_in, r_out).total))
-    return out
+    return [(snap.time, energy(snap, traj.system, *annulus).total)
+            for snap in traj.snapshots
+            for annulus in _annulus(snap, lam, A, t_plus)]
+
+
+def _annulus(snap, lam, A, t_plus):
+    """[(r_in, r_out)] of self_similar_energy's annulus at one frame, or []
+    where the frame has none."""
+    t = snap.time
+    r_in, r_out = (lam * t, t - A) if t_plus is None else \
+        (lam * (t_plus - t), t_plus - t)
+    r_out = min(r_out, snap.grid.r_max)
+    return [(r_in, r_out)] if 0 <= r_in < r_out else []
 
 
 def _inner_kinetic(snap, t_plus=None):
@@ -366,14 +371,15 @@ def lightcone_concentration(traj, A, ell=None):
     rows = []
     for snap in traj.snapshots:
         t = snap.time
-        pert = _perturbation(snap)
-        inner = h_norms(pert, ell, 0.0, max(t - A, 0.0)) \
-            if t - A > 0 else None
-        outer = h_norms(pert, ell, min(t + A, r_max), r_max) \
-            if t + A < r_max else None
-        out_sq = (inner.h_x_l2 ** 2 if inner else 0.0) + \
-                 (outer.h_x_l2 ** 2 if outer else 0.0)
-        full = h_norms(pert, ell)
+        # the full norm, then the parts inside and outside the shell
+        intervals = [(0.0, r_max)]
+        if t - A > 0:
+            intervals.append((0.0, t - A))
+        if t + A < r_max:
+            intervals.append((t + A, r_max))
+        full, *off = (_h_norms(e, ell) for e in _energies(
+            _perturbation(snap), UNIT_ROOT, intervals))
+        out_sq = sum(n.h_x_l2 ** 2 for n in off)
         total_sq = full.h_ell_x_l2 ** 2
         rows.append(ConcentrationRow(
             t=t, outside=math.sqrt(out_sq),
@@ -529,7 +535,7 @@ def write_series(traj, path):
     linf_outside_cone at lam = 1/2."""
     ell = traj.system if isinstance(traj.system, Root) else \
         find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
-    selfsim = dict(self_similar_energy(traj, 0.5))
+    t_plus = traj.blowup.t_plus if traj.blowup is not None else None
     cone = dict(linf_outside_cone(traj, 0.5))
     fmt = "%.17g"
     e0 = None
@@ -537,7 +543,8 @@ def write_series(traj, path):
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for snap in traj.snapshots:
             t = snap.time
-            e = energy(snap, traj.system)
+            e, *selfsim = _energies(snap, traj.system, [
+                (0.0, snap.grid.r_max), *_annulus(snap, 0.5, 0.0, t_plus)])
             if e0 is None:
                 e0 = e.total
             drift = (e.total - e0) / e0 if e0 > 0 else 0.0
@@ -546,6 +553,6 @@ def write_series(traj, path):
             fracs = (n.h_ell ** 2 / tot if tot > 0 else math.nan,
                      n.l2 ** 2 / tot if tot > 0 else math.nan)
             row = (t, e.total, e.kinetic, e.gradient, e.potential, drift,
-                   selfsim.get(t, math.nan),
+                   selfsim[0].total if selfsim else math.nan,
                    cone.get(t, math.nan), *fracs)
             fh.write(",".join(fmt % v for v in row) + "\n")

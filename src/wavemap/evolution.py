@@ -4,6 +4,9 @@ Nonlinear flow (f = g g'):
 
     psi_tt = psi_rr + psi_r / r - f(psi) / r^2
 
+The source is `Metric.f`: built-in targets evaluate an equal, cheaper form
+of g g' (sin(2 psi) / 2 on the sphere), custom targets g g' itself.
+
 Linearized flow at a root l of g:
 
     phi_tt = phi_rr + phi_r / r - g'(l)^2 phi / r^2

@@ -463,23 +463,30 @@ class TestSimulate:
                         pipeline={"stages": "series, bubbles"})
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / 'bubbles.report.residual'}: "
-                              f"not a store directory: ")
-        assert err.count("\n") == 1
+        assert err == f"error: {out / 'bubbles.report.residual'}: exists " \
+            f"and is not a directory; simulate writes a store directory\n"
 
-    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("batch, residual", [
+        (False, False), (True, False), (False, True)],
+        ids=["False", "True", "residual"])
     def test_output_path_that_is_a_file_refused_before_evolve(
-            self, tmp_path, capsys, monkeypatch, batch):
-        # a batch writes to <out>/<config stem>, under the file
+            self, tmp_path, capsys, monkeypatch, batch, residual):
+        # a batch writes to <out>/<config stem>, under the file; the bubble
+        # stage writes its residual store inside the output directory
         def no_run(*args, **kwargs):
             raise AssertionError("evolve ran")
         monkeypatch.setattr(cli, "evolve", no_run)
         afile = tmp_path / "afile"
+        if residual:
+            afile.mkdir()
+            afile = afile / "bubbles.report.residual"
         afile.write_text("kept")
-        cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}")
+        cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}",
+                          pipeline={"stages": "series, bubbles"})
                 for n in ("x", "y")[:1 + batch]]
+        out = afile.parent if residual else afile
         assert main(["simulate", "--config", *cfgs,
-                     "--out", str(afile)]) == 1
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             f"error: {afile}: exists and is not a directory; simulate " \
             f"writes a store directory\n"

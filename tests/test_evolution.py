@@ -12,7 +12,8 @@ import re
 import numpy as np
 import pytest
 
-from wavemap.geometry import SPHERE, YANG_MILLS, find_vanishing_set
+from wavemap.geometry import (SPHERE, YANG_MILLS, find_vanishing_set,
+                              make_metric)
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
                                evolve, step_nonlinear, step_linear,
@@ -235,6 +236,22 @@ class TestOneKernel:
             np.testing.assert_array_equal(frame.psi, by_time[frame.time].psi)
             np.testing.assert_array_equal(frame.psi_dot,
                                           by_time[frame.time].psi_dot)
+
+
+    def test_fused_sphere_source_matches_g_g_prime(self):
+        # SPHERE's f is sin(2 psi) / 2; the custom metric's is sin * cos
+        grid = RadialGrid(20.0, 512)
+        custom = make_metric("s", "sin(rho)", "cos(rho)",
+                             SPHERE.search_window)
+        f0 = RadialField(grid, 1.5 * np.exp(-((grid.r - 5.0) / 1.5) ** 2),
+                         np.zeros(grid.n_points), 0.0, 0.0)
+        fused, plain = (evolve(f0, m, 10.0) for m in (SPHERE, custom))
+        assert fused.blowup is None and plain.blowup is None
+        assert len(fused.snapshots) == len(plain.snapshots) == 9
+        for a, b in zip(fused.snapshots, plain.snapshots):
+            np.testing.assert_allclose(a.psi, b.psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.psi_dot, b.psi_dot, rtol=0,
+                                       atol=1e-12)
 
 
 class TestRichardson:

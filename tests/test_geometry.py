@@ -196,3 +196,30 @@ class TestCustomMetric:
     def test_get_metric_unknown(self):
         with pytest.raises(GeometryError, match="unknown metric"):
             get_metric("torus")
+
+
+class TestFusedSource:
+    """Built-ins evaluate the flow's nonlinearity f = g g' in a cheaper,
+    equal form; custom metrics evaluate g g' itself."""
+
+    @pytest.mark.parametrize("metric_id", sorted(geometry._BUILTIN))
+    def test_source_is_g_g_prime_on_the_window(self, metric_id):
+        metric = get_metric(metric_id)
+        rho = np.linspace(*metric.search_window, 10 ** 6)
+        gap = np.abs(metric.f(rho) - metric.g(rho) * metric.g_prime(rho))
+        assert np.max(gap) <= 2.0 ** -52
+
+    def test_yang_mills_bit_equal(self):
+        # the doubling and the negation are exact: the bits are those of
+        # g g', up to the sign of a zero (array_equal has -0.0 == 0.0)
+        rho = np.concatenate([np.linspace(-3.0, 3.0, 10 ** 6),
+                              [-1.0, 0.0, 1.0, -0.0]])
+        assert YANG_MILLS.source is not None
+        np.testing.assert_array_equal(
+            YANG_MILLS.f(rho), YANG_MILLS.g(rho) * YANG_MILLS.g_prime(rho))
+
+    def test_custom_metric_has_no_source(self):
+        m = make_metric("s", "sin(rho)", "cos(rho)", (-4.0, 4.0))
+        assert m.source is None
+        rho = np.linspace(-4.0, 4.0, 4097)
+        np.testing.assert_array_equal(m.f(rho), m.g(rho) * m.g_prime(rho))
