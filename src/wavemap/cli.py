@@ -328,6 +328,7 @@ def build_data(scen):
 # the manifest's [blowup] times, in BlowupRecord's field order
 BLOWUP_TIMES = ("t_plus", "concentration_radius", "last_valid_time")
 FRAMES = "frames.npy"       # (frames, 2, n_points) float64: psi, psi_dot
+STORE_FILES = ("manifest.cfg", FRAMES)
 
 
 def save_trajectory(traj, out_dir):
@@ -492,6 +493,33 @@ STAGES = {
 }
 
 
+def _stage_files(out_dir, names):
+    """The files the named stages may write into out_dir: each stage its
+    <name>.report, and the bubble stage the files of its residual store."""
+    files = [os.path.join(out_dir, name + ".report") for name in names
+             if STAGES[name].run]
+    if "bubbles" in names:
+        files += [os.path.join(out_dir, "bubbles.report.residual", name)
+                  for name in STORE_FILES]
+    return files
+
+
+def _refuse_unwritable(cmd, files):
+    """CliError, before any work, for a file to write that exists and is
+    not a regular file, and for one under a path that exists and is not a
+    directory: its store directory or a path above it."""
+    for path in map(os.path.abspath, files):
+        found = path
+        while not os.path.exists(found):      # up to an existing path
+            found = os.path.dirname(found)
+        if found == path and not os.path.isfile(path):
+            raise CliError(f"{path}: exists and is not a regular file; "
+                           f"{cmd} writes a file there")
+        if found != path and not os.path.isdir(found):
+            raise CliError(f"{found}: exists and is not a directory; "
+                           f"{cmd} writes a store directory")
+
+
 # ---------------------------------------------------------------------------
 # analyze ops: each returns the lines analyze prints for a trajectory
 
@@ -569,15 +597,14 @@ def run_simulate(args):
     if len(set(outs)) != len(outs):
         raise CliError("scenarios share an output directory; batch runs "
                        "need disjoint outputs")
-    # every store the batch writes: each output and its bubble residual
-    stores = outs + [os.path.join(out, "bubbles.report.residual")
-                     for out, s in zip(outs, scens) if "bubbles" in s.stages]
-    for out in stores:
-        while not os.path.exists(out):      # up to an existing path
-            out = os.path.dirname(out)
-        if not os.path.isdir(out):
-            raise CliError(f"{out}: exists and is not a directory; "
-                           f"simulate writes a store directory")
+    # every file the batch may write: each store's own, series.csv and the
+    # stages' files
+    files = []
+    for out, s in zip(outs, scens):
+        files += [os.path.join(out, name)
+                  for name in (*STORE_FILES, "series.csv")]
+        files += _stage_files(out, s.stages)
+    _refuse_unwritable("simulate", files)
     return max([run_simulate_one(s) for s in scens])
 
 
@@ -591,6 +618,8 @@ def run_analyze(args):
     for op in ops:
         if op not in OPS:
             raise CliError(f"unknown op {op!r} (known: {', '.join(OPS)})")
+    if "series" in ops:
+        _refuse_unwritable("analyze", [os.path.join(args.traj, "series.csv")])
     ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
     # every op runs before any line prints, and series, the op that writes
     # a file, runs last: an op that refuses the store leaves it untouched
@@ -611,12 +640,14 @@ def run_resolve(args):
     # the scattering state of a global run, the regular part left at a
     # blow-up; a snapshot, the store's last frame, through the stage that
     # runs in either case and reads the last frame: bubble extraction
-    for name, stage in STAGES.items():
-        if stage.run and stage.runs_on(traj) and bool(args.snapshot) == \
-                (stage.after_blowup and stage.without_blowup):
-            report = os.path.join(store, name + ".report")
-            for line in stage.run(traj, report)[1]:
-                print(line)
+    names = [name for name, stage in STAGES.items()
+             if stage.run and stage.runs_on(traj) and bool(args.snapshot) ==
+             (stage.after_blowup and stage.without_blowup)]
+    _refuse_unwritable("resolve", _stage_files(store, names))
+    for name in names:
+        report = os.path.join(store, name + ".report")
+        for line in STAGES[name].run(traj, report)[1]:
+            print(line)
     return 0
 
 

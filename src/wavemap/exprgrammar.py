@@ -13,171 +13,110 @@ small so that a scenario file documents itself:
              | "pow" "(" expr "," expr ")"
              | "(" expr ")"
 
-"^" binds tighter than unary minus, so "-rho^2" is -(rho^2).  Parsed
-expressions evaluate on floats and numpy arrays alike.
+NUMBER is a plain decimal: digits, an optional fraction and an optional
+exponent.  "^" binds tighter than unary minus, so "-rho^2" is -(rho^2).
+
+Python's parser (`ast.parse`) reads the text, "^" replaced by "**", and
+`_compile` accepts only the grammar's nodes: plain decimals, rho, pi and e,
+unary + and -, binary + - * / and **, sin(x), cos(x) and pow(x, y).  The
+text is parsed, never executed.  Parsed expressions evaluate on floats and
+numpy arrays alike.
 """
 
+import ast
 import math
+import operator
+import re
+import warnings
 
 import numpy as np
 
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos}
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
+              ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow}
+_FUNCTIONS = {"sin": (np.sin, 1), "cos": (np.cos, 1),
+              "pow": (operator.pow, 2)}
+# what the grammar never holds, once whitespace is single spaces: another
+# character, "**" (its power is "^") and a comma not between pow's arguments
+_FOREIGN = re.compile(r"[^\w .+\-*/^(),]|\*\*|, ?\)", re.ASCII)
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# the zeros leading a decimal integer such as 007, which Python refuses
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
 
 class ExpressionError(ValueError):
     """Raised when an expression string does not match the grammar."""
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^(),":
-            tokens.append((c, c))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExpressionError(f"bad number {text[i:j]!r} at column {i}")
-            tokens.append(("num", value))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ExpressionError(f"unexpected character {c!r} at column {i}")
-    tokens.append(("end", None))
-    return tokens
+def _constant(value):
+    return lambda r: np.full_like(np.asarray(r, dtype=float), value) \
+        if np.ndim(r) else value
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExpressionError(
-                f"expected {kind!r}, got {tok[0]!r} in {self.text!r}")
-        return tok
+def _rho(r):
+    return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
 
 
-def _binop(op, a, b):
-    if op == "+":
-        return lambda r: a(r) + b(r)
-    if op == "-":
-        return lambda r: a(r) - b(r)
-    if op == "*":
-        return lambda r: a(r) * b(r)
-    if op == "/":
-        return lambda r: a(r) / b(r)
-    if op == "^":
-        return lambda r: a(r) ** b(r)
-    raise ExpressionError(f"unknown operator {op!r}")
+_NAMES = {"rho": _rho, "pi": _constant(math.pi), "e": _constant(math.e)}
 
 
-def _parse_expr(p):
-    node = _parse_term(p)
-    while p.peek() in "+-":
-        op = p.next()[0]
-        node = _binop(op, node, _parse_term(p))
-    return node
+def _apply(fn, a, b=None):
+    """r -> fn(a(r)), or fn(a(r), b(r)) given b: one Python frame per node,
+    so evaluation nests no deeper than the expression."""
+    if b is None:
+        return lambda r: fn(a(r))
+    return lambda r: fn(a(r), b(r))
 
 
-def _parse_term(p):
-    node = _parse_unary(p)
-    while p.peek() in "*/":
-        op = p.next()[0]
-        node = _binop(op, node, _parse_unary(p))
-    return node
-
-
-def _parse_unary(p):
-    if p.peek() in "+-":
-        op = p.next()[0]
-        inner = _parse_unary(p)
-        if op == "-":
-            return lambda r: -inner(r)
-        return inner
-    return _parse_power(p)
-
-
-def _parse_power(p):
-    base = _parse_atom(p)
-    if p.peek() == "^":
-        p.next()
-        exponent = _parse_unary(p)
-        return _binop("^", base, exponent)
-    return base
-
-
-def _parse_atom(p):
-    kind, value = p.next()
-    if kind == "num":
-        return lambda r, v=value: np.full_like(np.asarray(r, dtype=float), v) \
-            if np.ndim(r) else v
-    if kind == "name":
-        if value == "rho":
-            return lambda r: np.asarray(r, dtype=float) if np.ndim(r) else float(r)
-        if value in _CONSTANTS:
-            c = _CONSTANTS[value]
-            return lambda r, v=c: np.full_like(np.asarray(r, dtype=float), v) \
-                if np.ndim(r) else v
-        if value in _FUNCTIONS:
-            fn = _FUNCTIONS[value]
-            p.expect("(")
-            arg = _parse_expr(p)
-            p.expect(")")
-            return lambda r, f=fn, a=arg: f(a(r))
-        if value == "pow":
-            p.expect("(")
-            base = _parse_expr(p)
-            p.expect(",")
-            exponent = _parse_expr(p)
-            p.expect(")")
-            return _binop("^", base, exponent)
-        raise ExpressionError(f"unknown name {value!r} (the variable is 'rho')")
-    if kind == "(":
-        node = _parse_expr(p)
-        p.expect(")")
-        return node
-    raise ExpressionError(f"unexpected token {kind!r} in expression")
+def _compile(node, source):
+    """The callable of one argument that `node`, a node of `source`'s parse,
+    computes; ExpressionError for a node outside the grammar."""
+    text = ast.get_source_segment(source, node)
+    if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(text):
+        return _constant(float(text))
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _apply(_OPERATORS[type(node.op)],
+                      _compile(node.operand, source))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _apply(_OPERATORS[type(node.op)], _compile(node.left, source),
+                      _compile(node.right, source))
+    # a function named and called: not (sin)(rho), which starts before sin
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _FUNCTIONS and not node.keywords \
+            and node.col_offset == node.func.col_offset \
+            and len(node.args) == _FUNCTIONS[node.func.id][1]:
+        return _apply(_FUNCTIONS[node.func.id][0],
+                      *[_compile(arg, source) for arg in node.args])
+    raise ExpressionError(f"{text.replace('**', '^')!r} is not in the "
+                          f"grammar (the variable is 'rho')")
 
 
 def parse_expression(text):
     """Parse `text` into a callable of one argument (float or ndarray)."""
-    p = _Parser(text)
-    node = _parse_expr(p)
-    if p.peek() != "end":
-        raise ExpressionError(f"trailing input in {text!r}")
+    # single spaces, and ASCII for each decimal digit, which float() reads
+    source = "".join(str(int(c)) if c.isdecimal() else c
+                     for c in " ".join(text.split()))
+    foreign = _FOREIGN.search(source)
+    if foreign:
+        raise ExpressionError(f"unexpected {foreign.group()!r} in {text!r}")
+    source = _LEADING_ZEROS.sub("", source).replace("^", "**")
+    # ast.parse's ValueError is for null bytes, refused above; a text too
+    # deep for the parser's stack raises a bare MemoryError
+    try:
+        with warnings.catch_warnings():
+            # Python warns of some texts it then parses, such as "1or 2"
+            warnings.simplefilter("ignore")
+            node = _compile(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ExpressionError(f"{text!r} does not parse: "
+                              f"{getattr(exc, 'msg', str(exc)) or 'too deep'}")
     # probe once so malformed expressions fail at parse time, not in a solver loop
     try:
         node(0.5)
         node(np.array([0.25, 0.75]))
-    except ExpressionError:
-        raise
     except Exception as exc:
         raise ExpressionError(f"expression {text!r} does not evaluate: {exc}")
     return node

@@ -230,7 +230,8 @@ def extract_bubbles(field, metric):
             notes.append(f"separation floor: {lam:.4g} / {scales[-1]:.4g} "
                          f"> {SEPARATION_FLOOR}")
             break
-        diff = work - eval_Q(qmap, r / lam)
+        q_lam = eval_Q(qmap, r / lam)
+        diff = work - q_lam
         diff_field = RadialField(grid, diff, np.zeros_like(diff),
                                  ell0=0.0, ell_inf=0.0, time=0.0)
         misfit_sq = h_norms(diff_field, current, w_lo, w_hi).h ** 2
@@ -242,7 +243,7 @@ def extract_bubbles(field, metric):
             break
         # anchor at the inner root: values inside the bubble stay put and
         # everything outside collapses onto the next root inward
-        work = work - (eval_Q(qmap, r / lam) - qmap.ell)
+        work = work - (q_lam - qmap.ell)
         bubbles.append(qmap)
         scales.append(lam)
         misfits.append(misfit_sq)

@@ -195,7 +195,7 @@ class TestScenarioValidation:
         ({"data": {"amplitude": None}}, "missing [data] amplitude"),
         ({"metric": {"target": "custom", "id": "m", "g": "sin(rho",
                      "g_prime": "cos(rho)", "window": "-4 4"}},
-         "expected ')'"),
+         "'(' was never closed"),
         ({"metric": {"target": "yang-mills"},
           "data": {"family": "chain", "ell": None, "ell_outer": "1",
                    "steps": "1:2"}}, "no root of g above ell = 1"),
@@ -217,11 +217,15 @@ class TestScenarioValidation:
          "[grid] n_points = '1024.7' is not an integer"),
         ({"time": {"record_every": "16.9"}},
          "[time] record_every = '16.9' is not an integer"),
+        ({"metric": {"target": "custom", "id": "m",
+                     "g": "(" * 300 + "sin(rho)" + ")" * 300,
+                     "g_prime": "cos(rho)", "window": "-4 4"}},
+         "too many nested parentheses"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
             "bump_support", "window_inf", "unread_key", "n_points_fraction",
-            "record_every_fraction"])
+            "record_every_fraction", "deep_expression"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -417,11 +421,14 @@ class TestSimulate:
                               "amplitude": "2.4", "center": "1.2",
                               "width": "1.0"},
                         grid={"r_max": "6", "n_points": "2048"},
-                        time={"t_final": "5.0", "record_every": "16"})
+                        time={"t_final": "5.0", "record_every": "16"},
+                        pipeline={"stages": "series, scattering"})
         assert main(["simulate", "--config", cfg]) == 0
         text = capsys.readouterr().out
         assert "status truncated" in text
         assert "blow-up at t+" in text
+        assert f"{cfg}: skipped scattering (blow-up)\n" in text
+        assert not (out / "scattering.report").exists()
         cp = ConfigParser()
         cp.read(out / "manifest.cfg")
         assert cp.get("trajectory", "status") == "truncated"
@@ -466,31 +473,41 @@ class TestSimulate:
         assert err == f"error: {out / 'bubbles.report.residual'}: exists " \
             f"and is not a directory; simulate writes a store directory\n"
 
-    @pytest.mark.parametrize("batch, residual", [
-        (False, False), (True, False), (False, True)],
-        ids=["False", "True", "residual"])
+    @pytest.mark.parametrize("batch, blocked, blocker", [
+        (False, "", "file"), (True, "", "file"),
+        (False, "bubbles.report.residual", "file"),
+        (False, "series.csv", "dir"), (False, "bubbles.report", "dir")],
+        ids=["False", "True", "residual", "series", "report"])
     def test_output_path_that_is_a_file_refused_before_evolve(
-            self, tmp_path, capsys, monkeypatch, batch, residual):
+            self, tmp_path, capsys, monkeypatch, batch, blocked, blocker):
         # a batch writes to <out>/<config stem>, under the file; the bubble
-        # stage writes its residual store inside the output directory
+        # stage writes its residual store inside the output directory; a
+        # directory cannot take the place of a file simulate writes there
         def no_run(*args, **kwargs):
             raise AssertionError("evolve ran")
         monkeypatch.setattr(cli, "evolve", no_run)
-        afile = tmp_path / "afile"
-        if residual:
-            afile.mkdir()
-            afile = afile / "bubbles.report.residual"
-        afile.write_text("kept")
+        out = tmp_path / "afile"
+        if blocked:
+            out.mkdir()
+        path = out / blocked if blocked else out
+        if blocker == "file":
+            path.write_text("kept")
+            message = "exists and is not a directory; simulate writes a " \
+                "store directory"
+        else:
+            path.mkdir()
+            message = "exists and is not a regular file; simulate writes " \
+                "a file there"
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}",
                           pipeline={"stages": "series, bubbles"})
                 for n in ("x", "y")[:1 + batch]]
-        out = afile.parent if residual else afile
         assert main(["simulate", "--config", *cfgs,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == \
-            f"error: {afile}: exists and is not a directory; simulate " \
-            f"writes a store directory\n"
-        assert afile.read_text() == "kept"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        if blocker == "file":
+            assert path.read_text() == "kept"
+        if blocked:
+            assert os.listdir(out) == [blocked]
 
     def test_shared_output_refused(self, tmp_path, capsys):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / "same")
@@ -604,6 +621,32 @@ class TestAnalyzeResolve:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["analyze", "--ops", "series", "--traj"], "series.csv"),
+        (["resolve", "--traj"], "scattering.report"),
+        (["resolve", "--snapshot"], "bubbles.report"),
+        (["resolve", "--snapshot"], "bubbles.report.residual/frames.npy")],
+        ids=["analyze-series", "resolve-traj", "resolve-snapshot",
+             "resolve-residual"])
+    def test_output_path_that_is_a_directory_refused_before_work(
+            self, tmp_path, capsys, monkeypatch, argv, blocked):
+        def no_run(*args, **kwargs):
+            raise AssertionError("work ran")
+        for name in ("write_series", "build_scattering_state",
+                     "extract_bubbles"):
+            monkeypatch.setattr(cli, name, no_run)
+        field = make_bump(RadialGrid(20.0, 256), SPHERE, 0.0)
+        store = write_store(field, tmp_path / "store")
+        (store / blocked).mkdir(parents=True)
+        before = sorted(os.listdir(store))
+        assert main([*argv, str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {store / blocked}: exists and is "
+                                f"not a regular file; {argv[0]} writes a "
+                                f"file there\n")
+        assert sorted(os.listdir(store)) == before
 
     def test_analyze_missing_dir_exits_one(self, capsys):
         assert main(["analyze", "--traj", "/no/such/dir",

@@ -22,6 +22,7 @@ from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
                                read_snapshot, _advance)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
+from wavemap.cli import load_trajectory, save_trajectory
 
 
 ROOT0 = find_vanishing_set(SPHERE).root_at(0.0)
@@ -406,6 +407,22 @@ class TestBlowup:
         for s in blowup_traj.snapshots:
             assert np.all(np.isfinite(s.psi))
             assert np.all(np.isfinite(s.psi_dot))
+
+    def test_nan_truncates_at_the_first_stop(self, tmp_path):
+        grid = RadialGrid(20.0, 256)
+        f0 = make_bump(grid, SPHERE, 0.0)
+        f0.psi[100] = np.nan
+        traj = evolve(f0, SPHERE, 2.0, record_every=4)
+        b = traj.blowup
+        assert b.reason == "nan" and math.isnan(b.concentration_radius)
+        assert len(traj.snapshots) == 1
+        assert (b.t_plus, b.last_valid_time) == (4 * traj.dt, 0.0)
+        # the store keeps the record
+        save_trajectory(traj, str(tmp_path / "run"))
+        back = load_trajectory(str(tmp_path / "run")).blowup
+        assert (back.t_plus, back.last_valid_time, back.reason,
+                back.radius_series) == (b.t_plus, 0.0, "nan", [])
+        assert math.isnan(back.concentration_radius)
 
     def test_mild_data_does_not_trigger(self):
         grid = RadialGrid(40.0, 1024)
