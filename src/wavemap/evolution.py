@@ -22,9 +22,19 @@ arithmetic is elementwise, so each member evolves bit for bit as it would
 alone.  Nodes sit at r_i = i dr, i = 1..n; the origin enters only through
 the regularized ghost value (psi(0) = ell0, phi(0) = 0), and the outer
 boundary is fixed by default (an approximate absorbing variant is
-available).  The time step obeys |dt| <= 0.5 dr; steps refusing the CFL
-bound raise instead of running.  The energy densities shared with the
-diagnostics live here too.
+available).  The time step obeys 0 < |dt| <= 0.5 dr; a step outside
+that bound raises instead of running.  The energy densities shared with
+the diagnostics live here too.
+
+Waves move at finite speed, and the stencil reaches one node further per
+step.  So at each stop a single field's run finds the tail of bitwise
+quiet nodes, where psi holds the bits of ell_inf and psi_t and the
+acceleration those of +0.0, and its next steps touch only the prefix its
+domain of dependence can have reached; the tail keeps the bits a
+full-width step gives it.  A quiet acceleration needs a source that
+vanishes exactly at ell_inf: the sphere at 0, yang-mills at +-1 and every
+linear flow, not the sphere at pi (0.5 sin(2 pi) = -1.2e-16), whose runs
+step every node.  Member stacks step every node too.
 
 Blow-up is watched through the Struwe-style concentration criterion: the
 smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
@@ -138,7 +148,10 @@ class Trajectory:
 
 
 def _check_cfl(grid, dt):
-    if dt > CFL_DEFAULT * grid.dr * (1 + 1e-12):
+    """Refuse a step size outside (0, 0.5 dr], NaN included."""
+    if not dt > 0:
+        raise EvolutionError(f"time step dt = {dt:.6g} must be positive")
+    if not dt <= CFL_DEFAULT * grid.dr * (1 + 1e-12):
         raise EvolutionError(
             f"CFL violation: dt = {dt:.6g} exceeds 0.5 dr = "
             f"{0.5 * grid.dr:.6g}")
@@ -149,8 +162,8 @@ def _step_plan(grid, t_final, cfl):
     ends at or just past t_final."""
     dt = cfl * grid.dr
     _check_cfl(grid, dt)
-    if t_final <= 0:
-        raise EvolutionError("t_final must be positive")
+    if not 0 < t_final < math.inf:
+        raise EvolutionError("t_final must be positive and finite")
     return dt, max(1, int(math.ceil(t_final / dt - 1e-9)))
 
 
@@ -185,17 +198,19 @@ class _Flow:
         here.  The quotients stay divisions, not products with stored
         reciprocals: those change last bits, and stored trajectories are
         reproduced byte for byte.  `a` and `flux` (shaped like psi) are
-        filled when given, else allocated; `a` is returned.
+        filled when given, else allocated; `a` is returned.  psi may be a
+        prefix of the grid's nodes, whose last node then takes the 0.
         """
         if a is None:
             a, flux = np.empty_like(psi), np.empty_like(psi)
+        w = psi.shape[-1]
         np.subtract(psi[..., :1], self.ghost, out=flux[..., :1])
         np.subtract(psi[..., 1:], psi[..., :-1], out=flux[..., 1:])
-        flux *= self.face
+        flux *= self.face[:w]
         inner = a[..., :-1]
         np.subtract(flux[..., 1:], flux[..., :-1], out=inner)
-        inner /= self.lap_den
-        inner -= (self.source(psi) / self.r_sq)[..., :-1]
+        inner /= self.lap_den[:w - 1]
+        inner -= (self.source(psi) / self.r_sq[:w])[..., :-1]
         a[..., -1] = 0.0
         return a
 
@@ -203,15 +218,29 @@ class _Flow:
 def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
     if boundary == "fixed":
         psi_dot[..., -1] = 0.0
-    elif boundary == "absorbing":
+    else:
         # approximate outgoing condition psi_t = -psi_r - (psi - ell_inf)/(2r)
         psi_dot[..., -1] = (-(psi[..., -1] - psi[..., -2]) / grid.dr
                             - (psi[..., -1] - ell_inf) / (2 * grid.r[-1]))
-    else:
-        raise EvolutionError(f"unknown boundary {boundary!r}")
 
 
-def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
+def _quiet_from(psi, psi_dot, a, ell_inf):
+    """The first node q from which one field is bitwise quiet: psi holds
+    the bits of ell_inf + 0.0 (a drift turns -0.0 into +0.0), psi_dot and
+    a those of +0.0.  The last node's psi_dot, which the boundary rule
+    rewrites before it is read, does not count.  A stack gets q = n."""
+    n = psi.shape[-1]
+    if psi.ndim > 1:
+        return n
+    loud = psi.view(np.int64) ^ np.float64(ell_inf + 0.0).view(np.int64)
+    loud |= a.view(np.int64)
+    loud[:-1] |= psi_dot[:-1].view(np.int64)
+    loud = loud[::-1] != 0
+    last = int(loud.argmax())
+    return n - last if loud[last] else 0
+
+
+def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf, quiet):
     """Advance (psi, psi_dot) in place by n_steps velocity-Verlet steps.
 
     The arrays are one field, shape (n,), or a stack of m members on the
@@ -219,29 +248,41 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf):
     psi; it is updated in place to the acceleration at the final psi, so
     consecutive calls continue one run.  The flux and the kick and drift
     products live in two work arrays allocated once per call.
+
+    Nodes quiet.. start bitwise quiet (`_quiet_from`), and step k changes
+    only nodes below quiet + k, so it runs on the prefix [0, quiet + k + 1),
+    whose last node is quiet and takes the acceleration 0.  The boundary
+    rule runs on the grid's last node.
     """
-    grid = flow.grid
+    grid, n = flow.grid, psi.shape[-1]
     half = 0.5 * dt
-    flux, work = np.empty_like(psi), np.empty_like(psi)
-    for _ in range(n_steps):
-        psi_dot += np.multiply(a, half, out=work)
+    whole = psi, psi_dot, a, np.empty_like(psi), np.empty_like(psi)
+    for k in range(1, n_steps + 1):
+        w = quiet + k + 1
+        p, v, acc, work, flux = \
+            whole if w >= n else [x[..., :w] for x in whole]
+        v += np.multiply(acc, half, out=work)
         _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
-        psi += np.multiply(psi_dot, dt, out=work)
-        flow.accel(psi, a, flux)
-        psi_dot += np.multiply(a, half, out=work)
+        p += np.multiply(v, dt, out=work)
+        flow.accel(p, acc, flux)
+        v += np.multiply(acc, half, out=work)
         _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
 
 
 def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
     """Run the flow of `system` in place on psi, psi_dot (one field or a
     stack of members on field's grid, ell0 and ell_inf) by steps of dt,
-    yielding each count of the increasing `stops` once that many are done."""
+    yielding each count of the increasing `stops` once that many are done.
+    The caller leaves the arrays as they are between stops."""
+    if boundary not in BOUNDARIES:
+        raise EvolutionError(f"unknown boundary {boundary!r}")
     _check_cfl(field.grid, abs(dt))
     flow = _Flow(system, field.grid, field.ell0)
     a = flow.accel(psi)
     for done, stop in zip([0, *stops], stops):
+        quiet = _quiet_from(psi, psi_dot, a, field.ell_inf)
         _leapfrog(flow, psi, psi_dot, a, dt, stop - done, boundary,
-                  field.ell_inf)
+                  field.ell_inf, quiet)
         yield stop
 
 

@@ -5,6 +5,7 @@ Reference values are frozen from refined-grid oracle runs; scenarios are
 deterministic so the numbers reproduce exactly.
 """
 
+import dataclasses
 import io
 import math
 import re
@@ -15,7 +16,8 @@ import pytest
 from wavemap.geometry import (SPHERE, YANG_MILLS, find_vanishing_set,
                               make_metric)
 from wavemap.statics import build_harmonic_map, rescale_Q
-from wavemap.evolution import (RadialGrid, RadialField, EvolutionError,
+from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
+                               EvolutionError,
                                evolve, step_nonlinear, step_linear,
                                transform_T, discrete_energy,
                                min_bubble_energy, write_snapshot,
@@ -56,6 +58,8 @@ class TestGridAndField:
             step_linear(f, ROOT0, dt=0.9 * grid.dr)
         with pytest.raises(EvolutionError, match="CFL"):
             step_linear(f, ROOT0, dt=-0.9 * grid.dr)
+        with pytest.raises(EvolutionError, match="must be positive"):
+            step_linear(f, ROOT0, dt=math.nan)
         with pytest.raises(EvolutionError, match="CFL"):
             evolve(f, ROOT0, 1.0, cfl=0.7)
 
@@ -66,6 +70,32 @@ class TestGridAndField:
         f = make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0)
         with pytest.raises(EvolutionError, match="record_every"):
             evolve(f, ROOT0, 1.0, record_every=record_every)
+
+    @pytest.mark.parametrize("cfl, t_final, match", [
+        (-0.5, 1.0, "dt = -0.0390625 must be positive"),
+        (0.0, 1.0, "dt = 0 must be positive"),
+        (math.nan, 1.0, "dt = nan must be positive"),
+        (0.5, 0.0, "t_final must be positive and finite"),
+        (0.5, math.nan, "t_final must be positive and finite"),
+        (0.5, math.inf, "t_final must be positive and finite"),
+    ])
+    def test_step_plan_refusals(self, cfl, t_final, match):
+        # one EvolutionError before any step: never a backward step, nor
+        # a bare ValueError, ZeroDivisionError or OverflowError
+        grid = RadialGrid(10.0, 128)
+        f = make_bump(grid, SPHERE, 0.0, amplitude=0.1)
+        with pytest.raises(EvolutionError, match=match):
+            evolve(f, SPHERE, t_final, cfl=cfl)
+
+    def test_unknown_boundary_refused_before_any_step(self):
+        grid = RadialGrid(20.0, 256)
+        f0, system = _compact_case("sphere-0", grid, -0.4)
+        psi, psi_dot = f0.psi.copy(), f0.psi_dot.copy()
+        with pytest.raises(EvolutionError, match="unknown boundary 'bogus'"):
+            next(_advance(system, f0, psi, psi_dot, 0.5 * grid.dr, [5],
+                          "bogus"))
+        _assert_same_bits(psi, f0.psi)
+        _assert_same_bits(psi_dot, f0.psi_dot)
 
 
 class TestConstantAndStationary:
@@ -153,6 +183,27 @@ class TestConservation:
         e_flux = discrete_energy(f0, SPHERE)
         e_trap = energy(f0, SPHERE).total
         assert abs(e_flux - e_trap) / e_trap < 1e-4
+
+
+def _assert_same_bits(x, y):
+    """Equal to the last bit, sign of zero included."""
+    np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _compact_case(label, grid, velocity):
+    """(data, system) of bump data supported in [3, 7]: outside it psi is
+    ell_inf + 0.0 and psi_dot is velocity * +0.0, so -0.0 for a negative
+    velocity.  "linear-minus-0" hangs from ell_inf = -0.0 with a tail of
+    -0.0, which a forward drift turns into +0.0."""
+    if label == "linear":
+        return make_perturbation(grid, 0.3, 5.0, 2.0, velocity), ROOT0
+    if label == "linear-minus-0":
+        f = make_perturbation(grid, -0.3, 5.0, 2.0, velocity)
+        f.ell_inf = -0.0
+        return f, ROOT0
+    metric, ell = {"sphere-0": (SPHERE, 0.0), "sphere-pi": (SPHERE, np.pi),
+                   "yang-mills-1": (YANG_MILLS, 1.0)}[label]
+    return make_bump(grid, metric, ell, 0.3, 5.0, 2.0, velocity), metric
 
 
 def _flow_case(label, grid, amplitude=0.3):
@@ -253,6 +304,57 @@ class TestOneKernel:
             np.testing.assert_allclose(a.psi, b.psi, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.psi_dot, b.psi_dot, rtol=0,
                                        atol=1e-12)
+
+
+class TestWindow:
+    """A single field's run steps only the nodes its domain of dependence
+    has reached; a (1, n) stack, which steps every node, is the oracle."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize(
+        "label", ["sphere-0", "sphere-pi", "yang-mills-1", "linear",
+                  "linear-minus-0"])
+    def test_single_field_matches_the_full_width_stack(self, label,
+                                                       boundary, sign):
+        # the bump ends at node 89 of 256, so in 200 steps the window
+        # reaches the last node and the run ends at full width
+        grid = RadialGrid(20.0, 256)
+        dt = sign * 0.5 * grid.dr
+        for velocity in (0.0, -0.4):
+            f0, system = _compact_case(label, grid, velocity)
+            for every in (1, 7, 128, 10 ** 6):
+                stops = [*range(every, 200, every), 200]
+                one = f0.psi.copy(), f0.psi_dot.copy()
+                stack = f0.psi[None].copy(), f0.psi_dot[None].copy()
+                for n, _ in zip(
+                        _advance(system, f0, *one, dt, stops, boundary),
+                        _advance(system, f0, *stack, dt, stops, boundary)):
+                    _assert_same_bits(one[0], stack[0][0])
+                    _assert_same_bits(one[1], stack[1][0])
+                assert n == 200
+
+    @pytest.mark.parametrize("label, engaged", [
+        ("sphere-0", True), ("yang-mills-1", True), ("sphere-pi", False)])
+    def test_window_engages_where_the_source_vanishes(self, label, engaged):
+        # 512 steps from a bump ending at node 358 of 2048: the window
+        # spans at most 871 nodes.  0.5 sin(2 pi) = -1.2e-16 keeps every
+        # node of a field hanging from pi moving
+        grid = RadialGrid(40.0, 2048)
+        f0, metric = _compact_case(label, grid, 0.0)
+        widths = []
+
+        def source(psi):
+            widths.append(psi.shape[-1])
+            return metric.f(psi)
+
+        evolve(f0, dataclasses.replace(metric, source=source), 5.0)
+        evaluated, full = sum(widths), grid.n_points * len(widths)
+        assert len(widths) == 513            # the first accel and 512 steps
+        if engaged:
+            assert evaluated < 0.5 * full
+        else:
+            assert evaluated == full
 
 
 class TestRichardson:

@@ -3,8 +3,11 @@
 Every run advances through evolution's stop-step loop `_advance`.  The
 flow object and the step loop behind it, `_Flow` and `_leapfrog`, belong
 to evolution alone: a module that drives them itself repeats the CFL
-check, the flow set-up and the chunking of a run.  Each package module
-is parsed, not imported or executed, and the names it uses are checked.
+check, the flow set-up and the chunking of a run.  Inside evolution,
+only `_advance` and `_leapfrog` evaluate `_Flow.accel`, so no full-width
+step loop lives beside the one that steps a field's domain of dependence.
+Each package module is parsed, not imported or executed, and the names
+it uses are checked.
 """
 
 import ast
@@ -34,3 +37,17 @@ def test_only_evolution_uses_the_kernel():
              if path.stem != "evolution"}
     assert "resolution.py" in users
     assert {name: used for name, used in users.items() if used} == {}
+
+
+def _accel_refs(node):
+    return sum(isinstance(n, ast.Attribute) and n.attr == "accel"
+               for n in ast.walk(node))
+
+
+def test_only_the_step_loops_evaluate_accel():
+    tree = ast.parse((PACKAGE / "evolution.py").read_text())
+    loops = {f.name: _accel_refs(f) for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef)
+             and f.name in ("_advance", "_leapfrog")}
+    assert sorted(loops) == ["_advance", "_leapfrog"] and all(loops.values())
+    assert sum(loops.values()) == _accel_refs(tree)
