@@ -12,29 +12,31 @@ Linearized flow at a root l of g:
     phi_tt = phi_rr + phi_r / r - g'(l)^2 phi / r^2
 
 Both run through one kernel: a flow object, built once per (system,
-grid), holds the coefficients of the flux-form second-order radial
-Laplacian, the origin ghost and the zeroth-order source, and one explicit
-leapfrog (velocity Verlet) loop advances (psi, psi_t).  Every run goes
-through one stop-step loop, `_advance`, whose step dt may be negative to
-run the flow backward.  The node axis is the last axis, so the kernel also
-advances a stack of members of shape (m, n) on one grid in one run; the
-arithmetic is elementwise, so each member evolves bit for bit as it would
-alone.  Nodes sit at r_i = i dr, i = 1..n; the origin enters only through
-the regularized ghost value (psi(0) = ell0, phi(0) = 0), and the outer
+grid, members), holds the coefficients of the flux-form second-order
+radial Laplacian, the origin ghost and the zeroth-order source, and one
+explicit leapfrog (velocity Verlet) loop advances (psi, psi_t).  Every run
+goes through one stop-step loop, `_advance`, whose step dt may be negative
+to run the flow backward.  The node axis is the first axis: one field has
+shape (n,), a stack of m members on one grid shape (n, m) in C order, and
+the kernel steps both as flat buffers with a node stride of m (m = 1 for
+one field), every coefficient repeated m times.  The arithmetic is
+elementwise, so each member evolves bit for bit as it would alone.  Nodes
+sit at r_i = i dr, i = 1..n; the origin enters only through the
+regularized ghost value (psi(0) = ell0, phi(0) = 0), and the outer
 boundary is fixed by default (an approximate absorbing variant is
 available).  The time step obeys 0 < |dt| <= 0.5 dr; a step outside
 that bound raises instead of running.  The energy densities shared with
 the diagnostics live here too.
 
 Waves move at finite speed, and the stencil reaches one node further per
-step.  So at each stop a single field's run finds the tail of bitwise
-quiet nodes, where psi holds the bits of ell_inf and psi_t and the
-acceleration those of +0.0, and its next steps touch only the prefix its
+step.  So at each stop a run finds the tail of bitwise quiet nodes, where
+psi holds the bits of ell_inf and psi_t and the acceleration those of
++0.0 in every member, and its next steps touch only the prefix its
 domain of dependence can have reached; the tail keeps the bits a
-full-width step gives it.  A quiet acceleration needs a source that
-vanishes exactly at ell_inf: the sphere at 0, yang-mills at +-1 and every
-linear flow, not the sphere at pi (0.5 sin(2 pi) = -1.2e-16), whose runs
-step every node.  Member stacks step every node too.
+full-width step gives it.  A stack's window is that of its widest member.
+A quiet acceleration needs a source that vanishes exactly at ell_inf: the
+sphere at 0, yang-mills at +-1 and every linear flow, not the sphere at pi
+(0.5 sin(2 pi) = -1.2e-16), whose runs step every node.
 
 Blow-up is watched through the Struwe-style concentration criterion: the
 smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
@@ -168,18 +170,20 @@ def _step_plan(grid, t_final, cfl):
 
 
 class _Flow:
-    """One radial flow on one grid, with its coefficients computed once.
+    """One radial flow on one grid for stacks of m members, with its
+    coefficients computed once, each repeated m times to match the flat
+    node-major layout.
 
     A Metric gives the wave-map flow, whose ghost psi(0) is ell0; a Root
     gives the linearization at that root, whose ghost is 0.
     """
 
-    def __init__(self, system, grid, ell0):
+    def __init__(self, system, grid, ell0, m):
         r, dr = grid.r, grid.dr
-        self.grid = grid
-        self.face = r - 0.5 * dr                  # r_{i-1/2}
-        self.lap_den = r[:-1] * dr * dr
-        self.r_sq = r ** 2
+        self.grid, self.m = grid, m
+        self.face = np.repeat(r - 0.5 * dr, m)    # r_{i-1/2}
+        self.lap_den = np.repeat(r[:-1] * dr * dr, m)
+        self.r_sq = np.repeat(r ** 2, m)
         if isinstance(system, Metric):
             self.ghost, self.source = ell0, system.f
         elif isinstance(system, Root):
@@ -194,6 +198,7 @@ class _Flow:
 
         L psi_i = (r_{i+1/2}(psi_{i+1}-psi_i) - r_{i-1/2}(psi_i-psi_{i-1}))
                   / (r_i dr^2), ghost = psi(0).
+        psi is flat and node-major: entry i m + j is node i of member j.
         The last node's acceleration is set by the boundary handler, not
         here.  The quotients stay divisions, not products with stored
         reciprocals: those change last bits, and stored trajectories are
@@ -203,84 +208,106 @@ class _Flow:
         """
         if a is None:
             a, flux = np.empty_like(psi), np.empty_like(psi)
-        w = psi.shape[-1]
-        np.subtract(psi[..., :1], self.ghost, out=flux[..., :1])
-        np.subtract(psi[..., 1:], psi[..., :-1], out=flux[..., 1:])
+        m, w = self.m, psi.size
+        np.subtract(psi[:m], self.ghost, out=flux[:m])
+        np.subtract(psi[m:], psi[:-m], out=flux[m:])
         flux *= self.face[:w]
-        inner = a[..., :-1]
-        np.subtract(flux[..., 1:], flux[..., :-1], out=inner)
-        inner /= self.lap_den[:w - 1]
-        inner -= (self.source(psi) / self.r_sq[:w])[..., :-1]
-        a[..., -1] = 0.0
+        inner = a[:-m]
+        np.subtract(flux[m:], flux[:-m], out=inner)
+        inner /= self.lap_den[:w - m]
+        inner -= (self.source(psi) / self.r_sq[:w])[:-m]
+        a[-m:] = 0.0
         return a
 
+    def apply_boundary(self, psi, psi_dot, kind, ell_inf):
+        """Set the last node's psi_dot of every member of the flat
+        node-major psi, psi_dot by the boundary rule `kind`."""
+        m, grid = self.m, self.grid
+        if kind == "fixed":
+            psi_dot[-m:] = 0.0
+        else:
+            # approximate outgoing condition
+            # psi_t = -psi_r - (psi - ell_inf) / (2r)
+            psi_dot[-m:] = (-(psi[-m:] - psi[-2 * m:-m]) / grid.dr
+                            - (psi[-m:] - ell_inf) / (2 * grid.r[-1]))
 
-def _apply_boundary(psi, psi_dot, grid, boundary, ell_inf):
-    if boundary == "fixed":
-        psi_dot[..., -1] = 0.0
-    else:
-        # approximate outgoing condition psi_t = -psi_r - (psi - ell_inf)/(2r)
-        psi_dot[..., -1] = (-(psi[..., -1] - psi[..., -2]) / grid.dr
-                            - (psi[..., -1] - ell_inf) / (2 * grid.r[-1]))
 
-
-def _quiet_from(psi, psi_dot, a, ell_inf):
-    """The first node q from which one field is bitwise quiet: psi holds
-    the bits of ell_inf + 0.0 (a drift turns -0.0 into +0.0), psi_dot and
-    a those of +0.0.  The last node's psi_dot, which the boundary rule
-    rewrites before it is read, does not count.  A stack gets q = n."""
-    n = psi.shape[-1]
-    if psi.ndim > 1:
-        return n
+def _quiet_from(psi, psi_dot, a, ell_inf, m):
+    """The first node q from which every member of the flat node-major
+    psi, psi_dot, a is bitwise quiet: psi holds the bits of ell_inf + 0.0
+    (a drift turns -0.0 into +0.0), psi_dot and a those of +0.0.  The last
+    node's psi_dot, which the boundary rule rewrites before it is read,
+    does not count.  q is the node after the widest member's last loud
+    entry, ceil(q_flat / m)."""
     loud = psi.view(np.int64) ^ np.float64(ell_inf + 0.0).view(np.int64)
     loud |= a.view(np.int64)
-    loud[:-1] |= psi_dot[:-1].view(np.int64)
+    loud[:-m] |= psi_dot[:-m].view(np.int64)
     loud = loud[::-1] != 0
     last = int(loud.argmax())
-    return n - last if loud[last] else 0
+    return -((last - loud.size) // m) if loud[last] else 0
 
 
 def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf, quiet):
     """Advance (psi, psi_dot) in place by n_steps velocity-Verlet steps.
 
-    The arrays are one field, shape (n,), or a stack of m members on the
-    flow's grid, shape (m, n).  `a` is the acceleration at the current
-    psi; it is updated in place to the acceleration at the final psi, so
-    consecutive calls continue one run.  The flux and the kick and drift
-    products live in two work arrays allocated once per call.
+    The arrays are flat and node-major, flow.m members per node (one
+    field for m = 1).  `a` is the acceleration at the current psi; it is
+    updated in place to the acceleration at the final psi, so consecutive
+    calls continue one run.  The flux and the kick and drift products
+    live in two work arrays allocated once per call.
 
     Nodes quiet.. start bitwise quiet (`_quiet_from`), and step k changes
-    only nodes below quiet + k, so it runs on the prefix [0, quiet + k + 1),
-    whose last node is quiet and takes the acceleration 0.  The boundary
-    rule runs on the grid's last node.
+    only nodes below quiet + k, so it runs on the prefix of the first
+    quiet + k + 1 nodes, entries [0, (quiet + k + 1) m), whose last node
+    is quiet and takes the acceleration 0.  The boundary rule runs on the
+    grid's last node.
     """
-    grid, n = flow.grid, psi.shape[-1]
+    m, size = flow.m, psi.size
     half = 0.5 * dt
     whole = psi, psi_dot, a, np.empty_like(psi), np.empty_like(psi)
     for k in range(1, n_steps + 1):
-        w = quiet + k + 1
+        w = (quiet + k + 1) * m
         p, v, acc, work, flux = \
-            whole if w >= n else [x[..., :w] for x in whole]
+            whole if w >= size else [x[:w] for x in whole]
         v += np.multiply(acc, half, out=work)
-        _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
+        flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
         p += np.multiply(v, dt, out=work)
         flow.accel(p, acc, flux)
         v += np.multiply(acc, half, out=work)
-        _apply_boundary(psi, psi_dot, grid, boundary, ell_inf)
+        flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
 
 
 def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
-    """Run the flow of `system` in place on psi, psi_dot (one field or a
-    stack of members on field's grid, ell0 and ell_inf) by steps of dt,
+    """Run the flow of `system` in place on psi, psi_dot by steps of dt,
     yielding each count of the increasing `stops` once that many are done.
-    The caller leaves the arrays as they are between stops."""
+    The arrays are one field, shape (n,), or m members node-major, shape
+    (n, m), on field's grid, ell0 and ell_inf, float64 and C-contiguous,
+    which the kernel steps through flat views.  Arrays of differing
+    shapes, of a shape that is not (n,) or (n, m), or not C-contiguous
+    float64 raise EvolutionError before a step.  A member-major (m, n)
+    stack is refused when m != n; a square one cannot be told apart by
+    its shape and must already be node-major.  The caller leaves the
+    arrays as they are between stops."""
     if boundary not in BOUNDARIES:
         raise EvolutionError(f"unknown boundary {boundary!r}")
     _check_cfl(field.grid, abs(dt))
-    flow = _Flow(system, field.grid, field.ell0)
+    n = field.grid.n_points
+    if psi.shape != psi_dot.shape:
+        raise EvolutionError(f"psi {psi.shape} and psi_dot "
+                             f"{psi_dot.shape} differ in shape")
+    if psi.ndim > 2 or psi.shape[:1] != (n,) or psi.size == 0:
+        raise EvolutionError(f"arrays of shape {psi.shape} are not (n,) or "
+                             f"(n, m) on a grid of {n} nodes")
+    if not all(x.dtype == np.float64 and x.flags.c_contiguous
+               for x in (psi, psi_dot)):
+        raise EvolutionError("psi and psi_dot must be C-contiguous float64 "
+                             "arrays to be stepped in place")
+    m = psi.size // n
+    psi, psi_dot = psi.reshape(-1), psi_dot.reshape(-1)
+    flow = _Flow(system, field.grid, field.ell0, m)
     a = flow.accel(psi)
     for done, stop in zip([0, *stops], stops):
-        quiet = _quiet_from(psi, psi_dot, a, field.ell_inf)
+        quiet = _quiet_from(psi, psi_dot, a, field.ell_inf, m)
         _leapfrog(flow, psi, psi_dot, a, dt, stop - done, boundary,
                   field.ell_inf, quiet)
         yield stop

@@ -21,7 +21,7 @@ from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
                                evolve, step_nonlinear, step_linear,
                                transform_T, discrete_energy,
                                min_bubble_energy, write_snapshot,
-                               read_snapshot, _advance)
+                               read_snapshot, _advance, _Flow, _leapfrog)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -96,6 +96,40 @@ class TestGridAndField:
                           "bogus"))
         _assert_same_bits(psi, f0.psi)
         _assert_same_bits(psi_dot, f0.psi_dot)
+
+    @pytest.mark.parametrize("case, match", [
+        ("transposed", "C-contiguous float64"),
+        ("strided", "C-contiguous float64"),
+        ("float32", "C-contiguous float64"),
+        ("member-major", r"shape \(3, 256\) are not \(n,\) or \(n, m\)"),
+        ("three-axes", r"shape \(256, 2, 1\) are not"),
+        ("no-members", r"shape \(256, 0\) are not"),
+        ("shapes-differ", r"psi \(256, 3\) and psi_dot \(256, 2\) differ"),
+    ])
+    def test_layout_the_kernel_cannot_step_in_place_refused(self, case,
+                                                            match):
+        # a flat view of a non-contiguous array is a copy, so the run
+        # would leave the caller's arrays alone; an (m, n) stack would be
+        # stepped with its members read as nodes
+        grid = RadialGrid(20.0, 256)
+        f0, system = _compact_case("linear", grid, -0.4)
+        stack = np.stack([f0.psi] * 3, axis=1), np.stack([f0.psi_dot] * 3,
+                                                         axis=1)
+        psi, psi_dot = {
+            "transposed": (stack[0].T.copy().T, stack[1]),
+            "strided": (stack[0], np.stack([f0.psi_dot] * 6, axis=1)[:, ::2]),
+            "float32": (f0.psi.astype(np.float32), f0.psi_dot.copy()),
+            "member-major": (stack[0].T.copy(), stack[1].T.copy()),
+            "three-axes": (stack[0][:, :2, None].copy(),
+                           stack[1][:, :2, None].copy()),
+            "no-members": (np.empty((256, 0)), np.empty((256, 0))),
+            "shapes-differ": (stack[0], stack[1][:, :2].copy()),
+        }[case]
+        before = psi.copy(), psi_dot.copy()
+        with pytest.raises(EvolutionError, match=match):
+            next(_advance(system, f0, psi, psi_dot, 0.5 * grid.dr, [5]))
+        np.testing.assert_array_equal(psi, before[0])
+        np.testing.assert_array_equal(psi_dot, before[1])
 
 
 class TestConstantAndStationary:
@@ -236,23 +270,24 @@ class TestOneKernel:
     @pytest.mark.parametrize("boundary", ["fixed", "absorbing"])
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_member_stack_matches_single_runs(self, label, boundary):
-        # a (3, n) stack through the kernel against three 1-D evolve runs;
-        # a boundary that indexes [-1] in place of [..., -1] hits a whole
-        # member instead of the last node of each
+        # an (n, 3) node-major stack through the kernel against three 1-D
+        # evolve runs; a boundary that indexes the last entry in place of
+        # the last node's m entries hits one member only
         grid = RadialGrid(20.0, 256)
         members = [_flow_case(label, grid, amp)[0] for amp in (0.1, 0.2, 0.3)]
         system = _flow_case(label, grid)[1]
         trajs = [evolve(f, system, 3.0, record_every=8, boundary=boundary)
                  for f in members]
-        psi = np.stack([f.psi for f in members])
-        psi_dot = np.stack([f.psi_dot for f in members])
+        psi = np.stack([f.psi for f in members], axis=1)
+        psi_dot = np.stack([f.psi_dot for f in members], axis=1)
         dt = trajs[0].dt
         stops = [round(t / dt) for t in trajs[0].times[1:]]
         for i, n in enumerate(_advance(system, members[0], psi, psi_dot, dt,
                                        stops, boundary), 1):
             for k, traj in enumerate(trajs):
-                np.testing.assert_array_equal(psi[k], traj.snapshots[i].psi)
-                np.testing.assert_array_equal(psi_dot[k],
+                np.testing.assert_array_equal(psi[:, k],
+                                              traj.snapshots[i].psi)
+                np.testing.assert_array_equal(psi_dot[:, k],
                                               traj.snapshots[i].psi_dot)
         assert n == 77
 
@@ -306,9 +341,34 @@ class TestOneKernel:
                                        atol=1e-12)
 
 
+def _full_width(system, f0, psi, psi_dot, dt, stops, boundary):
+    """The oracle of the window: `_advance` on one field, with the window
+    shut, so every step runs on every node."""
+    flow = _Flow(system, f0.grid, f0.ell0, 1)
+    a = flow.accel(psi)
+    for done, stop in zip([0, *stops], stops):
+        _leapfrog(flow, psi, psi_dot, a, dt, stop - done, boundary,
+                  f0.ell_inf, f0.grid.n_points)
+        yield stop
+
+
+def _member(label, grid, j, m):
+    """Member j of a stack of m: compact data whose support ends at
+    13.9 - 1.2 |j - m // 2|, so member m // 2 is the widest and, for
+    m >= 3, neither the first nor the last, and whose amplitude 0.3 and
+    velocity 0.4 are negative on odd j.  Adding 0.0 turns the -0.0 a
+    negative factor leaves in the tail into +0.0, as make_superposition's
+    sums do, so every tail is quiet."""
+    f = make_perturbation(grid, 0.3 * (-1) ** j, 12.4 - 1.2 * abs(j - m // 2),
+                          1.5, 0.4 * (-1) ** j)
+    return (RadialField(grid, f.psi + 0.0, f.psi_dot + 0.0, 0.0, 0.0),
+            ROOT0 if label == "linear" else SPHERE)
+
+
 class TestWindow:
-    """A single field's run steps only the nodes its domain of dependence
-    has reached; a (1, n) stack, which steps every node, is the oracle."""
+    """A run steps only the nodes its domain of dependence has reached;
+    the same kernel with the window shut, which steps every node, is the
+    oracle."""
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -326,13 +386,40 @@ class TestWindow:
             for every in (1, 7, 128, 10 ** 6):
                 stops = [*range(every, 200, every), 200]
                 one = f0.psi.copy(), f0.psi_dot.copy()
-                stack = f0.psi[None].copy(), f0.psi_dot[None].copy()
+                full = f0.psi.copy(), f0.psi_dot.copy()
                 for n, _ in zip(
                         _advance(system, f0, *one, dt, stops, boundary),
-                        _advance(system, f0, *stack, dt, stops, boundary)):
-                    _assert_same_bits(one[0], stack[0][0])
-                    _assert_same_bits(one[1], stack[1][0])
+                        _full_width(system, f0, *full, dt, stops, boundary)):
+                    _assert_same_bits(one[0], full[0])
+                    _assert_same_bits(one[1], full[1])
                 assert n == 200
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("label", ["linear", "sphere-0"])
+    def test_node_major_stack_matches_full_width_single_runs(
+            self, label, m, boundary, sign):
+        # the widest member sets the stack's window; its support ends at
+        # node 177 of 256, so the window reaches the last node in 200 steps
+        grid = RadialGrid(20.0, 256)
+        dt = sign * 0.5 * grid.dr
+        members = [_member(label, grid, j, m)[0] for j in range(m)]
+        system = _member(label, grid, 0, m)[1]
+        for every in (1, 7, 10 ** 6):
+            stops = [*range(every, 200, every), 200]
+            stack = (np.stack([f.psi for f in members], axis=1),
+                     np.stack([f.psi_dot for f in members], axis=1))
+            singles = [(f.psi.copy(), f.psi_dot.copy()) for f in members]
+            runs = [_full_width(system, f, *one, dt, stops, boundary)
+                    for f, one in zip(members, singles)]
+            for n, *_ in zip(
+                    _advance(system, members[0], *stack, dt, stops,
+                             boundary), *runs):
+                for j, one in enumerate(singles):
+                    _assert_same_bits(stack[0][:, j], one[0])
+                    _assert_same_bits(stack[1][:, j], one[1])
+            assert n == 200
 
     @pytest.mark.parametrize("label, engaged", [
         ("sphere-0", True), ("yang-mills-1", True), ("sphere-pi", False)])
@@ -355,6 +442,29 @@ class TestWindow:
             assert evaluated < 0.5 * full
         else:
             assert evaluated == full
+
+    def test_window_engages_for_a_node_major_stack(self):
+        # 8 members whose widest support, member 4's, ends at r = 13.9,
+        # node index 711 of 2048: step k runs on 713 + k nodes of 8
+        # entries each.  By the second stop the absorbing rule has written
+        # -0.0 to the last node's psi_dot, which must not count as loud
+        grid = RadialGrid(40.0, 2048)
+        members = [_member("sphere-0", grid, j, 8)[0] for j in range(8)]
+        widths = []
+
+        def source(psi):
+            widths.append(psi.size)
+            return SPHERE.f(psi)
+
+        psi = np.stack([f.psi for f in members], axis=1)
+        psi_dot = np.stack([f.psi_dot for f in members], axis=1)
+        for _ in _advance(dataclasses.replace(SPHERE, source=source),
+                          members[0], psi, psi_dot, 0.5 * grid.dr,
+                          [256, 512], "absorbing"):
+            pass
+        assert len(widths) == 513            # the first accel and 512 steps
+        assert widths[1] == 8 * 714 and widths[-1] == 8 * 1225
+        assert sum(widths) < 0.5 * 8 * grid.n_points * len(widths)
 
 
 class TestRichardson:
