@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
-                       find_vanishing_set, get_metric, make_metric)
+                       check_assumptions, find_vanishing_set, get_metric,
+                       make_metric)
 from .statics import build_harmonic_map, eval_Q, rescale_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
@@ -169,7 +170,8 @@ def _getint(cp, section, key, path, default=None):
 
 def read_metric(cp, path):
     """The metric of cp's [metric] section: target, and for a custom target
-    its id, g, g_prime and window."""
+    its id, g, g_prime and window.  A custom target that
+    `check_assumptions` finds outside (A2) or (A3') is refused."""
     target = _require(cp, "metric", "target", path)
     if target != "custom":
         try:
@@ -182,10 +184,16 @@ def read_metric(cp, path):
     except ValueError:
         raise CliError(f"{path}: [metric] window needs two finite numbers")
     try:
-        return make_metric(*(_require(cp, "metric", key, path)
-                             for key in ("id", "g", "g_prime")), (lo, hi))
-    except ExpressionError as e:
+        metric = make_metric(*(_require(cp, "metric", key, path)
+                               for key in ("id", "g", "g_prime")), (lo, hi))
+        report = check_assumptions(metric)
+    except (ExpressionError, GeometryError) as e:
         raise CliError(f"{path}: [metric] {e}")
+    why = report.failure()
+    if why:
+        raise CliError(f"{path}: [metric] {metric.id} fails the hypotheses "
+                       f"({report}): {why}")
+    return metric
 
 
 def load_scenario(path, out_override=None):
@@ -384,6 +392,9 @@ def load_trajectory(traj_dir):
         scheme = cp.get("trajectory", "scheme")
         dt, cfl = number("dt"), number("cfl")
         n_frames = cp.getint("trajectory", "frames")
+        if n_frames < 1:
+            raise ValueError(f"[trajectory] frames = {n_frames} must be at "
+                             f"least 1")
         grid = RadialGrid(number("r_max"),
                           cp.getint("trajectory", "n_points"))
         ell0, ell_inf = number("ell0"), number("ell_inf")

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Root, eval_G, find_vanishing_set
+from .geometry import Root, find_vanishing_set
 from .evolution import (CFL_DEFAULT, RadialField, _advance, _densities,
                         _prefix, _step_plan)
 from .data import make_superposition
 from .rng import XorShift64Star
 
-SUP_H_PROOF_CONSTANT = math.sqrt(4.0 / math.log(1.25))
 UNIT_ROOT = Root(0.0, 1.0, math.inf)     # g'(l) = 1: the plain H norm
 
 # beta_hat_ensemble evolves its members in node-major stacks of about this
@@ -137,88 +136,13 @@ def h_norms(field, ell, r1=0.0, r2=None):
     return _h_norms(energy(field, UNIT_ROOT, r1, r2), ell)
 
 
-def pointwise_energy_bound(field, metric, r1, r2):
-    """The static-energy lower bound 2|G(psi(r2)) - G(psi(r1))| <= E.
-
-    Returns (lhs, rhs, ok); the energy on the right drops the kinetic
-    term (the bound controls the static part only).
-    """
-    if not 0 < r1 < r2 <= field.grid.r_max:
-        raise DiagnosticsError(f"need 0 < r1 < r2 <= r_max, got [{r1}, {r2}]")
-    psi1 = float(np.interp(r1, field.grid.r, field.psi))
-    psi2 = float(np.interp(r2, field.grid.r, field.psi))
-    lhs = 2.0 * abs(eval_G(metric, psi2) - eval_G(metric, psi1))
-    e = energy(field, metric, r1, r2)
-    rhs = e.gradient + e.potential
-    return lhs, rhs, lhs <= rhs * (1 + 1e-9) + 1e-12
-
-
-def energy_h_equivalence(metric, ell, delta=None):
-    """Sampled equivalence constants between E and the H norm near a root.
-
-    For fields with sup |psi - l| <= delta the potential density g(psi)^2
-    compares to (psi - l)^2 through the bounds of |g(l+x)/x| sampled at
-    4096 points of 0 < |x| <= delta, giving
-
-        (1/C) ||psi - l||_{HxL2}^2 <= E <= C ||psi - l||_{HxL2}^2.
-
-    Returns (delta, C).  Default delta is half the distance to the nearest
-    distinct root, so g does not vanish inside the band.
-    """
-    if delta is None:
-        if not math.isfinite(ell.gap):
-            raise DiagnosticsError(
-                "lone root: pass delta explicitly, no neighbor sets a scale")
-        delta = 0.5 * ell.gap
-    x = np.linspace(-delta, delta, 4096)
-    x = x[x != 0.0]
-    ratio = np.abs(np.asarray(metric.g(ell.value + x)) / x)
-    m, big = float(np.min(ratio)), float(np.max(ratio))
-    if m <= 0:
-        raise DiagnosticsError(
-            f"g vanishes inside the band |psi - l| <= {delta:.6g}; "
-            "shrink delta")
-    return delta, max(big ** 2, 1.0 / m ** 2, 1.0)
-
-
-def sup_norm_vs_H(field, r1, r2):
-    """sup |psi| on [r1, r2] against the H norm there; needs r2 >= 2 r1.
-
-    Returns (sup, h, ratio, proof_constant); the proof bounds the ratio by
-    sqrt(4 / ln(5/4)) whenever the interval spans at least one doubling.
-    """
-    if r2 < 2 * r1:
-        raise DiagnosticsError(
-            f"interval [{r1}, {r2}] spans less than one doubling")
-    r = field.grid.r
-    mask = (r >= r1) & (r <= r2)
-    if not np.any(mask):
-        raise DiagnosticsError("no nodes inside the interval")
-    sup = float(np.max(np.abs(field.psi[mask])))
-    h = h_norms(field, UNIT_ROOT, r1, r2).h
-    ratio = sup / h if h > 0 else math.inf if sup > 0 else 0.0
-    return sup, h, ratio, SUP_H_PROOF_CONSTANT
-
-
-def self_similar_energy(traj, lam, A=0.0):
-    """Energy in the self-similar annulus per frame.
-
-    Global flow: E(psi(t); lam*t, t - A) for frames with t - A > lam*t.
-    After blow-up detection: E(psi(t); lam*(T+ - t), T+ - t) on frames
-    before T+.  Returns a list of (t, value) pairs.
-    """
-    t_plus = traj.blowup.t_plus if traj.blowup is not None else None
-    return [(snap.time, energy(snap, traj.system, *annulus).total)
-            for snap in traj.snapshots
-            for annulus in _annulus(snap, lam, A, t_plus)]
-
-
-def _annulus(snap, lam, A, t_plus):
-    """[(r_in, r_out)] of self_similar_energy's annulus at one frame, or []
-    where the frame has none."""
+def _annulus(snap, t_plus):
+    """[(r_in, r_out)] of the self-similar annulus at one frame, or []
+    where the frame has none: t/2 <= r <= t on a global trajectory,
+    (T+ - t)/2 <= r <= T+ - t before a blow-up at T+."""
     t = snap.time
-    r_in, r_out = (lam * t, t - A) if t_plus is None else \
-        (lam * (t_plus - t), t_plus - t)
+    r_in, r_out = (0.5 * t, t) if t_plus is None else \
+        (0.5 * (t_plus - t), t_plus - t)
     r_out = min(r_out, snap.grid.r_max)
     return [(r_in, r_out)] if 0 <= r_in < r_out else []
 
@@ -534,8 +458,9 @@ SERIES_COLUMNS = ["t", "E_total", "E_kin", "E_grad", "E_pot", "E_drift",
 
 def write_series(traj, path):
     """series.csv for a trajectory directory: one row per frame.  E_selfsim
-    is self_similar_energy at lam = 1/2, A = 0 and sup_out_cone is
-    linf_outside_cone at lam = 1/2."""
+    is the energy in the frame's self-similar annulus (`_annulus`), nan
+    where it has none, and sup_out_cone is linf_outside_cone at
+    lam = 1/2."""
     ell = traj.system if isinstance(traj.system, Root) else \
         find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
@@ -547,7 +472,7 @@ def write_series(traj, path):
         for snap in traj.snapshots:
             t = snap.time
             e, *selfsim = _energies(snap, traj.system, [
-                (0.0, snap.grid.r_max), *_annulus(snap, 0.5, 0.0, t_plus)])
+                (0.0, snap.grid.r_max), *_annulus(snap, t_plus)])
             if e0 is None:
                 e0 = e.total
             drift = (e.total - e0) / e0 if e0 > 0 else 0.0

@@ -313,54 +313,17 @@ def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
         yield stop
 
 
-def _step(field, system, dt, boundary):
+def _step(field, system, dt, boundary="fixed"):
+    """One leapfrog step of the flow of `system`; returns a new field."""
     psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
     next(_advance(system, field, psi, psi_dot, dt, [1], boundary))
     return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
                        field.time + dt)
 
 
-def step_nonlinear(field, metric, dt, boundary="fixed"):
-    """One leapfrog step of the wave-map flow; returns a new field."""
-    return _step(field, metric, dt, boundary)
-
-
 def step_linear(field, ell, dt, boundary="fixed"):
     """One leapfrog step of the linearized flow at the root `ell`."""
     return _step(field, ell, dt, boundary)
-
-
-@dataclass
-class TransformedField:
-    """phi / r^k with the weight exponent of the flat norm it lives in."""
-    grid: RadialGrid
-    values: np.ndarray
-    weight_exponent: float    # 1 + 2|g'(l)|: norm is int |d_r .|^2 r^w dr
-    slope: float
-
-
-def transform_T(field, ell):
-    """T phi = phi / r^{|g'(l)|}, mapping the linear flow at l to a free
-    radial wave in 2 + 2|g'(l)| space dimensions.
-
-    |g'(l)| is used (the sign convention psi -> -psi absorbs negative
-    slopes).  Fields must vanish like r^{|g'(l)|} at the origin to lie in
-    the image domain; a diverging transformed profile is rejected.
-    """
-    k = abs(ell.slope)
-    k_int = round(k)
-    if abs(k - k_int) > 1e-9 or k_int < 1:
-        raise EvolutionError(
-            f"transform needs a positive integer slope, got g'(l) = {ell.slope}")
-    r = field.grid.r
-    vals = field.psi / r ** k_int
-    head = np.abs(vals[:8])
-    tail_scale = np.median(head[4:]) + 1e-300
-    if head[0] > 4.0 * tail_scale and head[0] > 1e-12:
-        raise EvolutionError(
-            "field not in the image domain of T: profile diverges at the "
-            f"origin after dividing by r^{k_int}")
-    return TransformedField(field.grid, vals, 1.0 + 2.0 * k_int, float(k))
 
 
 def discrete_energy(field, system):
@@ -514,7 +477,7 @@ def _make_blowup_record(frame, metric, radius_series):
     r_peak = float(r[int(np.argmax(dens))])
     ts = np.array([t for t, _ in radius_series[-5:]])
     rhos = np.array([rho for _, rho in radius_series[-5:]])
-    t_plus = frame.time + rhos[-1]
+    t_plus = float(frame.time + rhos[-1])
     if len(ts) >= 2:
         beta, alpha = np.polyfit(ts, rhos, 1)
         if beta < -1e-12:

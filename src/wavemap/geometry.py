@@ -14,6 +14,10 @@ Working assumptions on g, checked per window by `check_assumptions`:
     (A3)  g'(l) in {-1, +1} for all l in V
     (A3') g'(l) in {-2, -1, +1, +2}
 
+A custom target is checked when a config or a stored manifest is read
+(`cli.read_metric`): one that fails (A2) or (A3') is refused before any
+work.  (A1) decides nothing there; it only shows in the report.
+
 Built-in targets: "sphere" (g = sin rho) and "yang-mills" (g = 1 - rho^2,
 the equivariant Yang-Mills reduction).  Custom targets come from expression
 strings, see `exprgrammar`.
@@ -133,6 +137,7 @@ class AssumptionReport:
     a3_prime: bool
     g_growth: tuple          # (|G| at window ends) backing the A1 heuristic
     min_separation: float    # min gap between consecutive roots (A2)
+    roots: np.ndarray        # the roots l of g in the window
     slopes: np.ndarray       # g'(l) values backing A3 / A3'
 
     def __str__(self):
@@ -140,6 +145,25 @@ class AssumptionReport:
                  [("A1", self.a1), ("A2", self.a2),
                   ("A3", self.a3), ("A3'", self.a3_prime)]]
         return "  ".join(f"{n}:{'ok' if ok else 'FAIL'}" for n, ok in flags)
+
+    def failure(self):
+        """Why g fails (A2) or (A3'), the hypotheses the decomposition
+        needs, or None; the (A1) heuristic decides nothing."""
+        if not self.a2:
+            return (f"A2 needs isolated roots of g in the window; it has "
+                    f"{len(self.roots)}, least gap {self.min_separation:.3g}")
+        if not self.a3_prime:
+            k = int(np.argmax(_off_a3_prime(self.slopes)))
+            return (f"A3' needs g'(l) in {{-2, -1, 1, 2}}; "
+                    f"g'({self.roots[k]:.12g}) = {self.slopes[k]:.12g}")
+        return None
+
+
+def _off_a3_prime(slopes):
+    """Mask of the slopes that are not -2, -1, 1 or 2 to SLOPE_TOL."""
+    near_int = np.round(slopes)
+    return ~((np.abs(slopes - near_int) < SLOPE_TOL)
+             & (np.abs(near_int) >= 1) & (np.abs(near_int) <= 2))
 
 
 def _sphere_g_prime(rho):
@@ -419,10 +443,7 @@ def check_assumptions(metric, window=None):
     a2 = len(vset) > 0 and min_sep > 100 * ROOT_TOL
     a3 = len(vset) > 0 and bool(
         np.all(np.abs(np.abs(vset.slopes) - 1.0) < SLOPE_TOL))
-    near_int = np.round(vset.slopes)
-    a3p = len(vset) > 0 and bool(
-        np.all(np.abs(vset.slopes - near_int) < SLOPE_TOL)
-        and np.all(np.abs(near_int) >= 1) and np.all(np.abs(near_int) <= 2))
+    a3p = len(vset) > 0 and not _off_a3_prime(vset.slopes).any()
     return AssumptionReport(a1=a1, a2=a2, a3=a3, a3_prime=a3p,
                             g_growth=(g_lo, g_hi), min_separation=min_sep,
-                            slopes=vset.slopes)
+                            roots=vset.roots, slopes=vset.slopes)

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavemap.geometry import SPHERE, Metric
-from wavemap.evolution import RadialGrid, Trajectory, evolve
+from wavemap.geometry import SPHERE, Metric, check_assumptions, make_metric
+from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_chain
 from wavemap.diagnostics import SERIES_COLUMNS
 from wavemap.resolution import extract_bubbles
@@ -82,6 +82,14 @@ def _older_store(traj):
 def _truncate_frames(traj):
     frames = traj / "frames.npy"
     frames.write_bytes(frames.read_bytes()[:-8])
+
+
+def _no_frames(traj):
+    # a store that agrees with itself on holding no frame at all
+    _manifest_edit(lambda text: re.sub(r"(?m)^times = .*$", "times = ",
+                                       re.sub(r"(?m)^frames = .*$",
+                                              "frames = 0", text)))(traj)
+    _frames_edit(lambda a: a[:0])(traj)
 
 
 class TestScenarioValidation:
@@ -184,7 +192,8 @@ class TestScenarioValidation:
                                 "window": "-4 4"})
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: g_prime expression disagrees")
+        assert err.startswith(f"error: {cfg}: [metric] g_prime expression "
+                              f"disagrees")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("overrides, message", [
@@ -221,11 +230,23 @@ class TestScenarioValidation:
                      "g": "(" * 300 + "sin(rho)" + ")" * 300,
                      "g_prime": "cos(rho)", "window": "-4 4"}},
          "too many nested parentheses"),
+        # g'(0) = 3: outside (A3'), so no stage may run on it
+        ({"metric": {"target": "custom", "id": "sin3", "g": "sin(3*rho)",
+                     "g_prime": "3*cos(3*rho)", "window": "-4 4"},
+          "pipeline": {"stages": "series, bubbles, scattering"}},
+         "[metric] sin3 fails the hypotheses (A1:ok  A2:ok  A3:FAIL  "
+         "A3':FAIL): A3' needs g'(l) in {-2, -1, 1, 2}; g'("),
+        # double roots at +-1: outside (A2)
+        ({"metric": {"target": "custom", "id": "square",
+                     "g": "(1 - rho^2)^2", "g_prime": "-4*rho*(1 - rho^2)",
+                     "window": "-2 2"}},
+         "[metric] assumption A2 violated: non-simple root"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
             "bump_support", "window_inf", "unread_key", "n_points_fraction",
-            "record_every_fraction", "deep_expression"])
+            "record_every_fraction", "deep_expression", "outside_a3_prime",
+            "outside_a2"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -234,6 +255,18 @@ class TestScenarioValidation:
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    def test_a1_heuristic_does_not_gate(self, tmp_path):
+        # G of rho / (1 + rho^2) grows like a log: it does go to infinity,
+        # but the A1 heuristic fails it, so A1 refuses nothing
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        metric={"target": "custom", "id": "log-growth",
+                                "g": "rho / (1 + rho^2)",
+                                "g_prime": "(1 - rho^2) / ((1 + rho^2)^2)",
+                                "window": "-4 4"})
+        scen = load_scenario(cfg)
+        assert scen.metric.id == "log-growth"
+        assert not check_assumptions(scen.metric).a1
 
     def test_key_of_another_family_refused(self, tmp_path, capsys):
         # amplitude is a bump key; a bubble would ignore it
@@ -648,6 +681,35 @@ class TestAnalyzeResolve:
                                 f"file there\n")
         assert sorted(os.listdir(store)) == before
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--ops", "linf", "--traj"],
+        ["analyze", "--ops", "s-norm", "--traj"],
+        ["resolve", "--traj"], ["resolve", "--snapshot"]],
+        ids=["linf", "s-norm", "resolve-traj", "resolve-snapshot"])
+    @pytest.mark.parametrize("metric, edit, message", [
+        (make_metric("sin3", "sin(3*rho)", "3*cos(3*rho)", (-4.0, 4.0)),
+         lambda store: None,
+         "[metric] sin3 fails the hypotheses (A1:ok  A2:ok  A3:FAIL  "
+         "A3':FAIL): A3' needs"),
+        (SPHERE, _no_frames,
+         "malformed manifest: [trajectory] frames = 0 must be at least 1"),
+    ], ids=["outside-a3-prime", "no-frames"])
+    def test_refused_store_is_one_line(self, tmp_path, capsys, argv, metric,
+                                       edit, message):
+        # every reader of a store goes through load_trajectory's refusals
+        grid = RadialGrid(20.0, 256)
+        store = write_store(RadialField(grid, np.zeros(256), np.zeros(256),
+                                        0.0, 0.0), tmp_path / "store", metric)
+        edit(store)
+        before = sorted(os.listdir(store))
+        assert main([*argv, str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {store / 'manifest.cfg'}: {message}")
+        assert captured.err.count("\n") == 1
+        assert sorted(os.listdir(store)) == before
+
     def test_analyze_missing_dir_exits_one(self, capsys):
         assert main(["analyze", "--traj", "/no/such/dir",
                      "--ops", "series"]) == 1
@@ -694,12 +756,14 @@ class TestAnalyzeResolve:
         (_truncate_frames, "frames.npy", "unreadable: "),
         (_frames_edit(lambda a: a.astype(object)), "frames.npy",
          "allow_pickle=False"),
+        (_no_frames, "manifest.cfg",
+         "malformed manifest: [trajectory] frames = 0 must be at least 1"),
     ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
             "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
             "times-count", "r_max-nan", "ell0-nan", "times-inf",
             "older-store", "frames-dtype",
             "frames-count", "frames-nodes", "frames-truncated",
-            "frames-object"])
+            "frames-object", "no-frames"])
     def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
                                             edit, where, message):
         traj = tmp_path / "run"
@@ -959,6 +1023,18 @@ class TestDocs:
                  re.findall(r"`(\w+)` \(([^)]*)\)", optional)})
         assert table == {name: (f.required, f.optional)
                          for name, f in cli.FAMILIES.items()}
+
+    def test_readme_custom_target_is_read(self):
+        # the README's custom [metric] block passes the hypothesis check
+        with open(self.README) as fh:
+            blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+        custom = [b for b in blocks if "target = custom" in b]
+        assert len(custom) == 1
+        cp = ConfigParser()
+        cp.read_string(custom[0])
+        metric = cli.read_metric(cp, "README.md")
+        assert metric.id == "wiggle"
+        assert check_assumptions(metric).failure() is None
 
     def test_help_and_readme_list_the_ops(self, capsys):
         assert main(["analyze", "--help"]) == 0

@@ -18,10 +18,10 @@ from wavemap.geometry import (SPHERE, YANG_MILLS, find_vanishing_set,
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
                                EvolutionError,
-                               evolve, step_nonlinear, step_linear,
-                               transform_T, discrete_energy,
+                               evolve, step_linear, discrete_energy,
                                min_bubble_energy, write_snapshot,
-                               read_snapshot, _advance, _Flow, _leapfrog)
+                               read_snapshot, _advance, _Flow, _leapfrog,
+                               _make_blowup_record, _step)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -140,7 +140,7 @@ class TestConstantAndStationary:
                         ell_inf=0.0, time=0.0)
         out = f
         for _ in range(20):
-            out = step_nonlinear(out, SPHERE, 0.5 * grid.dr)
+            out = _step(out, SPHERE, 0.5 * grid.dr)
         np.testing.assert_array_equal(out.psi, psi0)
         np.testing.assert_array_equal(out.psi_dot, 0.0)
 
@@ -154,7 +154,7 @@ class TestConstantAndStationary:
                         ell_inf=np.pi, time=0.0)
         out = f
         for _ in range(20):
-            out = step_nonlinear(out, SPHERE, 0.5 * grid.dr)
+            out = _step(out, SPHERE, 0.5 * grid.dr)
         np.testing.assert_allclose(out.psi, psi, atol=1e-12)
 
     def test_zero_data_linear(self):
@@ -245,7 +245,7 @@ def _flow_case(label, grid, amplitude=0.3):
     data hangs from pi so the ghost and the far value are not zero."""
     if label == "nonlinear":
         return (make_bump(grid, SPHERE, np.pi, amplitude=amplitude,
-                          center=5.0, width=3.0), SPHERE, step_nonlinear)
+                          center=5.0, width=3.0), SPHERE, _step)
     return (make_perturbation(grid, amplitude=amplitude, center=5.0,
                               width=3.0), ROOT_PI, step_linear)
 
@@ -541,54 +541,6 @@ class TestCovarianceAndCausality:
         assert edge <= 15.0 + t_final * 1.08 + 5 * grid.dr
 
 
-class TestTransform:
-    def test_gaussian_profile(self):
-        grid = RadialGrid(8.0, 1024)
-        psi = grid.r * np.exp(-grid.r ** 2)
-        f = RadialField(grid, psi, np.zeros_like(psi), 0.0, 0.0, 0.0)
-        out = transform_T(f, ROOT0)
-        np.testing.assert_allclose(out.values, np.exp(-grid.r ** 2),
-                                   rtol=1e-13)
-        assert out.weight_exponent == 3.0
-
-    def test_norm_identity_closed_form(self):
-        # phi = r e^{-r}, k = 1: both sides of the first-order norm
-        # identity equal 3/8 exactly; adaptive quadrature on the closed
-        # forms must agree to 1e-10
-        from scipy.integrate import quad
-        direct = quad(lambda r: ((1 - r) ** 2 * np.exp(-2 * r)
-                                 + np.exp(-2 * r)) * r, 0, 40)[0]
-        via_t = quad(lambda r: np.exp(-2 * r) * r ** 3, 0, 40)[0]
-        assert abs(direct - 0.375) < 1e-10
-        assert abs(via_t - 0.375) < 1e-10
-        assert abs(direct - via_t) < 1e-10
-
-    def test_norm_identity_on_grid(self):
-        grid = RadialGrid(20.0, 8192)
-        psi = grid.r * np.exp(-grid.r)
-        f = RadialField(grid, psi, np.zeros_like(psi), 0.0, 0.0, 0.0)
-        hl = h_norms(f, ROOT0).h_ell
-        out = transform_T(f, ROOT0)
-        u = out.values
-        du = np.gradient(u, grid.r)
-        flat_sq = np.trapezoid(du ** 2 * grid.r ** out.weight_exponent,
-                               grid.r)
-        assert abs(hl ** 2 - flat_sq) / hl ** 2 < 1e-3
-
-    def test_domain_error_for_slow_vanishing(self):
-        grid = RadialGrid(8.0, 1024)
-        ym_root = find_vanishing_set(YANG_MILLS).root_at(1.0)
-        psi = grid.r * np.exp(-grid.r ** 2)
-        f = RadialField(grid, psi, np.zeros_like(psi), 0.0, 0.0, 0.0)
-        with pytest.raises(EvolutionError, match="image domain"):
-            transform_T(f, ym_root)
-
-    def test_min_bubble_energy(self):
-        assert abs(min_bubble_energy(SPHERE, 0.0) - 4.0) < 1e-9
-        assert abs(min_bubble_energy(YANG_MILLS, 1.0) - 8.0 / 3.0) < 1e-9
-        assert min_bubble_energy(SPHERE, 0.3) == math.inf
-
-
 @pytest.fixture(scope="module")
 def blowup_traj():
     grid = RadialGrid(6.0, 4096)
@@ -600,6 +552,26 @@ def blowup_traj():
 
 
 class TestBlowup:
+    def test_min_bubble_energy(self):
+        assert abs(min_bubble_energy(SPHERE, 0.0) - 4.0) < 1e-9
+        assert abs(min_bubble_energy(YANG_MILLS, 1.0) - 8.0 / 3.0) < 1e-9
+        assert min_bubble_energy(SPHERE, 0.3) == math.inf
+
+    @pytest.mark.parametrize("series", [
+        [(0.5, 0.2)],                               # one radius: no fit
+        [(0.5, 0.2), (0.6, 0.2), (0.7, 0.2)],      # flat: no root ahead
+    ], ids=["one-radius", "flat"])
+    def test_fallback_t_plus_is_a_float(self, series):
+        # with no usable fit, t_plus is the frame time plus the last radius
+        grid = RadialGrid(6.0, 256)
+        frame = make_bump(grid, SPHERE, 0.0, amplitude=0.3, center=3.0,
+                          width=1.5)
+        frame.time = 0.7
+        rec = _make_blowup_record(frame, SPHERE, series)
+        assert type(rec.t_plus) is float
+        assert rec.t_plus == 0.7 + 0.2
+        assert type(rec.concentration_radius) is float
+
     def test_detection_fires(self, blowup_traj):
         b = blowup_traj.blowup
         assert b is not None

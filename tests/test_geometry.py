@@ -165,14 +165,25 @@ class TestAssumptions:
         rep = check_assumptions(m)
         assert not rep.a1
 
-    @pytest.mark.parametrize("metric, flags", [
-        (SPHERE, (True, True, True, True)),
-        (YANG_MILLS, (True, True, False, True)),
-        (KINK, (True, True, False, False)),
-    ], ids=["sphere", "yang-mills", "kink"])
-    def test_flags(self, metric, flags):
+    @pytest.mark.parametrize("metric, flags, failure", [
+        (SPHERE, (True, True, True, True), None),
+        (YANG_MILLS, (True, True, False, True), None),
+        (KINK, (True, True, False, False),
+         "A3' needs g'(l) in {-2, -1, 1, 2}; g'(-6.28318530718) = "
+         "4.64159265359"),
+        (make_metric("sin3", "sin(3*rho)", "3*cos(3*rho)", (-4.0, 4.0)),
+         (True, True, False, False),
+         "A3' needs g'(l) in {-2, -1, 1, 2}; g'(-3.14159265359) = -3"),
+        (make_metric("no-root", "2 + sin(rho)", "cos(rho)", (-4.0, 4.0)),
+         (True, False, False, False),
+         "A2 needs isolated roots of g in the window; it has 0, least gap "
+         "inf"),
+    ], ids=["sphere", "yang-mills", "kink", "sin3", "no-root"])
+    def test_flags(self, metric, flags, failure):
+        # failure() names the first of A2, A3' that g misses
         rep = check_assumptions(metric)
         assert (rep.a1, rep.a2, rep.a3, rep.a3_prime) == flags
+        assert rep.failure() == failure
 
     def test_report_numbers(self):
         rep = check_assumptions(SPHERE)
