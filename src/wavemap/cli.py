@@ -254,6 +254,13 @@ def load_scenario(path, out_override=None):
         if s not in STAGES:
             raise CliError(f"{path}: unknown pipeline stage {s!r} "
                            f"(known: {', '.join(STAGES)})")
+    # the vanishing set is memoized: _data_params reads this same one
+    roots = find_vanishing_set(metric).roots
+    if "bubbles" in stages and len(roots) < 2:
+        raise CliError(
+            f"{path}: [pipeline] stage bubbles needs two adjacent roots of "
+            f"g; {metric.id} has {len(roots)} in [{metric.search_window[0]:g}"
+            f", {metric.search_window[1]:g}]")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
     scen = Scenario(path=path, metric=metric, family=family,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import Root, find_vanishing_set
 from .evolution import (CFL_DEFAULT, RadialField, _advance, _densities,
-                        _prefix, _step_plan)
+                        _density_reads, _prefix, _step_plan)
 from .data import make_superposition
 from .rng import XorShift64Star
 
@@ -101,20 +101,48 @@ def _interval_integral(x, y, prefix, a, b):
     return out
 
 
-def _energies(field, system, intervals):
+def _energies(field, system, intervals, i0=0, i1=None):
     """EnergyEntries of the field over each [r1, r2] of `intervals`, all
-    read from one density pass and its prefixes."""
-    x, *dens = _densities(field, system)
-    prefixes = [_prefix(x, d) for d in dens]
-    return [EnergyEntry(r1, r2, *(_interval_integral(x, d, p, r1, r2)
-                                  for d, p in zip(dens, prefixes)))
-            for r1, r2 in intervals]
+    read from one density pass over the nodes i0 <= i < i1 (default:
+    every node) and its prefixes."""
+    x, dens = _densities(field, system, i0, i1)
+    prefix = np.empty(len(x))
+    parts = []
+    for d in dens:
+        _prefix(x, d, out=prefix)
+        parts.append([_interval_integral(x, d, prefix, r1, r2)
+                      for r1, r2 in intervals])
+    return [EnergyEntry(r1, r2, *part)
+            for (r1, r2), part in zip(intervals, zip(*parts))]
 
 
 def energy(field, system, r1=0.0, r2=None):
     """Energy of the field over [r1, r2] as an EnergyEntry."""
     r2 = field.grid.r_max if r2 is None else r2
     return _energies(field, system, [(r1, r2)])[0]
+
+
+def window_nodes(r, r1, r2):
+    """[j0, j1): the nodes with r1 <= r <= r2."""
+    return (int(np.searchsorted(r, r1, "left")),
+            int(np.searchsorted(r, r2, "right")))
+
+
+def window_misfit(grid, psi, q, r1, r2):
+    """The squared H norm of psi - q over [r1, r2] from the densities of
+    the nodes in [r1, r2] and one node either side alone; psi - q is
+    formed only on the nodes those densities read.  Its prefix sums start
+    at the window, so it agrees with `h_norms(...).h ** 2` up to their
+    rounding."""
+    n = grid.n_points
+    j0, j1 = window_nodes(grid.r, r1, r2)
+    i0, i1 = max(j0 - 1, 0), min(j1 + 1, n)
+    k0, k1 = _density_reads(n, i0, i1)
+    diff = np.zeros(n)
+    np.subtract(psi[k0:k1], q[k0:k1], out=diff[k0:k1])
+    e = _energies(RadialField(grid, diff, np.zeros(n), 0.0, 0.0),
+                  UNIT_ROOT, [(r1, r2)], i0, i1)[0]
+    return e.gradient + e.potential
 
 
 def _h_norms(e, ell):
@@ -153,9 +181,8 @@ def _inner_kinetic(snap, t_plus=None):
     cut = 0.5 * snap.time if t_plus is None else t_plus - snap.time
     if cut <= 0:
         return 0.0
-    dens = snap.psi_dot ** 2 * r
-    x = np.concatenate([[0.0], r])
-    d = np.concatenate([[0.0], dens])
+    x = snap.grid.r_ghost
+    d = np.concatenate([[0.0], snap.psi_dot ** 2 * r])
     return _interval_integral(x, d, _prefix(x, d), 0.0, min(cut, r[-1]))
 
 

@@ -85,6 +85,12 @@ class RadialGrid:
     def r(self):
         return np.arange(1, self.n_points + 1) * self.dr
 
+    @cached_property
+    def r_ghost(self):
+        """0 followed by r: the radii of the energy densities, whose
+        quadrature closes at the origin ghost."""
+        return np.concatenate([[0.0], self.r])
+
 
 @dataclass
 class RadialField:
@@ -111,14 +117,23 @@ class RadialField:
         return RadialField(self.grid, self.psi.copy(), self.psi_dot.copy(),
                            self.ell0, self.ell_inf, self.time)
 
-    def gradient(self):
-        """d_r psi on nodes: central differences with the origin ghost,
-        one-sided at the outer boundary."""
-        dr = self.grid.dr
-        out = np.empty_like(self.psi)
-        out[0] = (self.psi[1] - self.ell0) / (2 * dr)
-        out[1:-1] = (self.psi[2:] - self.psi[:-2]) / (2 * dr)
-        out[-1] = (self.psi[-1] - self.psi[-2]) / dr
+    def gradient(self, i0=0, i1=None, out=None):
+        """d_r psi on the nodes i0 <= i < i1 (default: every node), written
+        into `out` when given: central differences, with psi(0) = ell0 at
+        the origin and one-sided at the last node.  A node at either end
+        of the range reads its neighbour outside it (`_density_reads`), so
+        each node has the bits of the full pass."""
+        psi, n, dr = self.psi, self.grid.n_points, self.grid.dr
+        i1 = n if i1 is None else i1
+        out = np.empty(i1 - i0) if out is None else out
+        lo, hi = max(i0, 1), min(i1, n - 1)       # central differences
+        central = out[lo - i0:hi - i0]
+        np.subtract(psi[lo + 1:hi + 1], psi[lo - 1:hi - 1], out=central)
+        central /= 2 * dr
+        if i0 == 0:
+            out[0] = (psi[1] - self.ell0) / (2 * dr)
+        if i1 == n:
+            out[-1] = (psi[-1] - psi[-2]) / dr
         return out
 
 
@@ -368,37 +383,72 @@ def min_bubble_energy(metric, ell0):
     return min(energies) if energies else math.inf
 
 
-def _zeroth_weight(system, psi):
+def _zeroth_weight(system, psi, out=None):
     """The zeroth-order energy density numerator: g(psi)^2 for the
-    nonlinear flow, g'(l)^2 psi^2 for the linear flow at l."""
+    nonlinear flow, g'(l)^2 psi^2 for the linear flow at l; written into
+    `out` when given."""
     if isinstance(system, Metric):
-        return np.asarray(system.g(psi)) ** 2
+        return np.square(np.asarray(system.g(psi)), out=out)
     if isinstance(system, Root):
-        return system.slope ** 2 * psi ** 2
+        out = np.square(psi, out=out)
+        out *= system.slope ** 2
+        return out
     raise EvolutionError(f"system must be a Metric or Root, got {system!r}")
 
 
-def _densities(field, system):
-    """(r_ext, kin, grad, pot) densities (already times r) with the ghost."""
-    r = field.grid.r
-    grad = field.gradient()
-    kin = field.psi_dot ** 2 * r
-    gr = grad ** 2 * r
-    pot = _zeroth_weight(system, field.psi) / r
-    ghost = lambda arr: np.concatenate([[0.0], arr])
-    return ghost(r), ghost(kin), ghost(gr), ghost(pot)
+def _densities(field, system, i0=0, i1=None):
+    """(x, dens): the kinetic, gradient and zeroth-order energy densities,
+    each already times r, of the nodes i0 <= i < i1 (default: every node)
+    as the rows of one (3, len(x)) block, at the radii x.
+
+    A range from the origin (i0 = 0) leads with the ghost r = 0, where
+    every density is 0; a range further out has no ghost.  d_r psi is
+    `RadialField.gradient` on the range, so each node's densities have the
+    bits the full pass gives them."""
+    grid = field.grid
+    i1 = grid.n_points if i1 is None else i1
+    ghost = int(i0 == 0)
+    x = grid.r_ghost[i0 + 1 - ghost:i1 + 1]
+    r = x[ghost:]
+    dens = np.empty((3, len(x)))
+    dens[:, :ghost] = 0.0
+    kin, grad, pot = dens[:, ghost:]
+    np.square(field.psi_dot[i0:i1], out=kin)
+    kin *= r
+    field.gradient(i0, i1, out=grad)
+    np.square(grad, out=grad)
+    grad *= r
+    _zeroth_weight(system, field.psi[i0:i1], out=pot)
+    pot /= r
+    return x, dens
 
 
-def _prefix(x, y):
-    """Cumulative trapezoid of y over x, starting at 0."""
-    return np.concatenate(
-        [[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+def _density_reads(n, i0, i1):
+    """[k0, k1): the nodes whose psi the densities of the nodes
+    i0 <= i < i1 read, on a grid of n nodes; d_r psi reads each node's
+    neighbours."""
+    return max(i0 - 1, 0), min(i1 + 1, n)
+
+
+def _prefix(x, y, out=None):
+    """Cumulative trapezoid of y over x, starting at 0, written into `out`
+    when given."""
+    out = np.empty(len(y)) if out is None else out
+    out[0] = 0.0
+    seg = out[1:]
+    np.add(y[1:], y[:-1], out=seg)
+    seg *= 0.5
+    seg *= np.diff(x)
+    np.cumsum(seg, out=seg)
+    return out
 
 
 def _concentration_radius(field, metric, e_crit):
     """Smallest node radius enclosing energy e_crit, or None."""
-    r_ext, kin, grad, pot = _densities(field, metric)
-    prefix = _prefix(r_ext, kin + grad + pot)
+    r_ext, (dens, grad, pot) = _densities(field, metric)
+    dens += grad
+    dens += pot
+    prefix = _prefix(r_ext, dens)
     idx = np.searchsorted(prefix, e_crit)
     if idx >= len(prefix):
         return None

@@ -16,6 +16,16 @@ endpoints.  Extraction scans inward for the outermost transition
 crossing, reads the scale off the normalized profile, refines it by
 one-dimensional least squares in log-scale, subtracts, and repeats.
 
+Windows.  Each extraction step reads only the nodes its answer depends
+on.  The scan reads the nodes up to scan_hi, the outer edge of the
+previous bubble's flat zone; the fit and its misfit read the fit window
+[w_lo, w_hi], the misfit through the densities of the window's nodes and
+one node either side (`diagnostics.window_misfit`).  A window of at least
+2 COARSE_FIT_NODES nodes is first fit on a subsample of about
+COARSE_FIT_NODES of its nodes, and only the last Gauss-Newton steps run
+on all of them.  Only the energy ledger and the subtraction of a fitted
+bubble read every node.
+
 All routines are pure functions over immutable inputs; reports for
 different fields can be computed in parallel with no shared state.
 """
@@ -31,12 +41,14 @@ from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import RadialField, evolve, min_bubble_energy, _advance
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
-                          select_times, support_radius)
+                          select_times, support_radius, window_misfit,
+                          window_nodes)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
 MIN_SCALE_NODES = 4         # scales below 4 dr are unresolved
 MIN_FIT_NODES = 8
+COARSE_FIT_NODES = 1024     # windows of 2x this many nodes: subsample first
 SETTLE_FRAMES = 5           # last cone-trace frames that must settle on ell*
 MARGIN_NODES = 8            # the regular part's fill keeps rho_c >= 8 dr
 
@@ -108,21 +120,39 @@ def _crossing_radii(qmap, level):
     return math.exp(s_in), math.exp(s_out)
 
 
-def _fit_log_scale(qmap, r, psi, u0):
-    """Least-squares log-scale u of Q(r e^{-u}) against psi, by Gauss-Newton
-    with the exact Jacobian d/du Q(r e^{-u}) = -sign g(Q), kept inside
-    u0 +- log 2 and stopped once a step is below 1e-12."""
-    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
-    u = u0
+def _gauss_newton(qmap, r, psi, u, u_lo, u_hi, tol):
+    """Gauss-Newton on the log-scale u of Q(r e^{-u}) against psi, with
+    the exact Jacobian d/du Q(r e^{-u}) = -sign g(Q), kept inside
+    [u_lo, u_hi] and stopped once a step is below tol."""
     for _ in range(100):
         q = eval_Q(qmap, r * math.exp(-u))
         jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
-        u_next = min(max(u - float(jac @ (psi - q)) / float(jac @ jac),
-                         u_lo), u_hi)
-        if abs(u_next - u) < 1e-12:
+        res = np.subtract(psi, q, out=q)
+        u_next = min(max(u - float(jac @ res) / float(jac @ jac), u_lo),
+                     u_hi)
+        if abs(u_next - u) < tol:
             return u_next
         u = u_next
     return u
+
+
+def _fit_log_scale(qmap, r, psi, u0):
+    """Least-squares log-scale u of Q(r e^{-u}) against psi, kept inside
+    u0 +- log 2 and stopped once a step is below 1e-12.
+
+    A window of at least 2 COARSE_FIT_NODES nodes is first fit, to steps
+    below 1e-9, on every k-th node, about COARSE_FIT_NODES of them, where
+    most iterations run.  Smaller windows are fit on every node from u0,
+    as they always were."""
+    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
+    u = u0
+    if len(r) >= 2 * COARSE_FIT_NODES:
+        k = len(r) // COARSE_FIT_NODES
+        u = _gauss_newton(qmap, r[::k], psi[::k], u, u_lo, u_hi, 1e-9)
+        # one full-window step before the stop test, so that the stop, as
+        # in the single stage, fires on a step from a full-window iterate
+        u = _gauss_newton(qmap, r, psi, u, u_lo, u_hi, math.inf)
+    return _gauss_newton(qmap, r, psi, u, u_lo, u_hi, 1e-12)
 
 
 @dataclass
@@ -164,7 +194,11 @@ def extract_bubbles(field, metric):
     profile's own delta0 crossing, refines it by least squares in
     log-scale over the transition window, and subtracts the bubble
     anchored at its inner root so everything outside collapses onto the
-    next root.  Repeats strictly inside the accepted bubble's flat zone.
+    next root.  Repeats strictly inside the accepted bubble's flat zone,
+    scanning only the nodes at or below its edge scan_hi.  The misfit,
+    the H^2 norm of the field minus the fitted bubble over the fit window,
+    is integrated from the window's nodes alone, so it agrees with the
+    full-grid `h_norms` up to the rounding of the prefix sums below w_lo.
 
     Extraction stops (with a note) rather than guessing: an unmatched
     transition is left in the residual as "unresolved structure", a scale
@@ -193,8 +227,9 @@ def extract_bubbles(field, metric):
     scan_hi = R
     bubbles, scales, misfits, notes = [], [], [], []
     while True:
-        g_work = np.abs(np.asarray(metric.g(work)))
-        idx = np.flatnonzero((r <= scan_hi) & (g_work >= delta0))
+        top = int(np.searchsorted(r, scan_hi, "right"))
+        g_work = np.abs(np.asarray(metric.g(work[:top])))
+        idx = np.flatnonzero(g_work >= delta0)
         if len(idx) == 0:
             break
         i_star = int(idx[-1])
@@ -212,15 +247,14 @@ def extract_bubbles(field, metric):
         rho_lo, rho_hi = _crossing_radii(qmap, 0.5 * delta0)
         w_lo = 0.8 * lam_guess * rho_lo
         w_hi = min(1.25 * lam_guess * rho_hi, scan_hi)
-        window = (r >= w_lo) & (r <= w_hi)
-        if np.count_nonzero(window) < MIN_FIT_NODES:
+        j0, j1 = window_nodes(r, w_lo, w_hi)
+        if j1 - j0 < MIN_FIT_NODES:
             notes.append(f"under-resolved scale near {lam_guess:.4g}: "
                          f"fewer than {MIN_FIT_NODES} nodes in the fit "
                          "window")
             break
-        rw = r[window]
-        pw = work[window]
-        lam = math.exp(_fit_log_scale(qmap, rw, pw, math.log(lam_guess)))
+        lam = math.exp(_fit_log_scale(qmap, r[j0:j1], work[j0:j1],
+                                      math.log(lam_guess)))
         if lam < MIN_SCALE_NODES * grid.dr:
             notes.append(f"under-resolved scale {lam:.4g} < "
                          f"{MIN_SCALE_NODES} dr = "
@@ -231,10 +265,7 @@ def extract_bubbles(field, metric):
                          f"> {SEPARATION_FLOOR}")
             break
         q_lam = eval_Q(qmap, r / lam)
-        diff = work - q_lam
-        diff_field = RadialField(grid, diff, np.zeros_like(diff),
-                                 ell0=0.0, ell_inf=0.0, time=0.0)
-        misfit_sq = h_norms(diff_field, current, w_lo, w_hi).h ** 2
+        misfit_sq = window_misfit(grid, work, q_lam, w_lo, w_hi)
         if misfit_sq > MISFIT_FRACTION * qmap.energy:
             notes.append(f"unresolved structure at r = {r_star:.6g}: "
                          f"misfit^2 {misfit_sq:.4g} above "
@@ -243,7 +274,8 @@ def extract_bubbles(field, metric):
             break
         # anchor at the inner root: values inside the bubble stay put and
         # everything outside collapses onto the next root inward
-        work = work - (q_lam - qmap.ell)
+        q_lam -= qmap.ell
+        work -= q_lam
         bubbles.append(qmap)
         scales.append(lam)
         misfits.append(misfit_sq)

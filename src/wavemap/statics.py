@@ -143,16 +143,23 @@ def eval_Q(qmap, r):
     with np.errstate(divide="ignore"):
         s = np.log(r)
     lo_tail, hi_tail = s < qmap.stitch_lo, s > qmap.stitch_hi
-    sc = np.clip(s, qmap.stitch_lo, qmap.stitch_hi)
+    tails = (qmap.ell + qmap.c_lo * np.exp(qmap.k_lo * s[lo_tail]),
+             qmap.m + qmap.c_hi * np.exp(-qmap.k_hi * s[hi_tail]))
+    sc = np.clip(s, qmap.stitch_lo, qmap.stitch_hi, out=s)
     n = len(qmap.knots)
     # interval index: interp's search beats searchsorted; a NaN clips to 0
-    i = np.clip(np.interp(sc, qmap.knots, np.arange(n)).astype(np.intp), 0,
-                n - 2)
-    t = sc - qmap.knots[i]
+    i = np.interp(sc, qmap.knots, np.arange(n)).astype(np.intp)
+    np.clip(i, 0, n - 2, out=i)
+    # Horner in place: the products and sums of ((c3 t + c2) t + c1) t + c0;
+    # i is in range, so take need not check it
+    t, c = sc, np.empty_like(sc)
+    t -= qmap.knots.take(i, out=c, mode="clip")
     c0, c1, c2, c3 = qmap.coeffs
-    out = ((c3[i] * t + c2[i]) * t + c1[i]) * t + c0[i]
-    out[lo_tail] = qmap.ell + qmap.c_lo * np.exp(qmap.k_lo * s[lo_tail])
-    out[hi_tail] = qmap.m + qmap.c_hi * np.exp(-qmap.k_hi * s[hi_tail])
+    out = c3.take(i, mode="clip")
+    for coeff in (c2, c1, c0):
+        out *= t
+        out += coeff.take(i, out=c, mode="clip")
+    out[lo_tail], out[hi_tail] = tails
     return float(out[0]) if scalar else out
 
 

@@ -268,6 +268,24 @@ class TestScenarioValidation:
         assert scen.metric.id == "log-growth"
         assert not check_assumptions(scen.metric).a1
 
+    def test_bubbles_without_a_root_pair_refused(self, tmp_path, capsys):
+        # rho / (1 + rho^2) vanishes only at 0 in [-4, 4]: no connector
+        # exists, so the bubble stage is refused before the run, not after
+        lone = {"target": "custom", "id": "lone",
+                "g": "rho / (1 + rho^2)",
+                "g_prime": "(1 - rho^2) / ((1 + rho^2)^2)", "window": "-4 4"}
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", metric=lone,
+                        pipeline={"stages": "series, bubbles"})
+        assert main(["simulate", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {cfg}: [pipeline] stage bubbles needs two "
+                       f"adjacent roots of g; lone has 1 in [-4, 4]\n")
+        assert not (tmp_path / "out").exists()
+        # without the bubble stage the same target runs
+        cfg = write_cfg(tmp_path / "t.cfg", tmp_path / "out", metric=lone)
+        assert load_scenario(cfg).metric.id == "lone"
+
     def test_key_of_another_family_refused(self, tmp_path, capsys):
         # amplitude is a bump key; a bubble would ignore it
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",

@@ -13,15 +13,16 @@ import re
 import numpy as np
 import pytest
 
-from wavemap.geometry import (SPHERE, YANG_MILLS, find_vanishing_set,
-                              make_metric)
+from wavemap.geometry import (SPHERE, YANG_MILLS, Metric, Root,
+                              find_vanishing_set, make_metric)
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
                                EvolutionError,
                                evolve, step_linear, discrete_energy,
                                min_bubble_energy, write_snapshot,
                                read_snapshot, _advance, _Flow, _leapfrog,
-                               _make_blowup_record, _step)
+                               _make_blowup_record, _step, _densities,
+                               _density_reads, _prefix)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -465,6 +466,98 @@ class TestWindow:
         assert len(widths) == 513            # the first accel and 512 steps
         assert widths[1] == 8 * 714 and widths[-1] == 8 * 1225
         assert sum(widths) < 0.5 * 8 * grid.n_points * len(widths)
+
+
+def _old_densities(field, system):
+    """The density pass as it was first written, one temporary per
+    operation: the oracle of the in-place pass."""
+    r, dr, psi = field.grid.r, field.grid.dr, field.psi
+    grad = np.empty_like(psi)
+    grad[0] = (psi[1] - field.ell0) / (2 * dr)
+    grad[1:-1] = (psi[2:] - psi[:-2]) / (2 * dr)
+    grad[-1] = (psi[-1] - psi[-2]) / dr
+    weight = np.asarray(system.g(psi)) ** 2 if isinstance(system, Metric) \
+        else system.slope ** 2 * psi ** 2
+    ghost = lambda arr: np.concatenate([[0.0], arr])
+    return (ghost(r), ghost(field.psi_dot ** 2 * r), ghost(grad ** 2 * r),
+            ghost(weight / r))
+
+
+def _old_prefix(x, y):
+    return np.concatenate(
+        [[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
+class TestDensityPass:
+    """The energy densities and their prefixes are computed in place, in
+    one block, and on node ranges; every node keeps the bits of the
+    pass that allocates a temporary per operation.  The linear flow runs
+    at a root of slope 1.7, so its weight g'(l)^2 is no exact 1."""
+
+    ROOT = Root(0.0, 1.7, math.inf)
+
+    @staticmethod
+    def _fields(n):
+        # a sphere bump on a wave that reaches the last node, with signed
+        # zeros in between, and three members of a node-major stack, read
+        # as strided columns
+        grid = RadialGrid(20.0, n)
+        f = make_bump(grid, SPHERE, 0.0, amplitude=0.6, center=6.0,
+                      width=2.5, velocity=-0.3)
+        psi = f.psi + 0.01 * np.sin(grid.r)
+        psi_dot = f.psi_dot + 0.02 * np.cos(grid.r)
+        psi[n // 2:3 * n // 4:2], psi_dot[n // 2:3 * n // 4:3] = -0.0, -0.0
+        yield RadialField(grid, psi, psi_dot, f.ell0, f.ell_inf)
+        stack = np.stack([psi, 0.5 * psi, -psi], axis=1)
+        dots = np.stack([psi_dot, -psi_dot, 0.25 * psi_dot], axis=1)
+        for k in range(3):
+            yield RadialField(grid, stack[:, k], dots[:, k], f.ell0,
+                              f.ell_inf)
+
+    @pytest.mark.parametrize("n", [1024, 2 ** 15])
+    @pytest.mark.parametrize("system", [SPHERE, YANG_MILLS, ROOT],
+                             ids=["sphere", "yang-mills", "root"])
+    def test_full_pass_keeps_the_old_bits(self, n, system):
+        for f in self._fields(n):
+            assert f.psi.strides[0] in (8, 24)
+            x, dens = _densities(f, system)
+            old_x, *old = _old_densities(f, system)
+            _assert_same_bits(x, old_x)
+            reused = np.empty(len(x))
+            for d, d_old in zip(dens, old):
+                _assert_same_bits(d, d_old)
+                p = _prefix(x, d)
+                _assert_same_bits(p, _old_prefix(old_x, d_old))
+                _assert_same_bits(_prefix(x, d, out=reused), p)
+
+    def test_prefix_keeps_a_leading_negative_zero(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([-0.0, -0.0, 1.0, -5.0])
+        _assert_same_bits(_prefix(x, y), _old_prefix(x, y))
+        assert math.copysign(1.0, _prefix(x, y)[1]) == -1.0
+
+    @pytest.mark.parametrize("n", [1024, 2 ** 15])
+    @pytest.mark.parametrize("system", [SPHERE, ROOT],
+                             ids=["sphere", "root"])
+    def test_a_node_range_is_the_slice_of_the_full_pass(self, n, system):
+        ranges = [(0, n), (0, 1), (0, 2), (0, 9), (1, 2), (1, 9), (5, 6),
+                  (17, n // 2), (n // 3, n - 1), (n - 2, n), (n - 1, n)]
+        for f in self._fields(n):
+            full_x, full = _densities(f, system)
+            for i0, i1 in ranges:
+                x, dens = _densities(f, system, i0, i1)
+                # the ghost leads only a range from the origin
+                lo = 0 if i0 == 0 else i0 + 1
+                _assert_same_bits(x, full_x[lo:i1 + 1])
+                for d, d_full in zip(dens, full):
+                    _assert_same_bits(d, d_full[lo:i1 + 1])
+                # psi outside the nodes the range reads does not reach it
+                k0, k1 = _density_reads(n, i0, i1)
+                psi = np.full(n, np.nan)
+                psi[k0:k1] = f.psi[k0:k1]
+                _, blind = _densities(dataclasses.replace(f, psi=psi),
+                                      system, i0, i1)
+                _assert_same_bits(blind, dens)
 
 
 class TestRichardson:

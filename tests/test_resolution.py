@@ -6,6 +6,7 @@ Planted fields with known scales serve as oracles; reference numbers are
 frozen from refined-grid runs and every scenario is deterministic.
 """
 
+import dataclasses
 import math
 import os
 from configparser import ConfigParser
@@ -20,7 +21,9 @@ from wavemap.statics import build_harmonic_map, eval_Q, rescale_Q
 from wavemap.evolution import (RadialGrid, RadialField, Trajectory,
                                BlowupRecord, evolve)
 from wavemap.data import make_bump, make_perturbation, make_chain, bump_profile
-from wavemap.diagnostics import energy, h_norms, support_radius, select_times
+from wavemap.diagnostics import (energy, h_norms, support_radius,
+                                 select_times, window_misfit)
+from wavemap import resolution
 from wavemap.resolution import (ResolutionError, compute_delta0,
                                 extract_bubbles, residual_norms, extend_H,
                                 build_scattering_state, extract_regular_part,
@@ -28,7 +31,8 @@ from wavemap.resolution import (ResolutionError, compute_delta0,
                                 EXTENSION_RAMP_GRADIENT,
                                 EXTENSION_RAMP_ZEROTH_INNER,
                                 EXTENSION_RAMP_ZEROTH_OUTER,
-                                SEPARATION_FLOOR, MISFIT_FRACTION)
+                                SEPARATION_FLOOR, MISFIT_FRACTION,
+                                COARSE_FIT_NODES)
 from wavemap.rng import XorShift64Star
 
 VSET = find_vanishing_set(SPHERE)
@@ -247,6 +251,130 @@ class TestExtraction:
     def test_constants_are_pinned(self):
         assert SEPARATION_FLOOR == 0.2
         assert MISFIT_FRACTION == 0.10
+        assert COARSE_FIT_NODES == 1024
+
+
+def _single_stage_fit(qmap, r, psi, u0):
+    """The one-stage Gauss-Newton fit on every node of the window: the
+    oracle of the two-stage fit."""
+    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
+    u = u0
+    for _ in range(100):
+        q = eval_Q(qmap, r * math.exp(-u))
+        jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
+        u_next = min(max(u - float(jac @ (psi - q)) / float(jac @ jac),
+                         u_lo), u_hi)
+        if abs(u_next - u) < 1e-12:
+            return u_next
+        u = u_next
+    return u
+
+
+WINDOW_CHAINS = {
+    # outer scales whose fit windows hold thousands of nodes, inner ones
+    # whose windows hold a few hundred
+    "sphere-one": (SPHERE, 0.0, [(1, 0.15)]),
+    "sphere-two": (SPHERE, 0.0, [(-1, 0.3), (-1, 0.3 * 0.006)]),
+    "yang-mills-one": (YANG_MILLS, 1.0, [(-1, 0.2)]),
+    "yang-mills-two": (YANG_MILLS, 1.0, [(-1, 0.4), (1, 0.4 * 0.008)]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WINDOW_CHAINS))
+def window_chain(request):
+    metric, ell, steps = WINDOW_CHAINS[request.param]
+    field, _, scales = make_chain(RadialGrid(4.0, 2 ** 15), metric, ell,
+                                  steps)
+    return field, metric, len(scales)
+
+
+class TestWindowedExtraction:
+    """Each extraction step reads only the nodes its answer depends on:
+    the scan stops at scan_hi, the misfit reads the fit window, and a wide
+    window is fit on a subsample before it is fit on every node."""
+
+    def test_scan_reads_only_nodes_below_scan_hi(self, window_chain):
+        field, metric, planted = window_chain
+        calls = []
+
+        def g(psi):
+            calls.append(psi)
+            return metric.g(psi)
+
+        rep = extract_bubbles(field, dataclasses.replace(metric, g=g))
+        assert rep.J == planted
+        # the scan evaluates g on prefixes of the working copy, which
+        # becomes the residual; the ledger's energy of the residual reads
+        # all of it last
+        *scans, ledger = [len(x) for x in calls if isinstance(x, np.ndarray)
+                          and x.base is rep.residual.psi]
+        r = field.grid.r
+        assert len(scans) == rep.J + 1 and scans[0] == ledger == len(r)
+        scan_hi = field.grid.r_max
+        for qmap, lam, width in zip(rep.bubbles, rep.scales, scans[1:]):
+            rho_lo = resolution._crossing_radii(qmap, 0.5 * rep.delta0)[0]
+            scan_hi = min(scan_hi, 0.9 * rho_lo * lam)
+            assert width == np.searchsorted(r, scan_hi, "right") < len(r)
+            assert r[width - 1] <= scan_hi
+
+    def test_windowed_misfit_matches_the_full_grid_norm(self, window_chain,
+                                                        monkeypatch):
+        field, metric, planted = window_chain
+        windows = []
+
+        def recording(grid, psi, q, r1, r2):
+            windows.append((r1, r2))
+            return window_misfit(grid, psi, q, r1, r2)
+
+        monkeypatch.setattr(resolution, "window_misfit", recording)
+        rep = extract_bubbles(field, metric)
+        assert rep.J == len(windows) == planted
+        # the full-grid misfit of each bubble, against the field with the
+        # bubbles outside it subtracted the way extraction subtracts them
+        r, work = field.grid.r, field.psi.copy()
+        for qmap, lam, (r1, r2), misfit_sq in zip(
+                rep.bubbles, rep.scales, windows, rep.misfits):
+            q_lam = eval_Q(qmap, r / lam)
+            diff = RadialField(field.grid, work - q_lam, np.zeros_like(r),
+                               0.0, 0.0)
+            full = h_norms(diff, ROOT0, r1, r2).h ** 2
+            assert misfit_sq == pytest.approx(full, rel=1e-9, abs=0.0)
+            q_lam -= qmap.ell
+            work -= q_lam
+        np.testing.assert_array_equal(work, rep.residual.psi)
+
+    def test_two_stage_fit_matches_the_single_stage(self, window_chain,
+                                                    monkeypatch):
+        field, metric, planted = window_chain
+        widths = []
+        fit = resolution._fit_log_scale
+
+        def recording(qmap, r, psi, u0):
+            widths.append(len(r))
+            return fit(qmap, r, psi, u0)
+
+        monkeypatch.setattr(resolution, "_fit_log_scale", recording)
+        rep = extract_bubbles(field, metric)
+        monkeypatch.setattr(resolution, "_fit_log_scale", _single_stage_fit)
+        oracle = extract_bubbles(field, metric)
+        assert rep.J == oracle.J == planted
+        assert widths[0] >= 2 * COARSE_FIT_NODES
+        for width, lam, lam_oracle in zip(widths, rep.scales,
+                                          oracle.scales):
+            if width < 2 * COARSE_FIT_NODES:
+                assert lam == lam_oracle
+            else:
+                assert lam == pytest.approx(lam_oracle, rel=1e-13, abs=0.0)
+
+    def test_small_windows_keep_the_single_stage_bits(self, monkeypatch):
+        # on 2048 nodes over [0, 20] every window is below 2048 nodes
+        field, _, _ = make_chain(RadialGrid(20.0, 2048), SPHERE, 0.0,
+                                 [(-1, 4.0), (-1, 0.08)])
+        rep = extract_bubbles(field, SPHERE)
+        monkeypatch.setattr(resolution, "_fit_log_scale", _single_stage_fit)
+        oracle = extract_bubbles(field, SPHERE)
+        assert rep.J == 2 and rep.scales == oracle.scales
+        np.testing.assert_array_equal(rep.residual.psi, oracle.residual.psi)
 
 
 class TestResidualNorms:
