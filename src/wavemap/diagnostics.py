@@ -20,6 +20,8 @@ estimate beta_hat.
 """
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -35,9 +37,13 @@ UNIT_ROOT = Root(0.0, 1.0, math.inf)     # g'(l) = 1: the plain H norm
 
 # beta_hat_ensemble evolves its members in node-major stacks of about this
 # many entries (128 KB per float64 array), so the kernel's temporaries stay
-# in cache.  The ensemble of RadialGrid(128, 2048) at root 0 to t = 20,
-# 100 members, took 1.44-1.56 s at 2^12, 0.97-1.26 s at 2^13 to 2^16 and
-# 1.19-1.39 s at 2^17 and 2^18 (one stack), two runs each on 2 vCPUs
+# in cache, and a worker process steps one stack at a time.  The ensemble
+# of RadialGrid(128, 2048) at root 0 to t = 20, 100 members, on 2 workers
+# took 0.99-1.04 s at 2^12, 0.67-0.78 s at 2^13, 0.60-0.66 s at 2^14,
+# 0.58-0.60 s at 2^15, 0.69-0.74 s at 2^16, 0.85-0.91 s at 2^17 and
+# 1.50-1.84 s at 2^18 (one stack, so one process), three runs each on
+# 2 vCPUs.  2^15 gained 3-9% on 2^14, inside this host's drift, for twice
+# the memory per stack
 BLOCK_NODES = 2 ** 14
 
 
@@ -414,23 +420,80 @@ def _exterior_reports(fields0, ell, t, first=0):
     return reports
 
 
+def _block_ratios(members, ell, t, first):
+    """The exterior ratios of one block of ensemble members, whose errors
+    name members counted from `first`."""
+    return [rep.ratio for rep in _exterior_reports(members, ell, t, first)]
+
+
+def _workers(n_tasks):
+    """How many processes share n_tasks: one per CPU this process may run
+    on, at most one per task.  One, so nothing is forked, where the
+    platform cannot fork or another thread runs: a fork copies that
+    thread's locks but not the thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
+
+
+def _map_in_draw_order(fn, tasks, workers):
+    """[fn(*task) for task in tasks], each task drawn from the iterable
+    only when a worker has room for it.  With more than one worker the
+    calls run in that many forked processes, at most two tasks per worker
+    in flight, and the results are read in draw order, so the first
+    failing task's error is the one raised.  Every worker has been joined
+    when this returns or raises."""
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        results, pending = [], []
+        for task in tasks:
+            pending.append(pool.apply_async(fn, task))
+            if len(pending) == 2 * workers:
+                results.append(pending.pop(0).get())
+        return results + [p.get() for p in pending]
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
     """Empirical exterior-energy lower bound over a seeded ensemble of
     make_superposition data.
 
     Returns (beta_hat, ratios): beta_hat = min over the ensemble of the
     squared exterior ratio.  Purely empirical; no claim beyond the sample.
-    Members are drawn and evolved in blocks of BLOCK_NODES // n_points
-    (at least one), so memory stays proportional to one block.
+    n_data < 1, or a t that is negative or not finite, raises
+    DiagnosticsError before any member is drawn.
+
+    Members are drawn in seed order in blocks of BLOCK_NODES // n_points
+    (at least one), and each block is evolved as one stack.  The blocks
+    run in forked worker processes, one per CPU in the process's affinity
+    mask and at most one per block; with one worker, or where the
+    platform cannot fork or another thread runs, they run in this
+    process.  Each member is elementwise its own run, so the ratios are
+    bit for bit those of one process, and an error is the first failing
+    block's in draw order.  Memory stays proportional to two blocks per
+    worker.
     """
+    if not n_data >= 1:
+        raise DiagnosticsError(f"n_data = {n_data} must be at least 1")
+    if not 0 <= t < math.inf:
+        raise DiagnosticsError(f"t = {t:g} must be finite and nonnegative")
     rng = XorShift64Star(seed)
     block = max(1, BLOCK_NODES // grid.n_points)
-    ratios = np.empty(n_data)
-    for first in range(0, n_data, block):
-        members = [make_superposition(grid, rng)
-                   for _ in range(min(block, n_data - first))]
-        reports = _exterior_reports(members, ell, t, first)
-        ratios[first:first + len(members)] = [rep.ratio for rep in reports]
+    firsts = range(0, n_data, block)
+    tasks = (([make_superposition(grid, rng)
+               for _ in range(min(block, n_data - first))], ell, t, first)
+             for first in firsts)
+    ratios = np.concatenate(_map_in_draw_order(_block_ratios, tasks,
+                                               _workers(len(firsts))))
     return float(np.min(ratios)), ratios
 
 

@@ -29,14 +29,15 @@ that bound raises instead of running.  The energy densities shared with
 the diagnostics live here too.
 
 Waves move at finite speed, and the stencil reaches one node further per
-step.  So at each stop a run finds the tail of bitwise quiet nodes, where
-psi holds the bits of ell_inf and psi_t and the acceleration those of
-+0.0 in every member, and its next steps touch only the prefix its
-domain of dependence can have reached; the tail keeps the bits a
-full-width step gives it.  A stack's window is that of its widest member.
-A quiet acceleration needs a source that vanishes exactly at ell_inf: the
-sphere at 0, yang-mills at +-1 and every linear flow, not the sphere at pi
-(0.5 sin(2 pi) = -1.2e-16), whose runs step every node.
+step.  So at each stop, and after its first step, a run finds the tail
+of bitwise quiet nodes, where psi holds the bits of ell_inf and psi_t and
+the acceleration those of +0.0 in every member, and its next steps touch
+only the prefix its domain of dependence can have reached; the tail keeps
+the bits a full-width step gives it.  A stack's window is that of its
+widest member.  A quiet acceleration needs a source that vanishes
+exactly at ell_inf: the sphere at 0, yang-mills at +-1 and every linear
+flow, not the sphere at pi (0.5 sin(2 pi) = -1.2e-16), whose runs step
+every node.
 
 Blow-up is watched through the Struwe-style concentration criterion: the
 smallest radius rho with E(psi(t); 0, rho) at least one bubble energy.  If
@@ -321,10 +322,16 @@ def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
     psi, psi_dot = psi.reshape(-1), psi_dot.reshape(-1)
     flow = _Flow(system, field.grid, field.ell0, m)
     a = flow.accel(psi)
-    for done, stop in zip([0, *stops], stops):
-        quiet = _quiet_from(psi, psi_dot, a, field.ell_inf, m)
-        _leapfrog(flow, psi, psi_dot, a, dt, stop - done, boundary,
-                  field.ell_inf, quiet)
+    done = 0
+    for stop in stops:
+        while done < stop:
+            quiet = _quiet_from(psi, psi_dot, a, field.ell_inf, m)
+            # a forward first step turns the -0.0 data may carry in their
+            # tail into +0.0, so the quiet tail is found again after it
+            chunk = 1 if done == 0 else stop - done
+            _leapfrog(flow, psi, psi_dot, a, dt, chunk, boundary,
+                      field.ell_inf, quiet)
+            done += chunk
         yield stop
 
 

@@ -8,15 +8,21 @@ deterministic.
 
 import csv
 import math
+import multiprocessing
+import os
+import re
+import time
 
 import numpy as np
 import pytest
 
+import wavemap.diagnostics as diagnostics
 from wavemap.geometry import SPHERE, YANG_MILLS, Root, find_vanishing_set
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_perturbation, make_superposition
-from wavemap.diagnostics import (DiagnosticsError, _exterior_reports, energy,
+from wavemap.diagnostics import (BLOCK_NODES, DiagnosticsError,
+                                 _exterior_reports, energy,
                                  h_norms, kinetic_average, select_times,
                                  lightcone_concentration,
                                  exterior_energy_ratio, beta_hat_ensemble,
@@ -398,6 +404,103 @@ class TestExteriorEnergy:
         np.testing.assert_array_equal(r1, r2)
         assert b1 > 0.0
         assert b1 == np.min(r1)
+
+
+def _serial_ratios(grid, ell, t, n_data, seed=20260819):
+    """The ensemble's ratios run one member at a time in this process: the
+    oracle of the worker pool."""
+    rng = XorShift64Star(seed)
+    return np.array([exterior_energy_ratio(make_superposition(grid, rng),
+                                           ell, t).ratio
+                     for _ in range(n_data)])
+
+
+class TestEnsemblePool:
+    """beta_hat_ensemble steps its blocks in forked workers.  The pool
+    tests give the process three CPUs, so the pool runs on any host, and
+    count the processes forked."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        fork, children = os.fork, []
+
+        def counted():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return children
+
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (3, 1)])
+    @pytest.mark.parametrize("grid", [RadialGrid(128.0, 2048),
+                                      RadialGrid(97.3, 1531)],
+                             ids=["2048", "1531"])
+    def test_ratios_are_those_of_one_process(self, forks, grid, blocks,
+                                             extra):
+        block = max(1, BLOCK_NODES // grid.n_points)
+        n_data = blocks * block + extra
+        beta, ratios = beta_hat_ensemble(grid, ROOT0, 4.0, n_data=n_data)
+        oracle = _serial_ratios(grid, ROOT0, 4.0, n_data)
+        assert ratios.tobytes() == oracle.tobytes()
+        assert beta == np.min(oracle)
+        # one block runs in this process and forks nothing
+        n_blocks = -(-n_data // block)
+        assert len(forks) == (min(3, n_blocks) if n_blocks > 1 else 0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_run_raises_its_error_and_joins_the_workers(self,
+                                                                  forks):
+        steep = Root(0.0, 1e154, math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError,
+                               match="member 0: the linear flow is not "
+                                     "finite"):
+                beta_hat_ensemble(RadialGrid(128.0, 2048), steep, 4.0,
+                                  n_data=30)
+        assert len(forks) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_failing_block_in_draw_order_is_raised(self, forks,
+                                                             monkeypatch):
+        # the block from member 8 fails 0.5 s after the one from member 16;
+        # the workers inherit the patched module at the fork
+        real = diagnostics._exterior_reports
+
+        def reports(members, ell, t, first=0):
+            if first == 8:
+                time.sleep(0.5)
+            if first in (8, 16):
+                raise DiagnosticsError(f"block from member {first}")
+            return real(members, ell, t, first)
+
+        monkeypatch.setattr(diagnostics, "_exterior_reports", reports)
+        with pytest.raises(DiagnosticsError, match="block from member 8"):
+            beta_hat_ensemble(RadialGrid(128.0, 2048), ROOT0, 4.0,
+                              n_data=40)
+        assert len(forks) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_data, t, message", [
+        (0, 2.0, "n_data = 0 must be at least 1"),
+        (-2, 2.0, "n_data = -2 must be at least 1"),
+        (3, -1.0, "t = -1 must be finite and nonnegative"),
+        (3, math.inf, "t = inf must be finite and nonnegative"),
+        (3, math.nan, "t = nan must be finite and nonnegative")])
+    def test_bad_arguments_are_refused_before_any_work(self, monkeypatch,
+                                                       n_data, t, message):
+        def work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(diagnostics, "make_superposition", work)
+        monkeypatch.setattr(os, "fork", work)
+        with pytest.raises(DiagnosticsError, match=re.escape(message)):
+            beta_hat_ensemble(RadialGrid(128.0, 2048), ROOT0, t,
+                              n_data=n_data)
 
 
 class TestSNorm:

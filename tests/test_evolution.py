@@ -467,6 +467,40 @@ class TestWindow:
         assert widths[1] == 8 * 714 and widths[-1] == 8 * 1225
         assert sum(widths) < 0.5 * 8 * grid.n_points * len(widths)
 
+    def test_negative_zero_tails_window_after_the_first_step(self):
+        # psi = -0.3 shape and psi_t = -0.4 shape carry -0.0 outside the
+        # support, which counts as loud; the first forward step turns it
+        # into +0.0, so a single-stop run windows from its second step on.
+        # One field ends its support at node 358 of 2048, the stack's
+        # widest member, member 4, at node 711; odd members are negative
+        grid = RadialGrid(40.0, 2048)
+        dt = 0.5 * grid.dr
+        stack = [make_perturbation(grid, 0.3 * (-1) ** j,
+                                   12.4 - 1.2 * abs(j - 4), 1.5,
+                                   0.4 * (-1) ** j) for j in range(8)]
+        for members in ([make_perturbation(grid, -0.3, 5.0, 2.0, 0.0)],
+                        [make_perturbation(grid, 0.3, 5.0, 2.0, -0.4)],
+                        stack):
+            widths = []
+
+            def source(psi):
+                widths.append(psi.size)
+                return SPHERE.f(psi)
+
+            psi = np.stack([f.psi for f in members], axis=1)
+            psi_dot = np.stack([f.psi_dot for f in members], axis=1)
+            next(_advance(dataclasses.replace(SPHERE, source=source),
+                          members[0], psi, psi_dot, dt, [512]))
+            for j, f in enumerate(members):
+                one = f.psi.copy(), f.psi_dot.copy()
+                next(_full_width(SPHERE, f, *one, dt, [512], "fixed"))
+                _assert_same_bits(psi[:, j], one[0])
+                _assert_same_bits(psi_dot[:, j], one[1])
+            full = len(members) * grid.n_points
+            assert len(widths) == 513         # the first accel and 512 steps
+            assert widths[1] == full and widths[2] < full
+            assert sum(widths) < 0.6 * full * len(widths)
+
 
 def _old_densities(field, system):
     """The density pass as it was first written, one temporary per
