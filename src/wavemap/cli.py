@@ -46,8 +46,7 @@ from .diagnostics import (DiagnosticsError, energy, write_series,
                           linf_outside_cone, s_norm)
 from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
                          residual_norms, extend_H, build_scattering_state,
-                         extract_regular_part, pythagorean_report,
-                         write_bubble_report)
+                         extract_regular_part, pythagorean_report)
 from .rng import XorShift64Star
 
 FMT = "%.17g"
@@ -349,7 +348,7 @@ STORE_FILES = ("manifest.cfg", FRAMES)
 def save_trajectory(traj, out_dir):
     """Write manifest.cfg, with the [metric] keys of traj.system, and the
     frames to frames.npy."""
-    if not traj.system.keys:
+    if not getattr(traj.system, "keys", ()):
         raise CliError(f"{out_dir}: {traj.system!r} has no [metric] keys to "
                        f"store; build it with get_metric or make_metric")
     try:
@@ -434,7 +433,27 @@ def load_trajectory(traj_dir):
 
 def _bubbles(traj, report):
     rep = extract_bubbles(traj.snapshots[-1], traj.system)
-    write_bubble_report(rep, report)
+    sections = {"report": {
+        "J": str(rep.J),
+        **{key: FMT % getattr(rep, key)
+           for key in ("delta0", "eps0", "outer_root", "outer_limit")},
+        "metric": rep.metric.id,
+        "notes": "; ".join(rep.notes),
+    }}
+    for j, (qmap, lam, mis) in enumerate(
+            zip(rep.bubbles, rep.scales, rep.misfits), start=1):
+        sections[f"bubble {j}"] = {
+            "ell": FMT % qmap.ell,
+            "m": FMT % qmap.m,
+            "sign": str(qmap.sign),
+            "scale": FMT % lam,
+            "energy": FMT % qmap.energy,
+            "misfit_sq": FMT % mis,
+        }
+    # every ExtractionLedger field, in field order
+    sections["ledger"] = {key: FMT % value
+                          for key, value in vars(rep.ledger).items()}
+    _write_ini(report, sections)
     save_trajectory(Trajectory([rep.residual], 0.0, "one-frame", 0.0,
                                traj.system), report + ".residual")
     pyth = pythagorean_report(rep)

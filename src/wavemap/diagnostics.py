@@ -182,14 +182,16 @@ def _annulus(snap, t_plus):
 
 
 def _inner_kinetic(snap, t_plus=None):
-    """Kinetic energy inside r <= t/2 (global) or r <= T+ - t (blow-up)."""
-    r = snap.grid.r
+    """Kinetic energy inside r <= t/2 (global) or r <= T+ - t (blow-up),
+    from the densities of the nodes up to the first at or past the cut."""
     cut = 0.5 * snap.time if t_plus is None else t_plus - snap.time
     if cut <= 0:
         return 0.0
-    x = snap.grid.r_ghost
-    d = np.concatenate([[0.0], snap.psi_dot ** 2 * r])
-    return _interval_integral(x, d, _prefix(x, d), 0.0, min(cut, r[-1]))
+    r = snap.grid.r
+    i1 = min(int(np.searchsorted(r, cut)) + 1, len(r))
+    # the kinetic row is the same under every system
+    x, (kin, _, _) = _densities(snap, UNIT_ROOT, 0, i1)
+    return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
 
 
 def _kinetic_series(traj, t_plus):
@@ -303,19 +305,27 @@ class ConcentrationRow:
     boundary_tainted: bool
 
 
-def _perturbation(snap):
-    """The field psi - ell_inf, which vanishes at infinity."""
-    if snap.ell_inf == 0.0:
-        return snap
-    return RadialField(snap.grid, snap.psi - snap.ell_inf, snap.psi_dot,
-                       ell0=snap.ell0 - snap.ell_inf, ell_inf=0.0,
-                       time=snap.time)
+def perturbation(field, base):
+    """The field psi - base, velocity shared, boundary values shifted by
+    base: about its own far value, a field that vanishes at infinity."""
+    return RadialField(field.grid, field.psi - base, field.psi_dot,
+                       ell0=field.ell0 - base, ell_inf=field.ell_inf - base,
+                       time=field.time)
+
+
+def _fractions(norms):
+    """(Hl, kinetic) shares of the squared Hl x L^2 norm of HNorms, which
+    equipartition drives to 1/2 each; nan where that norm is 0."""
+    total = norms.h_ell_x_l2 ** 2
+    if total > 0:
+        return norms.h_ell ** 2 / total, norms.l2 ** 2 / total
+    return math.nan, math.nan
 
 
 def lightcone_concentration(traj, A, ell=None):
     """Per frame: the H x L^2 norm of psi - ell_inf outside the shell
     |r - t| < A, plus the equipartition fractions of the conserved
-    Hl x L^2 norm.
+    Hl x L^2 norm (`_fractions`).
 
     Rows are flagged boundary-tainted once the run can feel the outer
     boundary (t beyond r_max minus the data support radius).
@@ -337,13 +347,10 @@ def lightcone_concentration(traj, A, ell=None):
         if t + A < r_max:
             intervals.append((t + A, r_max))
         full, *off = (_h_norms(e, ell) for e in _energies(
-            _perturbation(snap), UNIT_ROOT, intervals))
+            perturbation(snap, snap.ell_inf), UNIT_ROOT, intervals))
         out_sq = sum(n.h_x_l2 ** 2 for n in off)
-        total_sq = full.h_ell_x_l2 ** 2
         rows.append(ConcentrationRow(
-            t=t, outside=math.sqrt(out_sq),
-            hl_fraction=full.h_ell ** 2 / total_sq if total_sq > 0 else 0.0,
-            kin_fraction=full.l2 ** 2 / total_sq if total_sq > 0 else 0.0,
+            t, math.sqrt(out_sq), *_fractions(full),
             boundary_tainted=bool(t + A >= r_max or t >= taint_time)))
     return rows
 
@@ -566,11 +573,8 @@ def write_series(traj, path):
             if e0 is None:
                 e0 = e.total
             drift = (e.total - e0) / e0 if e0 > 0 else 0.0
-            n = h_norms(_perturbation(snap), ell)
-            tot = n.h_ell_x_l2 ** 2
-            fracs = (n.h_ell ** 2 / tot if tot > 0 else math.nan,
-                     n.l2 ** 2 / tot if tot > 0 else math.nan)
+            n = h_norms(perturbation(snap, snap.ell_inf), ell)
             row = (t, e.total, e.kinetic, e.gradient, e.potential, drift,
                    selfsim[0].total if selfsim else math.nan,
-                   cone.get(t, math.nan), *fracs)
+                   cone.get(t, math.nan), *_fractions(n))
             fh.write(",".join(fmt % v for v in row) + "\n")

@@ -451,15 +451,14 @@ def _prefix(x, y, out=None):
 
 
 def _concentration_radius(field, metric, e_crit):
-    """Smallest node radius enclosing energy e_crit, or None."""
-    r_ext, (dens, grad, pot) = _densities(field, metric)
+    """(rho, x, dens): the smallest node radius enclosing energy e_crit,
+    or None, and the summed density block times r at the radii x."""
+    x, (dens, grad, pot) = _densities(field, metric)
     dens += grad
     dens += pot
-    prefix = _prefix(r_ext, dens)
+    prefix = _prefix(x, dens)
     idx = np.searchsorted(prefix, e_crit)
-    if idx >= len(prefix):
-        return None
-    return float(r_ext[idx])
+    return (float(x[idx]) if idx < len(prefix) else None), x, dens
 
 
 def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
@@ -503,13 +502,14 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
                             field.ell0, field.ell_inf, t)
         snapshots.append(frame)
         if math.isfinite(e_crit):
-            rho = _concentration_radius(frame, system, e_crit)
+            rho, x, dens = _concentration_radius(frame, system, e_crit)
             if rho is not None:
                 radius_series.append((t, rho))
                 if rho <= floor and _shrinking(radius_series):
-                    blowup = _make_blowup_record(
-                        frame, system, radius_series)
+                    blowup = _make_blowup_record(frame, x, dens,
+                                                 radius_series)
                     break
+            del x, dens     # held across the next steps, it grew peak RSS
 
     # _advance has refused any system that is not a Metric or a Root
     scheme = f"leapfrog-nonlinear:{system.id}" \
@@ -526,12 +526,10 @@ def _shrinking(series, window=3):
     return all(b <= a for a, b in zip(rhos, rhos[1:]))
 
 
-def _make_blowup_record(frame, metric, radius_series):
-    r = frame.grid.r
-    grad = frame.gradient()
-    dens = (frame.psi_dot ** 2 + grad ** 2
-            + _zeroth_weight(metric, frame.psi) / r ** 2)
-    r_peak = float(r[int(np.argmax(dens))])
+def _make_blowup_record(frame, x, dens, radius_series):
+    """The record of a blow-up detected at frame, whose energy density
+    times r, past the origin ghost, is dens[1:] at the nodes x[1:]."""
+    r_peak = float(x[1 + int(np.argmax(dens[1:] / x[1:]))])
     ts = np.array([t for t, _ in radius_series[-5:]])
     rhos = np.array([rho for _, rho in radius_series[-5:]])
     t_plus = float(frame.time + rhos[-1])

@@ -31,7 +31,6 @@ different fields can be computed in parallel with no shared state.
 """
 
 import math
-from configparser import ConfigParser
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -39,10 +38,11 @@ import numpy as np
 
 from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
-from .evolution import RadialField, evolve, min_bubble_energy, _advance
+from .evolution import (RadialField, evolve, min_bubble_energy, _advance,
+                        _step_plan)
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
-                          select_times, support_radius, window_misfit,
-                          window_nodes)
+                          perturbation, select_times, support_radius,
+                          window_misfit, window_nodes)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
@@ -313,9 +313,7 @@ class ResidualNorms:
 def residual_norms(report, ell):
     """Norm families of the residual: no energy should sit at bubble scales."""
     b = report.residual
-    pert = RadialField(b.grid, b.psi - ell.value, b.psi_dot,
-                       ell0=b.ell0 - ell.value, ell_inf=b.ell_inf - ell.value,
-                       time=b.time)
+    pert = perturbation(b, ell.value)
     full = h_norms(pert, ell, 0.0, report.outer_limit).h_x_l2
     mask = b.grid.r <= report.outer_limit
     sup = float(np.max(np.abs(pert.psi[mask]))) if np.any(mask) else 0.0
@@ -448,10 +446,7 @@ def build_scattering_state(traj, ell):
                     (2.0 * (psi_cut - base) / t_star) * r)
     phi1 = np.where(r >= cut, snap.psi_dot, 0.0)
     phi = RadialField(grid, phi0, phi1, 0.0, 0.0, time=t_star)
-
-    defect_field = RadialField(grid, (snap.psi - base) - phi0,
-                               snap.psi_dot - phi1, 0.0, 0.0, t_star)
-    defect = h_norms(defect_field, ell).h_x_l2
+    defect = _match_error(snap, phi, base, ell, 0.0)
 
     t_min = sel.times[0]
     dt = traj.dt
@@ -461,11 +456,13 @@ def build_scattering_state(traj, ell):
     matches = [(t_star, 0.0)]
     lin = _linear_states_at(phi, ell, [s.time - t_star for s in later], dt)
     for s, L in zip(later, lin):
-        matches.append((s.time, _match_error(s, L, base, ell)))
+        matches.append((s.time,
+                        _match_error(s, L, base, ell, 0.5 * s.time)))
     back = _linear_states_at(phi, ell,
                              [s.time - t_star for s in earlier[::-1]], -dt)
     for s, L in zip(earlier[::-1], back):
-        matches.append((s.time, _match_error(s, L, base, ell)))
+        matches.append((s.time,
+                        _match_error(s, L, base, ell, 0.5 * s.time)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",
@@ -474,10 +471,11 @@ def build_scattering_state(traj, ell):
                            defect=defect, selected=sel)
 
 
-def _match_error(snap, lin, base, ell):
+def _match_error(snap, lin, base, ell, r1):
+    """H x L^2 norm of psi - base - lin, 0 at the origin, on [r1, r_max]."""
     diff = RadialField(snap.grid, (snap.psi - base) - lin.psi,
                        snap.psi_dot - lin.psi_dot, 0.0, 0.0, snap.time)
-    return h_norms(diff, ell, 0.5 * snap.time, snap.grid.r_max).h_x_l2
+    return h_norms(diff, ell, r1, snap.grid.r_max).h_x_l2
 
 
 @dataclass
@@ -543,8 +541,7 @@ def extract_regular_part(traj):
                       ell_inf=last.ell_inf, time=last.time)
 
     horizon = 0.95 * rho_c
-    dt = traj.cfl * grid.dr
-    steps = max(1, int(math.ceil(horizon / dt)))
+    steps = _step_plan(grid, horizon, traj.cfl)[1]
     run = evolve(phi, metric, horizon, record_every=max(1, steps // 8),
                  cfl=traj.cfl)
     times, norms = [], []
@@ -552,11 +549,9 @@ def extract_regular_part(traj):
         rho = t_plus - snap.time
         if rho <= grid.dr:
             continue
-        pert = RadialField(grid, snap.psi - root.value, snap.psi_dot,
-                           ell0=snap.ell0 - root.value, ell_inf=0.0,
-                           time=snap.time)
         times.append(snap.time)
-        norms.append(h_norms(pert, root, 0.0, min(rho, grid.r_max)).h_x_l2)
+        norms.append(h_norms(perturbation(snap, root.value), root, 0.0,
+                             min(rho, grid.r_max)).h_x_l2)
     return RegularPart(ell_star=root, phi=phi, interior_times=times,
                        interior_norms=norms, trace=trace,
                        settle_gap=settle_gap)
@@ -602,36 +597,3 @@ def pythagorean_report(report, state=None):
                              defect_fraction=frac, j=report.J, j_max=j_max,
                              within_bound=report.J <= j_max)
 
-
-def write_bubble_report(report, path):
-    """Key-value tree of a BubbleReport: thresholds, bubbles and ledger.
-    The residual field is the caller's to store."""
-    cp = ConfigParser()
-    cp["report"] = {
-        "J": str(report.J),
-        "delta0": "%.17g" % report.delta0,
-        "eps0": "%.17g" % report.eps0,
-        "outer_root": "%.17g" % report.outer_root,
-        "outer_limit": "%.17g" % report.outer_limit,
-        "metric": report.metric.id,
-        "notes": "; ".join(report.notes),
-    }
-    for j, (qmap, lam, mis) in enumerate(
-            zip(report.bubbles, report.scales, report.misfits), start=1):
-        cp[f"bubble {j}"] = {
-            "ell": "%.17g" % qmap.ell,
-            "m": "%.17g" % qmap.m,
-            "sign": str(qmap.sign),
-            "scale": "%.17g" % lam,
-            "energy": "%.17g" % qmap.energy,
-            "misfit_sq": "%.17g" % mis,
-        }
-    led = report.ledger
-    cp["ledger"] = {
-        "e_total": "%.17g" % led.e_total,
-        "e_bubbles": "%.17g" % led.e_bubbles,
-        "e_residual": "%.17g" % led.e_residual,
-        "defect": "%.17g" % led.defect,
-    }
-    with open(path, "w") as fh:
-        cp.write(fh)

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavemap.geometry import SPHERE, Metric, check_assumptions, make_metric
+from wavemap.geometry import (SPHERE, Metric, check_assumptions,
+                              find_vanishing_set, make_metric)
+from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
-from wavemap.data import make_bump, make_chain
+from wavemap.data import make_bump, make_chain, make_perturbation
 from wavemap.diagnostics import SERIES_COLUMNS
 from wavemap.resolution import extract_bubbles
 from wavemap import cli
@@ -297,6 +299,18 @@ class TestScenarioValidation:
                        f"family in use (bubble reads ell, scale, "
                        f"direction)\n")
         assert not (tmp_path / "out").exists()
+
+    def test_velocity_meaning_per_family(self, tmp_path):
+        # README's family table: psi_t is velocity x the unit bump for
+        # bump, velocity x amplitude x the unit bump for superposition
+        peaks = {}
+        for family, extra in (("bump", {}), ("superposition", {"scale": "1"})):
+            cfg = write_cfg(tmp_path / f"{family}.cfg", tmp_path / "out",
+                            data={"family": family, "ell": "0",
+                                  "amplitude": "0.5", "center": "5",
+                                  "width": "2.5", "velocity": "1", **extra})
+            peaks[family] = float(np.max(load_scenario(cfg).data.psi_dot))
+        assert peaks == {"bump": 1.0, "superposition": 0.5}
 
     def test_dt_overrides_cfl(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
@@ -798,20 +812,28 @@ class TestAnalyzeResolve:
     def test_lightcone_fractions_match_series_off_zero(self, tmp_path,
                                                        capsys):
         # a run hanging from pi: lightcone and series.csv both measure the
-        # equipartition of psi - pi
-        out = tmp_path / "pi"
-        cfg = write_cfg(tmp_path / "s.cfg", out, data={"ell": repr(np.pi)},
-                        time={"t_final": "4.0", "record_every": "8"})
-        assert main(["simulate", "--config", cfg]) == 0
-        capsys.readouterr()
-        assert main(["analyze", "--traj", str(out), "--ops", "lightcone"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-        with open(out / "series.csv") as fh:
-            series = list(csv.DictReader(fh))
-        assert len(rows) == len(series) > 2
-        for row, frame in zip(rows, series):
-            assert row[1] == frame["t"]
-            assert row[-2:] == [frame["Hl_fraction"], frame["kin_fraction"]]
+        # equipartition of psi - pi; a zero-amplitude run has a zero norm,
+        # whose fractions both give as nan
+        for name, data, fractions in (("pi", {"ell": repr(np.pi)}, None),
+                                      ("zero", {"amplitude": "0"},
+                                       ["nan", "nan"])):
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path / f"{name}.cfg", out, data=data,
+                            time={"t_final": "4.0", "record_every": "8"})
+            assert main(["simulate", "--config", cfg]) == 0
+            capsys.readouterr()
+            assert main(["analyze", "--traj", str(out),
+                         "--ops", "lightcone"]) == 0
+            rows = [line.split()
+                    for line in capsys.readouterr().out.splitlines()]
+            with open(out / "series.csv") as fh:
+                series = list(csv.DictReader(fh))
+            assert len(rows) == len(series) > 2
+            for row, frame in zip(rows, series):
+                assert row[1] == frame["t"]
+                assert row[-2:] == [frame["Hl_fraction"],
+                                    frame["kin_fraction"]]
+                assert fractions in (None, row[-2:])
 
     def test_analyze_unknown_op(self, run_dir, capsys):
         assert main(["analyze", "--traj", str(run_dir),
@@ -875,6 +897,15 @@ class TestAnalyzeResolve:
         with pytest.raises(CliError, match="get_metric or make_metric"):
             write_store(field, tmp_path / "bare", bare)
         assert not (tmp_path / "bare").exists()
+
+    def test_linear_flow_refused_before_writing(self, tmp_path):
+        # a Root has no [metric] keys at all: the refusal is the same line
+        root = find_vanishing_set(SPHERE).root_at(0.0)
+        field = make_perturbation(RadialGrid(20.0, 256), 0.1, 5.0, 2.5)
+        traj = evolve(field, root, 0.5, record_every=8)
+        with pytest.raises(CliError, match="has no \\[metric\\] keys"):
+            save_trajectory(traj, str(tmp_path / "linear"))
+        assert not (tmp_path / "linear").exists()
 
     def test_store_io_runs_through_the_frame_functions(self, tmp_path,
                                                        monkeypatch):
@@ -1001,6 +1032,56 @@ class TestAnalyzeResolve:
         assert "status completed" in capsys.readouterr().out
 
 
+class TestReportOutput:
+    """The bubble stage's report, written by cli's one INI writer."""
+
+    @pytest.fixture(scope="class")
+    def planted(self, tmp_path_factory):
+        # one bubble at scale 2e-2, hanging 0 -> pi, as a one-frame store
+        grid = RadialGrid(5.0, 2 ** 14)
+        field = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 2e-2, grid)
+        store = write_store(field, tmp_path_factory.mktemp("planted") / "s")
+        return store, extract_bubbles(field, SPHERE)
+
+    def _resolve(self, store, tmp_path, name):
+        copy = tmp_path / name
+        shutil.copytree(store, copy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["resolve", "--snapshot", str(copy)]) == 0
+        return copy
+
+    def test_tree_round_trip(self, planted, tmp_path):
+        store, rep = planted
+        out = self._resolve(store, tmp_path, "a")
+        cp = ConfigParser()
+        cp.read(out / "bubbles.report")
+        assert cp.sections() == ["report", "bubble 1", "ledger"]
+        assert dict(cp["report"]) == {
+            "j": "1", "delta0": cli.FMT % rep.delta0,
+            "eps0": cli.FMT % rep.eps0,
+            "outer_root": cli.FMT % rep.outer_root,
+            "outer_limit": cli.FMT % rep.outer_limit,
+            "metric": "sphere", "notes": "; ".join(rep.notes)}
+        qmap, = rep.bubbles
+        assert {k: float(v) for k, v in cp["bubble 1"].items()} == {
+            "ell": qmap.ell, "m": qmap.m, "sign": qmap.sign,
+            "scale": rep.scales[0], "energy": qmap.energy,
+            "misfit_sq": rep.misfits[0]}
+        led = rep.ledger
+        assert {k: float(v) for k, v in cp["ledger"].items()} == {
+            "e_total": led.e_total, "e_bubbles": led.e_bubbles,
+            "e_residual": led.e_residual, "defect": led.defect}
+        # the residual is stored beside the report
+        assert sorted(os.listdir(out)) == sorted(
+            [*cli.STORE_FILES, "bubbles.report", "bubbles.report.residual"])
+
+    def test_rewrite_is_byte_identical(self, planted, tmp_path):
+        store, _ = planted
+        a, b = (self._resolve(store, tmp_path, name) for name in "ab")
+        assert (a / "bubbles.report").read_bytes() == \
+            (b / "bubbles.report").read_bytes()
+
+
 class TestTopLevel:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1033,7 +1114,7 @@ class TestDocs:
             rows = [line for line in fh if line.startswith("| `")]
         table = {}
         for row in rows:
-            name, required, optional = (
+            name, required, optional, _ = (
                 cell.strip() for cell in row.strip().strip("|").split("|"))
             table[name.strip("`")] = (
                 tuple(re.findall(r"`(\w+)`", required)),

@@ -9,7 +9,9 @@ behind it.  Outside evolution no module calls `gradient()` or names
 read) and `_prefix`: a windowed norm, such as extraction's misfit,
 reaches the densities through diagnostics on a node range rather than
 growing a second density formula or a second copy of the stencil's
-reach.  `EnergyEntry.gradient`, the gradient
+reach.  Inside evolution, `_densities` is the one function that calls
+`gradient()`: every other density, the blow-up record's included, is
+read from its rows.  `EnergyEntry.gradient`, the gradient
 part of an energy, is data and not a formula, so reading it is allowed.
 Each package module is parsed, not imported or executed.
 """
@@ -58,3 +60,24 @@ def test_only_diagnostics_integrates_the_densities():
     readers = {name for name, used in uses.items()
                if used & INTEGRATION and name != "evolution"}
     assert readers == {"diagnostics"}
+
+
+def _gradient_callers(tree, module, owner=None):
+    """(module, function) of each call of an attribute named `gradient`
+    under an AST node, the function being the innermost def around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "gradient":
+            yield module, owner
+        inner = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _gradient_callers(node, module, inner)
+
+
+def test_only_densities_calls_gradient():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_gradient_callers(ast.parse(path.read_text()),
+                                       path.stem))
+    assert found == {("evolution", "_densities")}

@@ -21,8 +21,8 @@ from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
                                evolve, step_linear, discrete_energy,
                                min_bubble_energy, write_snapshot,
                                read_snapshot, _advance, _Flow, _leapfrog,
-                               _make_blowup_record, _step, _densities,
-                               _density_reads, _prefix)
+                               _concentration_radius, _make_blowup_record,
+                               _step, _densities, _density_reads, _prefix)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -668,14 +668,18 @@ class TestCovarianceAndCausality:
         assert edge <= 15.0 + t_final * 1.08 + 5 * grid.dr
 
 
-@pytest.fixture(scope="module")
-def blowup_traj():
+def _c10_data():
+    """The steep degree-1 data of acceptance criterion c10."""
     grid = RadialGrid(6.0, 4096)
     r = grid.r
     psi = 2.0 * np.arctan(r) + 5.0 * r * np.exp(-r ** 2)
-    f = RadialField(grid, psi, np.zeros_like(r), ell0=0.0,
-                    ell_inf=np.pi, time=0.0)
-    return evolve(f, SPHERE, 5.0, record_every=16)
+    return RadialField(grid, psi, np.zeros_like(r), ell0=0.0,
+                       ell_inf=np.pi, time=0.0)
+
+
+@pytest.fixture(scope="module")
+def blowup_traj():
+    return evolve(_c10_data(), SPHERE, 5.0, record_every=16)
 
 
 class TestBlowup:
@@ -694,10 +698,25 @@ class TestBlowup:
         frame = make_bump(grid, SPHERE, 0.0, amplitude=0.3, center=3.0,
                           width=1.5)
         frame.time = 0.7
-        rec = _make_blowup_record(frame, SPHERE, series)
+        _, x, dens = _concentration_radius(frame, SPHERE, math.inf)
+        rec = _make_blowup_record(frame, x, dens, series)
         assert type(rec.t_plus) is float
         assert rec.t_plus == 0.7 + 0.2
         assert type(rec.concentration_radius) is float
+
+    @pytest.mark.parametrize("record_every", [1, 4, 16])
+    def test_concentration_radius_is_the_pointwise_density_peak(
+            self, record_every):
+        # oracle: the argmax of psi_t^2 + psi_r^2 + g(psi)^2 / r^2 formed
+        # node by node at the detection frame, the last one stored
+        traj = evolve(_c10_data(), SPHERE, 5.0, record_every=record_every)
+        frame = traj.snapshots[-1]
+        assert frame.time == traj.blowup.last_valid_time
+        r = frame.grid.r
+        dens = (frame.psi_dot ** 2 + frame.gradient() ** 2
+                + np.sin(frame.psi) ** 2 / r ** 2)
+        assert traj.blowup.concentration_radius == \
+            float(r[int(np.argmax(dens))])
 
     def test_detection_fires(self, blowup_traj):
         b = blowup_traj.blowup

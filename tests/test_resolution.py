@@ -8,8 +8,6 @@ frozen from refined-grid runs and every scenario is deterministic.
 
 import dataclasses
 import math
-import os
-from configparser import ConfigParser
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from wavemap import resolution
 from wavemap.resolution import (ResolutionError, compute_delta0,
                                 extract_bubbles, residual_norms, extend_H,
                                 build_scattering_state, extract_regular_part,
-                                pythagorean_report, write_bubble_report,
+                                pythagorean_report,
                                 EXTENSION_RAMP_GRADIENT,
                                 EXTENSION_RAMP_ZEROTH_INNER,
                                 EXTENSION_RAMP_ZEROTH_OUTER,
@@ -628,30 +626,3 @@ class TestPythagorean:
         with pytest.raises(ResolutionError, match="unsupported state"):
             pythagorean_report(planted_report, state=42)
 
-
-# ---------------------------------------------------------------------------
-# report persistence
-
-class TestReportOutput:
-    def test_tree_round_trip(self, planted_report, tmp_path):
-        path = tmp_path / "bubbles.report"
-        write_bubble_report(planted_report, path)
-        cp = ConfigParser()
-        cp.read(path)
-        assert set(cp.sections()) == {"report", "bubble 1", "ledger"}
-        assert int(cp["report"]["j"]) == 1
-        assert float(cp["report"]["delta0"]) == planted_report.delta0
-        assert float(cp["bubble 1"]["scale"]) == planted_report.scales[0]
-        assert float(cp["bubble 1"]["energy"]) == \
-            planted_report.bubbles[0].energy
-        assert float(cp["ledger"]["e_total"]) == \
-            planted_report.ledger.e_total
-        # the residual is the cli's to store
-        assert os.listdir(tmp_path) == ["bubbles.report"]
-
-    def test_rewrite_is_byte_identical(self, planted_report, tmp_path):
-        p1 = tmp_path / "a.report"
-        p2 = tmp_path / "b.report"
-        write_bubble_report(planted_report, p1)
-        write_bubble_report(planted_report, p2)
-        assert p1.read_bytes() == p2.read_bytes()
