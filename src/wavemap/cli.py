@@ -41,12 +41,12 @@ from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         read_snapshot, discrete_energy, _check_cfl)
 from .exprgrammar import ExpressionError
 from .data import make_bump, make_chain, make_perturbation, bump_profile
-from .diagnostics import (DiagnosticsError, energy, write_series,
-                          select_times, lightcone_concentration,
+from .diagnostics import (DiagnosticsError, asymptotic_start, energy,
+                          write_series, select_times, lightcone_concentration,
                           linf_outside_cone, s_norm)
 from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
                          residual_norms, extend_H, build_scattering_state,
-                         extract_regular_part, pythagorean_report)
+                         extract_regular_part)
 from .rng import XorShift64Star
 
 FMT = "%.17g"
@@ -274,10 +274,17 @@ def load_scenario(path, out_override=None):
     return scen
 
 
+def _direction(text):
+    """int(text), raising ValueError unless it is +1 or -1."""
+    if int(text) not in (-1, 1):
+        raise ValueError(f"direction {text!r} is not +1 or -1")
+    return int(text)
+
+
 def _data_value(path, key, text):
     """A [data] value parsed as its key's kind: a store path, read when the
-    data is built, direction:scale steps, an integer direction or a finite
-    number."""
+    data is built, direction:scale steps, a direction of +1 or -1 or a
+    finite number."""
     if key == "path":
         return text
     if key == "steps":
@@ -285,15 +292,16 @@ def _data_value(path, key, text):
         for item in text.split(","):
             try:
                 d, lam = item.split(":")
-                steps.append((int(d), _finite(lam)))
+                steps.append((_direction(d), _finite(lam)))
             except ValueError:
                 raise CliError(f"{path}: [data] steps entry "
-                               f"{item.strip()!r} is not direction:scale")
+                               f"{item.strip()!r} is not direction:scale "
+                               f"with direction +1 or -1")
         return steps
     try:
-        return int(text) if key == "direction" else _finite(text)
+        return _direction(text) if key == "direction" else _finite(text)
     except ValueError:
-        kind = "an integer" if key == "direction" else "a finite number"
+        kind = "+1 or -1" if key == "direction" else "a finite number"
         raise CliError(f"{path}: [data] {key} = {text!r} is not {kind}")
 
 
@@ -456,7 +464,6 @@ def _bubbles(traj, report):
     _write_ini(report, sections)
     save_trajectory(Trajectory([rep.residual], 0.0, "one-frame", 0.0,
                                traj.system), report + ".residual")
-    pyth = pythagorean_report(rep)
     return (f"bubbles J = {rep.J}, scales = "
             f"{[float(FMT % s) for s in rep.scales]}",
             [f"J = {rep.J}",
@@ -465,8 +472,8 @@ def _bubbles(traj, report):
              f"defect_fraction = {FMT % rep.defect_fraction}",
              *(f"note: {note}" for note in rep.notes),
              f"report = {report}",
-             f"within_bound = {pyth.within_bound} "
-             f"(J = {pyth.j}, J_max = {pyth.j_max})"])
+             f"within_bound = {rep.J <= rep.j_max} "
+             f"(J = {rep.J}, J_max = {rep.j_max})"])
 
 
 def _scattering(traj, report):
@@ -567,7 +574,7 @@ def _series_op(traj, args, ell):
 
 
 def _select_times_op(traj, args, ell):
-    sel = select_times(traj)
+    sel = select_times(traj, t_min=asymptotic_start(traj))
     return [f"select {FMT % t} = {FMT % v}"
             for t, v in zip(sel.times, sel.values)]
 

@@ -84,7 +84,7 @@ def make_chain(grid, metric, ell_outer, steps):
     psi = np.full_like(grid.r, level)
     connectors, scales = [], []
     for direction, scale in steps:
-        inner = vset.neighbor(level, +1 if direction > 0 else -1)
+        inner = vset.neighbor(level, direction)
         if inner is None:
             raise GeometryError(
                 f"no root of g {'above' if direction > 0 else 'below'} "

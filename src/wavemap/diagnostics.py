@@ -34,6 +34,7 @@ from .data import make_superposition
 from .rng import XorShift64Star
 
 UNIT_ROOT = Root(0.0, 1.0, math.inf)     # g'(l) = 1: the plain H norm
+SELECTED_TIMES = 5       # select_times returns the last this many records
 
 # beta_hat_ensemble evolves its members in node-major stacks of about this
 # many entries (128 KB per float64 array), so the kernel's temporaries stay
@@ -53,8 +54,6 @@ class DiagnosticsError(ValueError):
 
 @dataclass
 class EnergyEntry:
-    r1: float
-    r2: float
     kinetic: float
     gradient: float
     potential: float
@@ -77,7 +76,6 @@ class HNorms:
 class TimeSelection:
     times: list
     values: list     # criterion values, nonincreasing along times
-    dyadic_floor: float
 
 
 def _interval_integral(x, y, prefix, a, b):
@@ -118,8 +116,7 @@ def _energies(field, system, intervals, i0=0, i1=None):
         _prefix(x, d, out=prefix)
         parts.append([_interval_integral(x, d, prefix, r1, r2)
                       for r1, r2 in intervals])
-    return [EnergyEntry(r1, r2, *part)
-            for (r1, r2), part in zip(intervals, zip(*parts))]
+    return [EnergyEntry(*part) for part in zip(*parts)]
 
 
 def energy(field, system, r1=0.0, r2=None):
@@ -234,7 +231,7 @@ def kinetic_average(traj, t, s):
     return _window_average(traj.times, _kinetic_series(traj, t_plus), t, s)
 
 
-def select_times(traj, count=5, t_min=None):
+def select_times(traj, t_min=None):
     """Times where the kinetic average is smallest over dyadic windows.
 
     For each frame t the criterion is the sup over dyadic s in
@@ -243,12 +240,10 @@ def select_times(traj, count=5, t_min=None):
     stays inside the stored frames.  The selection keeps the running
     minima along increasing time (later frames win ties), so times
     increase, values are nonincreasing, and burst windows are avoided;
-    the last `count` records are returned.
+    the last SELECTED_TIMES records are returned.
 
-    t_min restricts the candidates to frames with t >= t_min.  Early
-    frames can have a vacuously quiet inner cone (data supported away
-    from the origin has not reached r <= t/2 yet), and an asymptotic
-    construction must not record them.
+    t_min restricts the candidates to frames with t >= t_min, the
+    asymptotic window of `asymptotic_start`.
     """
     if len(traj.snapshots) < 10:
         raise DiagnosticsError("need at least 10 stored frames")
@@ -280,9 +275,23 @@ def select_times(traj, count=5, t_min=None):
         if v <= running:
             records.append((t, v))
             running = v
-    chosen = records[-count:]
+    chosen = records[-SELECTED_TIMES:]
     return TimeSelection(times=[t for t, _ in chosen],
-                         values=[v for _, v in chosen], dyadic_floor=floor)
+                         values=[v for _, v in chosen])
+
+
+def asymptotic_start(traj):
+    """select_times' t_min: None after a blow-up, else 4 x the first
+    frame's support radius, before which the inner cone r <= t/2 can be
+    vacuously quiet; a trajectory that ends earlier is pre-asymptotic."""
+    if traj.blowup is not None:
+        return None
+    support = support_radius(traj.snapshots[0])
+    if traj.times[-1] < 4.0 * support:
+        raise DiagnosticsError(
+            f"pre-asymptotic: latest stored time {traj.times[-1]:.6g} is "
+            f"below 4 x the data support radius {support:.6g}")
+    return 4.0 * support
 
 
 def support_radius(field):
@@ -322,7 +331,7 @@ def _fractions(norms):
     return math.nan, math.nan
 
 
-def lightcone_concentration(traj, A, ell=None):
+def lightcone_concentration(traj, A, ell):
     """Per frame: the H x L^2 norm of psi - ell_inf outside the shell
     |r - t| < A, plus the equipartition fractions of the conserved
     Hl x L^2 norm (`_fractions`).
@@ -330,11 +339,6 @@ def lightcone_concentration(traj, A, ell=None):
     Rows are flagged boundary-tainted once the run can feel the outer
     boundary (t beyond r_max minus the data support radius).
     """
-    if ell is None:
-        if isinstance(traj.system, Root):
-            ell = traj.system
-        else:
-            raise DiagnosticsError("pass the root for nonlinear trajectories")
     r_max = traj.snapshots[0].grid.r_max
     taint_time = r_max - support_radius(traj.snapshots[0])
     rows = []
@@ -360,8 +364,6 @@ class ExteriorReport:
     ratio: float          # ||phi(t)||^2_{HxL2(r>=t)} / ||phi(0)||^2_{HxL2}
     t: float
     flagged: str          # "" or the hypothesis violation note
-    initial_norm_sq: float
-    exterior_norm_sq: float
 
 
 def exterior_energy_ratio(field0, ell, t):
@@ -420,10 +422,8 @@ def _exterior_reports(fields0, ell, t, first=0):
         if support_radius(field0) + t > r_max:
             flagged = (flagged + "; " if flagged else "") + "boundary-tainted"
         ext = h_norms(final, ell, min(abs(t), r_max), r_max)
-        reports.append(ExteriorReport(
-            ratio=ext.h_x_l2 ** 2 / norm0_sq, t=final.time,
-            flagged=flagged, initial_norm_sq=norm0_sq,
-            exterior_norm_sq=ext.h_x_l2 ** 2))
+        reports.append(ExteriorReport(ratio=ext.h_x_l2 ** 2 / norm0_sq,
+                                      t=final.time, flagged=flagged))
     return reports
 
 
@@ -525,9 +525,8 @@ def s_norm(traj, ell):
         dens = np.abs(snap.psi - snap.ell_inf) ** p / r ** 2
         # the integrand vanishes at the origin for fields decaying to the
         # root there; the ghost node closes the trapezoid
-        x = np.concatenate([[0.0], r])
         d = np.concatenate([[0.0], dens])
-        frame_vals.append(float(np.trapezoid(d, x)))
+        frame_vals.append(float(np.trapezoid(d, snap.grid.r_ghost)))
         frame_ts.append(snap.time)
     if len(frame_ts) < 2:
         raise DiagnosticsError("need at least two frames")

@@ -519,11 +519,10 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
                       cfl=cfl, system=system, blowup=blowup)
 
 
-def _shrinking(series, window=3):
-    if len(series) < window:
-        return False
-    rhos = [rho for _, rho in series[-window:]]
-    return all(b <= a for a, b in zip(rhos, rhos[1:]))
+def _shrinking(series):
+    """Whether the last three concentration radii do not grow."""
+    rhos = [rho for _, rho in series[-3:]]
+    return len(rhos) == 3 and all(b <= a for a, b in zip(rhos, rhos[1:]))
 
 
 def _make_blowup_record(frame, x, dens, radius_series):

@@ -7,7 +7,8 @@ the antiderivative G(x) = int_0^x |g|, and the vanishing set
     V = {l : g(l) = 0},
 
 whose elements label the possible endpoint values of finite-energy maps.
-Working assumptions on g, checked per window by `check_assumptions`:
+Working assumptions on g, checked on the search window by
+`check_assumptions`:
 
     (A1)  G(x) -> +-inf as x -> +-inf       (checked heuristically)
     (A2)  V is discrete with simple roots
@@ -88,8 +89,6 @@ class Root:
 @dataclass
 class VanishingSet:
     """Sorted roots of g in a window, with slopes and nearest-neighbor gaps."""
-    metric_id: str
-    window: tuple
     roots: np.ndarray
     slopes: np.ndarray
     gaps: np.ndarray
@@ -141,9 +140,8 @@ class AssumptionReport:
     slopes: np.ndarray       # g'(l) values backing A3 / A3'
 
     def __str__(self):
-        flags = [(name, ok) for name, ok in
-                 [("A1", self.a1), ("A2", self.a2),
-                  ("A3", self.a3), ("A3'", self.a3_prime)]]
+        flags = [("A1", self.a1), ("A2", self.a2), ("A3", self.a3),
+                 ("A3'", self.a3_prime)]
         return "  ".join(f"{n}:{'ok' if ok else 'FAIL'}" for n, ok in flags)
 
     def failure(self):
@@ -400,36 +398,36 @@ def find_vanishing_set(metric, window=None):
     else:
         gaps = np.full(len(roots), np.inf)
 
-    return VanishingSet(metric.id, (lo, hi), roots, slopes, gaps)
+    return VanishingSet(roots, slopes, gaps)
 
 
-def _probe_G(metric, a, b, rtol=1e-7):
-    """|int_a^b |g|| with root breakpoints searched inside [a, b]."""
+def _probe_G(metric, a, b):
+    """|int_a^b |g||, to a relative 1e-7, with root breakpoints searched
+    inside [a, b]."""
     lo, hi = min(a, b), max(a, b)
     try:
         vset = find_vanishing_set(metric, (lo, hi))
         points = [r for r in vset.roots if lo < r < hi]
     except GeometryError:
         points = []
-    value, abserr = _integrate_abs_g(metric, lo, hi, points, rtol, 1.49e-8)
-    if not abserr <= rtol * max(1.0, abs(value)) * 10 + 1e-10:
+    value, abserr = _integrate_abs_g(metric, lo, hi, points, 1e-7, 1.49e-8)
+    if not abserr <= 1e-7 * max(1.0, abs(value)) * 10 + 1e-10:
         raise QuadratureError(f"G probe on [{lo}, {hi}] did not converge",
                               abserr)
     return abs(value)
 
 
-def check_assumptions(metric, window=None):
-    """Evaluate (A1), (A2), (A3), (A3') on the window, with backing numbers.
+def check_assumptions(metric):
+    """Evaluate (A1), (A2), (A3), (A3') on the metric's search window, with
+    backing numbers.
 
     (A1) cannot be decided from a finite window.  The heuristic probes G at
     4x the window half-width on each side and accepts when it exceeds 3x
     the value at the window end: G keeps growing at a near-linear or better
     rate past the window, which logarithmic or bounded antiderivatives fail.
     """
-    if window is None:
-        window = metric.search_window
-    vset = find_vanishing_set(metric, window)
-    lo, hi = vset.window
+    vset = find_vanishing_set(metric)
+    lo, hi = metric.search_window
 
     g_lo = abs(eval_G(metric, lo, rtol=1e-8))
     g_hi = abs(eval_G(metric, hi, rtol=1e-8))

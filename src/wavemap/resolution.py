@@ -1,11 +1,11 @@
 """Soliton-resolution machinery.
 
 Decomposes a finite-energy field into harmonic-map bubbles at separated
-scales plus a residual, keeps the Pythagorean energy ledger, and builds
-the two asymptotic comparison objects: a scattering state (linear flow
-matching the solution outside a cut cone at late times) and a regular
-part (a wave map matching the solution outside the backward light cone
-of a blow-up point).
+scales plus a residual, keeps the energy ledger of that split with its
+bound on J, and builds the two asymptotic comparison objects: a
+scattering state (linear flow matching the solution outside a cut cone at
+late times) and a regular part (a wave map matching the solution outside
+the backward light cone of a blow-up point).
 
 Thresholds.  delta0 is half the smallest peak of |g| between adjacent
 roots: a field value with |g(psi)| >= delta0 is "in transition" between
@@ -40,8 +40,8 @@ from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import (RadialField, evolve, min_bubble_energy, _advance,
                         _step_plan)
-from .diagnostics import (UNIT_ROOT, TimeSelection, energy, h_norms,
-                          perturbation, select_times, support_radius,
+from .diagnostics import (UNIT_ROOT, TimeSelection, asymptotic_start,
+                          energy, h_norms, perturbation, select_times,
                           window_misfit, window_nodes)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
@@ -183,6 +183,14 @@ class BubbleReport:
         if self.ledger.e_total <= 0:
             return 0.0
         return abs(self.ledger.defect) / self.ledger.e_total
+
+    @property
+    def j_max(self):
+        """The energy's bound on J: floor(e_total / the least bubble energy
+        at the origin root + 5% slack for the bubble tails that truncation
+        shaves), 0 where no bubble attaches and that energy is inf."""
+        e_min = min_bubble_energy(self.metric, self.residual.ell0)
+        return math.floor(self.ledger.e_total / e_min + 0.05)
 
 
 def extract_bubbles(field, metric):
@@ -328,20 +336,19 @@ def residual_norms(report, ell):
 @dataclass
 class ExtensionReport:
     field: RadialField
-    h_extension: float      # measured H norm of the extension (about target)
+    h_extension: float      # measured H norm of the extension
     h_interior: float       # H norm of the input on [r1, r2]
     sup_interior: float
     bound: float            # h_interior + 3 sup_interior
     slack: float            # bound - h_extension, always >= 0
 
 
-def extend_H(field, r1, r2, ell_target=0.0):
+def extend_H(field, r1, r2):
     """Extend a field given on [r1, r2] to the whole line in H.
 
-    Affine ramps reconnect to the constant ell_target on [r1/2, r1] and
-    [r2, 2r2]; outside the ramps the extension is exactly ell_target, and
-    the velocity extends by zero.  The measured H norm (of psi minus the
-    target) verifiably satisfies
+    Affine ramps reconnect to 0 on [r1/2, r1] and [r2, 2r2]; outside the
+    ramps the extension is exactly 0, and the velocity extends by zero.
+    The measured H norm verifiably satisfies
 
         ||psi||_H <= ||phi||_{H([r1, r2])} + 3 ||phi||_{L^inf([r1, r2])},
 
@@ -356,21 +363,17 @@ def extend_H(field, r1, r2, ell_target=0.0):
         raise ResolutionError(
             f"extension ramps [{r1 / 2:.4g}, {r1:.4g}] and [{r2:.4g}, "
             f"{2 * r2:.4g}] fall off the grid")
-    c1 = float(np.interp(r1, r, field.psi)) - ell_target
-    c2 = float(np.interp(r2, r, field.psi)) - ell_target
+    c1 = float(np.interp(r1, r, field.psi))
+    c2 = float(np.interp(r2, r, field.psi))
     u = np.where(r < r1, c1 * (2.0 * r / r1 - 1.0),
-                 np.where(r <= r2, field.psi - ell_target,
-                          c2 * (2.0 - r / r2)))
+                 np.where(r <= r2, field.psi, c2 * (2.0 - r / r2)))
     u[r <= 0.5 * r1] = 0.0
     u[r >= 2.0 * r2] = 0.0
     inside = (r >= r1) & (r <= r2)
     dot = np.where(inside, field.psi_dot, 0.0)
-    ext = RadialField(grid, u + ell_target, dot, ell0=ell_target,
-                      ell_inf=ell_target, time=field.time)
-
-    pert = RadialField(grid, u, np.zeros_like(u), 0.0, 0.0, field.time)
-    h_ext = h_norms(pert, UNIT_ROOT).h
-    h_int = h_norms(pert, UNIT_ROOT, r1, r2).h
+    ext = RadialField(grid, u, dot, ell0=0.0, ell_inf=0.0, time=field.time)
+    h_ext = h_norms(ext, UNIT_ROOT).h
+    h_int = h_norms(ext, UNIT_ROOT, r1, r2).h
     sup_int = float(np.max(np.abs(u[inside]))) if np.any(inside) else 0.0
     bound = h_int + 3.0 * sup_int
     return ExtensionReport(field=ext, h_extension=h_ext, h_interior=h_int,
@@ -411,7 +414,8 @@ class ScatteringState:
 def build_scattering_state(traj, ell):
     """Linear state matching the solution outside the cone r >= t/2.
 
-    At the latest selected time t*, the solution is cut at r = t*/2 and
+    At the latest time t* that select_times picks in the asymptotic window
+    (`asymptotic_start`), the solution is cut at r = t*/2 and
     extended inward by the affine profile 2 (psi(t*, t*/2) - ell) r / t*,
     the velocity by zero; subtracting (ell, 0) gives linear data phi_L.
     The linear flow of phi_L, run forward from t* and backward from t* at
@@ -422,15 +426,7 @@ def build_scattering_state(traj, ell):
         raise ResolutionError(
             "scattering state needs a global trajectory, this one has a "
             "blow-up record")
-    support = support_radius(traj.snapshots[0])
-    if traj.times[-1] < 4.0 * support:
-        raise ResolutionError(
-            f"pre-asymptotic: latest stored time {traj.times[-1]:.6g} is "
-            f"below 4 x the data support radius {support:.6g}")
-    # Frames before the data has crossed into r <= t/2 have a vacuously
-    # quiet cone and would win the selection; restrict to the window where
-    # the interior average measures the actual asymptotics.
-    sel = select_times(traj, t_min=4.0 * support)
+    sel = select_times(traj, t_min=asymptotic_start(traj))
     t_star = sel.times[-1]
     snap = traj.frame_at(t_star)
     grid = snap.grid
@@ -555,45 +551,3 @@ def extract_regular_part(traj):
     return RegularPart(ell_star=root, phi=phi, interior_times=times,
                        interior_norms=norms, trace=trace,
                        settle_gap=settle_gap)
-
-
-@dataclass
-class PythagoreanReport:
-    e_total: float
-    e_bubbles: float
-    e_radiation: float      # linear-state norm^2 or regular-part energy
-    defect: float
-    defect_fraction: float
-    j: int
-    j_max: int              # floor(e_total / smallest bubble energy)
-    within_bound: bool
-
-
-def pythagorean_report(report, state=None):
-    """Energy bookkeeping E = sum E(Q_j) + radiation, with the J bound.
-
-    With no asymptotic state the residual's own energy stands in for the
-    radiation term.  A ScatteringState contributes the squared Hl x L^2
-    norm of its linear data; a RegularPart contributes the energy of the
-    regular wave map.
-    """
-    led = report.ledger
-    if state is None:
-        e_rad = led.e_residual
-    elif isinstance(state, ScatteringState):
-        e_rad = h_norms(state.phi_L, state.ell).h_ell_x_l2 ** 2
-    elif isinstance(state, RegularPart):
-        e_rad = energy(state.phi, report.metric).total
-    else:
-        raise ResolutionError(f"unsupported state {type(state).__name__}")
-    defect = led.e_total - led.e_bubbles - e_rad
-    frac = abs(defect) / led.e_total if led.e_total > 0 else 0.0
-    e_min = min_bubble_energy(report.metric, report.residual.ell0)
-    # 5% slack: truncation at the outer limit shaves bubble tails
-    j_max = int(math.floor(led.e_total / e_min + 0.05)) \
-        if math.isfinite(e_min) and e_min > 0 else 0
-    return PythagoreanReport(e_total=led.e_total, e_bubbles=led.e_bubbles,
-                             e_radiation=e_rad, defect=defect,
-                             defect_fraction=frac, j=report.J, j_max=j_max,
-                             within_bound=report.J <= j_max)
-

@@ -95,7 +95,7 @@ def build_harmonic_map(metric, ell, direction):
     """
     vset = find_vanishing_set(metric)
     root_l = vset.root_at(ell)
-    root_m = vset.neighbor(root_l.value, +1 if direction > 0 else -1)
+    root_m = vset.neighbor(root_l.value, direction)
     if root_m is None:
         raise StaticsError(
             f"target endpoint outside search window: no root of g "

@@ -23,7 +23,6 @@ from wavemap.data import (make_bump, make_perturbation, make_chain,
 from wavemap.diagnostics import energy, h_norms, beta_hat_ensemble
 from wavemap.resolution import (extract_bubbles, extend_H,
                                 build_scattering_state, extract_regular_part,
-                                pythagorean_report,
                                 EXTENSION_RAMP_GRADIENT,
                                 EXTENSION_RAMP_ZEROTH_INNER,
                                 EXTENSION_RAMP_ZEROTH_OUTER)
@@ -134,12 +133,10 @@ def test_c06_bubble_extraction_oracle():
     grid1 = RadialGrid(5.0, 2 ** 16)
     f1 = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1e-2, grid1)
     rep1 = extract_bubbles(f1, SPHERE)
-    py1 = pythagorean_report(rep1)
 
     grid2 = RadialGrid(2.0, 2 ** 17)
     f2, _, scales2 = make_chain(grid2, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
     rep2 = extract_bubbles(f2, SPHERE)
-    py2 = pythagorean_report(rep2)
 
     err1 = abs(rep1.scales[0] / 1e-2 - 1.0)
     errs2 = [abs(s / s0 - 1.0) for s, s0 in zip(rep2.scales, scales2)]
@@ -149,11 +146,12 @@ def test_c06_bubble_extraction_oracle():
     ok = (rep1.J == 1 and rep2.J == 2 and chain1 and chain2
           and rep2.scales[0] / rep2.scales[1] >= 100.0
           and err1 < 0.05 and max(errs2) < 0.05
-          and py1.defect_fraction < 0.02 and py2.defect_fraction < 0.02)
+          and rep1.defect_fraction < 0.02 and rep2.defect_fraction < 0.02)
     report(6, "bubble extraction oracle", ok,
            f"J = {rep1.J}, {rep2.J}, scale errs = {err1:.1e}, "
            f"{max(errs2):.1e} (tol 0.05), defects = "
-           f"{py1.defect_fraction:.1e}, {py2.defect_fraction:.1e} (tol 0.02)")
+           f"{rep1.defect_fraction:.1e}, {rep2.defect_fraction:.1e} "
+           f"(tol 0.02)")
 
 
 def test_c07_extraction_property_sweep():

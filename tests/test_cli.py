@@ -243,12 +243,28 @@ class TestScenarioValidation:
                      "g": "(1 - rho^2)^2", "g_prime": "-4*rho*(1 - rho^2)",
                      "window": "-2 2"}},
          "[metric] assumption A2 violated: non-simple root"),
+        # a connector direction is +1 or -1, not any sign
+        ({"data": {"family": "bubble", "ell": "0", "scale": "2",
+                   "direction": "0"}},
+         "[data] direction = '0' is not +1 or -1"),
+        ({"data": {"family": "bubble", "ell": "0", "scale": "2",
+                   "direction": "2"}},
+         "[data] direction = '2' is not +1 or -1"),
+        ({"data": {"family": "superposition", "scale": "2",
+                   "amplitude": "0.1", "center": "5", "width": "2.5",
+                   "direction": "-3"}},
+         "[data] direction = '-3' is not +1 or -1"),
+        ({"data": {"family": "chain", "steps": "0:1, 7:0.1"}},
+         "steps entry '0:1' is not direction:scale with direction +1 or -1"),
+        ({"data": {"family": "chain", "steps": "1:1, 7:0.5"}},
+         "steps entry '7:0.5' is not direction:scale with direction +1 or -1"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
             "bump_support", "window_inf", "unread_key", "n_points_fraction",
             "record_every_fraction", "deep_expression", "outside_a3_prime",
-            "outside_a2"])
+            "outside_a2", "direction_0", "direction_2", "direction_-3",
+            "chain_direction_0", "chain_direction_7"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -614,11 +630,36 @@ class TestAnalyzeResolve:
 
     def test_analyze_ops(self, run_dir, capsys):
         assert main(["analyze", "--traj", str(run_dir),
-                     "--ops", "select-times,linf,s-norm"]) == 0
+                     "--ops", "linf,s-norm"]) == 0
         text = capsys.readouterr().out
-        assert "select " in text
         assert "linf " in text
         assert "s_norm = " in text
+        # the store ends at t = 4, before the bump reaches the inner cone
+        assert main(["analyze", "--traj", str(run_dir),
+                     "--ops", "select-times"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: pre-asymptotic: latest stored time")
+
+    def test_select_times_op_is_the_scattering_selection(self, tmp_path,
+                                                         capsys):
+        # the op selects in the scattering stage's asymptotic window,
+        # t >= 4 x the data's support radius, so both pick the same times
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        grid={"r_max": "80", "n_points": "512"},
+                        time={"t_final": "40", "record_every": "8"},
+                        pipeline={"stages": "scattering"})
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out),
+                     "--ops", "select-times"]) == 0
+        times = [line.split()[1]
+                 for line in capsys.readouterr().out.splitlines()]
+        report = ConfigParser()
+        report.read(out / "scattering.report")
+        assert len(times) == 5
+        assert " ".join(times) == report.get("scattering", "selected_times")
 
     def test_analyze_series_rewrites(self, run_dir, capsys):
         before = (run_dir / "series.csv").read_bytes()

@@ -203,10 +203,10 @@ class TestSelectTimes:
         q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
         times = list(np.arange(0.0, 42.0, 2.0))
         traj = _static_traj(q, times, dt=0.5)
-        sel = select_times(traj, count=4)
-        assert sel.values == [0.0, 0.0, 0.0, 0.0]
+        sel = select_times(traj)
+        assert sel.values[-4:] == [0.0, 0.0, 0.0, 0.0]
         # the final frame never qualifies (its window has zero width)
-        assert sel.times == times[-5:-1]
+        assert sel.times[-4:] == times[-5:-1]
 
     def test_needs_ten_frames(self):
         grid = RadialGrid(40.0, 512)
@@ -217,17 +217,17 @@ class TestSelectTimes:
 
     def test_burst_window_avoided(self):
         traj = _burst_trajectory()
-        sel = select_times(traj, count=5)
+        sel = select_times(traj)
+        assert len(sel.times) == 5
         assert all(t2 > t1 for t1, t2 in zip(sel.times, sel.times[1:]))
         assert all(v2 <= v1 for v1, v2 in zip(sel.values, sel.values[1:]))
         assert all(not (40.0 <= t <= 62.0) for t in sel.times)
-        assert sel.dyadic_floor == pytest.approx(2.0)
 
     def test_records_beat_all_earlier_frames(self):
         # brute-force oracle: each selected value is <= the criterion of
         # every earlier frame (that is what a running record means)
         traj = _burst_trajectory()
-        sel = select_times(traj, count=3)
+        sel = select_times(traj)
         times = traj.times
         floor = 4.0 * traj.dt
 
@@ -240,7 +240,8 @@ class TestSelectTimes:
                 s *= 0.5
             return best
 
-        for t_sel, v_sel in zip(sel.times, sel.values):
+        # the last three records, as the oracle's cost allows
+        for t_sel, v_sel in zip(sel.times[-3:], sel.values[-3:]):
             assert v_sel == pytest.approx(criterion(t_sel), rel=1e-12)
             earlier = [criterion(t) for t in times[1:] if t < t_sel
                        and criterion(t) is not None]
@@ -256,8 +257,8 @@ class TestSelectTimes:
         scaled = Trajectory(snapshots=scaled_frames, dt=traj.dt,
                             scheme=traj.scheme, cfl=traj.cfl,
                             system=traj.system, blowup=None)
-        a = select_times(traj, count=5)
-        b = select_times(scaled, count=5)
+        a = select_times(traj)
+        b = select_times(scaled)
         assert a.times == b.times
         for va, vb in zip(a.values, b.values):
             assert vb == 4.0 * va
@@ -266,7 +267,7 @@ class TestSelectTimes:
         # records restart inside the window, so an early quiet stretch
         # cannot freeze the selection (what asymptotic callers need)
         traj = _burst_trajectory()
-        sel = select_times(traj, count=5, t_min=70.0)
+        sel = select_times(traj, t_min=70.0)
         assert all(t >= 70.0 for t in sel.times)
         assert sel.values == sorted(sel.values, reverse=True)
 
@@ -285,27 +286,27 @@ def linear_run():
 
 class TestLightcone:
     def test_shell_concentration(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0)
+        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
         full = h_norms(linear_run.snapshots[-1], ROOT0).h_x_l2
         last = rows[-1]
         assert not last.boundary_tainted
         assert last.outside < 0.05 * full
 
     def test_equipartition(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0)
+        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
         last = rows[-1]
         assert abs(last.hl_fraction - 0.5) < 0.02
         assert abs(last.kin_fraction - 0.5) < 0.02
         assert last.hl_fraction + last.kin_fraction == pytest.approx(1.0)
 
     def test_t0_row_matches_direct_norm(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0)
+        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
         first = linear_run.snapshots[0]
         direct = h_norms(first, ROOT0, 50.0, first.grid.r_max).h_x_l2
         assert rows[0].outside == pytest.approx(direct, rel=1e-12)
 
     def test_boundary_taint_flag(self, linear_run):
-        rows = lightcone_concentration(linear_run, 160.0)
+        rows = lightcone_concentration(linear_run, 160.0, ROOT0)
         assert rows[-1].boundary_tainted     # t + A beyond the grid
         assert not rows[0].boundary_tainted
 
@@ -314,8 +315,6 @@ class TestLightcone:
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=10.0,
                       width=5.0)
         traj = evolve(f, SPHERE, 4.0, record_every=64)
-        with pytest.raises(DiagnosticsError, match="root"):
-            lightcone_concentration(traj, 5.0)
         rows = lightcone_concentration(traj, 5.0, ell=ROOT0)
         assert len(rows) == len(traj.snapshots)
 

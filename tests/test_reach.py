@@ -1,11 +1,15 @@
-"""Every public routine has a caller in the package.
+"""Every public routine has a caller in the package, and every defaulted
+parameter a call that passes it.
 
 A public top-level function or class of a package module must be named
 by package code outside its own definition, so that some command can
 reach it.  A re-export in `__init__` does not count, and neither does a
 test.  The benchmark's traced run patches the functions that
-perfbench/tracer.py lists in TARGETS, which count as named.  The package
-modules and the tracer file are parsed, not imported or executed.
+perfbench/tracer.py lists in TARGETS, which count as named.  Likewise a
+parameter with a default must be passed, by keyword or by position, at
+some package call outside its function's definition; one that no call
+passes has one value in use and is a constant.  The package modules and
+the tracer file are parsed, not imported or executed.
 """
 
 import ast
@@ -75,3 +79,73 @@ def _unreached():
 def test_every_public_routine_is_reached():
     # an allowed routine that gains a caller, or goes, leaves the list
     assert _unreached() == set(ALLOWED)
+
+
+# defaulted parameters that no package call passes, each with the reason
+# it stays a parameter
+ALLOWED_PARAMS = {
+    ("main", "argv"): "tests and `python -m wavemap.cli` drive it",
+    ("beta_hat_ensemble", "n_data"): "c05 and perfbench/driver.py set it",
+    ("beta_hat_ensemble", "seed"): "c05 and perfbench/driver.py set it",
+    ("step_linear", "boundary"): "a tracer target, called as the benchmark "
+                                 "calls it",
+    ("make_perturbation", "velocity"): "the tests' moving linear data; no "
+                                       "config family builds linear data",
+}
+
+
+def _defaulted(fn):
+    """(index, name) of fn's defaulted parameters: a positional one with
+    its index among the positional parameters, a keyword-only one with
+    index None."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                             args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call, index, name):
+    """Whether the call may pass the parameter: by keyword, through
+    **kwargs, or by position, *args included."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or \
+        any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed():
+    """(function, parameter) pairs of package functions whose defaulted
+    parameter no package call outside the function's definition passes.
+    A call counts when it names the function, bare or as an attribute;
+    a method's index skips self."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Call)]
+    unpassed = set()
+    for tree in trees:
+        methods = {id(f) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            inside = {id(n) for n in ast.walk(fn)}
+            mine = [c for c in calls if id(c) not in inside and
+                    getattr(c.func, "id", getattr(c.func, "attr", None))
+                    == fn.name]
+            skip = 1 if id(fn) in methods else 0
+            for index, name in _defaulted(fn):
+                index = None if index is None else index - skip
+                if not any(_passes(c, index, name) for c in mine):
+                    unpassed.add((fn.name, name))
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter that gains a passing call, or goes, leaves the list
+    assert _unpassed() == set(ALLOWED_PARAMS)

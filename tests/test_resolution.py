@@ -19,13 +19,12 @@ from wavemap.statics import build_harmonic_map, eval_Q, rescale_Q
 from wavemap.evolution import (RadialGrid, RadialField, Trajectory,
                                BlowupRecord, evolve)
 from wavemap.data import make_bump, make_perturbation, make_chain, bump_profile
-from wavemap.diagnostics import (energy, h_norms, support_radius,
-                                 select_times, window_misfit)
+from wavemap.diagnostics import (DiagnosticsError, energy, h_norms,
+                                 support_radius, select_times, window_misfit)
 from wavemap import resolution
 from wavemap.resolution import (ResolutionError, compute_delta0,
                                 extract_bubbles, residual_norms, extend_H,
                                 build_scattering_state, extract_regular_part,
-                                pythagorean_report,
                                 EXTENSION_RAMP_GRADIENT,
                                 EXTENSION_RAMP_ZEROTH_INNER,
                                 EXTENSION_RAMP_ZEROTH_OUTER,
@@ -464,11 +463,11 @@ class TestExtension:
         grid = RadialGrid(10.0, 2048)
         f = RadialField(grid, np.cos(grid.r), np.ones(grid.n_points),
                         0.0, 0.0, 0.0)
-        rep = extend_H(f, 1.0, 2.0, ell_target=0.25)
+        rep = extend_H(f, 1.0, 2.0)
         psi = rep.field.psi
         r = grid.r
-        assert np.all(psi[r <= 0.5] == 0.25)
-        assert np.all(psi[r >= 4.0] == 0.25)
+        assert np.all(psi[r <= 0.5] == 0.0)
+        assert np.all(psi[r >= 4.0] == 0.0)
         inside = (r >= 1.0) & (r <= 2.0)
         np.testing.assert_allclose(psi[inside], np.cos(r[inside]))
         # velocity extends by zero
@@ -532,7 +531,7 @@ class TestScatteringState:
         grid = RadialGrid(20.0, 512)
         q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
         traj = evolve(q, SPHERE, 12.0, record_every=32)
-        with pytest.raises(ResolutionError, match="pre-asymptotic"):
+        with pytest.raises(DiagnosticsError, match="pre-asymptotic"):
             build_scattering_state(traj, ROOT_PI)
 
     def test_blowup_trajectory_rejected(self):
@@ -587,42 +586,24 @@ class TestRegularPart:
 # ---------------------------------------------------------------------------
 # energy bookkeeping
 
-class TestPythagorean:
+class TestLedger:
     def test_planted_bubble_budget(self, planted_report):
-        rep = pythagorean_report(planted_report)
-        assert rep.j == 1
-        assert rep.j_max == 1
-        assert rep.within_bound
-        assert rep.e_radiation == planted_report.ledger.e_residual
+        rep = planted_report
+        assert rep.J == rep.j_max == 1
+        led = rep.ledger
+        assert led.defect == led.e_total - led.e_bubbles - led.e_residual
         assert rep.defect_fraction < 1e-4
 
     def test_chain_budget(self, chain_report):
-        rep = pythagorean_report(chain_report[0])
-        assert rep.j == 2
-        assert rep.j_max == 2
-        assert rep.within_bound
+        rep = chain_report[0]
+        assert rep.J == rep.j_max == 2
         assert rep.defect_fraction < 5e-3
 
     def test_scattering_state_radiation(self, linear_scatter_traj):
+        # with no bubble, the energy is the linear state's Hl x L^2 norm^2
         state = build_scattering_state(linear_scatter_traj, ROOT0)
-        bubbles = extract_bubbles(linear_scatter_traj.snapshots[-1], SPHERE)
-        rep = pythagorean_report(bubbles, state=state)
-        assert rep.j == 0
-        direct = h_norms(state.phi_L, ROOT0).h_ell_x_l2 ** 2
-        assert rep.e_radiation == pytest.approx(direct, rel=1e-12)
-        assert rep.defect_fraction < 5e-3
-        assert rep.within_bound
-
-    def test_regular_part_radiation(self):
-        traj = _surrogate_blowup_traj()
-        reg = extract_regular_part(traj)
-        bubbles = extract_bubbles(traj.snapshots[0], SPHERE)
-        rep = pythagorean_report(bubbles, state=reg)
-        direct = energy(reg.phi, SPHERE).total
-        assert rep.e_radiation == pytest.approx(direct, rel=1e-12)
-        assert rep.within_bound
-
-    def test_unsupported_state_errors(self, planted_report):
-        with pytest.raises(ResolutionError, match="unsupported state"):
-            pythagorean_report(planted_report, state=42)
-
+        rep = extract_bubbles(linear_scatter_traj.snapshots[-1], SPHERE)
+        assert rep.J == 0 <= rep.j_max
+        e_total = rep.ledger.e_total
+        e_rad = h_norms(state.phi_L, ROOT0).h_ell_x_l2 ** 2
+        assert abs(e_total - e_rad) / e_total < 5e-3
