@@ -709,10 +709,10 @@ def _check_harmonic_oracle():
 def _check_thresholds():
     d0, e0 = compute_delta0(SPHERE, K=4.0)
     assert abs(d0 - 0.5) < 1e-12
-    assert abs(e0 - (4.0 - math.sqrt(15.0))) < 1e-9
+    assert abs(e0 - (4.0 - math.sqrt(15.0))) < 1e-12
     d1, e1 = compute_delta0(YANG_MILLS, K=2.0)
     assert abs(d1 - 0.5) < 1e-12
-    assert abs(e1 - (2.0 - math.sqrt(3.0))) < 1e-9
+    assert abs(e1 - (2.0 - math.sqrt(3.0))) < 1e-12
     return f"sphere eps0 = {e0:.10f}"
 
 def _check_energy_conservation():

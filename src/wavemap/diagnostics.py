@@ -452,22 +452,31 @@ def _map_in_draw_order(fn, tasks, workers):
     only when a worker has room for it.  With more than one worker the
     calls run in that many forked processes, at most two tasks per worker
     in flight, and the results are read in draw order, so the first
-    failing task's error is the one raised.  Every worker has been joined
-    when this returns or raises."""
+    failing task's error is the one raised.  After it no task is drawn,
+    and those in flight finish before the pool is closed and joined, so
+    that no worker is left; terminating a fork pool can deadlock."""
     if workers == 1:
         return [fn(*task) for task in tasks]
     import multiprocessing
     pool = multiprocessing.get_context("fork").Pool(workers)
+    results, pending = [], []
     try:
-        results, pending = [], []
         for task in tasks:
             pending.append(pool.apply_async(fn, task))
             if len(pending) == 2 * workers:
                 results.append(pending.pop(0).get())
-        return results + [p.get() for p in pending]
-    finally:
-        pool.terminate()
+        results += [p.get() for p in pending]
+    except Exception:
+        for p in pending:
+            p.wait()
+        pool.close()
         pool.join()
+        raise
+    # an interrupt skips this: a worker it killed leaves a task that never
+    # ends, and the pool's finalizer stops the workers at exit
+    pool.close()
+    pool.join()
+    return results
 
 
 def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):

@@ -240,25 +240,26 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
         ("g_prime", g_prime_expr), ("window", "%.17g %.17g" % (lo, hi))))
 
 
-def _gauss_legendre(metric, lo, hi):
-    """Node terms of the 24-point Gauss-Legendre rule for |g| on each panel
+def _gauss_legendre(f, lo, hi):
+    """Node terms of the 24-point Gauss-Legendre rule for f on each panel
     [lo_i, hi_i]; row i sums to the panel's integral."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
-    absg = np.abs(np.asarray(metric.g(x.ravel()), dtype=float))
+    fx = np.asarray(f(x.ravel()), dtype=float)
     return (half[:, None] * GL_WEIGHTS) * np.broadcast_to(
-        absg, (x.size,)).reshape(x.shape)
+        fx, (x.size,)).reshape(x.shape)
 
 
-def _integrate_abs_g(metric, a, b, points, rtol, atol):
-    """(int_a^b |g|, error estimate), with the breakpoints `points` inside
-    (a, b) where |g| may kink.
+def integrate(f, a, b, points, rtol, atol):
+    """(int_a^b f, error estimate) for a vectorized f, with the breakpoints
+    `points` inside (a, b) where f may kink: |g| for G here, 1/|g| for
+    the radii where a connector crosses a level of |g| in `resolution`.
 
     Each piece between breakpoints starts as PANELS_PER_PIECE panels.  A
     panel's error is the gap between its rule and the sum over its two
     halves, and the halves make the value.  A panel whose error exceeds its
     share by length of max(atol, rtol |value|) is bisected, until none does
-    or MAX_BISECTIONS panels have been split.  A NaN of g gives a NaN
+    or MAX_BISECTIONS panels have been split.  A NaN of f gives a NaN
     error, which meets no bound.
     """
     edges = np.array([a, *points, b], dtype=float)
@@ -266,12 +267,12 @@ def _integrate_abs_g(metric, a, b, points, rtol, atol):
         0.0, 1.0, PANELS_PER_PIECE + 1)
     grid[:, -1] = edges[1:]
     lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-    whole = _gauss_legendre(metric, lo, hi).sum(axis=1)
+    whole = _gauss_legendre(f, lo, hi).sum(axis=1)
     bisections = 0
     while True:
         mid = 0.5 * (lo + hi)
-        left = _gauss_legendre(metric, lo, mid)
-        right = _gauss_legendre(metric, mid, hi)
+        left = _gauss_legendre(f, lo, mid)
+        right = _gauss_legendre(f, mid, hi)
         halves = left.sum(axis=1), right.sum(axis=1)
         err = np.abs(whole - (halves[0] + halves[1]))
         value = math.fsum(np.concatenate((left, right), axis=None))
@@ -293,7 +294,7 @@ def eval_G(metric, x, rtol=1e-10):
     """G(x) = int_0^x |g(y)| dy, strictly increasing, G(0) = 0.
 
     The integrand kinks at the roots of g, so those are the breakpoints of
-    the Gauss-Legendre panels (`_integrate_abs_g`).  Raises QuadratureError
+    the Gauss-Legendre panels (`integrate`).  Raises QuadratureError
     when the error estimate misses the tolerance or is NaN.
     """
     x = float(x)
@@ -303,7 +304,8 @@ def eval_G(metric, x, rtol=1e-10):
     # breakpoints: roots of g inside (a, b); the full-window set is cached
     vset = find_vanishing_set(metric)
     points = [r for r in vset.roots if a < r < b]
-    value, abserr = _integrate_abs_g(metric, a, b, points, rtol, 1e-13)
+    value, abserr = integrate(lambda y: np.abs(metric.g(y)), a, b, points,
+                              rtol, 1e-13)
     if not abserr <= rtol * max(1.0, abs(value)) * 10 + 1e-12:
         raise QuadratureError(f"G({x}) did not converge", abserr)
     return value if x > 0 else -value
@@ -410,7 +412,8 @@ def _probe_G(metric, a, b):
         points = [r for r in vset.roots if lo < r < hi]
     except GeometryError:
         points = []
-    value, abserr = _integrate_abs_g(metric, lo, hi, points, 1e-7, 1.49e-8)
+    value, abserr = integrate(lambda y: np.abs(metric.g(y)), lo, hi, points,
+                              1e-7, 1.49e-8)
     if not abserr <= 1e-7 * max(1.0, abs(value)) * 10 + 1e-10:
         raise QuadratureError(f"G probe on [{lo}, {hi}] did not converge",
                               abserr)

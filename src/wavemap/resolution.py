@@ -12,7 +12,8 @@ roots: a field value with |g(psi)| >= delta0 is "in transition" between
 roots, below it the field is parked near some root.  eps0 marks how far
 a normalized connector's transition zone extends: outside the radii
 where |g(Q)| crosses delta0/2 the connector sits within delta0/2 of its
-endpoints.  Extraction scans inward for the outermost transition
+endpoints.  These radii are quadratures of 1/|g|, not read off a built
+connector.  Extraction scans inward for the outermost transition
 crossing, reads the scale off the normalized profile, refines it by
 one-dimensional least squares in log-scale, subtracts, and repeats.
 
@@ -36,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ROOT_TOL, Metric, Root, bisect, find_vanishing_set
+from .geometry import (ROOT_TOL, Metric, QuadratureError, Root, bisect,
+                       find_vanishing_set, integrate)
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import (RadialField, evolve, min_bubble_energy, _advance,
                         _step_plan)
@@ -49,6 +51,7 @@ MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
 MIN_SCALE_NODES = 4         # scales below 4 dr are unresolved
 MIN_FIT_NODES = 8
 COARSE_FIT_NODES = 1024     # windows of 2x this many nodes: subsample first
+SETTLE_GRID = 2.0 ** -30    # log-scale grid Gauss-Newton restarts on
 SETTLE_FRAMES = 5           # last cone-trace frames that must settle on ell*
 MARGIN_NODES = 8            # the regular part's fill keeps rho_c >= 8 dr
 
@@ -73,8 +76,9 @@ def compute_delta0(metric, K=None):
     roots inside [-K, K] (default K: the metric's search window).  eps0 is
     the smallest of the normalized connectors' tail radii at which |g(Q)|
     falls to delta0/2, folded to (0, 1) so that the transition zone of a
-    scale-lambda bubble sits inside [eps0*lambda, lambda/eps0].  Memoized
-    per (metric, K): both are immutable and so is the result.
+    scale-lambda bubble sits inside [eps0*lambda, lambda/eps0], from
+    `_crossing_radii`: no connector is built.  Memoized per (metric, K):
+    both are immutable and so is the result.
     """
     vset = find_vanishing_set(metric)
     if K is None:
@@ -83,47 +87,60 @@ def compute_delta0(metric, K=None):
     if len(roots) < 2:
         raise ResolutionError(
             f"no adjacent-root pair inside [-{K:.6g}, {K:.6g}]")
-    eta = math.inf
-    for lo, hi in zip(roots[:-1], roots[1:]):
-        x = np.linspace(lo, hi, 4097)[1:-1]
-        vals = np.abs(np.asarray(metric.g(x)))
-        k = int(np.argmax(vals))
-        # the peak of |g| is where g' changes sign
-        a, b = bisect(lambda t: float(metric.g_prime(t)), x[max(k - 1, 0)],
-                      x[min(k + 1, len(x) - 1)], ROOT_TOL)
-        eta = min(eta, abs(float(metric.g(0.5 * (a + b)))))
-    delta0 = 0.5 * eta
+    pairs = [(float(lo), float(hi)) for lo, hi in zip(roots[:-1], roots[1:])]
+    delta0 = 0.5 * min(abs(float(metric.g(_peak(metric, lo, hi))))
+                       for lo, hi in pairs)
     eps0 = 1.0
-    for lo in roots[:-1]:
-        qmap = build_harmonic_map(metric, float(lo), +1)
-        rho_lo, rho_hi = _crossing_radii(qmap, 0.5 * delta0)
+    for lo, hi in pairs:
+        rho_lo, rho_hi = _crossing_radii(metric, lo, hi, 0.5 * delta0)
         eps0 = min(eps0, rho_lo, 1.0 / rho_hi)
     return delta0, eps0
 
 
-@lru_cache(maxsize=256)
-def _crossing_radii(qmap, level):
-    """Radii where |g(Q)| crosses `level` on the inner and outer tails.
+def _peak(metric, lo, hi):
+    """Where |g| peaks between the adjacent roots lo < hi: the sign change
+    of g' beside the largest of 4095 samples."""
+    x = np.linspace(lo, hi, 4097)[1:-1]
+    k = int(np.argmax(np.abs(np.asarray(metric.g(x)))))
+    a, b = bisect(lambda t: float(metric.g_prime(t)), x[max(k - 1, 0)],
+                  x[min(k + 1, len(x) - 1)], ROOT_TOL)
+    return 0.5 * (a + b)
 
-    Memoized per (connector, level): connectors are cached objects.
-    """
-    s = np.linspace(qmap.stitch_lo, qmap.stitch_hi, 4096)
-    vals = np.abs(np.asarray(qmap.metric.g(eval_Q(qmap, np.exp(s)))))
-    peak = int(np.argmax(vals))
-    if vals[peak] <= level:
-        raise ResolutionError(
-            f"connector {qmap.ell:.6g} -> {qmap.m:.6g} never reaches "
-            f"|g| = {level:.6g}")
-    f = lambda t: abs(float(qmap.metric.g(eval_Q(qmap, math.exp(t))))) - level
-    s_in = 0.5 * sum(bisect(f, s[0], s[peak], ROOT_TOL))
-    s_out = 0.5 * sum(bisect(f, s[peak], s[-1], ROOT_TOL))
-    return math.exp(s_in), math.exp(s_out)
+
+@lru_cache(maxsize=256)
+def _crossing_radii(metric, ell, m, level):
+    """Radii (inner, outer) where |g(Q)| = `level` < its peak on the
+    connector Q from the root ell (r = 0) to the adjacent root m, with
+    Q(1) = mid = (ell + m)/2, without building Q.  Along Q, r Q' = sign g(Q)
+    has the sign of m - ell, so Q reaches q at log r = sign(m - ell)
+    int_mid^q dy / |g(y)|.  The two q are bisected to the last bit on
+    either side of the peak.  Memoized per (metric, ell, m, level)."""
+    a, b = min(ell, m), max(ell, m)
+    peak = _peak(metric, a, b)
+    f = lambda q: abs(float(metric.g(q))) - level
+    mid = 0.5 * (ell + m)
+    radii = []
+    for q in (0.5 * sum(bisect(f, a, peak, 0.0)),
+              0.5 * sum(bisect(f, peak, b, 0.0))):
+        value, abserr = integrate(lambda y: 1.0 / np.abs(metric.g(y)),
+                                  min(q, mid), max(q, mid), [], 1e-14, 1e-15)
+        if not abserr <= 1e-13:
+            raise QuadratureError(f"radius at |g| = {level:.6g} between "
+                                  f"{a:.6g} and {b:.6g} did not converge",
+                                  abserr)
+        radii.append(math.exp(math.copysign(value, (q - mid) * (m - ell))))
+    return tuple(radii[::1 if ell < m else -1])
 
 
 def _gauss_newton(qmap, r, psi, u, u_lo, u_hi, tol):
     """Gauss-Newton on the log-scale u of Q(r e^{-u}) against psi, with
     the exact Jacobian d/du Q(r e^{-u}) = -sign g(Q), kept inside
-    [u_lo, u_hi] and stopped once a step is below tol."""
+    [u_lo, u_hi] and stopped once a step is below tol.  Near the fixed
+    point rounding maps neighbouring doubles onto each other, so the first
+    such step restarts the iteration from the nearest multiple of
+    SETTLE_GRID, which every path near the fixed point shares: the double
+    returned does not depend on the path."""
+    restarted = False
     for _ in range(100):
         q = eval_Q(qmap, r * math.exp(-u))
         jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
@@ -131,7 +148,11 @@ def _gauss_newton(qmap, r, psi, u, u_lo, u_hi, tol):
         u_next = min(max(u - float(jac @ res) / float(jac @ jac), u_lo),
                      u_hi)
         if abs(u_next - u) < tol:
-            return u_next
+            if restarted:
+                return u_next
+            restarted = True
+            u_next = min(max(round(u_next / SETTLE_GRID) * SETTLE_GRID,
+                             u_lo), u_hi)
         u = u_next
     return u
 
@@ -149,9 +170,6 @@ def _fit_log_scale(qmap, r, psi, u0):
     if len(r) >= 2 * COARSE_FIT_NODES:
         k = len(r) // COARSE_FIT_NODES
         u = _gauss_newton(qmap, r[::k], psi[::k], u, u_lo, u_hi, 1e-9)
-        # one full-window step before the stop test, so that the stop, as
-        # in the single stage, fires on a step from a full-window iterate
-        u = _gauss_newton(qmap, r, psi, u, u_lo, u_hi, math.inf)
     return _gauss_newton(qmap, r, psi, u, u_lo, u_hi, 1e-12)
 
 
@@ -248,11 +266,9 @@ def extract_bubbles(field, metric):
             notes.append(f"unresolved structure at r = {r_star:.6g}: "
                          "no adjacent root on the approach side")
             break
-        qmap = build_harmonic_map(
-            metric, inner.value, +1 if current.value > inner.value else -1)
-        rho_out = _crossing_radii(qmap, delta0)[1]
-        lam_guess = r_star / rho_out
-        rho_lo, rho_hi = _crossing_radii(qmap, 0.5 * delta0)
+        pair = (metric, inner.value, current.value)
+        lam_guess = r_star / _crossing_radii(*pair, delta0)[1]
+        rho_lo, rho_hi = _crossing_radii(*pair, 0.5 * delta0)
         w_lo = 0.8 * lam_guess * rho_lo
         w_hi = min(1.25 * lam_guess * rho_hi, scan_hi)
         j0, j1 = window_nodes(r, w_lo, w_hi)
@@ -261,6 +277,8 @@ def extract_bubbles(field, metric):
                          f"fewer than {MIN_FIT_NODES} nodes in the fit "
                          "window")
             break
+        qmap = build_harmonic_map(
+            metric, inner.value, +1 if current.value > inner.value else -1)
         lam = math.exp(_fit_log_scale(qmap, r[j0:j1], work[j0:j1],
                                       math.log(lam_guess)))
         if lam < MIN_SCALE_NODES * grid.dr:

@@ -24,7 +24,7 @@ from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_chain, make_perturbation
 from wavemap.diagnostics import SERIES_COLUMNS
-from wavemap.resolution import extract_bubbles
+from wavemap.resolution import compute_delta0, extract_bubbles
 from wavemap import cli
 from wavemap.cli import (main, load_scenario, build_data, load_trajectory,
                          save_trajectory, CliError)
@@ -455,6 +455,18 @@ def test_any_config_runs_or_is_refused_in_one_line(replaced):
 
 
 class TestSimulate:
+    def test_demo_config_builds_no_connector(self, tmp_path):
+        # the demo finds no bubble; its thresholds come from quadratures
+        demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "sphere-small-data.cfg")
+        compute_delta0.cache_clear()
+        before = build_harmonic_map.cache_info()
+        assert main(["simulate", "--config", demo,
+                     "--out", str(tmp_path / "demo")]) == 0
+        after = build_harmonic_map.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert "j = 0" in (tmp_path / "demo" / "bubbles.report").read_text()
+
     def test_demo_scenario_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "s.cfg", out)

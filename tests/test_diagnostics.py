@@ -9,6 +9,7 @@ deterministic.
 import csv
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
 import re
 import time
@@ -462,6 +463,25 @@ class TestEnsemblePool:
                 beta_hat_ensemble(RadialGrid(128.0, 2048), steep, 4.0,
                                   n_data=30)
         assert len(forks) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_the_pool_is_joined_and_never_terminated(self, forks,
+                                                     monkeypatch):
+        def terminate(pool):
+            raise AssertionError("Pool.terminate called")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
+                            terminate)
+        grid = RadialGrid(128.0, 2048)
+        ratios = beta_hat_ensemble(grid, ROOT0, 4.0, n_data=30)[1]
+        assert ratios.tobytes() == _serial_ratios(grid, ROOT0, 4.0,
+                                                  30).tobytes()
+        assert multiprocessing.active_children() == []
+        steep = Root(0.0, 1e154, math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError, match="member 0"):
+                beta_hat_ensemble(grid, steep, 4.0, n_data=30)
+        assert len(forks) == 6
         assert multiprocessing.active_children() == []
 
     def test_the_first_failing_block_in_draw_order_is_raised(self, forks,
