@@ -28,19 +28,18 @@ import sys
 import tempfile
 from collections import namedtuple
 from configparser import ConfigParser, Error as ConfigError
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (SPHERE, YANG_MILLS, GeometryError, Metric,
-                       check_assumptions, find_vanishing_set, get_metric,
-                       make_metric)
-from .statics import build_harmonic_map, eval_Q, rescale_Q
+from .geometry import (SPHERE, YANG_MILLS, GeometryError, check_assumptions,
+                       find_vanishing_set, get_metric, make_metric)
+from .statics import build_harmonic_map, eval_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
                         read_snapshot, discrete_energy, _check_cfl)
 from .exprgrammar import ExpressionError
-from .data import make_bump, make_chain, make_perturbation, bump_profile
+from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
+                   make_perturbation)
 from .diagnostics import (DiagnosticsError, asymptotic_start, energy,
                           write_series, select_times, lightcone_concentration,
                           linf_outside_cone, s_norm)
@@ -68,69 +67,46 @@ def _write_ini(path, sections):
 # ---------------------------------------------------------------------------
 # scenario parsing
 
-def _bubble(grid, metric, p):
-    qmap = build_harmonic_map(metric, p["ell"], p["direction"])
-    return rescale_Q(qmap, p["scale"], grid)
-
-
-def _superposition(grid, metric, p):
-    base = _bubble(grid, metric, p)
-    bump = p["amplitude"] * bump_profile(grid.r, 1.0, p["center"],
-                                         p["width"])
-    return RadialField(grid, base.psi + bump,
-                       base.psi_dot + p["velocity"] * bump,
-                       base.ell0, base.ell_inf, 0.0)
-
-
-def _snapshot(grid, metric, p):
-    """The last frame of the store at p["path"]."""
-    traj = load_trajectory(p["path"])
+def _snapshot(grid, metric, path):
+    """The last frame of the store at `path`."""
+    traj = load_trajectory(path)
     if traj.system.id != metric.id:
-        raise GeometryError(f"snapshot {p['path']} was written for "
-                            f"metric {traj.system.id!r}, scenario uses "
+        raise GeometryError(f"snapshot {path} was written for metric "
+                            f"{traj.system.id!r}, scenario uses "
                             f"{metric.id!r}")
     field = traj.snapshots[-1]
     if field.grid != grid:
         raise EvolutionError(
-            f"snapshot {p['path']} has {field.grid.n_points} nodes up "
+            f"snapshot {path} has {field.grid.n_points} nodes up "
             f"to r = {field.grid.r_max:g}, [grid] asks for "
             f"{grid.n_points} up to r_max = {grid.r_max:g}")
     return field
 
 
 # one row per [data] family: the keys it needs, the keys it reads when
-# given with their defaults, and build(grid, metric, params) -> RadialField;
-# its scales (scale, width, the steps' scales) must span SCALE_NODES cells
+# given with their defaults, and build(grid, metric, **params), the data
+# builder that checks its field (snapshot's reads a store); its scales
+# (scale, width, the steps' scales) must span SCALE_NODES cells
 Family = namedtuple("Family", "required optional build")
 FAMILIES = {
-    "bubble": Family(("ell", "scale"), {"direction": 1}, _bubble),
+    "bubble": Family(("ell", "scale"), {"direction": 1}, make_bubble),
     "bump": Family(("amplitude", "center", "width"),
-                   {"ell": 0.0, "velocity": 0.0},
-                   lambda grid, metric, p: make_bump(grid, metric, **p)),
+                   {"ell": 0.0, "velocity": 0.0}, make_bump),
     "superposition": Family(("scale", "amplitude", "center", "width"),
                             {"ell": 0.0, "direction": 1, "velocity": 0.0},
-                            _superposition),
-    "chain": Family(("steps",), {"ell_outer": 0.0},
-                    lambda grid, metric, p: make_chain(
-                        grid, metric, p["ell_outer"], p["steps"])[0]),
+                            make_bubble_bump),
+    "chain": Family(("steps",), {"ell_outer": 0.0}, make_chain),
     "snapshot": Family(("path",), {}, _snapshot),
 }
+# the keys of the sections whose keys depend on neither target nor family
+KEYS = {"grid": ("n_points", "r_max"),
+        "time": ("t_final", "dt", "cfl", "record_every", "boundary"),
+        "pipeline": ("stages",), "output": ("dir",)}
+SECTIONS = ("metric", "data", *KEYS)
 
-
-@dataclass
-class Scenario:
-    path: str
-    metric: Metric
-    family: str
-    params: dict        # the family's [data] values, parsed, defaults filled
-    grid: RadialGrid
-    t_final: float
-    cfl: float
-    record_every: int
-    boundary: str
-    stages: list
-    out_dir: str
-    data: RadialField = None      # the initial field, built by load_scenario
+# a config as simulate runs it, its initial field built
+Scenario = namedtuple("Scenario", "path metric data t_final cfl record_every "
+                                  "boundary stages out_dir")
 
 
 def _require(cp, section, key, path):
@@ -148,15 +124,14 @@ def _finite(text):
 
 
 def _getfloat(cp, section, key, path, default=None):
-    if not cp.has_option(section, key):
-        if default is None:
-            raise CliError(f"{path}: missing [{section}] {key}")
+    if default is not None and not cp.has_option(section, key):
         return default
+    text = _require(cp, section, key, path)
     try:
-        return _finite(cp.get(section, key))
+        return _finite(text)
     except ValueError:
-        raise CliError(f"{path}: [{section}] {key} = "
-                       f"{cp.get(section, key)!r} is not a finite number")
+        raise CliError(f"{path}: [{section}] {key} = {text!r} is not a "
+                       f"finite number")
 
 
 def _getint(cp, section, key, path, default=None):
@@ -167,11 +142,22 @@ def _getint(cp, section, key, path, default=None):
     return int(value)
 
 
+def _refuse_unread(cp, path, section, reads):
+    """CliError for a key of cp's [section] that is not in `reads`."""
+    for key in cp.options(section):
+        if key not in reads:
+            raise CliError(f"{path}: [{section}] {key} is not read "
+                           f"(known: {', '.join(reads)})")
+
+
 def read_metric(cp, path):
     """The metric of cp's [metric] section: target, and for a custom target
-    its id, g, g_prime and window.  A custom target that
-    `check_assumptions` finds outside (A2) or (A3') is refused."""
+    its id, g, g_prime and window; any other key is refused.  A custom
+    target that `check_assumptions` finds outside (A2) or (A3') is
+    refused."""
     target = _require(cp, "metric", "target", path)
+    _refuse_unread(cp, path, "metric", ("target",) if target != "custom"
+                   else ("target", "id", "g", "g_prime", "window"))
     if target != "custom":
         try:
             return get_metric(target)
@@ -206,6 +192,12 @@ def load_scenario(path, out_override=None):
         # configparser names the offending line, over several lines
         raise CliError(f"{path}: malformed config: "
                        f"{' '.join(str(e).split())}")
+    for section in cp.sections():
+        if section not in SECTIONS:
+            raise CliError(f"{path}: unknown section [{section}] "
+                           f"(known: {', '.join(SECTIONS)})")
+        if section in KEYS:
+            _refuse_unread(cp, path, section, KEYS[section])
     for section in ("metric", "data", "grid", "time", "output"):
         if not cp.has_section(section):
             raise CliError(f"{path}: missing [{section}] section")
@@ -253,7 +245,6 @@ def load_scenario(path, out_override=None):
         if s not in STAGES:
             raise CliError(f"{path}: unknown pipeline stage {s!r} "
                            f"(known: {', '.join(STAGES)})")
-    # the vanishing set is memoized: _data_params reads this same one
     roots = find_vanishing_set(metric).roots
     if "bubbles" in stages and len(roots) < 2:
         raise CliError(
@@ -262,16 +253,10 @@ def load_scenario(path, out_override=None):
             f", {metric.search_window[1]:g}]")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
-    scen = Scenario(path=path, metric=metric, family=family,
-                    params=_data_params(cp, path, family, grid, metric),
-                    grid=grid, t_final=t_final, cfl=cfl,
-                    record_every=record_every, boundary=boundary,
-                    stages=stages, out_dir=out_dir)
-    try:
-        scen.data = build_data(scen)
-    except (GeometryError, EvolutionError, CliError) as e:
-        raise CliError(f"{path}: [data] {e}")
-    return scen
+    return Scenario(path=path, metric=metric,
+                    data=_read_data(cp, path, family, grid, metric),
+                    t_final=t_final, cfl=cfl, record_every=record_every,
+                    boundary=boundary, stages=stages, out_dir=out_dir)
 
 
 def _direction(text):
@@ -305,10 +290,11 @@ def _data_value(path, key, text):
         raise CliError(f"{path}: [data] {key} = {text!r} is not {kind}")
 
 
-def _data_params(cp, path, family, grid, metric):
-    """The family's [data] values, defaults filled in, once every given key
-    is read by the family and parses, the family's scales are resolved by
-    the grid and any given base root is a root of g."""
+def _read_data(cp, path, family, grid, metric):
+    """The family's initial field, built from its [data] values, defaults
+    filled in, once every given key is read by the family and parses and
+    the family's scales are resolved by the grid; the builder's refusals
+    are config errors."""
     if family not in FAMILIES:
         raise CliError(f"{path}: unknown data family {family!r} "
                        f"({', '.join(FAMILIES)})")
@@ -330,18 +316,10 @@ def _data_params(cp, path, family, grid, metric):
             raise CliError(
                 f"{path}: under-resolved: scale {lam:g} needs >= "
                 f"{SCALE_NODES} grid cells but dr = {grid.dr:g}")
-    vset = find_vanishing_set(metric)
-    for key in ("ell", "ell_outer"):
-        if key in given:
-            try:
-                vset.root_at(given[key])
-            except GeometryError as e:
-                raise CliError(f"{path}: [data] {key}: {e}")
-    return p
-
-
-def build_data(scen):
-    return FAMILIES[scen.family].build(scen.grid, scen.metric, scen.params)
+    try:
+        return row.build(grid, metric, **p)
+    except (GeometryError, EvolutionError, CliError) as e:
+        raise CliError(f"{path}: [data] {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +695,8 @@ def _check_thresholds():
 
 def _check_energy_conservation():
     grid = RadialGrid(20.0, 2048)
-    f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0, width=3.0)
+    f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0, width=3.0,
+                  velocity=0.0)
     traj = evolve(f, SPHERE, 5.0, record_every=128)
     e0 = energy(traj.snapshots[0], SPHERE).total
     drift = max(abs(energy(s, SPHERE).total - e0)
@@ -727,7 +706,7 @@ def _check_energy_conservation():
 
 def _check_stationarity():
     grid = RadialGrid(20.0, 1000)
-    f = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
+    f = make_bubble(grid, SPHERE, 0.0, 1.0, +1)
     traj = evolve(f, SPHERE, 1.0, record_every=10 ** 9)
     dev = float(np.max(np.abs(traj.snapshots[-1].psi - f.psi)))
     assert dev < 1e-4, f"deviation {dev:.3g}"
@@ -746,7 +725,7 @@ def _check_linear_conservation():
 
 def _check_extraction():
     grid = RadialGrid(5.0, 2 ** 14)
-    f = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 2e-2, grid)
+    f = make_bubble(grid, SPHERE, 0.0, 2e-2, +1)
     rep = extract_bubbles(f, SPHERE)
     assert rep.J == 1, f"J = {rep.J}"
     err = abs(rep.scales[0] - 2e-2) / 2e-2

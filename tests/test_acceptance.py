@@ -58,7 +58,7 @@ def test_c02_energy_conservation_and_order():
     for n in (512, 1024, 2048, 4096):
         grid = RadialGrid(20.0, n)
         seed = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0,
-                         width=3.0)
+                         width=3.0, velocity=0.0)
         rec = 128 if n == 4096 else 10 ** 9
         traj = evolve(seed, SPHERE, 10.0, record_every=rec)
         finals[n] = (grid, traj.snapshots[-1].psi)
@@ -135,7 +135,8 @@ def test_c06_bubble_extraction_oracle():
     rep1 = extract_bubbles(f1, SPHERE)
 
     grid2 = RadialGrid(2.0, 2 ** 17)
-    f2, _, scales2 = make_chain(grid2, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
+    scales2 = [1e-1, 1e-4]
+    f2 = make_chain(grid2, SPHERE, 0.0, [(-1, lam) for lam in scales2])
     rep2 = extract_bubbles(f2, SPHERE)
 
     err1 = abs(rep1.scales[0] / 1e-2 - 1.0)
@@ -225,7 +226,7 @@ def test_c09_scattering_round_trip():
     worst = max(st.match_errors)
 
     nseed = make_bump(grid, SPHERE, 0.0, amplitude=0.05, center=15.0,
-                      width=5.0)
+                      width=5.0, velocity=0.0)
     ntraj = evolve(nseed, SPHERE, 90.0, record_every=32)
     nst = build_scattering_state(ntraj, ROOT0)
     final_rel = nst.match_errors[-1] / h_norms(nst.phi_L, ROOT0).h_ell_x_l2

@@ -26,7 +26,7 @@ from wavemap.data import make_bump, make_chain, make_perturbation
 from wavemap.diagnostics import SERIES_COLUMNS
 from wavemap.resolution import compute_delta0, extract_bubbles
 from wavemap import cli
-from wavemap.cli import (main, load_scenario, build_data, load_trajectory,
+from wavemap.cli import (main, load_scenario, load_trajectory,
                          save_trajectory, CliError)
 
 
@@ -258,13 +258,47 @@ class TestScenarioValidation:
          "steps entry '0:1' is not direction:scale with direction +1 or -1"),
         ({"data": {"family": "chain", "steps": "1:1, 7:0.5"}},
          "steps entry '7:0.5' is not direction:scale with direction +1 or -1"),
+        # the bump of a superposition may not reach the origin either
+        ({"data": {"family": "superposition", "scale": "1",
+                   "amplitude": "0.5", "center": "1", "width": "3"},
+          "grid": {"n_points": "1024"}},
+         "[data] bump support must avoid the origin"),
+        ({"data": {"family": "chain", "steps": "1:0.5, 1:2"},
+          "grid": {"n_points": "1024"}},
+         "[data] chain steps need decreasing scales"),
+        # every section refuses a key that no run reads
+        ({"time": {"record_evry": "16"}},
+         "[time] record_evry is not read (known: t_final, dt, cfl, "
+         "record_every, boundary)"),
+        ({"grid": {"rmax": "5"}}, "[grid] rmax is not read"),
+        ({"pipeline": {"stagse": "bubbles"}}, "[pipeline] stagse is not read"),
+        # the scattering_count key of older configs is no longer read
+        ({"pipeline": {"scattering_count": "3"}},
+         "[pipeline] scattering_count is not read (known: stages)"),
+        ({"output": {"directory": "elsewhere"}},
+         "[output] directory is not read"),
+        ({"metric": {"id": "sphere"}},
+         "[metric] id is not read (known: target)"),
+        ({"metric": {"target": "custom", "id": "m", "g": "sin(rho)",
+                     "g_prime": "cos(rho)", "window": "-4 4",
+                     "slopes": "1"}},
+         "[metric] slopes is not read (known: target, id, g, g_prime, "
+         "window)"),
+        ({"outpt": {"dir": "elsewhere"}},
+         "unknown section [outpt] (known: metric, data, grid, time, "
+         "pipeline, output)"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
             "bump_support", "window_inf", "unread_key", "n_points_fraction",
             "record_every_fraction", "deep_expression", "outside_a3_prime",
             "outside_a2", "direction_0", "direction_2", "direction_-3",
-            "chain_direction_0", "chain_direction_7"])
+            "chain_direction_0", "chain_direction_7",
+            "superposition_bump_support", "chain_scale_order",
+            "unread_time_key", "unread_grid_key", "unread_pipeline_key",
+            "legacy_scattering_count", "unread_output_key",
+            "unread_metric_key", "unread_custom_metric_key",
+            "unknown_section"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -332,13 +366,12 @@ class TestScenarioValidation:
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         time={"t_final": "2.0", "dt": "0.0390625"})
         scen = load_scenario(cfg)
-        assert scen.cfl == pytest.approx(0.0390625 / scen.grid.dr)
+        assert scen.cfl == pytest.approx(0.0390625 / scen.data.grid.dr)
 
     def test_batch_refused_whole(self, tmp_path, capsys):
         # the second config names a snapshot written for another metric,
         # which only building its data finds: the first config must not run
-        field, _, _ = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0,
-                                 [(1, 2.0)])
+        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])
         snap = write_store(field, tmp_path / "seed")
         first = write_cfg(tmp_path / "a.cfg", tmp_path / "outa")
         second = write_cfg(tmp_path / "b.cfg", tmp_path / "outb",
@@ -354,7 +387,7 @@ class TestScenarioValidation:
         assert not (tmp_path / "outb").exists()
 
     def test_snapshot_on_another_grid_refused(self, tmp_path, capsys):
-        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])[0]
+        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])
         snap = write_store(field, tmp_path / "seed")
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
                         data={"family": "snapshot", "path": str(snap)},
@@ -388,7 +421,7 @@ class TestScenarioValidation:
                                             where, message):
         # a store defect is refused in one line by both readers of a
         # single field: resolve --snapshot and family = snapshot
-        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])[0]
+        field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])
         snap = write_store(field, tmp_path / "seed")
         edit(snap)
         assert main(["resolve", "--snapshot", str(snap)]) == 1
@@ -408,7 +441,7 @@ class TestScenarioValidation:
         # 1500 * (7 / 1500) != 7: the seed's grid is the one [grid] names
         grid = RadialGrid(7.0, 1500)
         snap = write_store(make_bump(grid, SPHERE, 0.0, amplitude=0.1,
-                                     center=3.5, width=1.5),
+                                     center=3.5, width=1.5, velocity=0.0),
                            tmp_path / "seed")
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path / "s.cfg", out,
@@ -498,7 +531,7 @@ class TestSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         # the streamed store is np.save of the stacked frames, byte for byte
         scen = load_scenario(cfg)
-        ref = evolve(build_data(scen), scen.metric, scen.t_final,
+        ref = evolve(scen.data, scen.metric, scen.t_final,
                      record_every=scen.record_every, cfl=scen.cfl)
         buf = io.BytesIO()
         np.save(buf, np.stack([(s.psi, s.psi_dot) for s in ref.snapshots]))
@@ -529,7 +562,7 @@ class TestSimulate:
         assert cp.getfloat("blowup", "t_plus") > 0
         # the store reads back the run bit for bit
         scen = load_scenario(cfg)
-        ref = evolve(build_data(scen), scen.metric, scen.t_final,
+        ref = evolve(scen.data, scen.metric, scen.t_final,
                      record_every=scen.record_every, cfl=scen.cfl,
                      boundary=scen.boundary)
         back = load_trajectory(str(out))
@@ -692,7 +725,7 @@ class TestAnalyzeResolve:
         assert main(["analyze", "--traj", str(out), "--ops", "series"]) == 0
         assert (out / "series.csv").read_bytes() == before
         assert load_trajectory(str(out)).snapshots[0].grid == \
-            load_scenario(cfg).grid
+            load_scenario(cfg).data.grid
 
     def test_custom_metric_store_reads_back(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -754,7 +787,8 @@ class TestAnalyzeResolve:
         for name in ("write_series", "build_scattering_state",
                      "extract_bubbles"):
             monkeypatch.setattr(cli, name, no_run)
-        field = make_bump(RadialGrid(20.0, 256), SPHERE, 0.0)
+        field = make_bump(RadialGrid(20.0, 256), SPHERE, 0.0, amplitude=0.1,
+                          center=5.0, width=2.0, velocity=0.0)
         store = write_store(field, tmp_path / "store")
         (store / blocked).mkdir(parents=True)
         before = sorted(os.listdir(store))
@@ -895,8 +929,7 @@ class TestAnalyzeResolve:
 
     def test_resolve_snapshot_two_bubbles(self, tmp_path, capsys):
         grid = RadialGrid(2.0, 2 ** 17)
-        field, _, _ = make_chain(grid, SPHERE, 0.0,
-                                 [(-1, 1e-1), (-1, 1e-4)])
+        field = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
         snap = write_store(field, tmp_path / "chain")
         assert main(["resolve", "--snapshot", str(snap)]) == 0
         text = capsys.readouterr().out
@@ -946,7 +979,7 @@ class TestAnalyzeResolve:
         # a Metric built by hand has no [metric] keys, and a store without
         # them cannot be read back
         bare = Metric("bare", np.sin, np.cos, (-4.0, 4.0))
-        field = make_chain(RadialGrid(20.0, 256), bare, 0.0, [(1, 2.0)])[0]
+        field = make_chain(RadialGrid(20.0, 256), bare, 0.0, [(1, 2.0)])
         with pytest.raises(CliError, match="get_metric or make_metric"):
             write_store(field, tmp_path / "bare", bare)
         assert not (tmp_path / "bare").exists()
@@ -1040,8 +1073,7 @@ class TestAnalyzeResolve:
 
     def test_resolve_rewrites_simulate_scattering_report(self, tmp_path,
                                                          capsys):
-        # simulate's scattering stage and resolve --traj make one call; the
-        # scattering_count key of older configs is no longer read
+        # simulate's scattering stage and resolve --traj make one call
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "s.cfg", out,
                         data={"family": "bump", "ell": "0",
@@ -1049,8 +1081,7 @@ class TestAnalyzeResolve:
                               "width": "4"},
                         grid={"r_max": "100", "n_points": "1024"},
                         time={"t_final": "70", "record_every": "16"},
-                        pipeline={"stages": "series, scattering",
-                                  "scattering_count": "3"})
+                        pipeline={"stages": "series, scattering"})
         assert main(["simulate", "--config", cfg]) == 0
         before = (out / "scattering.report").read_bytes()
         assert main(["resolve", "--traj", str(out)]) == 0
@@ -1075,7 +1106,7 @@ class TestAnalyzeResolve:
 
     def test_snapshot_family_round_trip(self, tmp_path, capsys):
         grid = RadialGrid(20.0, 256)
-        field, _, _ = make_chain(grid, SPHERE, 0.0, [(1, 2.0)])
+        field = make_chain(grid, SPHERE, 0.0, [(1, 2.0)])
         snap = write_store(field, tmp_path / "seed")
         out = tmp_path / "resumed"
         cfg = write_cfg(tmp_path / "s.cfg", out,

@@ -80,7 +80,7 @@ class TestEnergy:
     def test_interval_clipped_with_warning(self):
         grid = RadialGrid(10.0, 128)
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.2, center=4.0,
-                      width=2.0)
+                      width=2.0, velocity=0.0)
         with pytest.warns(RuntimeWarning, match="clipped"):
             e = energy(f, SPHERE, 0.0, 50.0)
         assert e.total == pytest.approx(energy(f, SPHERE).total)
@@ -88,7 +88,7 @@ class TestEnergy:
     def test_empty_interval_rejected(self):
         grid = RadialGrid(10.0, 128)
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.2, center=4.0,
-                      width=2.0)
+                      width=2.0, velocity=0.0)
         with pytest.raises(DiagnosticsError, match="empty"):
             energy(f, SPHERE, 5.0, 3.0)
 
@@ -314,7 +314,7 @@ class TestLightcone:
     def test_nonlinear_needs_explicit_root(self):
         grid = RadialGrid(40.0, 256)
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=10.0,
-                      width=5.0)
+                      width=5.0, velocity=0.0)
         traj = evolve(f, SPHERE, 4.0, record_every=64)
         rows = lightcone_concentration(traj, 5.0, ell=ROOT0)
         assert len(rows) == len(traj.snapshots)

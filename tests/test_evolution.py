@@ -84,7 +84,8 @@ class TestGridAndField:
         # one EvolutionError before any step: never a backward step, nor
         # a bare ValueError, ZeroDivisionError or OverflowError
         grid = RadialGrid(10.0, 128)
-        f = make_bump(grid, SPHERE, 0.0, amplitude=0.1)
+        f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0, width=2.0,
+                      velocity=0.0)
         with pytest.raises(EvolutionError, match=match):
             evolve(f, SPHERE, t_final, cfl=cfl)
 
@@ -184,7 +185,7 @@ class TestConservation:
     def test_nonlinear_energy_drift(self):
         grid = RadialGrid(20.0, 2048)
         f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0,
-                       width=3.0)
+                       width=3.0, velocity=0.0)
         traj = evolve(f0, SPHERE, 10.0, record_every=256)
         e0 = energy(traj.snapshots[0], SPHERE).total
         drift = max(abs(energy(s, SPHERE).total - e0)
@@ -214,7 +215,7 @@ class TestConservation:
     def test_flux_and_trapezoid_energies_agree(self):
         grid = RadialGrid(20.0, 4096)
         f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.2, center=6.0,
-                       width=3.0)
+                       width=3.0, velocity=0.0)
         e_flux = discrete_energy(f0, SPHERE)
         e_trap = energy(f0, SPHERE).total
         assert abs(e_flux - e_trap) / e_trap < 1e-4
@@ -246,7 +247,7 @@ def _flow_case(label, grid, amplitude=0.3):
     data hangs from pi so the ghost and the far value are not zero."""
     if label == "nonlinear":
         return (make_bump(grid, SPHERE, np.pi, amplitude=amplitude,
-                          center=5.0, width=3.0), SPHERE, _step)
+                          center=5.0, width=3.0, velocity=0.0), SPHERE, _step)
     return (make_perturbation(grid, amplitude=amplitude, center=5.0,
                               width=3.0), ROOT_PI, step_linear)
 
@@ -602,7 +603,7 @@ class TestRichardson:
             grid = RadialGrid(20.0, n)
             if label == "nonlinear":
                 f = make_bump(grid, SPHERE, 0.0, amplitude=0.3, center=5.0,
-                              width=3.0)
+                              width=3.0, velocity=0.0)
                 system = SPHERE
             else:
                 f = make_perturbation(grid, amplitude=0.3, center=5.0,
@@ -624,9 +625,9 @@ class TestCovarianceAndCausality:
         grid1 = RadialGrid(16.0, n)
         grid2 = RadialGrid(32.0, n)
         f1 = make_bump(grid1, SPHERE, 0.0, amplitude=0.4, center=4.0,
-                       width=2.0)
+                       width=2.0, velocity=0.0)
         f2 = make_bump(grid2, SPHERE, 0.0, amplitude=0.4, center=8.0,
-                       width=4.0)
+                       width=4.0, velocity=0.0)
         np.testing.assert_array_equal(f1.psi, f2.psi)
         t1 = evolve(f1, SPHERE, 3.0, record_every=10 ** 9)
         t2 = evolve(f2, SPHERE, 6.0, record_every=10 ** 9)
@@ -641,9 +642,9 @@ class TestCovarianceAndCausality:
         # domain of influence
         grid = RadialGrid(50.0, 1000)
         f1 = make_bump(grid, SPHERE, 0.0, amplitude=0.3, center=10.0,
-                       width=5.0)
+                       width=5.0, velocity=0.0)
         psi2 = f1.psi + make_bump(grid, SPHERE, 0.0, amplitude=0.2,
-                                  center=35.0, width=4.0).psi
+                                  center=35.0, width=4.0, velocity=0.0).psi
         f2 = RadialField(grid, psi2, np.zeros_like(psi2), 0.0, 0.0, 0.0)
         t = 5.0
         out1 = evolve(f1, SPHERE, t, record_every=10 ** 9).snapshots[-1]
@@ -696,7 +697,7 @@ class TestBlowup:
         # with no usable fit, t_plus is the frame time plus the last radius
         grid = RadialGrid(6.0, 256)
         frame = make_bump(grid, SPHERE, 0.0, amplitude=0.3, center=3.0,
-                          width=1.5)
+                          width=1.5, velocity=0.0)
         frame.time = 0.7
         _, x, dens = _concentration_radius(frame, SPHERE, math.inf)
         rec = _make_blowup_record(frame, x, dens, series)
@@ -740,7 +741,8 @@ class TestBlowup:
 
     def test_nan_truncates_at_the_first_stop(self, tmp_path):
         grid = RadialGrid(20.0, 256)
-        f0 = make_bump(grid, SPHERE, 0.0)
+        f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0,
+                       width=2.0, velocity=0.0)
         f0.psi[100] = np.nan
         traj = evolve(f0, SPHERE, 2.0, record_every=4)
         b = traj.blowup
@@ -757,7 +759,7 @@ class TestBlowup:
     def test_mild_data_does_not_trigger(self):
         grid = RadialGrid(40.0, 1024)
         f0 = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=10.0,
-                       width=5.0)
+                       width=5.0, velocity=0.0)
         traj = evolve(f0, SPHERE, 5.0, record_every=64)
         assert traj.blowup is None
 

@@ -59,8 +59,8 @@ def planted_report():
 def chain_report():
     # two well-separated scales descending from ell = 0
     grid = RadialGrid(2.0, 2 ** 17)
-    field, connectors, scales = make_chain(grid, SPHERE, 0.0,
-                                           [(-1, 1e-1), (-1, 1e-4)])
+    scales = [1e-1, 1e-4]
+    field = make_chain(grid, SPHERE, 0.0, [(-1, lam) for lam in scales])
     return extract_bubbles(field, SPHERE), scales
 
 
@@ -75,7 +75,7 @@ def linear_scatter_traj():
 def nonlinear_scatter_traj():
     grid = RadialGrid(200.0, 2048)
     seed = make_bump(grid, SPHERE, 0.0, amplitude=0.05, center=15.0,
-                     width=5.0)
+                     width=5.0, velocity=0.0)
     return evolve(seed, SPHERE, 90.0, record_every=32)
 
 
@@ -214,7 +214,7 @@ class TestNoConnectorBuilt:
     def test_extraction_of_a_field_with_no_bubble(self, calls):
         grid = RadialGrid(10.0, 1024)
         f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=5.0,
-                      width=2.0)
+                      width=2.0, velocity=0.0)
         rep = extract_bubbles(f, SPHERE)
         assert rep.J == 0 and rep.notes == []
         assert calls() == (0, 0)
@@ -274,7 +274,7 @@ class TestExtraction:
     def test_rescaling_equivariance(self, chain_report):
         rep, _ = chain_report
         grid = RadialGrid(2.0, 2 ** 17)
-        field, _, _ = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
+        field = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
         doubled = RadialField(RadialGrid(4.0, 2 ** 17), field.psi.copy(),
                               np.zeros_like(field.psi), field.ell0,
                               field.ell_inf, 0.0)
@@ -287,7 +287,7 @@ class TestExtraction:
         # ratio 0.1 leaves the inner transition inside the outer fit
         # window; extraction must refuse rather than subtract a bad fit
         grid = RadialGrid(2.0, 2 ** 15)
-        field, _, _ = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-2)])
+        field = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-2)])
         rep = extract_bubbles(field, SPHERE)
         assert rep.J == 0
         assert any("unresolved structure" in n for n in rep.notes)
@@ -358,9 +358,8 @@ WINDOW_CHAINS = {
 @pytest.fixture(scope="module", params=sorted(WINDOW_CHAINS))
 def window_chain(request):
     metric, ell, steps = WINDOW_CHAINS[request.param]
-    field, _, scales = make_chain(RadialGrid(4.0, 2 ** 15), metric, ell,
-                                  steps)
-    return field, metric, len(scales)
+    field = make_chain(RadialGrid(4.0, 2 ** 15), metric, ell, steps)
+    return field, metric, len(steps)
 
 
 class TestWindowedExtraction:
@@ -444,8 +443,8 @@ class TestWindowedExtraction:
 
     def test_small_windows_keep_the_single_stage_bits(self, monkeypatch):
         # on 2048 nodes over [0, 20] every window is below 2048 nodes
-        field, _, _ = make_chain(RadialGrid(20.0, 2048), SPHERE, 0.0,
-                                 [(-1, 4.0), (-1, 0.08)])
+        field = make_chain(RadialGrid(20.0, 2048), SPHERE, 0.0,
+                           [(-1, 4.0), (-1, 0.08)])
         rep = extract_bubbles(field, SPHERE)
         monkeypatch.setattr(resolution, "_fit_log_scale", _single_stage_fit)
         oracle = extract_bubbles(field, SPHERE)
