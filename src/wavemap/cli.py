@@ -36,7 +36,8 @@ from .geometry import (SPHERE, YANG_MILLS, GeometryError, check_assumptions,
 from .statics import build_harmonic_map, eval_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
-                        read_snapshot, discrete_energy, _check_cfl)
+                        read_snapshot, discrete_energy, _check_cfl,
+                        _record_stops)
 from .exprgrammar import ExpressionError
 from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
                    make_perturbation)
@@ -331,16 +332,22 @@ FRAMES = "frames.npy"       # (frames, 2, n_points) float64: psi, psi_dot
 STORE_FILES = ("manifest.cfg", FRAMES)
 
 
-def save_trajectory(traj, out_dir):
-    """Write manifest.cfg, with the [metric] keys of traj.system, and the
-    frames to frames.npy."""
-    if not getattr(traj.system, "keys", ()):
-        raise CliError(f"{out_dir}: {traj.system!r} has no [metric] keys to "
+def _store_dir(system, out_dir):
+    """Make the store directory out_dir for a run of `system`, which must
+    have [metric] keys to store."""
+    if not getattr(system, "keys", ()):
+        raise CliError(f"{out_dir}: {system!r} has no [metric] keys to "
                        f"store; build it with get_metric or make_metric")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise CliError(f"{out_dir}: not a store directory: {e.strerror}")
+
+
+def _write_manifest(traj, out_dir):
+    """manifest.cfg of a store whose frames are written: the run's
+    settings, the frames' grid, boundary values and times, the [metric]
+    keys of traj.system and the blow-up record."""
     first = traj.snapshots[0]
     sections = {"trajectory": {
         "scheme": traj.scheme,
@@ -352,7 +359,7 @@ def save_trajectory(traj, out_dir):
         "n_points": str(first.grid.n_points),
         "ell0": FMT % first.ell0,
         "ell_inf": FMT % first.ell_inf,
-        "times": " ".join(FMT % s.time for s in traj.snapshots),
+        "times": " ".join(FMT % t for t in traj.times),
     }, "metric": dict(traj.system.keys)}
     if traj.blowup is not None:
         sections["blowup"] = {k: FMT % getattr(traj.blowup, k)
@@ -361,7 +368,14 @@ def save_trajectory(traj, out_dir):
         sections["blowup"]["radius_series"] = " ".join(
             f"{FMT % t} {FMT % rho}" for t, rho in traj.blowup.radius_series)
     _write_ini(os.path.join(out_dir, "manifest.cfg"), sections)
+
+
+def save_trajectory(traj, out_dir):
+    """Write the frames to frames.npy, then manifest.cfg, with the
+    [metric] keys of traj.system."""
+    _store_dir(traj.system, out_dir)
     write_snapshot(traj.snapshots, os.path.join(out_dir, FRAMES))
+    _write_manifest(traj, out_dir)
 
 
 def load_trajectory(traj_dir):
@@ -575,34 +589,43 @@ OPS = {
 # subcommands
 
 def run_simulate_one(scen):
-    traj = evolve(scen.data, scen.metric, scen.t_final,
-                  record_every=scen.record_every, cfl=scen.cfl,
-                  boundary=scen.boundary)
-    save_trajectory(traj, scen.out_dir)
-    write_series(traj, os.path.join(scen.out_dir, "series.csv"))
-    status = "truncated" if traj.blowup is not None else "completed"
-    print(f"{scen.path}: status {status}, {len(traj.snapshots)} frames "
-          f"-> {scen.out_dir}")
-    if traj.blowup is not None:
-        print(f"{scen.path}: blow-up at t+ = {traj.blowup.t_plus:.6g} "
-              f"(rho_c = {traj.blowup.concentration_radius:.6g})")
+    """Run one scenario with its frames streamed into the store as the run
+    makes them, then write the manifest and series.csv and run the
+    stages, which read the frames back from the store."""
+    planned = 1 + len(_record_stops(scen.data.grid, scen.t_final, scen.cfl,
+                                    scen.record_every)[1])
+    _store_dir(scen.metric, scen.out_dir)
+    with write_snapshot([], os.path.join(scen.out_dir, FRAMES),
+                        planned) as frames:
+        traj = evolve(scen.data, scen.metric, scen.t_final,
+                      record_every=scen.record_every, cfl=scen.cfl,
+                      boundary=scen.boundary, sink=frames)
+        frames.commit()
+        _write_manifest(traj, scen.out_dir)
+        write_series(traj, os.path.join(scen.out_dir, "series.csv"))
+        status = "truncated" if traj.blowup is not None else "completed"
+        print(f"{scen.path}: status {status}, {len(traj.snapshots)} frames "
+              f"-> {scen.out_dir}")
+        if traj.blowup is not None:
+            print(f"{scen.path}: blow-up at t+ = {traj.blowup.t_plus:.6g} "
+                  f"(rho_c = {traj.blowup.concentration_radius:.6g})")
 
-    code = 0
-    for name in scen.stages:
-        stage = STAGES[name]
-        if stage.run is None:
-            continue
-        if not stage.runs_on(traj):
-            print(f"{scen.path}: {stage.skipped}")
-            continue
-        try:
-            summary, _ = stage.run(
-                traj, os.path.join(scen.out_dir, name + ".report"))
-            print(f"{scen.path}: {summary}")
-        except (ResolutionError, DiagnosticsError) as e:
-            print(f"{scen.path}: error in stage {name}: {e}",
-                  file=sys.stderr)
-            code = 1
+        code = 0
+        for name in scen.stages:
+            stage = STAGES[name]
+            if stage.run is None:
+                continue
+            if not stage.runs_on(traj):
+                print(f"{scen.path}: {stage.skipped}")
+                continue
+            try:
+                summary, _ = stage.run(
+                    traj, os.path.join(scen.out_dir, name + ".report"))
+                print(f"{scen.path}: {summary}")
+            except (ResolutionError, DiagnosticsError) as e:
+                print(f"{scen.path}: error in stage {name}: {e}",
+                      file=sys.stderr)
+                code = 1
     return code
 
 

@@ -339,8 +339,9 @@ def lightcone_concentration(traj, A, ell):
     Rows are flagged boundary-tainted once the run can feel the outer
     boundary (t beyond r_max minus the data support radius).
     """
-    r_max = traj.snapshots[0].grid.r_max
-    taint_time = r_max - support_radius(traj.snapshots[0])
+    first = traj.snapshots[0]
+    r_max = first.grid.r_max
+    taint_time = r_max - support_radius(first)
     rows = []
     for snap in traj.snapshots:
         t = snap.time
@@ -542,19 +543,19 @@ def s_norm(traj, ell):
     return float(np.trapezoid(frame_vals, frame_ts)) ** (1.0 / p)
 
 
+def _linf_outside(snap, lam):
+    """sup_{r >= lam * t} |psi - ell_inf| of one frame, 0 where no node
+    lies past lam * t."""
+    mask = snap.grid.r >= lam * snap.time
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(np.abs(snap.psi[mask] - snap.ell_inf)))
+
+
 def linf_outside_cone(traj, lam):
     """Per frame: sup_{r >= lam * t} |psi - ell_inf| (decays on scattering
     trajectories)."""
-    rows = []
-    for snap in traj.snapshots:
-        r = snap.grid.r
-        mask = r >= lam * snap.time
-        if not np.any(mask):
-            rows.append((snap.time, 0.0))
-            continue
-        rows.append((snap.time,
-                     float(np.max(np.abs(snap.psi[mask] - snap.ell_inf)))))
-    return rows
+    return [(snap.time, _linf_outside(snap, lam)) for snap in traj.snapshots]
 
 
 SERIES_COLUMNS = ["t", "E_total", "E_kin", "E_grad", "E_pot", "E_drift",
@@ -569,7 +570,6 @@ def write_series(traj, path):
     ell = traj.system if isinstance(traj.system, Root) else \
         find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
-    cone = dict(linf_outside_cone(traj, 0.5))
     fmt = "%.17g"
     e0 = None
     with open(path, "w") as fh:
@@ -584,5 +584,5 @@ def write_series(traj, path):
             n = h_norms(perturbation(snap, snap.ell_inf), ell)
             row = (t, e.total, e.kinetic, e.gradient, e.potential, drift,
                    selfsim[0].total if selfsim else math.nan,
-                   cone.get(t, math.nan), *_fractions(n))
+                   _linf_outside(snap, 0.5), *_fractions(n))
             fh.write(",".join(fmt % v for v in row) + "\n")

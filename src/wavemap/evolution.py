@@ -46,9 +46,14 @@ trajectory is truncated and a blow-up record is attached.
 
 Frames are stored by `write_snapshot` and read by `read_snapshot` as one
 standard .npy file of float64 (frames, 2, n_points), rows psi and psi_dot.
+Both give a `FrameFile`, which reads frame k by offset when asked, so a
+store of any length is walked, and written by a run, one frame at a time.
 """
 
+import io
 import math
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -149,7 +154,7 @@ class BlowupRecord:
 
 @dataclass
 class Trajectory:
-    snapshots: list
+    snapshots: Sequence     # of RadialField: a list, or a store's FrameFile
     dt: float
     scheme: str
     cfl: float
@@ -158,7 +163,11 @@ class Trajectory:
 
     @property
     def times(self):
-        return np.array([s.time for s in self.snapshots])
+        """The frame times; a store's come from its manifest, so no frame
+        is read."""
+        frames = self.snapshots
+        return np.array(frames.times if isinstance(frames, FrameFile)
+                        else [s.time for s in frames])
 
     def frame_at(self, t):
         k = int(np.argmin(np.abs(self.times - t)))
@@ -183,6 +192,15 @@ def _step_plan(grid, t_final, cfl):
     if not 0 < t_final < math.inf:
         raise EvolutionError("t_final must be positive and finite")
     return dt, max(1, int(math.ceil(t_final / dt - 1e-9)))
+
+
+def _record_stops(grid, t_final, cfl, record_every):
+    """(dt, stops) of `evolve`'s run: the step counts after which it
+    records a frame, every record_every-th step and the last."""
+    dt, n_steps = _step_plan(grid, t_final, cfl)
+    if record_every < 1:
+        raise EvolutionError("record_every must be at least 1")
+    return dt, [*range(record_every, n_steps, record_every), n_steps]
 
 
 class _Flow:
@@ -269,27 +287,33 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf, quiet):
     The arrays are flat and node-major, flow.m members per node (one
     field for m = 1).  `a` is the acceleration at the current psi; it is
     updated in place to the acceleration at the final psi, so consecutive
-    calls continue one run.  The flux and the kick and drift products
-    live in two work arrays allocated once per call.
+    calls continue one run.  The flux, the drift product and the half
+    kick acc dt/2 live in three work arrays allocated once per call; the
+    half kick is formed once per step, after the new acceleration, and
+    serves the second kick of that step and the first of the next.
 
     Nodes quiet.. start bitwise quiet (`_quiet_from`), and step k changes
     only nodes below quiet + k, so it runs on the prefix of the first
     quiet + k + 1 nodes, entries [0, (quiet + k + 1) m), whose last node
     is quiet and takes the acceleration 0.  The boundary rule runs on the
-    grid's last node.
+    grid's last node.  The half kick of the widest prefix the call reaches
+    is formed when it starts; past a step's prefix, `a` keeps its bits, so
+    that step's half kick there does too.
     """
     m, size = flow.m, psi.size
     half = 0.5 * dt
-    whole = psi, psi_dot, a, np.empty_like(psi), np.empty_like(psi)
+    whole = psi, psi_dot, a, *(np.empty_like(psi) for _ in range(3))
+    reach = (quiet + n_steps + 1) * m
+    np.multiply(a[:reach], half, out=whole[-1][:reach])
     for k in range(1, n_steps + 1):
         w = (quiet + k + 1) * m
-        p, v, acc, work, flux = \
+        p, v, acc, work, flux, kick = \
             whole if w >= size else [x[:w] for x in whole]
-        v += np.multiply(acc, half, out=work)
+        v += kick
         flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
         p += np.multiply(v, dt, out=work)
         flow.accel(p, acc, flux)
-        v += np.multiply(acc, half, out=work)
+        v += np.multiply(acc, half, out=kick)
         flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
 
 
@@ -462,33 +486,34 @@ def _concentration_radius(field, metric, e_crit):
 
 
 def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
-           boundary="fixed"):
+           boundary="fixed", sink=None):
     """Advance a field to t_final, recording frames every `record_every`
     steps (the initial and final states are always frames).
 
     `system` selects the flow: a Metric runs the nonlinear wave-map
-    equation, a Root the linearization at that root.  On numerical blow-up
-    the trajectory is truncated at the last recorded frame and a
-    BlowupRecord is attached.  Detection fires when the radius enclosing
-    one bubble energy shrinks over consecutive frames down to
-    BLOWUP_FLOOR_NODES grid cells.
+    equation, a Root the linearization at that root.  Each frame is
+    appended to `sink` as the run makes it, a new list by default (a
+    FrameFile from write_snapshot streams them into a store), and the
+    sink is the trajectory's snapshots.  On numerical blow-up the
+    trajectory is truncated at the last recorded frame and a BlowupRecord
+    is attached.  Detection fires when the radius enclosing one bubble
+    energy shrinks over consecutive frames down to BLOWUP_FLOOR_NODES grid
+    cells.
     """
     grid = field.grid
-    dt, n_steps = _step_plan(grid, t_final, cfl)
-    if record_every < 1:
-        raise EvolutionError("record_every must be at least 1")
+    dt, stops = _record_stops(grid, t_final, cfl, record_every)
 
     e_crit = min_bubble_energy(system, field.ell0) \
         if isinstance(system, Metric) else math.inf
 
     psi = field.psi.copy()
     psi_dot = field.psi_dot.copy()
-    snapshots = [field.copy()]
+    snapshots = [] if sink is None else sink
+    snapshots.append(field.copy())
     blowup = None
     radius_series = []
     floor = BLOWUP_FLOOR_NODES * grid.dr
 
-    stops = [*range(record_every, n_steps, record_every), n_steps]
     for step in _advance(system, field, psi, psi_dot, dt, stops, boundary):
         t = field.time + step * dt
         if not np.all(np.isfinite(psi)) or not np.all(np.isfinite(psi_dot)):
@@ -547,36 +572,170 @@ def _make_blowup_record(frame, x, dens, radius_series):
 # ---------------------------------------------------------------------------
 # frame I/O
 
-def write_snapshot(fields, path):
-    """Write fields on one grid to path as float64 (frames, 2, n_points).
+def _header(n_frames, n_points):
+    """The .npy header of float64 (n_frames, 2, n_points), as np.save
+    writes it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+        "fortran_order": False,
+        "shape": (n_frames, 2, n_points)})
+    return buf.getvalue()
 
-    The fields are streamed one at a time, never stacked, and the bytes
-    are those np.save gives their stack.
+
+class FrameFile(Sequence):
+    """The frames of one store file: float64 (frames, 2, n_points), rows
+    psi and psi_dot, after an .npy header of `offset` bytes.
+
+    Frame k is read by offset through the one open file when it is asked
+    for, into arrays of its own, so the store is walked holding one frame.
+    A FrameFile that write_snapshot opens takes frames by `append` as a
+    run makes them, into a part file beside its path that `commit` moves
+    there; `close` removes a part file that was not committed.
     """
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-            "fortran_order": False,
-            "shape": (len(fields), 2, fields[0].grid.n_points)})
+
+    def __init__(self, fh, grid, ell0, ell_inf, times, offset, path,
+                 planned):
+        """A store read through fh, or, given the `path` to commit to, one
+        written through fh, its part file, that plans `planned` frames."""
+        self._fh, self.grid, self.ell0, self.ell_inf = fh, grid, ell0, ell_inf
+        self.times, self._offset = list(times), offset
+        self._path, self._planned = path, planned
+        self._part = fh.name if path is not None else None
+
+    def __len__(self):
+        return len(self.times)
+
+    def _at(self, k):
+        """The offset of frame k."""
+        return self._offset + k * 16 * self.grid.n_points
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        frame = np.empty((2, self.grid.n_points))
+        self._fh.seek(self._at(k))
+        if self._fh.readinto(frame) != frame.nbytes:
+            raise EvolutionError(f"{self._fh.name}: frame {k} is cut short")
+        return RadialField(self.grid, frame[0], frame[1], self.ell0,
+                           self.ell_inf, self.times[k])
+
+    def append(self, field):
+        """Write field after the last frame; the first fixes the grid and
+        the boundary values and writes the header of the planned count."""
+        if self._part is None:
+            raise EvolutionError(f"{self._fh.name}: opened for reading")
+        if not self.times:
+            self.grid, self.ell0, self.ell_inf = \
+                field.grid, field.ell0, field.ell_inf
+            header = _header(self._planned, self.grid.n_points)
+            self._fh.write(header)
+            self._offset = len(header)
+        elif field.grid != self.grid or len(self) == self._planned:
+            raise EvolutionError(
+                f"{self._path}: a frame on {field.grid} after {len(self)} "
+                f"does not fit the {self._planned} planned on {self.grid}")
+        self._fh.seek(self._at(len(self)))
+        self._fh.write(np.ascontiguousarray(field.psi))
+        self._fh.write(np.ascontiguousarray(field.psi_dot))
+        self.times.append(field.time)
+
+    def commit(self):
+        """Move the part file to the store's path.  A run that stored
+        fewer frames than planned has its header rewritten in place and
+        the file cut after its last frame first; the header length does
+        not depend on the count (numpy pads the growth axis), and a numpy
+        that gives another length is refused rather than the file broken.
+        The file stays open for reading."""
+        if not self.times:
+            raise EvolutionError(f"{self._path}: no frame to store")
+        if len(self) != self._planned:
+            header = _header(len(self), self.grid.n_points)
+            if len(header) != self._offset:
+                raise EvolutionError(
+                    f"{self._path}: the header of {len(self)} frames takes "
+                    f"{len(header)} bytes, not the {self._offset} written")
+            self._fh.seek(0)
+            self._fh.write(header)
+            self._fh.truncate(self._at(len(self)))
+        self._fh.flush()
+        os.replace(self._part, self._path)
+        self._part = None
+
+    def close(self):
+        self._fh.close()
+        if self._part is not None:
+            os.remove(self._part)
+            self._part = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def write_snapshot(fields, path, n_frames=None):
+    """Write fields on one grid to path as float64 (frames, 2, n_points),
+    streamed one at a time into a part file that replaces path once they
+    are all written: the bytes are those np.save gives their stack.
+
+    Given n_frames, the header is written for that many frames and the
+    FrameFile is returned open, with the fields in it, for a run to append
+    the rest as it makes them and then `commit`; the caller closes it.
+    """
+    part = os.fspath(path) + ".part"
+    try:
+        fh = open(part, "w+b")
+    except OSError as e:
+        raise EvolutionError(f"{part}: cannot write the frames: {e.strerror}")
+    frames = FrameFile(fh, None, None, None, (), 0, os.fspath(path),
+                       len(fields) if n_frames is None else n_frames)
+    try:
         for field in fields:
-            field.psi.tofile(fh)
-            field.psi_dot.tofile(fh)
+            frames.append(field)
+        if n_frames is not None:
+            return frames
+        frames.commit()
+    except BaseException:
+        frames.close()
+        raise
+    frames.close()
 
 
 def read_snapshot(path, grid, ell0, ell_inf, times):
-    """The fields write_snapshot stored at path, one per time in `times`;
-    their psi and psi_dot are views into the one loaded array.
+    """The fields write_snapshot stored at path, one per time in `times`,
+    as a FrameFile that reads each when asked.
 
-    Raises EvolutionError unless path holds float64 frames of the shape
-    the times and grid give.
+    Raises EvolutionError, before any frame is read, unless path holds an
+    .npy header of C-ordered float64 frames of the shape the times and
+    grid give, followed by exactly their bytes.
     """
-    try:
-        frames = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as e:
-        raise EvolutionError(f"{path}: unreadable: {e}")
     shape = (len(times), 2, grid.n_points)
-    if frames.dtype != np.dtype(float) or frames.shape != shape:
-        raise EvolutionError(f"{path}: holds {frames.dtype} {frames.shape}, "
-                             f"manifest.cfg says float64 {shape}")
-    return [RadialField(grid, frame[0], frame[1], ell0, ell_inf, t)
-            for frame, t in zip(frames, times)]
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise EvolutionError(f"{path}: unreadable: {e}")
+    try:
+        version = np.lib.format.read_magic(fh)
+        found, fortran_order, dtype = \
+            np.lib.format.read_array_header_1_0(fh) if version == (1, 0) \
+            else np.lib.format.read_array_header_2_0(fh)
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    except (OSError, ValueError, EOFError) as e:
+        fh.close()
+        raise EvolutionError(f"{path}: unreadable: {e}")
+    why = None
+    if dtype.hasobject:
+        why = "unreadable: Object arrays cannot be loaded when " \
+              "allow_pickle=False"
+    elif dtype != np.dtype(float) or found != shape:
+        why = f"holds {dtype} {found}, manifest.cfg says float64 {shape}"
+    elif fortran_order:
+        why = "unreadable: frames stored in Fortran order"
+    elif size != offset + 8 * math.prod(shape):
+        why = (f"unreadable: {size} bytes, where its header of {offset} "
+               f"and frames {shape} take {offset + 8 * math.prod(shape)}")
+    if why:
+        fh.close()
+        raise EvolutionError(f"{path}: {why}")
+    return FrameFile(fh, grid, ell0, ell_inf, times, offset, None, None)

@@ -402,7 +402,8 @@ def extend_H(field, r1, r2):
 def _linear_states_at(phi, ell, offsets, dt):
     """Linear-flow states at time offsets (multiples of dt) that grow in
     the direction of dt, advanced in one run from phi with a fixed outer
-    boundary; a negative dt runs the flow backward."""
+    boundary and yielded one at a time; a negative dt runs the flow
+    backward."""
     stops = []
     for off in offsets:
         n = int(round(off / dt))
@@ -412,9 +413,9 @@ def _linear_states_at(phi, ell, offsets, dt):
                 f"dt = {dt:.12g}")
         stops.append(n)
     psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
-    return [RadialField(phi.grid, psi.copy(), psi_dot.copy(), phi.ell0,
-                        phi.ell_inf, phi.time + n * dt)
-            for n in _advance(ell, phi, psi, psi_dot, dt, stops)]
+    for n in _advance(ell, phi, psi, psi_dot, dt, stops):
+        yield RadialField(phi.grid, psi.copy(), psi_dot.copy(), phi.ell0,
+                          phi.ell_inf, phi.time + n * dt)
 
 
 @dataclass
@@ -437,8 +438,9 @@ def build_scattering_state(traj, ell):
     extended inward by the affine profile 2 (psi(t*, t*/2) - ell) r / t*,
     the velocity by zero; subtracting (ell, 0) gives linear data phi_L.
     The linear flow of phi_L, run forward from t* and backward from t* at
-    -dt, is then compared against every stored frame of the selected
-    window on r >= t/2.
+    -dt, is then compared against every stored frame from the first
+    selected time on, on r >= t/2, each frame read as its state is
+    reached.
     """
     if traj.blowup is not None:
         raise ResolutionError(
@@ -462,21 +464,19 @@ def build_scattering_state(traj, ell):
     phi = RadialField(grid, phi0, phi1, 0.0, 0.0, time=t_star)
     defect = _match_error(snap, phi, base, ell, 0.0)
 
-    t_min = sel.times[0]
-    dt = traj.dt
-    later = [s for s in traj.snapshots if s.time > t_star + 1e-12]
-    earlier = [s for s in traj.snapshots
-               if t_min - 1e-12 <= s.time < t_star - 1e-12]
+    # the frames after t*, run forward, and those of the window before it,
+    # run backward from t*, as frame indices found from the times
+    times = traj.times
+    later = np.flatnonzero(times > t_star + 1e-12)
+    earlier = np.flatnonzero((times >= sel.times[0] - 1e-12)
+                             & (times < t_star - 1e-12))[::-1]
     matches = [(t_star, 0.0)]
-    lin = _linear_states_at(phi, ell, [s.time - t_star for s in later], dt)
-    for s, L in zip(later, lin):
-        matches.append((s.time,
-                        _match_error(s, L, base, ell, 0.5 * s.time)))
-    back = _linear_states_at(phi, ell,
-                             [s.time - t_star for s in earlier[::-1]], -dt)
-    for s, L in zip(earlier[::-1], back):
-        matches.append((s.time,
-                        _match_error(s, L, base, ell, 0.5 * s.time)))
+    for ks, dt in ((later, traj.dt), (earlier, -traj.dt)):
+        states = _linear_states_at(phi, ell, times[ks] - t_star, dt)
+        for k, L in zip(ks, states):
+            s = traj.snapshots[k]
+            matches.append((s.time,
+                            _match_error(s, L, base, ell, 0.5 * s.time)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",
@@ -540,12 +540,14 @@ def extract_regular_part(traj):
             f"undetermined ell: cone trace wanders {settle_gap:.4g} from "
             f"the nearest root {root.value:.6g} (tolerance {tol:.4g})")
 
-    safe = [s for s in traj.snapshots
-            if MARGIN_NODES * grid.dr <= t_plus - s.time <= grid.r_max]
-    if not safe:
+    # the last frame whose cone radius is safe, found from the times
+    radii = t_plus - traj.times
+    safe = np.flatnonzero((MARGIN_NODES * grid.dr <= radii)
+                          & (radii <= grid.r_max))
+    if not len(safe):
         raise ResolutionError("no stored frame keeps the cone radius above "
                               f"{MARGIN_NODES} grid cells")
-    last = safe[-1]
+    last = traj.snapshots[safe[-1]]
     rho_c = t_plus - last.time
     val = float(np.interp(rho_c, r, last.psi))
     fill = root.value + (val - root.value) * (r / rho_c)

@@ -25,7 +25,7 @@ from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_chain, make_perturbation
 from wavemap.diagnostics import SERIES_COLUMNS
 from wavemap.resolution import compute_delta0, extract_bubbles
-from wavemap import cli
+from wavemap import cli, evolution
 from wavemap.cli import (main, load_scenario, load_trajectory,
                          save_trajectory, CliError)
 
@@ -84,6 +84,17 @@ def _older_store(traj):
 def _truncate_frames(traj):
     frames = traj / "frames.npy"
     frames.write_bytes(frames.read_bytes()[:-8])
+
+
+def _cut_frames(traj):
+    # a frame cut in half: the file ends mid-frame
+    frames = traj / "frames.npy"
+    frames.write_bytes(frames.read_bytes()[:-8 * 128])
+
+
+def _extra_bytes(traj):
+    frames = traj / "frames.npy"
+    frames.write_bytes(frames.read_bytes() + bytes(8))
 
 
 def _no_frames(traj):
@@ -537,6 +548,43 @@ class TestSimulate:
         np.save(buf, np.stack([(s.psi, s.psi_dot) for s in ref.snapshots]))
         assert (a / "frames.npy").read_bytes() == buf.getvalue()
 
+    def test_a_run_that_raises_leaves_the_old_store(self, tmp_path,
+                                                    monkeypatch):
+        # frames stream into a part file that replaces frames.npy only
+        # once the run is over, and the manifest follows it
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        time={"t_final": "4.0", "record_every": "8"})
+        assert main(["simulate", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        advance = evolution._advance
+
+        def faulty(*args, **kwargs):
+            for k, stop in enumerate(advance(*args, **kwargs)):
+                if k == 3:
+                    raise RuntimeError("kernel fault")
+                yield stop
+        monkeypatch.setattr(evolution, "_advance", faulty)
+        cfg = write_cfg(tmp_path / "t.cfg", out,
+                        data={"family": "bump", "amplitude": "0.05",
+                              "center": "5", "width": "2.5"},
+                        time={"t_final": "4.0", "record_every": "8"})
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            main(["simulate", "--config", cfg])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_part_file_that_cannot_be_written_is_one_line(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "run"
+        (out / "frames.npy.part").mkdir(parents=True)
+        cfg = write_cfg(tmp_path / "s.cfg", out)
+        assert main(["simulate", "--config", cfg]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"error: {out / 'frames.npy.part'}: cannot write the " \
+            f"frames: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == ["frames.npy.part"]
+
     def test_blowup_truncates_with_exit_zero(self, tmp_path, capsys):
         # steep bubble-plus-spike data concentrates; the run must stop,
         # flag the manifest, and still exit 0
@@ -578,6 +626,14 @@ class TestSimulate:
             "energy-concentration"
         assert len(ref.blowup.radius_series) > 3
         assert back.blowup.radius_series == ref.blowup.radius_series
+        # the run stopped before its planned frames: the header written for
+        # them was rewritten, and the store is np.save of the frames
+        planned = evolution._record_stops(scen.data.grid, scen.t_final,
+                                          scen.cfl, scen.record_every)[1]
+        assert len(ref.snapshots) < 1 + len(planned)
+        buf = io.BytesIO()
+        np.save(buf, np.stack([(s.psi, s.psi_dot) for s in ref.snapshots]))
+        assert (out / "frames.npy").read_bytes() == buf.getvalue()
 
     def test_batch_of_two_configs(self, tmp_path):
         cfgs = [write_cfg(tmp_path / f"{n}.cfg", tmp_path / f"out{n}")
@@ -895,6 +951,22 @@ class TestAnalyzeResolve:
         assert err.startswith(f"error: {traj / where}: ")
         assert err.count("\n") == 1 and message in err, err
         assert not (traj / "series.csv").exists()
+
+    @pytest.mark.parametrize("edit", [_cut_frames, _extra_bytes],
+                             ids=["cut-mid-frame", "extra-bytes"])
+    def test_frames_of_the_wrong_size_are_refused_before_any_op(
+            self, run_dir, tmp_path, capsys, edit):
+        # frames are read one at a time, so the file's size is checked
+        # against its header when the store is opened
+        traj = tmp_path / "run"
+        shutil.copytree(run_dir, traj)
+        edit(traj)
+        assert main(["analyze", "--traj", str(traj), "--ops",
+                     "linf,s-norm,series"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {traj / 'frames.npy'}: unreadable: ")
+        assert err.count("\n") == 1, err
 
     def test_lightcone_fractions_match_series_off_zero(self, tmp_path,
                                                        capsys):

@@ -17,12 +17,13 @@ from wavemap.geometry import (SPHERE, YANG_MILLS, Metric, Root,
                               find_vanishing_set, make_metric)
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
-                               EvolutionError,
+                               EvolutionError, Trajectory,
                                evolve, step_linear, discrete_energy,
                                min_bubble_energy, write_snapshot,
                                read_snapshot, _advance, _Flow, _leapfrog,
                                _concentration_radius, _make_blowup_record,
-                               _step, _densities, _density_reads, _prefix)
+                               _step, _densities, _density_reads, _prefix,
+                               _header)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -807,6 +808,61 @@ class TestPersistence:
         path.write_text("# not frames\n1 2 3\n")
         with pytest.raises(EvolutionError, match="unreadable"):
             read_snapshot(path, grid, 0.0, 0.0, [0.0, 1.0])
+
+
+    def test_header_length_does_not_depend_on_the_frame_count(self):
+        # a streamed store's header is written for the planned count and
+        # rewritten in place for a shorter run, so it must keep its length
+        counts = [c for d in range(1, 14) for c in (10 ** (d - 1), 10 ** d - 1)]
+        assert len({len(_header(c, 8192)) for c in counts}) == 1
+
+    def test_a_short_run_rewrites_the_planned_header(self, tmp_path):
+        grid = RadialGrid(7.0, 300)
+        fields = _random_fields(grid, [0.0, 0.5, 1.0])
+        path = tmp_path / "frames.npy"
+        with write_snapshot(fields[:1], path, 5) as frames:
+            for f in fields[1:]:
+                frames.append(f)
+            # the frames read back through the file being written
+            np.testing.assert_array_equal(frames[-1].psi, fields[-1].psi)
+            np.testing.assert_array_equal(frames[0].psi_dot,
+                                          fields[0].psi_dot)
+            assert not path.exists()
+            frames.commit()
+            assert frames[1].time == 0.5
+        buf = io.BytesIO()
+        np.save(buf, np.stack([(f.psi, f.psi_dot) for f in fields]))
+        assert path.read_bytes() == buf.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.npy"]
+
+    def test_an_uncommitted_store_leaves_no_file(self, tmp_path):
+        grid = RadialGrid(7.0, 300)
+        path = tmp_path / "frames.npy"
+        with pytest.raises(EvolutionError, match="does not fit the 2 planned"):
+            with write_snapshot([], path, 2) as frames:
+                for f in _random_fields(grid, [0.0, 1.0, 2.0]):
+                    frames.append(f)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_frames_are_read_one_at_a_time(self, tmp_path):
+        grid = RadialGrid(7.0, 300)
+        times = [0.0, 1.0, 2.0, 3.0]
+        fields = _random_fields(grid, times)
+        path = tmp_path / "frames.npy"
+        write_snapshot(fields, path)
+        back = read_snapshot(path, grid, 0.25, -1.75, times)
+        assert back.times == times
+        assert [g.time for g in reversed(back)] == times[::-1]
+        for k in (-4, -1, 0, 3, np.int64(2)):
+            np.testing.assert_array_equal(back[k].psi, fields[k].psi)
+        for k in (4, -5):
+            with pytest.raises(IndexError):
+                back[k]
+        # each frame has arrays of its own
+        assert back[0].psi.base is not back[1].psi.base
+        # the times come from the manifest's list: no frame is read
+        back.close()
+        assert Trajectory(back, 0.1, "s", 0.5, SPHERE).times.tolist() == times
 
 
 class TestAbsorbingBoundary:
