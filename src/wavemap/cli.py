@@ -71,11 +71,12 @@ def _write_ini(path, sections):
 def _snapshot(grid, metric, path):
     """The last frame of the store at `path`."""
     traj = load_trajectory(path)
-    if traj.system.id != metric.id:
-        raise GeometryError(f"snapshot {path} was written for metric "
-                            f"{traj.system.id!r}, scenario uses "
-                            f"{metric.id!r}")
-    field = traj.snapshots[-1]
+    with traj.snapshots as frames:
+        if traj.system.id != metric.id:
+            raise GeometryError(f"snapshot {path} was written for metric "
+                                f"{traj.system.id!r}, scenario uses "
+                                f"{metric.id!r}")
+        field = frames[-1]
     if field.grid != grid:
         raise EvolutionError(
             f"snapshot {path} has {field.grid.n_points} nodes up "
@@ -660,16 +661,21 @@ def run_analyze(args):
                            f"number")
     traj = load_trajectory(args.traj)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
-    for op in ops:
-        if op not in OPS:
-            raise CliError(f"unknown op {op!r} (known: {', '.join(OPS)})")
-    if "series" in ops:
-        _refuse_unwritable("analyze", [os.path.join(args.traj, "series.csv")])
-    ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
-    # every op runs before any line prints, and series, the op that writes
-    # a file, runs last: an op that refuses the store leaves it untouched
-    order = sorted(dict.fromkeys(ops), key=lambda op: op == "series")
-    lines = {op: OPS[op](traj, args, ell) for op in order}
+    with traj.snapshots:
+        for op in ops:
+            if op not in OPS:
+                raise CliError(f"unknown op {op!r} (known: "
+                               f"{', '.join(OPS)})")
+        if "series" in ops:
+            _refuse_unwritable("analyze",
+                               [os.path.join(args.traj, "series.csv")])
+        ell = find_vanishing_set(traj.system).nearest(
+            traj.snapshots[0].ell_inf)
+        # every op runs before any line prints, and series, the op that
+        # writes a file, runs last: an op that refuses the store leaves it
+        # untouched
+        order = sorted(dict.fromkeys(ops), key=lambda op: op == "series")
+        lines = {op: OPS[op](traj, args, ell) for op in order}
     for op in ops:
         for line in lines[op]:
             print(line)
@@ -688,11 +694,12 @@ def run_resolve(args):
     names = [name for name, stage in STAGES.items()
              if stage.run and stage.runs_on(traj) and bool(args.snapshot) ==
              (stage.after_blowup and stage.without_blowup)]
-    _refuse_unwritable("resolve", _stage_files(store, names))
-    for name in names:
-        report = os.path.join(store, name + ".report")
-        for line in STAGES[name].run(traj, report)[1]:
-            print(line)
+    with traj.snapshots:
+        _refuse_unwritable("resolve", _stage_files(store, names))
+        for name in names:
+            report = os.path.join(store, name + ".report")
+            for line in STAGES[name].run(traj, report)[1]:
+                print(line)
     return 0
 
 
@@ -783,7 +790,9 @@ def _check_snapshot_roundtrip():
         p1 = os.path.join(d, "a")
         p2 = os.path.join(d, "b")
         save_trajectory(Trajectory([f], 0.0, "one-frame", 0.0, SPHERE), p1)
-        save_trajectory(load_trajectory(p1), p2)
+        back = load_trajectory(p1)
+        with back.snapshots:
+            save_trajectory(back, p2)
         for name in ("manifest.cfg", FRAMES):
             with open(os.path.join(p1, name), "rb") as fh1, \
                     open(os.path.join(p2, name), "rb") as fh2:
