@@ -36,8 +36,7 @@ from .geometry import (SPHERE, YANG_MILLS, GeometryError, check_assumptions,
 from .statics import build_harmonic_map, eval_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
-                        read_snapshot, discrete_energy, _check_cfl,
-                        _record_stops)
+                        read_snapshot, discrete_energy, _check_cfl)
 from .exprgrammar import ExpressionError
 from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
                    make_perturbation)
@@ -375,7 +374,9 @@ def save_trajectory(traj, out_dir):
     """Write the frames to frames.npy, then manifest.cfg, with the
     [metric] keys of traj.system."""
     _store_dir(traj.system, out_dir)
-    write_snapshot(traj.snapshots, os.path.join(out_dir, FRAMES))
+    with write_snapshot(traj.snapshots,
+                        os.path.join(out_dir, FRAMES)) as frames:
+        frames.commit()
     _write_manifest(traj, out_dir)
 
 
@@ -593,11 +594,8 @@ def run_simulate_one(scen):
     """Run one scenario with its frames streamed into the store as the run
     makes them, then write the manifest and series.csv and run the
     stages, which read the frames back from the store."""
-    planned = 1 + len(_record_stops(scen.data.grid, scen.t_final, scen.cfl,
-                                    scen.record_every)[1])
     _store_dir(scen.metric, scen.out_dir)
-    with write_snapshot([], os.path.join(scen.out_dir, FRAMES),
-                        planned) as frames:
+    with write_snapshot([], os.path.join(scen.out_dir, FRAMES)) as frames:
         traj = evolve(scen.data, scen.metric, scen.t_final,
                       record_every=scen.record_every, cfl=scen.cfl,
                       boundary=scen.boundary, sink=frames)
@@ -659,13 +657,15 @@ def run_analyze(args):
         if not 0 < value < math.inf:
             raise CliError(f"{flag} = {value!r} must be a positive finite "
                            f"number")
-    traj = load_trajectory(args.traj)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
+    known = f"(known: {', '.join(OPS)})"
+    if not ops:
+        raise CliError(f"--ops {args.ops!r} names no op {known}")
+    for op in ops:
+        if op not in OPS:
+            raise CliError(f"unknown op {op!r} {known}")
+    traj = load_trajectory(args.traj)
     with traj.snapshots:
-        for op in ops:
-            if op not in OPS:
-                raise CliError(f"unknown op {op!r} (known: "
-                               f"{', '.join(OPS)})")
         if "series" in ops:
             _refuse_unwritable("analyze",
                                [os.path.join(args.traj, "series.csv")])

@@ -48,6 +48,8 @@ Frames are stored by `write_snapshot` and read by `read_snapshot` as one
 standard .npy file of float64 (frames, 2, n_points), rows psi and psi_dot.
 Both give a `FrameFile`, which reads frame k by offset when asked, so a
 store of any length is walked, and written by a run, one frame at a time.
+A store's header is written once, when it is committed, for the frames
+it holds, so only `evolve` decides how many frames a run records.
 """
 
 import io
@@ -192,15 +194,6 @@ def _step_plan(grid, t_final, cfl):
     if not 0 < t_final < math.inf:
         raise EvolutionError("t_final must be positive and finite")
     return dt, max(1, int(math.ceil(t_final / dt - 1e-9)))
-
-
-def _record_stops(grid, t_final, cfl, record_every):
-    """(dt, stops) of `evolve`'s run: the step counts after which it
-    records a frame, every record_every-th step and the last."""
-    dt, n_steps = _step_plan(grid, t_final, cfl)
-    if record_every < 1:
-        raise EvolutionError("record_every must be at least 1")
-    return dt, [*range(record_every, n_steps, record_every), n_steps]
 
 
 class _Flow:
@@ -501,7 +494,10 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     cells.
     """
     grid = field.grid
-    dt, stops = _record_stops(grid, t_final, cfl, record_every)
+    dt, n_steps = _step_plan(grid, t_final, cfl)
+    if record_every < 1:
+        raise EvolutionError("record_every must be at least 1")
+    stops = [*range(record_every, n_steps, record_every), n_steps]
 
     e_crit = min_bubble_energy(system, field.ell0) \
         if isinstance(system, Metric) else math.inf
@@ -590,17 +586,17 @@ class FrameFile(Sequence):
     Frame k is read by offset through the one open file when it is asked
     for, into arrays of its own, so the store is walked holding one frame.
     A FrameFile that write_snapshot opens takes frames by `append` as a
-    run makes them, into a part file beside its path that `commit` moves
-    there; `close` removes a part file that was not committed.
+    run makes them, into a part file beside its path, after room for the
+    header; `commit` writes the header for the frames stored and moves the
+    part file there, and `close` removes a part file that was not
+    committed.
     """
 
-    def __init__(self, fh, grid, ell0, ell_inf, times, offset, path,
-                 planned):
+    def __init__(self, fh, grid, ell0, ell_inf, times, offset, path):
         """A store read through fh, or, given the `path` to commit to, one
-        written through fh, its part file, that plans `planned` frames."""
+        written through fh, its part file."""
         self._fh, self.grid, self.ell0, self.ell_inf = fh, grid, ell0, ell_inf
-        self.times, self._offset = list(times), offset
-        self._path, self._planned = path, planned
+        self.times, self._offset, self._path = list(times), offset, path
         self._part = fh.name if path is not None else None
 
     def __len__(self):
@@ -621,42 +617,36 @@ class FrameFile(Sequence):
 
     def append(self, field):
         """Write field after the last frame; the first fixes the grid and
-        the boundary values and writes the header of the planned count."""
+        the boundary values and leaves room for the header."""
         if self._part is None:
             raise EvolutionError(f"{self._fh.name}: opened for reading")
         if not self.times:
             self.grid, self.ell0, self.ell_inf = \
                 field.grid, field.ell0, field.ell_inf
-            header = _header(self._planned, self.grid.n_points)
-            self._fh.write(header)
-            self._offset = len(header)
-        elif field.grid != self.grid or len(self) == self._planned:
-            raise EvolutionError(
-                f"{self._path}: a frame on {field.grid} after {len(self)} "
-                f"does not fit the {self._planned} planned on {self.grid}")
+            self._offset = len(_header(0, self.grid.n_points))
+        elif field.grid != self.grid:
+            raise EvolutionError(f"{self._path}: a frame on {field.grid} "
+                                 f"after {len(self)} on {self.grid}")
         self._fh.seek(self._at(len(self)))
         self._fh.write(np.ascontiguousarray(field.psi))
         self._fh.write(np.ascontiguousarray(field.psi_dot))
         self.times.append(field.time)
 
     def commit(self):
-        """Move the part file to the store's path.  A run that stored
-        fewer frames than planned has its header rewritten in place and
-        the file cut after its last frame first; the header length does
-        not depend on the count (numpy pads the growth axis), and a numpy
-        that gives another length is refused rather than the file broken.
-        The file stays open for reading."""
+        """Write the header for the frames stored into the room left for
+        it, then move the part file to the store's path.  The header
+        length does not depend on the count (numpy pads the growth axis),
+        and a numpy that gives another length is refused rather than the
+        file broken.  The file stays open for reading."""
         if not self.times:
             raise EvolutionError(f"{self._path}: no frame to store")
-        if len(self) != self._planned:
-            header = _header(len(self), self.grid.n_points)
-            if len(header) != self._offset:
-                raise EvolutionError(
-                    f"{self._path}: the header of {len(self)} frames takes "
-                    f"{len(header)} bytes, not the {self._offset} written")
-            self._fh.seek(0)
-            self._fh.write(header)
-            self._fh.truncate(self._at(len(self)))
+        header = _header(len(self), self.grid.n_points)
+        if len(header) != self._offset:
+            raise EvolutionError(
+                f"{self._path}: the header of {len(self)} frames takes "
+                f"{len(header)} bytes, not the {self._offset} left for it")
+        self._fh.seek(0)
+        self._fh.write(header)
         self._fh.flush()
         os.replace(self._part, self._path)
         self._part = None
@@ -674,32 +664,26 @@ class FrameFile(Sequence):
         self.close()
 
 
-def write_snapshot(fields, path, n_frames=None):
-    """Write fields on one grid to path as float64 (frames, 2, n_points),
-    streamed one at a time into a part file that replaces path once they
-    are all written: the bytes are those np.save gives their stack.
-
-    Given n_frames, the header is written for that many frames and the
-    FrameFile is returned open, with the fields in it, for a run to append
-    the rest as it makes them and then `commit`; the caller closes it.
+def write_snapshot(fields, path):
+    """A FrameFile that writes frames on one grid to path as float64
+    (frames, 2, n_points), with fields appended: a run appends the rest as
+    it makes them, then `commit` gives path the bytes np.save gives their
+    stack.  The caller closes it; closed before `commit`, it leaves no
+    file.
     """
     part = os.fspath(path) + ".part"
     try:
         fh = open(part, "w+b")
     except OSError as e:
         raise EvolutionError(f"{part}: cannot write the frames: {e.strerror}")
-    frames = FrameFile(fh, None, None, None, (), 0, os.fspath(path),
-                       len(fields) if n_frames is None else n_frames)
+    frames = FrameFile(fh, None, None, None, (), 0, os.fspath(path))
     try:
         for field in fields:
             frames.append(field)
-        if n_frames is not None:
-            return frames
-        frames.commit()
     except BaseException:
         frames.close()
         raise
-    frames.close()
+    return frames
 
 
 def read_snapshot(path, grid, ell0, ell_inf, times):
@@ -738,4 +722,4 @@ def read_snapshot(path, grid, ell0, ell_inf, times):
     if why:
         fh.close()
         raise EvolutionError(f"{path}: {why}")
-    return FrameFile(fh, grid, ell0, ell_inf, times, offset, None, None)
+    return FrameFile(fh, grid, ell0, ell_inf, times, offset, None)

@@ -463,7 +463,8 @@ class TestScenarioValidation:
         cp = ConfigParser()
         cp.read(out / "manifest.cfg")
         assert cp.get("trajectory", "r_max") == "7"
-        assert load_trajectory(str(out)).snapshots[0].grid == grid
+        with load_trajectory(str(out)).snapshots as frames:
+            assert frames[0].grid == grid
 
 
 # every value of the write_cfg base but the output directory, and tokens
@@ -573,6 +574,25 @@ class TestSimulate:
             main(["simulate", "--config", cfg])
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_a_header_that_outgrows_its_room_leaves_the_old_store(
+            self, tmp_path, monkeypatch, capsys):
+        # the header is written at commit, into the room the first frame
+        # left; one that does not fit is refused and the old store stays
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        time={"t_final": "4.0", "record_every": "8"})
+        assert main(["simulate", "--config", cfg]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        header = evolution._header
+        monkeypatch.setattr(evolution, "_header", lambda n_frames, n_points:
+                            header(n_frames, n_points) + b" " * 64 * n_frames)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'frames.npy'}: the header of ")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_a_part_file_that_cannot_be_written_is_one_line(self, tmp_path,
                                                             capsys):
         out = tmp_path / "run"
@@ -617,20 +637,19 @@ class TestSimulate:
         assert back.system is SPHERE
         assert back.dt == ref.dt and back.scheme == ref.scheme
         assert len(back.snapshots) == len(ref.snapshots)
-        for a, b in zip(ref.snapshots, back.snapshots):
-            np.testing.assert_array_equal(a.psi, b.psi)
-            np.testing.assert_array_equal(a.psi_dot, b.psi_dot)
-            assert a.time == b.time
+        with back.snapshots:
+            for a, b in zip(ref.snapshots, back.snapshots):
+                np.testing.assert_array_equal(a.psi, b.psi)
+                np.testing.assert_array_equal(a.psi_dot, b.psi_dot)
+                assert a.time == b.time
         assert back.blowup.t_plus == ref.blowup.t_plus
         assert back.blowup.reason == ref.blowup.reason == \
             "energy-concentration"
         assert len(ref.blowup.radius_series) > 3
         assert back.blowup.radius_series == ref.blowup.radius_series
-        # the run stopped before its planned frames: the header written for
-        # them was rewritten, and the store is np.save of the frames
-        planned = evolution._record_stops(scen.data.grid, scen.t_final,
-                                          scen.cfl, scen.record_every)[1]
-        assert len(ref.snapshots) < 1 + len(planned)
+        # the run stopped short of t_final, and the store is np.save of
+        # the frames it made
+        assert ref.snapshots[-1].time < scen.t_final
         buf = io.BytesIO()
         np.save(buf, np.stack([(s.psi, s.psi_dot) for s in ref.snapshots]))
         assert (out / "frames.npy").read_bytes() == buf.getvalue()
@@ -780,8 +799,8 @@ class TestAnalyzeResolve:
         before = (out / "series.csv").read_bytes()
         assert main(["analyze", "--traj", str(out), "--ops", "series"]) == 0
         assert (out / "series.csv").read_bytes() == before
-        assert load_trajectory(str(out)).snapshots[0].grid == \
-            load_scenario(cfg).data.grid
+        with load_trajectory(str(out)).snapshots as frames:
+            assert frames[0].grid == load_scenario(cfg).data.grid
 
     def test_custom_metric_store_reads_back(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -799,7 +818,9 @@ class TestAnalyzeResolve:
         assert main(["simulate", "--config", cfg]) == 0
         series = (out / "series.csv").read_bytes()
         report = (out / "scattering.report").read_bytes()
-        assert load_trajectory(str(out)).system.id == "wiggle"
+        back = load_trajectory(str(out))
+        back.snapshots.close()
+        assert back.system.id == "wiggle"
         capsys.readouterr()
         assert main(["analyze", "--traj", str(out), "--ops",
                      ",".join(cli.OPS)]) == 0
@@ -999,6 +1020,20 @@ class TestAnalyzeResolve:
                      "--ops", "frobnicate"]) == 1
         assert "unknown op" in capsys.readouterr().err
 
+    def test_analyze_unknown_op_before_the_store(self, tmp_path, capsys):
+        assert main(["analyze", "--traj", str(tmp_path / "no-such-dir"),
+                     "--ops", "frobnicate"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: unknown op 'frobnicate' (known: {', '.join(cli.OPS)})\n"
+
+    @pytest.mark.parametrize("ops", [",", " ", ", ,"])
+    def test_analyze_no_op_is_refused(self, run_dir, capsys, ops):
+        assert main(["analyze", "--traj", str(run_dir), "--ops", ops]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --ops {ops!r} names no op (known: " \
+            f"{', '.join(cli.OPS)})\n"
+
     def test_resolve_snapshot_two_bubbles(self, tmp_path, capsys):
         grid = RadialGrid(2.0, 2 ** 17)
         field = make_chain(grid, SPHERE, 0.0, [(-1, 1e-1), (-1, 1e-4)])
@@ -1016,7 +1051,8 @@ class TestAnalyzeResolve:
             pytest.approx(1e-4, rel=1e-3)
         residual = load_trajectory(str(snap / "bubbles.report.residual"))
         assert residual.system is SPHERE
-        res, = residual.snapshots
+        with residual.snapshots:
+            res, = residual.snapshots
         assert float(np.max(np.abs(res.psi - res.ell_inf))) < 0.1
 
     def test_custom_metric_residual_resolves(self, tmp_path, capsys):
@@ -1036,8 +1072,9 @@ class TestAnalyzeResolve:
         residual = load_trajectory(str(store))
         assert residual.system.keys == run.system.keys
         assert dict(run.system.keys)["window"] == "-7 7"
-        res, = residual.snapshots
-        ref = extract_bubbles(run.snapshots[-1], run.system).residual
+        with run.snapshots, residual.snapshots:
+            res, = residual.snapshots
+            ref = extract_bubbles(run.snapshots[-1], run.system).residual
         np.testing.assert_array_equal(res.psi, ref.psi)
         np.testing.assert_array_equal(res.psi_dot, ref.psi_dot)
         assert (res.grid, res.ell0, res.ell_inf, res.time) == \

@@ -27,6 +27,7 @@ from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
+from wavemap import evolution
 
 
 ROOT0 = find_vanishing_set(SPHERE).root_at(0.0)
@@ -752,7 +753,9 @@ class TestBlowup:
         assert (b.t_plus, b.last_valid_time) == (4 * traj.dt, 0.0)
         # the store keeps the record
         save_trajectory(traj, str(tmp_path / "run"))
-        back = load_trajectory(str(tmp_path / "run")).blowup
+        stored = load_trajectory(str(tmp_path / "run"))
+        stored.snapshots.close()
+        back = stored.blowup
         assert (back.t_plus, back.last_valid_time, back.reason,
                 back.radius_series) == (b.t_plus, 0.0, "nan", [])
         assert math.isnan(back.concentration_radius)
@@ -778,18 +781,19 @@ class TestPersistence:
         times = [0.0, 3.0625]
         fields = _random_fields(grid, times)
         path = tmp_path / "frames.npy"
-        write_snapshot(fields, path)
+        with write_snapshot(fields, path) as frames:
+            frames.commit()
         # the streamed file is np.save of the stacked frames, byte for byte
         buf = io.BytesIO()
         np.save(buf, np.stack([(f.psi, f.psi_dot) for f in fields]))
         assert path.read_bytes() == buf.getvalue()
-        back = read_snapshot(path, grid, 0.25, -1.75, times)
-        assert len(back) == 2
-        for f, g in zip(fields, back):
-            np.testing.assert_array_equal(g.psi, f.psi)
-            np.testing.assert_array_equal(g.psi_dot, f.psi_dot)
-            assert (g.grid, g.ell0, g.ell_inf, g.time) == \
-                (grid, 0.25, -1.75, f.time)
+        with read_snapshot(path, grid, 0.25, -1.75, times) as back:
+            assert len(back) == 2
+            for f, g in zip(fields, back):
+                np.testing.assert_array_equal(g.psi, f.psi)
+                np.testing.assert_array_equal(g.psi_dot, f.psi_dot)
+                assert (g.grid, g.ell0, g.ell_inf, g.time) == \
+                    (grid, 0.25, -1.75, f.time)
 
     def test_snapshot_header_validation(self, tmp_path):
         # the .npy header must give float64 frames of the expected shape
@@ -811,16 +815,17 @@ class TestPersistence:
 
 
     def test_header_length_does_not_depend_on_the_frame_count(self):
-        # a streamed store's header is written for the planned count and
-        # rewritten in place for a shorter run, so it must keep its length
-        counts = [c for d in range(1, 14) for c in (10 ** (d - 1), 10 ** d - 1)]
+        # a streamed store leaves room for the header of 0 frames before
+        # the count is known, so the header must keep its length
+        counts = [0] + [c for d in range(1, 14)
+                        for c in (10 ** (d - 1), 10 ** d - 1)]
         assert len({len(_header(c, 8192)) for c in counts}) == 1
 
-    def test_a_short_run_rewrites_the_planned_header(self, tmp_path):
+    def test_the_header_is_written_at_commit(self, tmp_path):
         grid = RadialGrid(7.0, 300)
         fields = _random_fields(grid, [0.0, 0.5, 1.0])
         path = tmp_path / "frames.npy"
-        with write_snapshot(fields[:1], path, 5) as frames:
+        with write_snapshot(fields[:1], path) as frames:
             for f in fields[1:]:
                 frames.append(f)
             # the frames read back through the file being written
@@ -838,10 +843,23 @@ class TestPersistence:
     def test_an_uncommitted_store_leaves_no_file(self, tmp_path):
         grid = RadialGrid(7.0, 300)
         path = tmp_path / "frames.npy"
-        with pytest.raises(EvolutionError, match="does not fit the 2 planned"):
-            with write_snapshot([], path, 2) as frames:
-                for f in _random_fields(grid, [0.0, 1.0, 2.0]):
-                    frames.append(f)
+        with pytest.raises(EvolutionError, match="a frame on .* after 2 on"):
+            with write_snapshot(_random_fields(grid, [0.0, 1.0]),
+                                path) as frames:
+                frames.append(_random_fields(RadialGrid(7.0, 301), [2.0])[0])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_header_that_outgrows_its_room_is_refused(self, tmp_path,
+                                                        monkeypatch):
+        header = evolution._header
+        monkeypatch.setattr(evolution, "_header", lambda n_frames, n_points:
+                            header(n_frames, n_points) + b" " * 64 * n_frames)
+        path = tmp_path / "frames.npy"
+        with pytest.raises(EvolutionError, match=re.escape(
+                f"{path}: the header of 2 frames takes ")):
+            with write_snapshot(_random_fields(RadialGrid(7.0, 300),
+                                               [0.0, 1.0]), path) as frames:
+                frames.commit()
         assert list(tmp_path.iterdir()) == []
 
     def test_frames_are_read_one_at_a_time(self, tmp_path):
@@ -849,7 +867,8 @@ class TestPersistence:
         times = [0.0, 1.0, 2.0, 3.0]
         fields = _random_fields(grid, times)
         path = tmp_path / "frames.npy"
-        write_snapshot(fields, path)
+        with write_snapshot(fields, path) as frames:
+            frames.commit()
         back = read_snapshot(path, grid, 0.25, -1.75, times)
         assert back.times == times
         assert [g.time for g in reversed(back)] == times[::-1]

@@ -7,8 +7,12 @@ functions (np.load, np.save, np.memmap, np.fromfile), so no second loader,
 one that would hold every frame, grows beside the streaming one; evolution
 writes and reads the .npy header through np.lib.format, which no other
 module names.  cli reaches frames only through the two frame functions: it
-imports both and names no FrameFile.  Each package module is parsed, not
-imported or executed.
+imports both and names no FrameFile.  A store has one writer:
+`write_snapshot(fields, path)` opens it, and its header is written at
+commit for the frames stored, so no FrameFile holds a planned count, and
+cli, which never plans one, names neither `_record_stops` nor
+`_step_plan`: how many frames a run records is `evolve`'s alone.  Each
+package module is parsed, not imported or executed.
 """
 
 import ast
@@ -78,6 +82,19 @@ def test_cli_reaches_frames_through_the_frame_functions():
     assert {"write_snapshot", "read_snapshot"} <= imported
     assert not {"FrameFile", "readinto", "tofile"} & _names(PACKAGE /
                                                             "cli.py")
+
+
+def test_one_writer_and_no_planned_count():
+    assert not {"_record_stops", "_step_plan"} & _names(PACKAGE / "cli.py")
+    tree = ast.parse((PACKAGE / "evolution.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    args = defs["write_snapshot"].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["fields", "path"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
+    assert "_planned" not in {node.attr for node in
+                              ast.walk(defs["FrameFile"])
+                              if isinstance(node, ast.Attribute)}
 
 
 def test_the_guard_sees_every_call_form():
