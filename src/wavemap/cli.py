@@ -70,11 +70,15 @@ def _write_ini(path, sections):
 def _snapshot(grid, metric, path):
     """The last frame of the store at `path`."""
     traj = load_trajectory(path)
+    stored, wanted = dict(traj.system.keys), dict(metric.keys)
+    differ = [k for k in {**stored, **wanted}
+              if stored.get(k) != wanted.get(k)]
     with traj.snapshots as frames:
-        if traj.system.id != metric.id:
+        if differ:
             raise GeometryError(f"snapshot {path} was written for metric "
                                 f"{traj.system.id!r}, scenario uses "
-                                f"{metric.id!r}")
+                                f"{metric.id!r}: [metric] {differ[0]} "
+                                f"differs")
         field = frames[-1]
     if field.grid != grid:
         raise EvolutionError(
@@ -321,6 +325,8 @@ def _read_data(cp, path, family, grid, metric):
         return row.build(grid, metric, **p)
     except (GeometryError, EvolutionError, CliError) as e:
         raise CliError(f"{path}: [data] {e}")
+    except MemoryError as e:
+        raise CliError(f"{path}: [grid] n_points = {grid.n_points}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +721,10 @@ def _check_harmonic_oracle():
     return f"max profile error {err:.2e}"
 
 def _check_thresholds():
-    d0, e0 = compute_delta0(SPHERE, K=4.0)
+    d0, e0 = compute_delta0(SPHERE)
     assert abs(d0 - 0.5) < 1e-12
     assert abs(e0 - (4.0 - math.sqrt(15.0))) < 1e-12
-    d1, e1 = compute_delta0(YANG_MILLS, K=2.0)
+    d1, e1 = compute_delta0(YANG_MILLS)
     assert abs(d1 - 0.5) < 1e-12
     assert abs(e1 - (2.0 - math.sqrt(3.0))) < 1e-12
     return f"sphere eps0 = {e0:.10f}"

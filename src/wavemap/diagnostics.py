@@ -191,11 +191,10 @@ def _inner_kinetic(snap, t_plus=None):
     return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
 
 
-def _kinetic_series(traj, t_plus):
-    return np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
-
-
 def _window_average(times, values, t, s):
+    """(1/s) int_{t-s}^{t+s} of the frame values, trapezoid-interpolated;
+    a window below the frame spacing reads the nearest frame's value as a
+    rectangle."""
     a, b = t - s, t + s
     if a < times[0] - 1e-12 or b > times[-1] + 1e-12:
         raise DiagnosticsError(
@@ -218,19 +217,6 @@ def _window_average(times, values, t, s):
     return float(np.trapezoid(vs, ts)) / s
 
 
-def kinetic_average(traj, t, s):
-    """(1/s) int_{t-s}^{t+s} (kinetic energy inside the inner cone) dt'.
-
-    The inner radius is t'/2 on a global trajectory and T+ - t' on one
-    with a blow-up record.  Frame values are trapezoid-interpolated;
-    windows below the frame spacing fall back to a single-frame rectangle.
-    """
-    if s <= 0:
-        raise DiagnosticsError("window s must be positive")
-    t_plus = traj.blowup.t_plus if traj.blowup is not None else None
-    return _window_average(traj.times, _kinetic_series(traj, t_plus), t, s)
-
-
 def select_times(traj, t_min=None):
     """Times where the kinetic average is smallest over dyadic windows.
 
@@ -249,7 +235,7 @@ def select_times(traj, t_min=None):
         raise DiagnosticsError("need at least 10 stored frames")
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
     times = traj.times
-    values = _kinetic_series(traj, t_plus)
+    values = np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
     floor = 4.0 * traj.dt
     candidates = []
     for t in times[1:]:

@@ -171,10 +171,6 @@ class Trajectory:
         return np.array(frames.times if isinstance(frames, FrameFile)
                         else [s.time for s in frames])
 
-    def frame_at(self, t):
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.snapshots[k]
-
 
 def _check_cfl(grid, dt):
     """Refuse a step size outside (0, 0.5 dr], NaN included."""
@@ -352,17 +348,13 @@ def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
         yield stop
 
 
-def _step(field, system, dt, boundary="fixed"):
-    """One leapfrog step of the flow of `system`; returns a new field."""
+def step_linear(field, ell, dt):
+    """One leapfrog step of the linearized flow at the root `ell`; returns
+    a new field."""
     psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
-    next(_advance(system, field, psi, psi_dot, dt, [1], boundary))
+    next(_advance(ell, field, psi, psi_dot, dt, [1]))
     return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
                        field.time + dt)
-
-
-def step_linear(field, ell, dt, boundary="fixed"):
-    """One leapfrog step of the linearized flow at the root `ell`."""
-    return _step(field, ell, dt, boundary)
 
 
 def discrete_energy(field, system):

@@ -217,8 +217,15 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
 
     The claimed derivative is validated against a centered finite
     difference of g at a handful of probe points.  The metric's keys are
-    the [metric] section that rebuilds it, the window at 17 digits.
+    the [metric] section that rebuilds it, the window at 17 digits.  The
+    id names the metric in schemes and reports, so it may be neither empty
+    nor a built-in's.
     """
+    if not metric_id.strip():
+        raise GeometryError("custom metric id is empty")
+    if metric_id in _BUILTIN:
+        raise GeometryError(f"custom metric id {metric_id!r} names a "
+                            f"built-in target")
     g = parse_expression(g_expr)
     gp = parse_expression(g_prime_expr)
     lo, hi = float(window[0]), float(window[1])

@@ -69,24 +69,22 @@ class ResolutionError(ValueError):
 
 
 @lru_cache(maxsize=64)
-def compute_delta0(metric, K=None):
+def compute_delta0(metric):
     """Transition thresholds (delta0, eps0) for a metric.
 
     delta0 = half the smallest sup of |g| over intervals between adjacent
-    roots inside [-K, K] (default K: the metric's search window).  eps0 is
-    the smallest of the normalized connectors' tail radii at which |g(Q)|
-    falls to delta0/2, folded to (0, 1) so that the transition zone of a
-    scale-lambda bubble sits inside [eps0*lambda, lambda/eps0], from
-    `_crossing_radii`: no connector is built.  Memoized per (metric, K):
-    both are immutable and so is the result.
+    roots inside the metric's search window.  eps0 is the smallest of the
+    normalized connectors' tail radii at which |g(Q)| falls to delta0/2,
+    folded to (0, 1) so that the transition zone of a scale-lambda bubble
+    sits inside [eps0*lambda, lambda/eps0], from `_crossing_radii`: no
+    connector is built.  Memoized per metric: it is immutable and so is
+    the result.
     """
-    vset = find_vanishing_set(metric)
-    if K is None:
-        K = max(abs(metric.search_window[0]), abs(metric.search_window[1]))
-    roots = vset.roots[(vset.roots >= -K) & (vset.roots <= K)]
+    roots = find_vanishing_set(metric).roots
     if len(roots) < 2:
+        lo, hi = metric.search_window
         raise ResolutionError(
-            f"no adjacent-root pair inside [-{K:.6g}, {K:.6g}]")
+            f"no adjacent-root pair inside [{lo:.6g}, {hi:.6g}]")
     pairs = [(float(lo), float(hi)) for lo, hi in zip(roots[:-1], roots[1:])]
     delta0 = 0.5 * min(abs(float(metric.g(_peak(metric, lo, hi))))
                        for lo, hi in pairs)
@@ -448,7 +446,8 @@ def build_scattering_state(traj, ell):
             "blow-up record")
     sel = select_times(traj, t_min=asymptotic_start(traj))
     t_star = sel.times[-1]
-    snap = traj.frame_at(t_star)
+    times = traj.times
+    snap = traj.snapshots[int(np.searchsorted(times, t_star))]
     grid = snap.grid
     r = grid.r
     base = snap.ell_inf
@@ -466,7 +465,6 @@ def build_scattering_state(traj, ell):
 
     # the frames after t*, run forward, and those of the window before it,
     # run backward from t*, as frame indices found from the times
-    times = traj.times
     later = np.flatnonzero(times > t_star + 1e-12)
     earlier = np.flatnonzero((times >= sel.times[0] - 1e-12)
                              & (times < t_star - 1e-12))[::-1]
@@ -495,7 +493,6 @@ def _match_error(snap, lin, base, ell, r1):
 @dataclass
 class RegularPart:
     ell_star: Root
-    phi: RadialField        # filled data at the latest safe frame
     interior_times: list
     interior_norms: list    # H x L^2 of phi - ell_star on [0, T+ - t]
     trace: list             # (t, psi(t, T+ - t)) along stored frames
@@ -568,6 +565,6 @@ def extract_regular_part(traj):
         times.append(snap.time)
         norms.append(h_norms(perturbation(snap, root.value), root, 0.0,
                              min(rho, grid.r_max)).h_x_l2)
-    return RegularPart(ell_star=root, phi=phi, interior_times=times,
+    return RegularPart(ell_star=root, interior_times=times,
                        interior_norms=norms, trace=trace,
                        settle_gap=settle_gap)

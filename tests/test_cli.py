@@ -298,6 +298,16 @@ class TestScenarioValidation:
         ({"outpt": {"dir": "elsewhere"}},
          "unknown section [outpt] (known: metric, data, grid, time, "
          "pipeline, output)"),
+        # a custom id names the scheme and the reports
+        ({"metric": {"target": "custom", "id": "", "g": "sin(rho)",
+                     "g_prime": "cos(rho)", "window": "-4 4"}},
+         "[metric] custom metric id is empty"),
+        ({"metric": {"target": "custom", "id": "sphere", "g": "sin(rho)",
+                     "g_prime": "cos(rho)", "window": "-4 4"}},
+         "[metric] custom metric id 'sphere' names a built-in target"),
+        # numpy refuses 73 TiB of nodes before it allocates any
+        ({"grid": {"n_points": "10000000000000"}},
+         "[grid] n_points = 10000000000000: Unable to allocate"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
@@ -309,7 +319,8 @@ class TestScenarioValidation:
             "unread_time_key", "unread_grid_key", "unread_pipeline_key",
             "legacy_scattering_count", "unread_output_key",
             "unread_metric_key", "unread_custom_metric_key",
-            "unknown_section"])
+            "unknown_section", "empty_custom_id", "builtin_custom_id",
+            "grid_too_large"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -396,6 +407,26 @@ class TestScenarioValidation:
         assert err.count("\n") == 1
         assert not (tmp_path / "outa").exists()
         assert not (tmp_path / "outb").exists()
+
+    def test_snapshot_of_another_custom_metric_refused(self, tmp_path,
+                                                       capsys):
+        # the two custom metrics share an id; their keys tell them apart
+        stored = make_metric("wiggle", "sin(rho)", "cos(rho)", (-7.0, 7.0))
+        field = make_chain(RadialGrid(20.0, 256), stored, 0.0, [(1, 2.0)])
+        snap = write_store(field, tmp_path / "seed", stored)
+        cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                        metric={"target": "custom", "id": "wiggle",
+                                "g": "sin(rho) * (1 + 0.5 * sin(rho)^2)",
+                                "g_prime": "cos(rho) * (1 + 1.5 * "
+                                           "sin(rho)^2)",
+                                "window": "-7 7"},
+                        data={"family": "snapshot", "path": str(snap)})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}: [data] snapshot {snap} was written "
+                       f"for metric 'wiggle', scenario uses 'wiggle': "
+                       f"[metric] g differs\n")
+        assert not (tmp_path / "out").exists()
 
     def test_snapshot_on_another_grid_refused(self, tmp_path, capsys):
         field = make_chain(RadialGrid(20.0, 256), SPHERE, 0.0, [(1, 2.0)])

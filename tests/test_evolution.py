@@ -22,8 +22,7 @@ from wavemap.evolution import (BOUNDARIES, RadialGrid, RadialField,
                                min_bubble_energy, write_snapshot,
                                read_snapshot, _advance, _Flow, _leapfrog,
                                _concentration_radius, _make_blowup_record,
-                               _step, _densities, _density_reads, _prefix,
-                               _header)
+                               _densities, _density_reads, _prefix, _header)
 from wavemap.data import bump_profile, make_bump, make_perturbation
 from wavemap.diagnostics import energy, h_norms
 from wavemap.cli import load_trajectory, save_trajectory
@@ -32,6 +31,14 @@ from wavemap import evolution
 
 ROOT0 = find_vanishing_set(SPHERE).root_at(0.0)
 ROOT_PI = find_vanishing_set(SPHERE).root_at(np.pi)
+
+
+def _step(field, system, dt, boundary="fixed"):
+    """One leapfrog step of the flow of `system`; returns a new field."""
+    psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
+    next(_advance(system, field, psi, psi_dot, dt, [1], boundary))
+    return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
+                       field.time + dt)
 
 
 class TestGridAndField:
@@ -245,13 +252,13 @@ def _compact_case(label, grid, velocity):
 
 
 def _flow_case(label, grid, amplitude=0.3):
-    """(data, system, single step) for one of the two flows; the nonlinear
-    data hangs from pi so the ghost and the far value are not zero."""
+    """(data, system) for one of the two flows; the nonlinear data hangs
+    from pi so the ghost and the far value are not zero."""
     if label == "nonlinear":
         return (make_bump(grid, SPHERE, np.pi, amplitude=amplitude,
-                          center=5.0, width=3.0, velocity=0.0), SPHERE, _step)
+                          center=5.0, width=3.0, velocity=0.0), SPHERE)
     return (make_perturbation(grid, amplitude=amplitude, center=5.0,
-                              width=3.0), ROOT_PI, step_linear)
+                              width=3.0), ROOT_PI)
 
 
 class TestOneKernel:
@@ -259,13 +266,13 @@ class TestOneKernel:
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_evolve_matches_repeated_steps(self, label, boundary):
         grid = RadialGrid(20.0, 256)
-        f0, system, step = _flow_case(label, grid)
+        f0, system = _flow_case(label, grid)
         traj = evolve(f0, system, 3.0, record_every=8, boundary=boundary)
         f, done = f0, 0
         for frame in traj.snapshots[1:]:
             n = round((frame.time - f0.time) / traj.dt)
             for _ in range(n - done):
-                f = step(f, system, traj.dt, boundary=boundary)
+                f = _step(f, system, traj.dt, boundary=boundary)
             done = n
             np.testing.assert_array_equal(frame.psi, f.psi)
             np.testing.assert_array_equal(frame.psi_dot, f.psi_dot)
@@ -302,7 +309,7 @@ class TestOneKernel:
         # and psi_dot up to sign; the fixed boundary keeps the run
         # time-reversible, the absorbing one does not
         grid = RadialGrid(20.0, 256)
-        f0, system, _ = _flow_case(label, grid)
+        f0, system = _flow_case(label, grid)
         f0.psi_dot = bump_profile(grid.r, 0.2, 6.0, 2.0)
         dt = 0.5 * grid.dr
         back = f0.psi.copy(), f0.psi_dot.copy()
@@ -318,7 +325,7 @@ class TestOneKernel:
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_frames_do_not_depend_on_record_every(self, label):
         grid = RadialGrid(20.0, 256)
-        f0, system, _ = _flow_case(label, grid)
+        f0, system = _flow_case(label, grid)
         dense, sparse = (evolve(f0, system, 3.0, record_every=k)
                          for k in (4, 16))
         by_time = {s.time: s for s in dense.snapshots}

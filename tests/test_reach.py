@@ -4,12 +4,12 @@ parameter a call that passes it.
 A public top-level function or class of a package module must be named
 by package code outside its own definition, so that some command can
 reach it.  A re-export in `__init__` does not count, and neither does a
-test.  The benchmark's traced run patches the functions that
-perfbench/tracer.py lists in TARGETS, which count as named.  Likewise a
-parameter with a default must be passed, by keyword or by position, at
-some package call outside its function's definition; one that no call
-passes has one value in use and is a constant.  The package modules and
-the tracer file are parsed, not imported or executed.
+test or the benchmark: perfbench/tracer.py wraps functions for its traced
+run but calls none of them.  Likewise a parameter with a default must be
+passed, by keyword or by position, at some package call outside its
+function's definition; one that no call passes has one value in use and
+is a constant.  The package modules are parsed, not imported or
+executed.
 """
 
 import ast
@@ -17,13 +17,15 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wavemap"
-TRACER = ROOT / "perfbench" / "tracer.py"
 
 # public routines that no command reaches, each with the reason it stays
 ALLOWED = {
-    "kinetic_average": "the brute-force oracle that "
-                       "TestSelectTimes::test_records_beat_all_earlier_frames "
-                       "checks select_times against",
+    "step_linear": "wrapped by perfbench/tracer.py; goes when the tracer "
+                   "drops it",
+    "exterior_energy_ratio": "wrapped by perfbench/tracer.py; goes when the "
+                             "tracer drops it",
+    "beta_hat_ensemble": "c05's subject and the driver of the benchmark's "
+                         "ensemble workload",
 }
 
 
@@ -43,25 +45,13 @@ def _used_names(node, skip=None):
     return found
 
 
-def _traced():
-    """(module, function) pairs of the tracer's TARGETS."""
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign) and \
-                any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
-            return {(module, name)
-                    for module, names in ast.literal_eval(node.value).items()
-                    for name in names}
-    raise AssertionError("perfbench/tracer.py defines no TARGETS")
-
-
 def _unreached():
     """Public top-level functions and classes of the package modules that
-    neither package code outside their definition nor TARGETS names."""
+    no package code outside their definition names."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.stem != "__init__"}
     used = {module: _used_names(tree) for module, tree in trees.items()}
-    traced = _traced()
     unreached = set()
     for module, tree in trees.items():
         elsewhere = set().union(*(names for m, names in used.items()
@@ -69,7 +59,6 @@ def _unreached():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                     not node.name.startswith("_") and \
-                    (module, node.name) not in traced and \
                     node.name not in elsewhere and \
                     node.name not in _used_names(tree, skip=node):
                 unreached.add(node.name)
@@ -87,8 +76,6 @@ ALLOWED_PARAMS = {
     ("main", "argv"): "tests and `python -m wavemap.cli` drive it",
     ("beta_hat_ensemble", "n_data"): "c05 and perfbench/driver.py set it",
     ("beta_hat_ensemble", "seed"): "c05 and perfbench/driver.py set it",
-    ("step_linear", "boundary"): "a tracer target, called as the benchmark "
-                                 "calls it",
     ("make_perturbation", "velocity"): "the tests' moving linear data; no "
                                        "config family builds linear data",
 }

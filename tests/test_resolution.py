@@ -121,21 +121,14 @@ def _surrogate_blowup_traj(values=None, bump_amp=0.3):
 
 class TestThresholds:
     def test_sphere_values(self):
-        d0, e0 = compute_delta0(SPHERE, K=4.0)
+        d0, e0 = compute_delta0(SPHERE)
         assert d0 == pytest.approx(0.5, rel=1e-12)
         assert e0 == pytest.approx(4.0 - math.sqrt(15.0), rel=1e-9)
 
     def test_yang_mills_values(self):
-        d0, e0 = compute_delta0(YANG_MILLS, K=2.0)
+        d0, e0 = compute_delta0(YANG_MILLS)
         assert d0 == pytest.approx(0.5, rel=1e-12)
         assert e0 == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-9)
-
-    def test_default_window_matches_sphere_unit_cell(self):
-        # all sphere connectors are congruent, so widening K changes nothing
-        d_ref, e_ref = compute_delta0(SPHERE, K=4.0)
-        d_all, e_all = compute_delta0(SPHERE)
-        assert d_all == pytest.approx(d_ref, rel=1e-9)
-        assert e_all == pytest.approx(e_ref, rel=1e-9)
 
     @pytest.mark.parametrize("metric", [SPHERE, YANG_MILLS],
                              ids=["sphere", "yang-mills"])
