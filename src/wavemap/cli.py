@@ -31,8 +31,9 @@ from configparser import ConfigParser, Error as ConfigError
 
 import numpy as np
 
-from .geometry import (SPHERE, YANG_MILLS, GeometryError, check_assumptions,
-                       find_vanishing_set, get_metric, make_metric)
+from .geometry import (FMT, SPHERE, YANG_MILLS, GeometryError,
+                       check_assumptions, find_vanishing_set, get_metric,
+                       make_metric)
 from .statics import build_harmonic_map, eval_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
@@ -41,14 +42,13 @@ from .exprgrammar import ExpressionError
 from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
                    make_perturbation)
 from .diagnostics import (DiagnosticsError, asymptotic_start, energy,
-                          write_series, select_times, lightcone_concentration,
-                          linf_outside_cone, s_norm)
+                          far_root, write_series, select_times,
+                          lightcone_concentration, linf_outside_cone, s_norm)
 from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
                          residual_norms, extend_H, build_scattering_state,
                          extract_regular_part)
 from .rng import XorShift64Star
 
-FMT = "%.17g"
 GRID_FLOOR = 64          # nodes; below this no scenario is worth running
 SCALE_NODES = 8          # every requested length scale needs >= 8 cells
 
@@ -477,8 +477,7 @@ def _bubbles(traj, report):
 
 
 def _scattering(traj, report):
-    ell = find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
-    state = build_scattering_state(traj, ell)
+    state = build_scattering_state(traj, far_root(traj))
     _write_ini(report, {
         "scattering": {
             "t_star": FMT % state.t_star,
@@ -675,8 +674,7 @@ def run_analyze(args):
         if "series" in ops:
             _refuse_unwritable("analyze",
                                [os.path.join(args.traj, "series.csv")])
-        ell = find_vanishing_set(traj.system).nearest(
-            traj.snapshots[0].ell_inf)
+        ell = far_root(traj)
         # every op runs before any line prints, and series, the op that
         # writes a file, runs last: an op that refuses the store leaves it
         # untouched

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Root, find_vanishing_set
+from .geometry import FMT, Root, find_vanishing_set
 from .evolution import (CFL_DEFAULT, RadialField, _advance, _densities,
                         _density_reads, _prefix, _step_plan)
 from .data import make_superposition
@@ -133,17 +133,18 @@ def window_nodes(r, r1, r2):
 
 def window_misfit(grid, psi, q, r1, r2):
     """The squared H norm of psi - q over [r1, r2] from the densities of
-    the nodes in [r1, r2] and one node either side alone; psi - q is
-    formed only on the nodes those densities read.  Its prefix sums start
-    at the window, so it agrees with `h_norms(...).h ** 2` up to their
-    rounding."""
+    the nodes in [r1, r2] and one node either side alone.  psi - q is
+    written only on the nodes [k0, k1) those densities read, into scratch
+    left unset elsewhere, against a read-only zero velocity, so a call
+    touches the window's memory alone.  Its prefix sums start at the
+    window, so it agrees with `h_norms(...).h ** 2` up to their rounding."""
     n = grid.n_points
     j0, j1 = window_nodes(grid.r, r1, r2)
     i0, i1 = max(j0 - 1, 0), min(j1 + 1, n)
     k0, k1 = _density_reads(n, i0, i1)
-    diff = np.zeros(n)
+    diff = np.empty(n)
     np.subtract(psi[k0:k1], q[k0:k1], out=diff[k0:k1])
-    e = _energies(RadialField(grid, diff, np.zeros(n), 0.0, 0.0),
+    e = _energies(RadialField(grid, diff, np.broadcast_to(0.0, n), 0.0, 0.0),
                   UNIT_ROOT, [(r1, r2)], i0, i1)[0]
     return e.gradient + e.potential
 
@@ -548,15 +549,22 @@ SERIES_COLUMNS = ["t", "E_total", "E_kin", "E_grad", "E_pot", "E_drift",
                   "E_selfsim", "sup_out_cone", "Hl_fraction", "kin_fraction"]
 
 
+def far_root(traj):
+    """The root a trajectory's fields tend to as r -> inf: its system for a
+    linear flow about a root, else the root of g nearest the first frame's
+    ell_inf."""
+    if isinstance(traj.system, Root):
+        return traj.system
+    return find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+
+
 def write_series(traj, path):
     """series.csv for a trajectory directory: one row per frame.  E_selfsim
     is the energy in the frame's self-similar annulus (`_annulus`), nan
     where it has none, and sup_out_cone is linf_outside_cone at
     lam = 1/2."""
-    ell = traj.system if isinstance(traj.system, Root) else \
-        find_vanishing_set(traj.system).nearest(traj.snapshots[0].ell_inf)
+    ell = far_root(traj)
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
-    fmt = "%.17g"
     e0 = None
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
@@ -571,4 +579,4 @@ def write_series(traj, path):
             row = (t, e.total, e.kinetic, e.gradient, e.potential, drift,
                    selfsim[0].total if selfsim else math.nan,
                    _linf_outside(snap, 0.5), *_fractions(n))
-            fh.write(",".join(fmt % v for v in row) + "\n")
+            fh.write(",".join(FMT % v for v in row) + "\n")

@@ -33,9 +33,26 @@ import numpy as np
 
 from .exprgrammar import parse_expression
 
+FMT = "%.17g"    # every float written as text: round-trips a float64
 ROOT_TOL = 1e-12
 SLOPE_TOL = 1e-9
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# The 24-point Gauss-Legendre rule on [-1, 1], as the float64 values that
+# numpy.polynomial.legendre.leggauss(24) returns: its positive nodes and
+# their weights, mirrored as leggauss mirrors them, so the nodes ascend,
+# pair up as exact negatives and share their weights.  A literal table
+# spares every process the import of numpy.polynomial
+_GL_HALF_NODES = np.array((
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213))
+_GL_HALF_WEIGHTS = np.array((
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869))
+GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 PANELS_PER_PIECE = 4    # Gauss-Legendre panels between adjacent breakpoints
 MAX_BISECTIONS = 200    # panels split before the quadrature gives up
 
@@ -244,7 +261,7 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
             f"measured {fd[k]:.6g})")
     return Metric(metric_id, g, gp, (lo, hi), (
         ("target", "custom"), ("id", metric_id), ("g", g_expr),
-        ("g_prime", g_prime_expr), ("window", "%.17g %.17g" % (lo, hi))))
+        ("g_prime", g_prime_expr), ("window", f"{FMT % lo} {FMT % hi}")))
 
 
 def _gauss_legendre(f, lo, hi):

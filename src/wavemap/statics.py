@@ -32,6 +32,7 @@ from .geometry import (GL_NODES, GL_WEIGHTS, GeometryError, Metric, eval_G,
 
 STITCH_TOL = 1e-6      # eval switches to the tail model this close
 N_SAMPLES = 4096       # u-intervals per branch
+BLOCK_ROWS = 256       # u-intervals per block of a branch's quadrature
 
 
 class StaticsError(GeometryError):
@@ -63,14 +64,26 @@ class HarmonicMap:
 
 def _branch(metric, sign, mid, target):
     """(s_i, q_i) from the midpoint (s = 0) to the stitch point near
-    `target`, on N_SAMPLES uniform intervals in u."""
+    `target`, on N_SAMPLES uniform intervals in u.
+
+    The Gauss-Legendre nodes are formed and summed BLOCK_ROWS intervals at
+    a time, so a branch holds (BLOCK_ROWS, 24) tables rather than
+    (N_SAMPLES, 24) ones; each interval's ds is the product of its
+    half-width and its row's `@ GL_WEIGHTS` either way, and one cumsum
+    over all of them gives s, so the knots keep their bits."""
     u = np.linspace(0.0, math.log(abs(mid - target) / STITCH_TOL),
                     N_SAMPLES + 1)
     half = 0.5 * np.diff(u)
-    u_gl = (u[:-1] + half)[:, None] + half[:, None] * GL_NODES
-    q_gl = target + (mid - target) * np.exp(-u_gl)
-    dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl), dtype=float))
-    s = np.concatenate(([0.0], np.cumsum(half * (dsdu @ GL_WEIGHTS))))
+    ds = np.empty(N_SAMPLES)
+    for b in range(0, N_SAMPLES, BLOCK_ROWS):
+        rows = slice(b, b + BLOCK_ROWS)
+        h = half[rows]
+        u_gl = (u[rows] + h)[:, None] + h[:, None] * GL_NODES
+        q_gl = target + (mid - target) * np.exp(-u_gl)
+        dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl),
+                                                    dtype=float))
+        np.multiply(h, dsdu @ GL_WEIGHTS, out=ds[rows])
+    s = np.concatenate(([0.0], np.cumsum(ds)))
     q = np.concatenate(([mid], target + (mid - target) * np.exp(-u[1:])))
     return s, q
 

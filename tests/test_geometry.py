@@ -87,6 +87,13 @@ class TestEvalG:
             eval_G(m, 2.0)
 
 
+def test_gauss_legendre_table_is_leggauss():
+    # the literal table holds the very bits numpy computes for the rule
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert geometry.GL_NODES.tobytes() == nodes.tobytes()
+    assert geometry.GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 class TestVanishingSet:
     def test_sphere_roots_window(self):
         vset = find_vanishing_set(SPHERE, (-10.0, 10.0))

@@ -1,9 +1,10 @@
-"""The package runs on numpy alone.
+"""The package runs on numpy alone, without numpy.polynomial.
 
-With scipy blocked from import, the selftest, the shipped demo (a global
-run with bubble extraction), analyze, resolve on its store and on its last
-frame, and the beta-hat ensemble all complete.  The check runs in a fresh
-interpreter, because this test session may have imported scipy already.
+With scipy, or numpy.polynomial, blocked from import, the selftest, the
+shipped demo (a global run with bubble extraction), analyze, resolve on its
+store and on its last frame, and the beta-hat ensemble all complete.  The
+check runs in a fresh interpreter, because this test session may have
+imported either already.
 """
 
 import os
@@ -12,13 +13,15 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 DEMO = ROOT / "configs" / "sphere-small-data.cfg"
 
-WITHOUT_SCIPY = textwrap.dedent("""
+WITHOUT_MODULE = textwrap.dedent("""
     import contextlib, io, sys
-    sys.modules["scipy"] = None          # any scipy import now fails
+    sys.modules[sys.argv[2]] = None      # any import of it now fails
 
     import wavemap.cli as cli
     buf = io.StringIO()
@@ -42,10 +45,12 @@ WITHOUT_SCIPY = textwrap.dedent("""
 """)
 
 
-def test_package_runs_with_scipy_blocked(tmp_path):
+@pytest.mark.parametrize("blocked", ["scipy", "numpy.polynomial"])
+def test_package_runs_with_module_blocked(tmp_path, blocked):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(DEMO)],
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_MODULE, str(DEMO),
+                           blocked],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

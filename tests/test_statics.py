@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from wavemap.geometry import SPHERE, YANG_MILLS, eval_G
+from wavemap import statics
+from wavemap.geometry import (GL_NODES, GL_WEIGHTS, SPHERE, YANG_MILLS,
+                              eval_G, find_vanishing_set)
 from wavemap.statics import (HarmonicMap, StaticsError, build_harmonic_map,
                              eval_Q, rescale_Q)
 
@@ -137,3 +139,33 @@ class TestRescale:
         assert np.all(field.psi_dot == 0)
         assert field.ell0 == 0.0
         assert field.ell_inf == pytest.approx(math.pi)
+
+
+def whole_table_branch(metric, sign, mid, target):
+    """`statics._branch` with every interval's Gauss-Legendre nodes in one
+    (N_SAMPLES, 24) table."""
+    u = np.linspace(0.0, math.log(abs(mid - target) / statics.STITCH_TOL),
+                    statics.N_SAMPLES + 1)
+    half = 0.5 * np.diff(u)
+    u_gl = (u[:-1] + half)[:, None] + half[:, None] * GL_NODES
+    q_gl = target + (mid - target) * np.exp(-u_gl)
+    dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl), dtype=float))
+    s = np.concatenate(([0.0], np.cumsum(half * (dsdu @ GL_WEIGHTS))))
+    q = np.concatenate(([mid], target + (mid - target) * np.exp(-u[1:])))
+    return s, q
+
+
+@pytest.mark.parametrize("metric", [SPHERE, YANG_MILLS], ids=lambda m: m.id)
+def test_block_quadrature_keeps_the_bits(metric, monkeypatch):
+    # every connector between adjacent roots, both ways, against one built
+    # from whole tables
+    roots = find_vanishing_set(metric).roots
+    pairs = [(float(a), +1) for a in roots[:-1]] + \
+        [(float(b), -1) for b in roots[1:]]
+    built = [build_harmonic_map(metric, ell, d) for ell, d in pairs]
+    monkeypatch.setattr(statics, "_branch", whole_table_branch)
+    for (ell, d), qmap in zip(pairs, built):
+        oracle = build_harmonic_map.__wrapped__(metric, ell, d)
+        assert qmap.knots.tobytes() == oracle.knots.tobytes(), (ell, d)
+        assert qmap.coeffs.tobytes() == oracle.coeffs.tobytes(), (ell, d)
+        assert qmap.energy == oracle.energy
