@@ -41,9 +41,9 @@ from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
 from .exprgrammar import ExpressionError
 from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
                    make_perturbation)
-from .diagnostics import (DiagnosticsError, asymptotic_start, energy,
-                          far_root, write_series, select_times,
-                          lightcone_concentration, linf_outside_cone, s_norm)
+from .diagnostics import (DiagnosticsError, energy, write_series,
+                          select_times, lightcone_concentration,
+                          linf_outside_cone, s_norm)
 from .resolution import (ResolutionError, compute_delta0, extract_bubbles,
                          residual_norms, extend_H, build_scattering_state,
                          extract_regular_part)
@@ -418,12 +418,14 @@ def load_trajectory(traj_dir):
                              f"values, frames = {n_frames}")
         blow = None
         if cp.has_section("blowup"):
-            pairs = [float(v) for v in
+            pairs = [_finite(v) for v in
                      cp.get("blowup", "radius_series").split()]
             if len(pairs) % 2:
                 raise ValueError("[blowup] radius_series needs t rho pairs")
+            t_plus, rho_c, t_last = (cp.get("blowup", k) for k in BLOWUP_TIMES)
+            # the NaN blow-up record stores rho_c as nan
             blow = BlowupRecord(
-                *(cp.getfloat("blowup", k) for k in BLOWUP_TIMES),
+                _finite(t_plus), float(rho_c), _finite(t_last),
                 reason=cp.get("blowup", "reason"),
                 radius_series=list(zip(pairs[::2], pairs[1::2])))
     except (ConfigError, ValueError) as e:
@@ -477,7 +479,7 @@ def _bubbles(traj, report):
 
 
 def _scattering(traj, report):
-    state = build_scattering_state(traj, far_root(traj))
+    state = build_scattering_state(traj)
     _write_ini(report, {
         "scattering": {
             "t_star": FMT % state.t_star,
@@ -564,16 +566,16 @@ def _refuse_unwritable(cmd, files):
 
 
 # ---------------------------------------------------------------------------
-# analyze ops: each returns the lines analyze prints for a trajectory
+# analyze ops: op(traj, args) returns the lines analyze prints
 
-def _series_op(traj, args, ell):
+def _series_op(traj, args):
     path = os.path.join(args.traj, "series.csv")
     write_series(traj, path)
     return [f"series = {path}"]
 
 
-def _select_times_op(traj, args, ell):
-    sel = select_times(traj, t_min=asymptotic_start(traj))
+def _select_times_op(traj, args):
+    sel = select_times(traj)
     return [f"select {FMT % t} = {FMT % v}"
             for t, v in zip(sel.times, sel.values)]
 
@@ -581,14 +583,14 @@ def _select_times_op(traj, args, ell):
 OPS = {
     "series": _series_op,
     "select-times": _select_times_op,
-    "lightcone": lambda traj, args, ell: [
+    "lightcone": lambda traj, args: [
         f"lightcone {FMT % row.t} = {FMT % row.outside} "
         f"{FMT % row.hl_fraction} {FMT % row.kin_fraction}"
-        for row in lightcone_concentration(traj, args.A, ell=ell)],
-    "linf": lambda traj, args, ell: [
+        for row in lightcone_concentration(traj, args.A)],
+    "linf": lambda traj, args: [
         f"linf {FMT % t} = {FMT % v}"
         for t, v in linf_outside_cone(traj, args.cone_lambda)],
-    "s-norm": lambda traj, args, ell: [f"s_norm = {FMT % s_norm(traj, ell)}"],
+    "s-norm": lambda traj, args: [f"s_norm = {FMT % s_norm(traj)}"],
 }
 
 
@@ -674,12 +676,11 @@ def run_analyze(args):
         if "series" in ops:
             _refuse_unwritable("analyze",
                                [os.path.join(args.traj, "series.csv")])
-        ell = far_root(traj)
         # every op runs before any line prints, and series, the op that
         # writes a file, runs last: an op that refuses the store leaves it
         # untouched
         order = sorted(dict.fromkeys(ops), key=lambda op: op == "series")
-        lines = {op: OPS[op](traj, args, ell) for op in order}
+        lines = {op: OPS[op](traj, args) for op in order}
     for op in ops:
         for line in lines[op]:
             print(line)
@@ -764,8 +765,7 @@ def _check_extraction():
     assert rep.J == 1, f"J = {rep.J}"
     err = abs(rep.scales[0] - 2e-2) / 2e-2
     assert err < 1e-3, f"scale error {err:.3g}"
-    root = find_vanishing_set(SPHERE).root_at(0.0)
-    res = residual_norms(rep, root).h_x_l2
+    res = residual_norms(rep).h_x_l2
     assert res < 1e-3, f"residual {res:.3g}"
     return f"scale error {err:.2e}, residual {res:.2e}"
 

@@ -63,12 +63,11 @@ def make_bubble_bump(grid, metric, ell, scale, direction, amplitude, center,
     return field
 
 
-def make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0,
-                      velocity=0.0):
-    """Linear-flow data: a compact bump perturbation around 0."""
-    shape = _unit_bump(grid, center, width)
-    return RadialField(grid, amplitude * shape, velocity * shape,
-                       ell0=0.0, ell_inf=0.0, time=0.0)
+def make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0):
+    """Linear-flow data: a compact bump perturbation around 0, at rest."""
+    psi = amplitude * _unit_bump(grid, center, width)
+    return RadialField(grid, psi, np.zeros_like(psi), ell0=0.0, ell_inf=0.0,
+                       time=0.0)
 
 
 def make_superposition(grid, rng):

@@ -188,8 +188,8 @@ def _inner_kinetic(snap, t_plus=None):
     r = snap.grid.r
     i1 = min(int(np.searchsorted(r, cut)) + 1, len(r))
     # the kinetic row is the same under every system
-    x, (kin, _, _) = _densities(snap, UNIT_ROOT, 0, i1)
-    return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
+    return _energies(snap, UNIT_ROOT, [(0.0, min(cut, r[-1]))], 0,
+                     i1)[0].kinetic
 
 
 def _window_average(times, values, t, s):
@@ -218,7 +218,7 @@ def _window_average(times, values, t, s):
     return float(np.trapezoid(vs, ts)) / s
 
 
-def select_times(traj, t_min=None):
+def select_times(traj):
     """Times where the kinetic average is smallest over dyadic windows.
 
     For each frame t the criterion is the sup over dyadic s in
@@ -229,18 +229,26 @@ def select_times(traj, t_min=None):
     increase, values are nonincreasing, and burst windows are avoided;
     the last SELECTED_TIMES records are returned.
 
-    t_min restricts the candidates to frames with t >= t_min, the
-    asymptotic window of `asymptotic_start`.
+    The candidates are the asymptotic window: every frame after a blow-up,
+    else those at t >= 4 x the first frame's support radius, before which
+    the inner cone r <= t/2 can be vacuously quiet; a global trajectory
+    that ends earlier is pre-asymptotic.
     """
     if len(traj.snapshots) < 10:
         raise DiagnosticsError("need at least 10 stored frames")
     t_plus = traj.blowup.t_plus if traj.blowup is not None else None
     times = traj.times
+    t_min = -math.inf if t_plus is not None else \
+        4.0 * support_radius(traj.snapshots[0])
+    if times[-1] < t_min:
+        raise DiagnosticsError(
+            f"pre-asymptotic: latest stored time {times[-1]:.6g} is below "
+            f"4 x the data support radius {t_min / 4.0:.6g}")
     values = np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
     floor = 4.0 * traj.dt
     candidates = []
     for t in times[1:]:
-        if t_min is not None and t < t_min:
+        if t < t_min:
             continue
         s_max = 0.5 * t if t_plus is None else min(0.5 * t, t_plus - t)
         s_max = min(s_max, t - times[0], times[-1] - t)
@@ -265,20 +273,6 @@ def select_times(traj, t_min=None):
     chosen = records[-SELECTED_TIMES:]
     return TimeSelection(times=[t for t, _ in chosen],
                          values=[v for _, v in chosen])
-
-
-def asymptotic_start(traj):
-    """select_times' t_min: None after a blow-up, else 4 x the first
-    frame's support radius, before which the inner cone r <= t/2 can be
-    vacuously quiet; a trajectory that ends earlier is pre-asymptotic."""
-    if traj.blowup is not None:
-        return None
-    support = support_radius(traj.snapshots[0])
-    if traj.times[-1] < 4.0 * support:
-        raise DiagnosticsError(
-            f"pre-asymptotic: latest stored time {traj.times[-1]:.6g} is "
-            f"below 4 x the data support radius {support:.6g}")
-    return 4.0 * support
 
 
 def support_radius(field):
@@ -318,14 +312,15 @@ def _fractions(norms):
     return math.nan, math.nan
 
 
-def lightcone_concentration(traj, A, ell):
+def lightcone_concentration(traj, A):
     """Per frame: the H x L^2 norm of psi - ell_inf outside the shell
     |r - t| < A, plus the equipartition fractions of the conserved
-    Hl x L^2 norm (`_fractions`).
+    Hl x L^2 norm (`_fractions`), with l the trajectory's `far_root`.
 
     Rows are flagged boundary-tainted once the run can feel the outer
     boundary (t beyond r_max minus the data support radius).
     """
+    ell = far_root(traj)
     first = traj.snapshots[0]
     r_max = first.grid.r_max
     taint_time = r_max - support_radius(first)
@@ -335,7 +330,7 @@ def lightcone_concentration(traj, A, ell):
         # the full norm, then the parts inside and outside the shell
         intervals = [(0.0, r_max)]
         if t - A > 0:
-            intervals.append((0.0, t - A))
+            intervals.append((0.0, min(t - A, snap.grid.r[-1])))
         if t + A < r_max:
             intervals.append((t + A, r_max))
         full, *off = (_h_norms(e, ell) for e in _energies(
@@ -501,14 +496,15 @@ def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
     return float(np.min(ratios)), ratios
 
 
-def s_norm(traj, ell):
+def s_norm(traj):
     """Scattering norm: (int int |psi - far|^{2 + 3/k} dr dt / r^2)^{1/p}
     over the stored frames.
 
-    k = |g'(l)| must be 1 or 2; the exponent is p = 2 + 3/k.  The far value
-    subtracted per frame is the field's own ell_inf (the root the field
-    hangs from; 0 for linear perturbation fields).
+    k = |g'(l)|, l the `far_root`, must be 1 or 2; p = 2 + 3/k.  The far
+    value subtracted per frame is the field's own ell_inf (the root the
+    field hangs from; 0 for linear perturbation fields).
     """
+    ell = far_root(traj)
     k = round(abs(ell.slope))
     if abs(abs(ell.slope) - k) > 1e-9 or k not in (1, 2):
         raise DiagnosticsError(

@@ -42,9 +42,9 @@ from .geometry import (ROOT_TOL, Metric, QuadratureError, Root, bisect,
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
 from .evolution import (RadialField, evolve, min_bubble_energy, _advance,
                         _step_plan)
-from .diagnostics import (UNIT_ROOT, TimeSelection, asymptotic_start,
-                          energy, h_norms, perturbation, select_times,
-                          window_misfit, window_nodes)
+from .diagnostics import (UNIT_ROOT, TimeSelection, energy, far_root,
+                          h_norms, perturbation, select_times, window_misfit,
+                          window_nodes)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
@@ -334,18 +334,18 @@ class ResidualNorms:
     window_norms: list     # H x L^2 on [eps0 lam_j, lam_j / eps0] per scale
 
 
-def residual_norms(report, ell):
-    """Norm families of the residual: no energy should sit at bubble scales."""
+def residual_norms(report):
+    """Norms of the residual about its ell_inf: no energy at bubble scales."""
     b = report.residual
-    pert = perturbation(b, ell.value)
-    full = h_norms(pert, ell, 0.0, report.outer_limit).h_x_l2
+    pert = perturbation(b, b.ell_inf)
+    full = h_norms(pert, UNIT_ROOT, 0.0, report.outer_limit).h_x_l2
     mask = b.grid.r <= report.outer_limit
     sup = float(np.max(np.abs(pert.psi[mask]))) if np.any(mask) else 0.0
     windows = []
     for lam in report.scales:
         w_lo = report.eps0 * lam
         w_hi = min(lam / report.eps0, report.outer_limit)
-        windows.append(h_norms(pert, ell, w_lo, w_hi).h_x_l2)
+        windows.append(h_norms(pert, UNIT_ROOT, w_lo, w_hi).h_x_l2)
     return ResidualNorms(h_x_l2=full, sup=sup, window_norms=windows)
 
 
@@ -428,23 +428,25 @@ class ScatteringState:
     selected: TimeSelection
 
 
-def build_scattering_state(traj, ell):
-    """Linear state matching the solution outside the cone r >= t/2.
+def build_scattering_state(traj):
+    """Linear state matching the solution outside the cone r >= t/2, about
+    the trajectory's `far_root` ell.
 
-    At the latest time t* that select_times picks in the asymptotic window
-    (`asymptotic_start`), the solution is cut at r = t*/2 and
-    extended inward by the affine profile 2 (psi(t*, t*/2) - ell) r / t*,
-    the velocity by zero; subtracting (ell, 0) gives linear data phi_L.
-    The linear flow of phi_L, run forward from t* and backward from t* at
-    -dt, is then compared against every stored frame from the first
-    selected time on, on r >= t/2, each frame read as its state is
-    reached.
+    At the latest time t* that select_times picks, the solution is cut at
+    r = t*/2 and extended inward by the affine profile
+    2 (psi(t*, t*/2) - ell) r / t*, the velocity by zero; subtracting
+    (ell, 0) gives linear data phi_L.  The linear flow of phi_L, run
+    forward from t* and backward from t* at -dt, is then compared against
+    every stored frame from the first selected time on, on r >= t/2, each
+    frame read as its state is reached.  A stored far value that is not a
+    root of g raises ResolutionError.
     """
     if traj.blowup is not None:
         raise ResolutionError(
             "scattering state needs a global trajectory, this one has a "
             "blow-up record")
-    sel = select_times(traj, t_min=asymptotic_start(traj))
+    ell = far_root(traj)
+    sel = select_times(traj)
     t_star = sel.times[-1]
     times = traj.times
     snap = traj.snapshots[int(np.searchsorted(times, t_star))]
@@ -453,15 +455,15 @@ def build_scattering_state(traj, ell):
     base = snap.ell_inf
     if isinstance(traj.system, Metric) and abs(ell.value - base) > 1e-9:
         raise ResolutionError(
-            f"root {ell.value:.6g} does not match the trajectory's far "
-            f"value {base:.6g}")
+            f"far value {base:.6g} is not a root of g; the nearest root "
+            f"is {ell.value:.6g}")
     cut = 0.5 * t_star
     psi_cut = float(np.interp(cut, r, snap.psi))
     phi0 = np.where(r >= cut, snap.psi - base,
                     (2.0 * (psi_cut - base) / t_star) * r)
     phi1 = np.where(r >= cut, snap.psi_dot, 0.0)
     phi = RadialField(grid, phi0, phi1, 0.0, 0.0, time=t_star)
-    defect = _match_error(snap, phi, base, ell, 0.0)
+    defect = _match_error(snap, phi, 0.0)
 
     # the frames after t*, run forward, and those of the window before it,
     # run backward from t*, as frame indices found from the times
@@ -474,7 +476,7 @@ def build_scattering_state(traj, ell):
         for k, L in zip(ks, states):
             s = traj.snapshots[k]
             matches.append((s.time,
-                            _match_error(s, L, base, ell, 0.5 * s.time)))
+                            _match_error(s, L, 0.5 * s.time)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",
@@ -483,11 +485,11 @@ def build_scattering_state(traj, ell):
                            defect=defect, selected=sel)
 
 
-def _match_error(snap, lin, base, ell, r1):
-    """H x L^2 norm of psi - base - lin, 0 at the origin, on [r1, r_max]."""
-    diff = RadialField(snap.grid, (snap.psi - base) - lin.psi,
+def _match_error(snap, lin, r1):
+    """H x L^2 norm of psi - ell_inf - lin on [r1, r_max]."""
+    diff = RadialField(snap.grid, (snap.psi - snap.ell_inf) - lin.psi,
                        snap.psi_dot - lin.psi_dot, 0.0, 0.0, snap.time)
-    return h_norms(diff, ell, r1, snap.grid.r_max).h_x_l2
+    return h_norms(diff, UNIT_ROOT, r1, snap.grid.r_max).h_x_l2
 
 
 @dataclass

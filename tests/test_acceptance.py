@@ -221,14 +221,14 @@ def test_c09_scattering_round_trip():
     grid = RadialGrid(200.0, 2048)
     seed = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
     ltraj = evolve(seed, ROOT0, 90.0, record_every=32)
-    st = build_scattering_state(ltraj, ROOT0)
+    st = build_scattering_state(ltraj)
     budget = 3.0 * st.defect
     worst = max(st.match_errors)
 
     nseed = make_bump(grid, SPHERE, 0.0, amplitude=0.05, center=15.0,
                       width=5.0, velocity=0.0)
     ntraj = evolve(nseed, SPHERE, 90.0, record_every=32)
-    nst = build_scattering_state(ntraj, ROOT0)
+    nst = build_scattering_state(ntraj)
     final_rel = nst.match_errors[-1] / h_norms(nst.phi_L, ROOT0).h_ell_x_l2
     ok = worst <= budget and final_rel < 0.05
     report(9, "scattering round trip", ok,

@@ -68,6 +68,15 @@ def _manifest_edit(change):
     return edit
 
 
+def _blowup_edit(**values):
+    """An edit that appends a [blowup] section, finite but for `values`."""
+    keys = {"t_plus": "5", "concentration_radius": "0.1",
+            "last_valid_time": "4", "reason": "energy-concentration",
+            "radius_series": "3.5 0.2 4 0.1", **values}
+    return _manifest_edit(lambda text: text + "\n[blowup]\n" + "".join(
+        f"{key} = {value}\n" for key, value in keys.items()))
+
+
 def _frames_edit(change):
     def edit(traj):
         frames = traj / "frames.npy"
@@ -973,6 +982,12 @@ class TestAnalyzeResolve:
         (_manifest_edit(lambda text: re.sub(r"(?m)^(times = \S+) \S+",
                                             r"\1 inf", text)),
          "manifest.cfg", "malformed manifest: 'inf' is not a finite number"),
+        *((_blowup_edit(**{key: value}), "manifest.cfg",
+           f"malformed manifest: '{value.split()[0]}' is not a finite "
+           f"number")
+          for key, value in (("t_plus", "nan"), ("t_plus", "inf"),
+                             ("last_valid_time", "nan"),
+                             ("radius_series", "inf 0.1"))),
         (_older_store, "", "frame-*.snap store from an older wavemap; "
                            "re-simulate it"),
         (_frames_edit(lambda a: a.astype(np.float32)), "frames.npy",
@@ -988,7 +1003,8 @@ class TestAnalyzeResolve:
     ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
             "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
             "times-count", "r_max-nan", "ell0-nan", "times-inf",
-            "older-store", "frames-dtype",
+            "t_plus-nan", "t_plus-inf", "last_valid_time-nan",
+            "radius_series-inf", "older-store", "frames-dtype",
             "frames-count", "frames-nodes", "frames-truncated",
             "frames-object", "no-frames"])
     def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
@@ -1045,6 +1061,25 @@ class TestAnalyzeResolve:
                 assert row[-2:] == [frame["Hl_fraction"],
                                     frame["kin_fraction"]]
                 assert fractions in (None, row[-2:])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lightcone_past_the_grid_is_quiet(self, tmp_path, capsys):
+        # from t - A > r_max on, the part inside the shell is the whole
+        # grid: no interval reaches past it, so nothing is clipped
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        grid={"r_max": "20", "n_points": "512"},
+                        time={"t_final": "40", "record_every": "64"})
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out), "--ops", "lightcone",
+                     "--A", "5"]) == 0
+        times = [float(line.split()[1])
+                 for line in capsys.readouterr().out.splitlines()]
+        traj = load_trajectory(str(out))
+        with traj.snapshots:
+            assert times == list(traj.times)
+        assert max(times) - 5 > 20
 
     def test_analyze_unknown_op(self, run_dir, capsys):
         assert main(["analyze", "--traj", str(run_dir),

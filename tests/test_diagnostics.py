@@ -21,14 +21,16 @@ import wavemap.diagnostics as diagnostics
 from wavemap.geometry import SPHERE, YANG_MILLS, Root, find_vanishing_set
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
-from wavemap.data import make_bump, make_perturbation, make_superposition
+from wavemap.data import (bump_profile, make_bump, make_perturbation,
+                          make_superposition)
 from wavemap.diagnostics import (BLOCK_NODES, DiagnosticsError,
                                  _exterior_reports, _inner_kinetic,
                                  _window_average, energy, h_norms,
                                  select_times, lightcone_concentration,
                                  exterior_energy_ratio, beta_hat_ensemble,
                                  s_norm, linf_outside_cone, write_series,
-                                 SERIES_COLUMNS, support_radius)
+                                 SERIES_COLUMNS, far_root, perturbation,
+                                 support_radius)
 from wavemap.rng import XorShift64Star
 
 ROOT0 = find_vanishing_set(SPHERE).root_at(0.0)
@@ -191,8 +193,8 @@ class TestKineticAverage:
 
     def test_single_frame_rectangle_rule(self):
         grid = RadialGrid(40.0, 256)
-        f = make_perturbation(grid, amplitude=0.2, center=10.0, width=5.0,
-                              velocity=1.0)
+        f = make_perturbation(grid, amplitude=0.2, center=10.0, width=5.0)
+        f.psi_dot = bump_profile(grid.r, 1.0, 10.0, 5.0)
         traj = _static_traj(f, list(np.arange(0.0, 44.0, 4.0)),
                             system=ROOT0)
         # s below the 4.0 frame spacing: nearest-frame rectangle
@@ -213,12 +215,26 @@ def _burst_trajectory():
                       cfl=0.5, system=ROOT0, blowup=None)
 
 
+def _shell_trajectory(outer):
+    """Frames at t = 0, 2, ..., 100 with psi = 0 and psi_t = exp(-t/30)
+    on the nodes 15 <= r <= outer, 0 elsewhere: frame 0's support, and
+    with it the asymptotic window, ends at the last of those nodes."""
+    grid = RadialGrid(40.0, 512)
+    shell = ((grid.r >= 15.0) & (grid.r <= outer)).astype(float)
+    frames = [RadialField(grid, np.zeros_like(shell),
+                          math.exp(-t / 30.0) * shell, 0.0, 0.0, float(t))
+              for t in np.arange(0.0, 102.0, 2.0)]
+    return Trajectory(snapshots=frames, dt=0.5, scheme="synthetic",
+                      cfl=0.5, system=ROOT0, blowup=None)
+
+
 class TestSelectTimes:
     def test_stationary_returns_latest_frames(self):
+        # a field at rest supported in r < 3, so the window opens by t = 12
         grid = RadialGrid(40.0, 512)
-        q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
+        f = make_perturbation(grid, amplitude=0.1, center=2.0, width=1.0)
         times = list(np.arange(0.0, 42.0, 2.0))
-        traj = _static_traj(q, times, dt=0.5)
+        traj = _static_traj(f, times, dt=0.5)
         sel = select_times(traj)
         assert sel.values[-4:] == [0.0, 0.0, 0.0, 0.0]
         # the final frame never qualifies (its window has zero width)
@@ -280,18 +296,23 @@ class TestSelectTimes:
         for va, vb in zip(a.values, b.values):
             assert vb == 4.0 * va
 
-    def test_t_min_restricts_candidates(self):
-        # records restart inside the window, so an early quiet stretch
-        # cannot freeze the selection (what asymptotic callers need)
-        traj = _burst_trajectory()
-        sel = select_times(traj, t_min=70.0)
+    def test_window_restricts_candidates(self):
+        # records restart inside the window, so the early quiet stretch,
+        # before the velocity enters the inner cone, cannot freeze the
+        # selection
+        traj = _shell_trajectory(17.5)
+        assert 4.0 * support_radius(traj.snapshots[0]) == 70.0
+        assert not _kinetic_values(traj)[traj.times < 30.0].any()
+        sel = select_times(traj)
         assert all(t >= 70.0 for t in sel.times)
         assert sel.values == sorted(sel.values, reverse=True)
 
-    def test_t_min_beyond_frames_errors(self):
-        traj = _burst_trajectory()
+    def test_window_without_a_candidate_errors(self):
+        # the window opens at 4 x 24.766 = 99.06: only the last frame,
+        # which admits no dyadic window, lies in it
+        traj = _shell_trajectory(24.8)
         with pytest.raises(DiagnosticsError, match="no frame admits"):
-            select_times(traj, t_min=1e9)
+            select_times(traj)
 
 
 @pytest.fixture(scope="module")
@@ -303,37 +324,44 @@ def linear_run():
 
 class TestLightcone:
     def test_shell_concentration(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
+        rows = lightcone_concentration(linear_run, 50.0)
         full = h_norms(linear_run.snapshots[-1], ROOT0).h_x_l2
         last = rows[-1]
         assert not last.boundary_tainted
         assert last.outside < 0.05 * full
 
     def test_equipartition(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
+        rows = lightcone_concentration(linear_run, 50.0)
         last = rows[-1]
         assert abs(last.hl_fraction - 0.5) < 0.02
         assert abs(last.kin_fraction - 0.5) < 0.02
         assert last.hl_fraction + last.kin_fraction == pytest.approx(1.0)
 
     def test_t0_row_matches_direct_norm(self, linear_run):
-        rows = lightcone_concentration(linear_run, 50.0, ROOT0)
+        rows = lightcone_concentration(linear_run, 50.0)
         first = linear_run.snapshots[0]
         direct = h_norms(first, ROOT0, 50.0, first.grid.r_max).h_x_l2
         assert rows[0].outside == pytest.approx(direct, rel=1e-12)
 
     def test_boundary_taint_flag(self, linear_run):
-        rows = lightcone_concentration(linear_run, 160.0, ROOT0)
+        rows = lightcone_concentration(linear_run, 160.0)
         assert rows[-1].boundary_tainted     # t + A beyond the grid
         assert not rows[0].boundary_tainted
 
-    def test_nonlinear_needs_explicit_root(self):
+    def test_nonlinear_uses_the_far_root(self):
+        # a yang-mills run hanging from 1, whose slope 2 weights the Hl
+        # fraction: the rows measure about the root far_root derives
         grid = RadialGrid(40.0, 256)
-        f = make_bump(grid, SPHERE, 0.0, amplitude=0.1, center=10.0,
-                      width=5.0, velocity=0.0)
-        traj = evolve(f, SPHERE, 4.0, record_every=64)
-        rows = lightcone_concentration(traj, 5.0, ell=ROOT0)
+        f = make_bump(grid, YANG_MILLS, 1.0, amplitude=0.1, center=10.0,
+                      width=5.0, velocity=0.3)
+        traj = evolve(f, YANG_MILLS, 4.0, record_every=64)
+        assert far_root(traj) == YM_ROOT1
+        rows = lightcone_concentration(traj, 5.0)
         assert len(rows) == len(traj.snapshots)
+        for row, snap in zip(rows, traj.snapshots):
+            n = h_norms(perturbation(snap, snap.ell_inf), YM_ROOT1)
+            assert row.hl_fraction == n.h_ell ** 2 / n.h_ell_x_l2 ** 2
+            assert row.kin_fraction == n.l2 ** 2 / n.h_ell_x_l2 ** 2
 
 
 class TestExteriorEnergy:
@@ -346,8 +374,8 @@ class TestExteriorEnergy:
 
     def test_time_symmetry_precondition(self):
         grid = RadialGrid(60.0, 512)
-        p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0,
-                              velocity=0.3)
+        p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
+        p.psi_dot = bump_profile(grid.r, 0.3, 15.0, 5.0)
         with pytest.raises(DiagnosticsError, match="time-symmetric"):
             exterior_energy_ratio(p, ROOT0, 5.0)
 
@@ -544,7 +572,7 @@ class TestSNorm:
         psi = np.full(256, np.pi)
         f = RadialField(grid, psi, np.zeros(256), np.pi, np.pi, 0.0)
         traj = _static_traj(f, [0.0, 1.0, 2.0])
-        assert s_norm(traj, ROOT_PI) == 0.0
+        assert s_norm(traj) == 0.0
 
     def test_scaling_invariance_exact(self):
         n = 512
@@ -558,17 +586,17 @@ class TestSNorm:
                    for t in times1]
         t1 = Trajectory(frames1, 0.1, "synthetic", 0.5, ROOT0, None)
         t2 = Trajectory(frames2, 0.2, "synthetic", 0.5, ROOT0, None)
-        s1 = s_norm(t1, ROOT0)
-        s2 = s_norm(t2, ROOT0)
+        s1 = s_norm(t1)
+        s2 = s_norm(t2)
         assert s1 == pytest.approx(s2, rel=1e-13)
 
     def test_exponent_rules(self):
         grid = RadialGrid(20.0, 128)
         f = RadialField(grid, np.zeros(128), np.zeros(128), 0.0, 0.0, 0.0)
-        traj = _static_traj(f, [0.0, 1.0])
-        bad = Root(0.0, 3.0, math.inf)
+        # the linear flow about a root of slope 3 has no exponent
+        traj = _static_traj(f, [0.0, 1.0], system=Root(0.0, 3.0, math.inf))
         with pytest.raises(DiagnosticsError, match="exponent"):
-            s_norm(traj, bad)
+            s_norm(traj)
 
     def test_interpolation_ratio_amplitude_invariant(self):
         # sup |phi| <= C ||phi(0)||^theta S^(1-theta): the ratio is exactly
@@ -582,7 +610,7 @@ class TestSNorm:
             traj = evolve(p, ROOT0, 20.0, record_every=128)
             sup = max(float(np.max(np.abs(s.psi))) for s in traj.snapshots)
             norm0 = h_norms(traj.snapshots[0], ROOT0).h_ell_x_l2
-            s_val = s_norm(traj, ROOT0)
+            s_val = s_norm(traj)
             ratios.append(sup / (norm0 ** theta * s_val ** (1 - theta)))
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
 

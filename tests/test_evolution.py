@@ -235,15 +235,23 @@ def _assert_same_bits(x, y):
     np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def _moving_perturbation(grid, amplitude, center, width, velocity):
+    """make_perturbation's bump set moving: psi_t = velocity * B, whose
+    tail is velocity * +0.0."""
+    f = make_perturbation(grid, amplitude, center, width)
+    f.psi_dot = velocity * bump_profile(grid.r, 1.0, center, width)
+    return f
+
+
 def _compact_case(label, grid, velocity):
     """(data, system) of bump data supported in [3, 7]: outside it psi is
     ell_inf + 0.0 and psi_dot is velocity * +0.0, so -0.0 for a negative
     velocity.  "linear-minus-0" hangs from ell_inf = -0.0 with a tail of
     -0.0, which a forward drift turns into +0.0."""
     if label == "linear":
-        return make_perturbation(grid, 0.3, 5.0, 2.0, velocity), ROOT0
+        return _moving_perturbation(grid, 0.3, 5.0, 2.0, velocity), ROOT0
     if label == "linear-minus-0":
-        f = make_perturbation(grid, -0.3, 5.0, 2.0, velocity)
+        f = _moving_perturbation(grid, -0.3, 5.0, 2.0, velocity)
         f.ell_inf = -0.0
         return f, ROOT0
     metric, ell = {"sphere-0": (SPHERE, 0.0), "sphere-pi": (SPHERE, np.pi),
@@ -370,8 +378,9 @@ def _member(label, grid, j, m):
     velocity 0.4 are negative on odd j.  Adding 0.0 turns the -0.0 a
     negative factor leaves in the tail into +0.0, as make_superposition's
     sums do, so every tail is quiet."""
-    f = make_perturbation(grid, 0.3 * (-1) ** j, 12.4 - 1.2 * abs(j - m // 2),
-                          1.5, 0.4 * (-1) ** j)
+    f = _moving_perturbation(grid, 0.3 * (-1) ** j,
+                             12.4 - 1.2 * abs(j - m // 2), 1.5,
+                             0.4 * (-1) ** j)
     return (RadialField(grid, f.psi + 0.0, f.psi_dot + 0.0, 0.0, 0.0),
             ROOT0 if label == "linear" else SPHERE)
 
@@ -485,11 +494,11 @@ class TestWindow:
         # widest member, member 4, at node 711; odd members are negative
         grid = RadialGrid(40.0, 2048)
         dt = 0.5 * grid.dr
-        stack = [make_perturbation(grid, 0.3 * (-1) ** j,
-                                   12.4 - 1.2 * abs(j - 4), 1.5,
-                                   0.4 * (-1) ** j) for j in range(8)]
-        for members in ([make_perturbation(grid, -0.3, 5.0, 2.0, 0.0)],
-                        [make_perturbation(grid, 0.3, 5.0, 2.0, -0.4)],
+        stack = [_moving_perturbation(grid, 0.3 * (-1) ** j,
+                                      12.4 - 1.2 * abs(j - 4), 1.5,
+                                      0.4 * (-1) ** j) for j in range(8)]
+        for members in ([_moving_perturbation(grid, -0.3, 5.0, 2.0, 0.0)],
+                        [_moving_perturbation(grid, 0.3, 5.0, 2.0, -0.4)],
                         stack):
             widths = []
 

@@ -76,8 +76,6 @@ ALLOWED_PARAMS = {
     ("main", "argv"): "tests and `python -m wavemap.cli` drive it",
     ("beta_hat_ensemble", "n_data"): "c05 and perfbench/driver.py set it",
     ("beta_hat_ensemble", "seed"): "c05 and perfbench/driver.py set it",
-    ("make_perturbation", "velocity"): "the tests' moving linear data; no "
-                                       "config family builds linear data",
 }
 
 

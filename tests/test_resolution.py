@@ -238,7 +238,7 @@ class TestExtraction:
         assert rep.notes == []
 
     def test_planted_residual_is_tiny(self, planted_report):
-        rn = residual_norms(planted_report, ROOT0)
+        rn = residual_norms(planted_report)
         assert rn.h_x_l2 < 1e-6
         assert rn.sup < 1e-6
         assert rn.window_norms[0] < 1e-6
@@ -284,7 +284,7 @@ class TestExtraction:
         rep = extract_bubbles(field, SPHERE)
         assert rep.J == 0
         assert any("unresolved structure" in n for n in rep.notes)
-        rn = residual_norms(rep, VSET.root_at(-np.pi))
+        rn = residual_norms(rep)
         assert rn.h_x_l2 > 1.0
 
     def test_non_harmonic_profile_rejected(self):
@@ -482,7 +482,7 @@ class TestResidualNorms:
         rep = extract_bubbles(f, SPHERE)
         assert rep.J == 1
         assert rep.scales[0] == pytest.approx(1e-2, rel=1e-6)
-        rn = residual_norms(rep, ROOT0)
+        rn = residual_norms(rep)
         bump_field = RadialField(grid, bump, np.zeros_like(bump),
                                  0.0, 0.0, 0.0)
         oracle = h_norms(bump_field, ROOT0).h_x_l2
@@ -586,7 +586,7 @@ class TestExtension:
 
 class TestScatteringState:
     def test_linear_round_trip_within_budget(self, linear_scatter_traj):
-        state = build_scattering_state(linear_scatter_traj, ROOT0)
+        state = build_scattering_state(linear_scatter_traj)
         support = support_radius(linear_scatter_traj.snapshots[0])
         assert all(t >= 4.0 * support for t in state.selected.times)
         assert state.t_star == state.selected.times[-1]
@@ -605,7 +605,7 @@ class TestScatteringState:
             seed = make_perturbation(grid, amplitude=amp, center=10.0,
                                      width=4.0)
             traj = evolve(seed, ROOT0, 60.0, record_every=16)
-            states.append(build_scattering_state(traj, ROOT0))
+            states.append(build_scattering_state(traj))
         a, b = states
         assert b.t_star == a.t_star
         assert b.defect == 2.0 * a.defect
@@ -614,7 +614,7 @@ class TestScatteringState:
             assert eb == pytest.approx(2.0 * ea, rel=1e-12, abs=1e-300)
 
     def test_nonlinear_small_amplitude_matches(self, nonlinear_scatter_traj):
-        state = build_scattering_state(nonlinear_scatter_traj, ROOT0)
+        state = build_scattering_state(nonlinear_scatter_traj)
         scale = h_norms(state.phi_L, ROOT0).h_ell_x_l2
         final_rel = state.match_errors[-1] / scale
         assert final_rel < 5e-2
@@ -627,16 +627,24 @@ class TestScatteringState:
         q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
         traj = evolve(q, SPHERE, 12.0, record_every=32)
         with pytest.raises(DiagnosticsError, match="pre-asymptotic"):
-            build_scattering_state(traj, ROOT_PI)
+            build_scattering_state(traj)
 
     def test_blowup_trajectory_rejected(self):
         traj = _surrogate_blowup_traj()
         with pytest.raises(ResolutionError, match="global trajectory"):
-            build_scattering_state(traj, ROOT0)
+            build_scattering_state(traj)
 
     def test_mismatched_root_rejected(self, nonlinear_scatter_traj):
-        with pytest.raises(ResolutionError, match="far value"):
-            build_scattering_state(nonlinear_scatter_traj, ROOT_PI)
+        # the run shifted by 0.5 everywhere: its window and selection are
+        # the run's, but its far value 0.5 is not a root of sin
+        frames = [RadialField(s.grid, s.psi + 0.5, s.psi_dot, s.ell0 + 0.5,
+                              s.ell_inf + 0.5, s.time)
+                  for s in nonlinear_scatter_traj.snapshots]
+        traj = dataclasses.replace(nonlinear_scatter_traj, snapshots=frames)
+        with pytest.raises(ResolutionError,
+                           match="far value 0.5 is not a root of g; the "
+                                 "nearest root is 0"):
+            build_scattering_state(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +704,7 @@ class TestLedger:
 
     def test_scattering_state_radiation(self, linear_scatter_traj):
         # with no bubble, the energy is the linear state's Hl x L^2 norm^2
-        state = build_scattering_state(linear_scatter_traj, ROOT0)
+        state = build_scattering_state(linear_scatter_traj)
         rep = extract_bubbles(linear_scatter_traj.snapshots[-1], SPHERE)
         assert rep.J == 0 <= rep.j_max
         e_total = rep.ledger.e_total
