@@ -432,6 +432,10 @@ def load_trajectory(traj_dir):
         # configparser's messages span lines; the error is one
         raise CliError(f"{manifest}: malformed manifest: "
                        f"{' '.join(str(e).split())}")
+    # a one-frame store has no step and writes dt = 0
+    if dt < 0 or (dt == 0 and n_frames > 1):
+        raise CliError(f"{manifest}: malformed manifest: [trajectory] "
+                       f"dt = {dt:g} must be positive")
     metric = read_metric(cp, manifest)
     snaps = read_snapshot(frames_path, grid, ell0, ell_inf, times)
     return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,

@@ -21,11 +21,9 @@ Windows.  Each extraction step reads only the nodes its answer depends
 on.  The scan reads the nodes up to scan_hi, the outer edge of the
 previous bubble's flat zone; the fit and its misfit read the fit window
 [w_lo, w_hi], the misfit through the densities of the window's nodes and
-one node either side (`diagnostics.window_misfit`).  A window of at least
-2 COARSE_FIT_NODES nodes is first fit on a subsample of about
-COARSE_FIT_NODES of its nodes, and only the last Gauss-Newton steps run
-on all of them.  Only the energy ledger and the subtraction of a fitted
-bubble read every node.
+one node either side (`diagnostics.window_misfit`), and every step of the
+fit evaluates the connector on the whole window.  Only the energy ledger
+and the subtraction of a fitted bubble read every node.
 
 All routines are pure functions over immutable inputs; reports for
 different fields can be computed in parallel with no shared state.
@@ -50,8 +48,7 @@ SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
 MIN_SCALE_NODES = 4         # scales below 4 dr are unresolved
 MIN_FIT_NODES = 8
-COARSE_FIT_NODES = 1024     # windows of 2x this many nodes: subsample first
-SETTLE_GRID = 2.0 ** -30    # log-scale grid Gauss-Newton restarts on
+SETTLE_GRID = 2.0 ** -30    # log-scale grid the scale fit restarts on
 SETTLE_FRAMES = 5           # last cone-trace frames that must settle on ell*
 MARGIN_NODES = 8            # the regular part's fill keeps rho_c >= 8 dr
 
@@ -130,45 +127,39 @@ def _crossing_radii(metric, ell, m, level):
     return tuple(radii[::1 if ell < m else -1])
 
 
-def _gauss_newton(qmap, r, psi, u, u_lo, u_hi, tol):
-    """Gauss-Newton on the log-scale u of Q(r e^{-u}) against psi, with
-    the exact Jacobian d/du Q(r e^{-u}) = -sign g(Q), kept inside
-    [u_lo, u_hi] and stopped once a step is below tol.  Near the fixed
-    point rounding maps neighbouring doubles onto each other, so the first
-    such step restarts the iteration from the nearest multiple of
-    SETTLE_GRID, which every path near the fixed point shares: the double
-    returned does not depend on the path."""
-    restarted = False
+def _fit_log_scale(qmap, r, psi, u0):
+    """Least-squares log-scale u of Q(r e^{-u}) against psi on every node
+    of the window, kept inside u0 +- log 2.
+
+    With jac = sign g(Q) = -d/du Q(r e^{-u}), each step divides the
+    gradient jac @ (psi - Q) by the secant slope of the gradient between
+    the last two iterates where it is positive, else by the Gauss-Newton
+    curvature jac @ jac, which drops that of Q and alone converges only
+    linearly.  Near the fixed point rounding maps neighbouring doubles
+    onto each other, so the first step below 1e-12 restarts from the
+    nearest multiple of SETTLE_GRID, which every path near the fixed
+    point shares, and plain Gauss-Newton steps end the fit: each depends
+    on u alone, not on the iterate before, so the double returned does
+    not depend on the path."""
+    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
+    u, last, restarted = u0, None, False
     for _ in range(100):
         q = eval_Q(qmap, r * math.exp(-u))
         jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
-        res = np.subtract(psi, q, out=q)
-        u_next = min(max(u - float(jac @ res) / float(jac @ jac), u_lo),
-                     u_hi)
-        if abs(u_next - u) < tol:
+        grad = float(jac @ np.subtract(psi, q, out=q))
+        curv = float(jac @ jac)
+        if last and not restarted:
+            slope = (grad - last[1]) / (u - last[0])
+            curv = slope if slope > 0 else curv
+        u_next = min(max(u - grad / curv, u_lo), u_hi)
+        if abs(u_next - u) < 1e-12:
             if restarted:
                 return u_next
             restarted = True
             u_next = min(max(round(u_next / SETTLE_GRID) * SETTLE_GRID,
                              u_lo), u_hi)
-        u = u_next
+        last, u = (u, grad), u_next
     return u
-
-
-def _fit_log_scale(qmap, r, psi, u0):
-    """Least-squares log-scale u of Q(r e^{-u}) against psi, kept inside
-    u0 +- log 2 and stopped once a step is below 1e-12.
-
-    A window of at least 2 COARSE_FIT_NODES nodes is first fit, to steps
-    below 1e-9, on every k-th node, about COARSE_FIT_NODES of them, where
-    most iterations run.  Smaller windows are fit on every node from u0,
-    as they always were."""
-    u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
-    u = u0
-    if len(r) >= 2 * COARSE_FIT_NODES:
-        k = len(r) // COARSE_FIT_NODES
-        u = _gauss_newton(qmap, r[::k], psi[::k], u, u_lo, u_hi, 1e-9)
-    return _gauss_newton(qmap, r, psi, u, u_lo, u_hi, 1e-12)
 
 
 @dataclass
@@ -437,26 +428,27 @@ def build_scattering_state(traj):
     2 (psi(t*, t*/2) - ell) r / t*, the velocity by zero; subtracting
     (ell, 0) gives linear data phi_L.  The linear flow of phi_L, run
     forward from t* and backward from t* at -dt, is then compared against
-    every stored frame from the first selected time on, on r >= t/2, each
-    frame read as its state is reached.  A stored far value that is not a
-    root of g raises ResolutionError.
+    every stored frame from the first selected time on whose cut t/2 lies
+    below r_max, on r >= t/2, each frame read as its state is reached.  A
+    stored far value that is not a root of g raises ResolutionError before
+    any frame but the first is read.
     """
     if traj.blowup is not None:
         raise ResolutionError(
             "scattering state needs a global trajectory, this one has a "
             "blow-up record")
     ell = far_root(traj)
+    base = traj.snapshots[0].ell_inf
+    if isinstance(traj.system, Metric) and abs(ell.value - base) > 1e-9:
+        raise ResolutionError(
+            f"far value {base:.6g} is not a root of g; the nearest root "
+            f"is {ell.value:.6g}")
     sel = select_times(traj)
     t_star = sel.times[-1]
     times = traj.times
     snap = traj.snapshots[int(np.searchsorted(times, t_star))]
     grid = snap.grid
     r = grid.r
-    base = snap.ell_inf
-    if isinstance(traj.system, Metric) and abs(ell.value - base) > 1e-9:
-        raise ResolutionError(
-            f"far value {base:.6g} is not a root of g; the nearest root "
-            f"is {ell.value:.6g}")
     cut = 0.5 * t_star
     psi_cut = float(np.interp(cut, r, snap.psi))
     phi0 = np.where(r >= cut, snap.psi - base,
@@ -466,9 +458,11 @@ def build_scattering_state(traj):
     defect = _match_error(snap, phi, 0.0)
 
     # the frames after t*, run forward, and those of the window before it,
-    # run backward from t*, as frame indices found from the times
-    later = np.flatnonzero(times > t_star + 1e-12)
-    earlier = np.flatnonzero((times >= sel.times[0] - 1e-12)
+    # run backward from t*, as frame indices found from the times; a frame
+    # is matched only while its cut t/2 lies inside the grid
+    inside = 0.5 * times < grid.r_max
+    later = np.flatnonzero(inside & (times > t_star + 1e-12))
+    earlier = np.flatnonzero(inside & (times >= sel.times[0] - 1e-12)
                              & (times < t_star - 1e-12))[::-1]
     matches = [(t_star, 0.0)]
     for ks, dt in ((later, traj.dt), (earlier, -traj.dt)):

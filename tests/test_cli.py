@@ -775,6 +775,25 @@ class TestSimulate:
         assert t_star > 55.0
         assert all(e <= 3.0 * defect for e in errors)
 
+    def test_scattering_matches_frames_whose_cut_is_inside(self, tmp_path,
+                                                           capsys):
+        # the run goes on past t = 2 r_max, where the cut r = t/2 leaves
+        # the grid
+        out = tmp_path / "long"
+        cfg = write_cfg(tmp_path / "s.cfg", out,
+                        data={"family": "bump", "ell": "0",
+                              "amplitude": "0.05", "center": "5",
+                              "width": "2"},
+                        time={"t_final": "60", "record_every": "8"},
+                        pipeline={"stages": "series, scattering"})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert "scattering t* = 27.8125" in capsys.readouterr().out
+        cp = ConfigParser()
+        cp.read(out / "scattering.report")
+        times = [float(t) for t in cp["match"]]
+        assert (times[0], times[-1]) == (27.8125, 39.6875)
+        assert main(["resolve", "--traj", str(out)]) == 0
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -1019,6 +1038,29 @@ class TestAnalyzeResolve:
         assert err.startswith(f"error: {traj / where}: ")
         assert err.count("\n") == 1 and message in err, err
         assert not (traj / "series.csv").exists()
+
+    @pytest.mark.parametrize("dt", ["0", "-0.01"])
+    def test_step_that_is_not_positive_is_refused(self, run_dir, tmp_path,
+                                                  dt):
+        # select_times halves its dyadic windows down to 4 dt, so a step
+        # <= 0 would never end its loop
+        traj = tmp_path / "run"
+        shutil.copytree(run_dir, traj)
+        _manifest_edit(lambda text: re.sub(r"(?m)^dt = .*$", f"dt = {dt}",
+                                           text))(traj)
+        with pytest.raises(CliError, match=rf"malformed manifest: "
+                                           rf"\[trajectory\] dt = {dt} "
+                                           rf"must be positive"):
+            load_trajectory(str(traj))
+
+    def test_one_frame_store_keeps_its_zero_step(self, tmp_path):
+        grid = RadialGrid(20.0, 256)
+        store = write_store(RadialField(grid, np.zeros(256), np.zeros(256),
+                                        0.0, 0.0), tmp_path / "store")
+        assert "\ndt = 0\n" in (store / "manifest.cfg").read_text()
+        traj = load_trajectory(str(store))
+        with traj.snapshots:
+            assert traj.dt == 0.0
 
     @pytest.mark.parametrize("edit", [_cut_frames, _extra_bytes],
                              ids=["cut-mid-frame", "extra-bytes"])

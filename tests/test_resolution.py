@@ -30,7 +30,7 @@ from wavemap.resolution import (ResolutionError, compute_delta0,
                                 EXTENSION_RAMP_ZEROTH_INNER,
                                 EXTENSION_RAMP_ZEROTH_OUTER,
                                 SEPARATION_FLOOR, MISFIT_FRACTION,
-                                COARSE_FIT_NODES, SETTLE_GRID)
+                                SETTLE_GRID)
 from wavemap.rng import XorShift64Star
 
 VSET = find_vanishing_set(SPHERE)
@@ -313,14 +313,12 @@ class TestExtraction:
     def test_constants_are_pinned(self):
         assert SEPARATION_FLOOR == 0.2
         assert MISFIT_FRACTION == 0.10
-        assert COARSE_FIT_NODES == 1024
 
 
-def _single_stage_fit(qmap, r, psi, u0):
-    """The one-stage Gauss-Newton fit on every node of the window, with
-    the fit's stop: the first step below 1e-12 restarts it on the nearest
-    multiple of SETTLE_GRID, the next one ends it.  The oracle of the
-    two-stage fit."""
+def _gauss_newton_fit(qmap, r, psi, u0):
+    """Plain Gauss-Newton on every node of the window, with the fit's
+    stop: the first step below 1e-12 restarts it on the nearest multiple
+    of SETTLE_GRID, the next one ends it.  The oracle of the secant fit."""
     u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
     u, restarted = u0, False
     for _ in range(100):
@@ -357,8 +355,8 @@ def window_chain(request):
 
 class TestWindowedExtraction:
     """Each extraction step reads only the nodes its answer depends on:
-    the scan stops at scan_hi, the misfit reads the fit window, and a wide
-    window is fit on a subsample before it is fit on every node."""
+    the scan stops at scan_hi, and the scale fit and the misfit read the
+    fit window, the fit all of it on every step."""
 
     def test_scan_reads_only_nodes_below_scan_hi(self, window_chain):
         field, metric, planted = window_chain
@@ -411,57 +409,81 @@ class TestWindowedExtraction:
             work -= q_lam
         np.testing.assert_array_equal(work, rep.residual.psi)
 
-    def test_two_stage_fit_matches_the_single_stage(self, window_chain,
-                                                    monkeypatch):
+    def test_every_fit_step_evaluates_the_whole_window(self, window_chain,
+                                                       monkeypatch):
         field, metric, planted = window_chain
-        widths = []
-        fit = resolution._fit_log_scale
+        fit, width, sizes = resolution._fit_log_scale, [None], []
 
-        def recording(qmap, r, psi, u0):
-            widths.append(len(r))
-            return fit(qmap, r, psi, u0)
+        def fitting(qmap, r, psi, u0):
+            width[0] = len(r)
+            try:
+                return fit(qmap, r, psi, u0)
+            finally:
+                width[0] = None
 
-        monkeypatch.setattr(resolution, "_fit_log_scale", recording)
+        def evaluating(qmap, x):
+            if width[0] is not None:
+                sizes.append((width[0], len(x)))
+            return eval_Q(qmap, x)
+
+        monkeypatch.setattr(resolution, "_fit_log_scale", fitting)
+        monkeypatch.setattr(resolution, "eval_Q", evaluating)
+        assert extract_bubbles(field, metric).J == planted
+        # the outer window holds thousands of nodes
+        assert sizes[0][0] > 2048
+        assert all(w == n for w, n in sizes)
+
+    def test_fit_matches_the_gauss_newton_oracle(self, window_chain,
+                                                 monkeypatch):
+        field, metric, planted = window_chain
         rep = extract_bubbles(field, metric)
-        monkeypatch.setattr(resolution, "_fit_log_scale", _single_stage_fit)
+        monkeypatch.setattr(resolution, "_fit_log_scale", _gauss_newton_fit)
         oracle = extract_bubbles(field, metric)
         assert rep.J == oracle.J == planted
-        assert widths[0] >= 2 * COARSE_FIT_NODES
-        for width, lam, lam_oracle in zip(widths, rep.scales,
-                                          oracle.scales):
-            if width < 2 * COARSE_FIT_NODES:
-                assert lam == lam_oracle
-            else:
-                assert lam == pytest.approx(lam_oracle, rel=1e-13, abs=0.0)
+        assert rep.scales == oracle.scales
+        assert rep.residual.psi.tobytes() == oracle.residual.psi.tobytes()
 
     def test_small_windows_keep_the_single_stage_bits(self, monkeypatch):
-        # on 2048 nodes over [0, 20] every window is below 2048 nodes
+        # a coarse grid, 2048 nodes over [0, 20]: the inner fit window
+        # holds under a hundred nodes
         field = make_chain(RadialGrid(20.0, 2048), SPHERE, 0.0,
                            [(-1, 4.0), (-1, 0.08)])
         rep = extract_bubbles(field, SPHERE)
-        monkeypatch.setattr(resolution, "_fit_log_scale", _single_stage_fit)
+        monkeypatch.setattr(resolution, "_fit_log_scale", _gauss_newton_fit)
         oracle = extract_bubbles(field, SPHERE)
         assert rep.J == 2 and rep.scales == oracle.scales
         np.testing.assert_array_equal(rep.residual.psi, oracle.residual.psi)
 
 
-class TestFitStop:
-    """The Gauss-Newton fit returns one double whatever its start: near
-    the fixed point rounding maps neighbouring doubles onto each other,
-    and a stop that returned wherever the path ended moved the last bit
-    (0.2747 and 0.2216 fit on 2 stages, 0.0197 on one; 0.1363 is sweep
-    seed 1, chain 34)."""
+SPHERE_UP = (SPHERE, 0.0, 4.0 - math.sqrt(15.0),
+             lambda x: 2.0 * np.arctan(x))
+YANG_MILLS_UP = (YANG_MILLS, -1.0, 2.0 - math.sqrt(3.0),
+                 lambda x: (x * x - 1.0) / (x * x + 1.0))
 
-    @pytest.mark.parametrize("lam", [0.27469911741053926,
-                                     0.22160007946468377,
-                                     0.01973981683858466,
-                                     0.13632701812832096])
-    def test_planted_scale_is_independent_of_the_start(self, lam):
+
+class TestFitStop:
+    """The fit returns one double whatever its start: near the fixed point
+    rounding maps neighbouring doubles onto each other, and a stop that
+    returned wherever the path ended moved the last bit (the windows hold
+    1575 to 21918 nodes; 0.1363 is sweep seed 1, chain 34)."""
+
+    @pytest.mark.parametrize("connector, lam", [
+        *((SPHERE_UP, lam) for lam in (0.27469911741053926,
+                                       0.22160007946468377,
+                                       0.01973981683858466,
+                                       0.13632701812832096)),
+        (YANG_MILLS_UP, 0.2)],
+        ids=["sphere-0.2747", "sphere-0.2216", "sphere-0.0197",
+             "sphere-0.1363", "yang-mills-0.2"])
+    def test_planted_scale_is_independent_of_the_start(self, connector,
+                                                       lam):
+        # the closed-form connector from ell at scale lam, fit on the
+        # window extraction would give it: [0.8 eps0 lam, 1.25 lam / eps0]
+        metric, ell, eps0, profile = connector
         r = RadialGrid(4.0, 2 ** 15).r
-        qmap = build_harmonic_map(SPHERE, 0.0, +1)
-        psi = 2.0 * np.arctan(r / lam)
-        j0, j1 = window_nodes(r, 0.8 * lam * (4.0 - math.sqrt(15.0)),
-                              1.25 * lam * (4.0 + math.sqrt(15.0)))
+        qmap = build_harmonic_map(metric, ell, +1)
+        psi = profile(r / lam)
+        j0, j1 = window_nodes(r, 0.8 * lam * eps0, 1.25 * lam / eps0)
         fits = {resolution._fit_log_scale(qmap, r[j0:j1], psi[j0:j1],
                                           math.log(lam) + d)
                 for d in np.linspace(-0.5, 0.5, 21)}
@@ -634,13 +656,19 @@ class TestScatteringState:
         with pytest.raises(ResolutionError, match="global trajectory"):
             build_scattering_state(traj)
 
-    def test_mismatched_root_rejected(self, nonlinear_scatter_traj):
-        # the run shifted by 0.5 everywhere: its window and selection are
-        # the run's, but its far value 0.5 is not a root of sin
+    def test_mismatched_root_rejected(self, nonlinear_scatter_traj,
+                                      monkeypatch):
+        # the run shifted by 0.5 everywhere: its far value 0.5 is not a
+        # root of sin, which is refused before the selection reads frames
         frames = [RadialField(s.grid, s.psi + 0.5, s.psi_dot, s.ell0 + 0.5,
                               s.ell_inf + 0.5, s.time)
                   for s in nonlinear_scatter_traj.snapshots]
         traj = dataclasses.replace(nonlinear_scatter_traj, snapshots=frames)
+
+        def no_selection(traj):
+            raise AssertionError("select_times ran")
+
+        monkeypatch.setattr(resolution, "select_times", no_selection)
         with pytest.raises(ResolutionError,
                            match="far value 0.5 is not a root of g; the "
                                  "nearest root is 0"):
