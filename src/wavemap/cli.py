@@ -226,6 +226,8 @@ def load_scenario(path, out_override=None):
         raise CliError(f"{path}: [time] t_final = {t_final:g} must be "
                        f"positive")
     if cp.has_option("time", "dt"):
+        if cp.has_option("time", "cfl"):
+            raise CliError(f"{path}: [time] gives both dt and cfl; give one")
         cfl = _getfloat(cp, "time", "dt", path) / grid.dr
     else:
         cfl = _getfloat(cp, "time", "cfl", path, default=0.5)
@@ -590,6 +592,7 @@ OPS = {
     "lightcone": lambda traj, args: [
         f"lightcone {FMT % row.t} = {FMT % row.outside} "
         f"{FMT % row.hl_fraction} {FMT % row.kin_fraction}"
+        + (" boundary-tainted" if row.boundary_tainted else "")
         for row in lightcone_concentration(traj, args.A)],
     "linf": lambda traj, args: [
         f"linf {FMT % t} = {FMT % v}"

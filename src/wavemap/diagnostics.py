@@ -349,24 +349,19 @@ class ExteriorReport:
     flagged: str          # "" or the hypothesis violation note
 
 
-def exterior_energy_ratio(field0, ell, t):
-    """Exterior-energy retention of the linear flow for time-symmetric data.
+def exterior_energy_ratio(fields0, ell, t, first=0):
+    """Exterior-energy retention of the linear flow for time-symmetric
+    data, one ExteriorReport per member of the list fields0.
 
-    Evolves (phi0, 0) to time t, at the default CFL number with a fixed
-    outer boundary, and reports the squared fraction of the initial
-    H x L^2 norm remaining at r >= t.  Even slopes run but are flagged:
-    the lower bound is only claimed for odd g'(l).  Non-finite
-    data, data whose initial norm is zero or overflows, or a run that does
-    not stay finite, raises DiagnosticsError.
+    The members share one grid and far value.  They are evolved from
+    (phi0, 0) to time t as one node-major (n, m) stack, member k column k,
+    at the default CFL number with a fixed outer boundary, and each
+    reports the squared fraction of its initial H x L^2 norm remaining at
+    r >= t.  Even slopes run but are flagged: the lower bound is only
+    claimed for odd g'(l).  Non-finite data, data whose initial norm is
+    zero or overflows, or a run that does not stay finite, raises
+    DiagnosticsError naming the member by its index counted from `first`.
     """
-    return _exterior_reports([field0], ell, t)[0]
-
-
-def _exterior_reports(fields0, ell, t, first=0):
-    """ExteriorReports of members sharing one grid and far value, evolved
-    as one node-major (n, m) stack through the evolution module's run
-    loop; member k is column k.  Errors name a member by its index
-    counted from `first`."""
     norms0 = []
     for k, f in enumerate(fields0, first):
         if not (np.all(np.isfinite(f.psi)) and np.all(np.isfinite(f.psi_dot))):
@@ -413,7 +408,8 @@ def _exterior_reports(fields0, ell, t, first=0):
 def _block_ratios(members, ell, t, first):
     """The exterior ratios of one block of ensemble members, whose errors
     name members counted from `first`."""
-    return [rep.ratio for rep in _exterior_reports(members, ell, t, first)]
+    return [rep.ratio
+            for rep in exterior_energy_ratio(members, ell, t, first)]
 
 
 def _workers(n_tasks):

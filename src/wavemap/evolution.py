@@ -348,13 +348,16 @@ def _advance(system, field, psi, psi_dot, dt, stops, boundary="fixed"):
         yield stop
 
 
-def step_linear(field, ell, dt):
-    """One leapfrog step of the linearized flow at the root `ell`; returns
-    a new field."""
+def step_linear(field, ell, dt, n_steps):
+    """The field n_steps leapfrog steps of dt later under the linearized
+    flow at the root `ell` (fixed outer boundary; a negative dt runs it
+    backward), as a new field.  n_steps < 1 raises EvolutionError."""
+    if not n_steps >= 1:
+        raise EvolutionError(f"n_steps = {n_steps} must be at least 1")
     psi, psi_dot = field.psi.copy(), field.psi_dot.copy()
-    next(_advance(ell, field, psi, psi_dot, dt, [1]))
+    next(_advance(ell, field, psi, psi_dot, dt, [n_steps]))
     return RadialField(field.grid, psi, psi_dot, field.ell0, field.ell_inf,
-                       field.time + dt)
+                       field.time + n_steps * dt)
 
 
 def discrete_energy(field, system):

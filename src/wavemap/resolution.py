@@ -38,7 +38,7 @@ import numpy as np
 from .geometry import (ROOT_TOL, Metric, QuadratureError, Root, bisect,
                        find_vanishing_set, integrate)
 from .statics import HarmonicMap, build_harmonic_map, eval_Q
-from .evolution import (RadialField, evolve, min_bubble_energy, _advance,
+from .evolution import (RadialField, evolve, min_bubble_energy, step_linear,
                         _step_plan)
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, far_root,
                           h_norms, perturbation, select_times, window_misfit,
@@ -388,25 +388,6 @@ def extend_H(field, r1, r2):
                            slack=bound - h_ext)
 
 
-def _linear_states_at(phi, ell, offsets, dt):
-    """Linear-flow states at time offsets (multiples of dt) that grow in
-    the direction of dt, advanced in one run from phi with a fixed outer
-    boundary and yielded one at a time; a negative dt runs the flow
-    backward."""
-    stops = []
-    for off in offsets:
-        n = int(round(off / dt))
-        if abs(off - n * dt) > 1e-9 * max(1.0, abs(off)):
-            raise ResolutionError(
-                f"frame offset {off:.12g} is not a step multiple of "
-                f"dt = {dt:.12g}")
-        stops.append(n)
-    psi, psi_dot = phi.psi.copy(), phi.psi_dot.copy()
-    for n in _advance(ell, phi, psi, psi_dot, dt, stops):
-        yield RadialField(phi.grid, psi.copy(), psi_dot.copy(), phi.ell0,
-                          phi.ell_inf, phi.time + n * dt)
-
-
 @dataclass
 class ScatteringState:
     phi_L: RadialField      # perturbation-space linear data at t_star
@@ -427,11 +408,13 @@ def build_scattering_state(traj):
     r = t*/2 and extended inward by the affine profile
     2 (psi(t*, t*/2) - ell) r / t*, the velocity by zero; subtracting
     (ell, 0) gives linear data phi_L.  The linear flow of phi_L, run
-    forward from t* and backward from t* at -dt, is then compared against
-    every stored frame from the first selected time on whose cut t/2 lies
-    below r_max, on r >= t/2, each frame read as its state is reached.  A
-    stored far value that is not a root of g raises ResolutionError before
-    any frame but the first is read.
+    forward from t* and backward from t* at -dt by `step_linear` from one
+    matched frame's state to the next, is then compared against every
+    stored frame from the first selected time on whose cut t/2 lies below
+    r_max, on r >= t/2, each frame read as its state is reached.  A stored
+    far value that is not a root of g raises ResolutionError before any
+    frame but the first is read; a frame whose offset from t* is not a
+    step multiple raises it before that frame is read.
     """
     if traj.blowup is not None:
         raise ResolutionError(
@@ -466,11 +449,17 @@ def build_scattering_state(traj):
                              & (times < t_star - 1e-12))[::-1]
     matches = [(t_star, 0.0)]
     for ks, dt in ((later, traj.dt), (earlier, -traj.dt)):
-        states = _linear_states_at(phi, ell, times[ks] - t_star, dt)
-        for k, L in zip(ks, states):
+        L, done = phi, 0
+        for k in ks:
+            off = times[k] - t_star
+            n = int(round(off / dt))
+            if abs(off - n * dt) > 1e-9 * max(1.0, abs(off)):
+                raise ResolutionError(
+                    f"frame offset {off:.12g} is not a step multiple of "
+                    f"dt = {dt:.12g}")
+            L, done = step_linear(L, ell, dt, n - done), n
             s = traj.snapshots[k]
-            matches.append((s.time,
-                            _match_error(s, L, 0.5 * s.time)))
+            matches.append((s.time, _match_error(s, L, 0.5 * s.time)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",

@@ -23,7 +23,7 @@ from wavemap.geometry import (SPHERE, Metric, check_assumptions,
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_chain, make_perturbation
-from wavemap.diagnostics import SERIES_COLUMNS
+from wavemap.diagnostics import SERIES_COLUMNS, lightcone_concentration
 from wavemap.resolution import compute_delta0, extract_bubbles
 from wavemap import cli, evolution
 from wavemap.cli import (main, load_scenario, load_trajectory,
@@ -317,6 +317,9 @@ class TestScenarioValidation:
         # numpy refuses 73 TiB of nodes before it allocates any
         ({"grid": {"n_points": "10000000000000"}},
          "[grid] n_points = 10000000000000: Unable to allocate"),
+        # a cfl beside dt would be read by no run
+        ({"time": {"dt": "0.02", "cfl": "0.5"}},
+         "[time] gives both dt and cfl; give one"),
     ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
@@ -329,7 +332,7 @@ class TestScenarioValidation:
             "legacy_scattering_count", "unread_output_key",
             "unread_metric_key", "unread_custom_metric_key",
             "unknown_section", "empty_custom_id", "builtin_custom_id",
-            "grid_too_large"])
+            "grid_too_large", "dt_and_cfl"])
     def test_config_error_is_one_line_before_work(self, tmp_path, capsys,
                                                   overrides, message):
         cfg = write_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
@@ -1103,6 +1106,27 @@ class TestAnalyzeResolve:
                 assert row[-2:] == [frame["Hl_fraction"],
                                     frame["kin_fraction"]]
                 assert fractions in (None, row[-2:])
+
+    def test_lightcone_marks_boundary_tainted_rows(self, tmp_path, capsys):
+        # a row is flagged once its shell or the run's domain of
+        # dependence reaches r_max, and ends in the word the exterior
+        # report uses; the other rows print as they always have
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "s.cfg", out, time={"t_final": "20"})
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--traj", str(out),
+                     "--ops", "lightcone"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        traj = load_trajectory(str(out))
+        with traj.snapshots:
+            rows = lightcone_concentration(traj, 10.0)
+        assert len(lines) == len(rows)
+        flags = [row.boundary_tainted for row in rows]
+        assert any(flags) and not all(flags)
+        for line, row in zip(lines, rows):
+            assert line.endswith(" boundary-tainted") == row.boundary_tainted
+            assert len(line.split()) == 6 + row.boundary_tainted
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lightcone_past_the_grid_is_quiet(self, tmp_path, capsys):

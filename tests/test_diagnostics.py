@@ -24,9 +24,8 @@ from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import (bump_profile, make_bump, make_perturbation,
                           make_superposition)
 from wavemap.diagnostics import (BLOCK_NODES, DiagnosticsError,
-                                 _exterior_reports, _inner_kinetic,
-                                 _window_average, energy, h_norms,
-                                 select_times, lightcone_concentration,
+                                 _inner_kinetic, _window_average, energy,
+                                 h_norms, select_times, lightcone_concentration,
                                  exterior_energy_ratio, beta_hat_ensemble,
                                  s_norm, linf_outside_cone, write_series,
                                  SERIES_COLUMNS, far_root, perturbation,
@@ -368,7 +367,7 @@ class TestExteriorEnergy:
     def test_t0_ratio_is_one(self):
         grid = RadialGrid(60.0, 512)
         p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
-        rep = exterior_energy_ratio(p, ROOT0, 0.0)
+        rep = exterior_energy_ratio([p], ROOT0, 0.0)[0]
         assert rep.ratio == pytest.approx(1.0, rel=1e-12)
         assert rep.flagged == ""
 
@@ -377,19 +376,19 @@ class TestExteriorEnergy:
         p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
         p.psi_dot = bump_profile(grid.r, 0.3, 15.0, 5.0)
         with pytest.raises(DiagnosticsError, match="time-symmetric"):
-            exterior_energy_ratio(p, ROOT0, 5.0)
+            exterior_energy_ratio([p], ROOT0, 5.0)
 
     def test_even_slope_flagged(self):
         grid = RadialGrid(60.0, 512)
         p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
-        rep = exterior_energy_ratio(p, YM_ROOT1, 5.0)
+        rep = exterior_energy_ratio([p], YM_ROOT1, 5.0)[0]
         assert "outside hypothesis" in rep.flagged
         assert rep.ratio > 0.0
 
     def test_positive_retention(self):
         grid = RadialGrid(60.0, 1024)
         p = make_perturbation(grid, amplitude=0.1, center=15.0, width=5.0)
-        rep = exterior_energy_ratio(p, ROOT0, 10.0)
+        rep = exterior_energy_ratio([p], ROOT0, 10.0)[0]
         assert 0.0 < rep.ratio <= 1.0 + 1e-12
         assert rep.flagged == ""
 
@@ -401,7 +400,7 @@ class TestExteriorEnergy:
         for t in (0.0, 5.0):
             with pytest.raises(DiagnosticsError,
                                match="member 0: initial data is not finite"):
-                exterior_energy_ratio(p, ROOT0, t)
+                exterior_energy_ratio([p], ROOT0, t)
 
     def test_non_finite_run_names_the_member(self):
         # finite data under so steep a slope that the flow overflows: an
@@ -413,9 +412,9 @@ class TestExteriorEnergy:
             with pytest.raises(DiagnosticsError,
                                match="member 0: the linear flow is not "
                                      "finite"):
-                exterior_energy_ratio(p, steep, 5.0)
+                exterior_energy_ratio([p], steep, 5.0)
             with pytest.raises(DiagnosticsError, match="member 7: "):
-                _exterior_reports([p, p], steep, 5.0, first=7)
+                exterior_energy_ratio([p, p], steep, 5.0, first=7)
 
     @pytest.mark.parametrize("amplitude, norm", [(0.0, "0"), (1e306, "inf")])
     def test_degenerate_initial_norm_refused(self, amplitude, norm):
@@ -428,15 +427,15 @@ class TestExteriorEnergy:
             with pytest.raises(DiagnosticsError,
                                match=f"member 0: initial norm squared "
                                      f"{norm} is not in \\(0, inf\\)"):
-                exterior_energy_ratio(p, ROOT0, 5.0)
+                exterior_energy_ratio([p], ROOT0, 5.0)
 
     def test_ensemble_blocks_match_single_runs(self):
         # 11 members at n = 2048 make one full block and one short block
         grid = RadialGrid(128.0, 2048)
         _, ratios = beta_hat_ensemble(grid, ROOT0, 2.0, n_data=11)
         rng = XorShift64Star(20260819)
-        single = [exterior_energy_ratio(make_superposition(grid, rng),
-                                        ROOT0, 2.0).ratio
+        single = [exterior_energy_ratio([make_superposition(grid, rng)],
+                                        ROOT0, 2.0)[0].ratio
                   for _ in range(11)]
         assert ratios.tobytes() == np.array(single).tobytes()
 
@@ -454,8 +453,8 @@ def _serial_ratios(grid, ell, t, n_data, seed=20260819):
     """The ensemble's ratios run one member at a time in this process: the
     oracle of the worker pool."""
     rng = XorShift64Star(seed)
-    return np.array([exterior_energy_ratio(make_superposition(grid, rng),
-                                           ell, t).ratio
+    return np.array([exterior_energy_ratio([make_superposition(grid, rng)],
+                                           ell, t)[0].ratio
                      for _ in range(n_data)])
 
 
@@ -532,7 +531,7 @@ class TestEnsemblePool:
                                                              monkeypatch):
         # the block from member 8 fails 0.5 s after the one from member 16;
         # the workers inherit the patched module at the fork
-        real = diagnostics._exterior_reports
+        real = diagnostics.exterior_energy_ratio
 
         def reports(members, ell, t, first=0):
             if first == 8:
@@ -541,7 +540,7 @@ class TestEnsemblePool:
                 raise DiagnosticsError(f"block from member {first}")
             return real(members, ell, t, first)
 
-        monkeypatch.setattr(diagnostics, "_exterior_reports", reports)
+        monkeypatch.setattr(diagnostics, "exterior_energy_ratio", reports)
         with pytest.raises(DiagnosticsError, match="block from member 8"):
             beta_hat_ensemble(RadialGrid(128.0, 2048), ROOT0, 4.0,
                               n_data=40)

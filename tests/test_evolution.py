@@ -65,13 +65,27 @@ class TestGridAndField:
         grid = RadialGrid(10.0, 100)
         f = make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0)
         with pytest.raises(EvolutionError, match="CFL"):
-            step_linear(f, ROOT0, dt=0.9 * grid.dr)
+            step_linear(f, ROOT0, dt=0.9 * grid.dr, n_steps=1)
         with pytest.raises(EvolutionError, match="CFL"):
-            step_linear(f, ROOT0, dt=-0.9 * grid.dr)
+            step_linear(f, ROOT0, dt=-0.9 * grid.dr, n_steps=1)
         with pytest.raises(EvolutionError, match="must be positive"):
-            step_linear(f, ROOT0, dt=math.nan)
+            step_linear(f, ROOT0, dt=math.nan, n_steps=1)
         with pytest.raises(EvolutionError, match="CFL"):
             evolve(f, ROOT0, 1.0, cfl=0.7)
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_step_count_refusal(self, monkeypatch, n_steps):
+        # a count below 1 would return the data unchanged, as if stepped
+        grid = RadialGrid(10.0, 100)
+        f = make_perturbation(grid, amplitude=0.1, center=5.0, width=2.0)
+
+        def advance(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(evolution, "_advance", advance)
+        with pytest.raises(EvolutionError,
+                           match=f"n_steps = {n_steps} must be at least 1"):
+            step_linear(f, ROOT0, 0.5 * grid.dr, n_steps)
 
     @pytest.mark.parametrize("record_every", [0, -4])
     def test_record_every_refusal(self, record_every):
@@ -172,7 +186,7 @@ class TestConstantAndStationary:
         grid = RadialGrid(10.0, 256)
         f = RadialField(grid, np.zeros(grid.n_points),
                         np.zeros(grid.n_points), 0.0, 0.0, 0.0)
-        out = step_linear(f, ROOT0, 0.5 * grid.dr)
+        out = step_linear(f, ROOT0, 0.5 * grid.dr, n_steps=1)
         np.testing.assert_array_equal(out.psi, 0.0)
 
     def test_ground_state_stationary_quartering(self):
@@ -309,6 +323,25 @@ class TestOneKernel:
                 np.testing.assert_array_equal(psi_dot[:, k],
                                               traj.snapshots[i].psi_dot)
         assert n == 77
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["forward", "backward"])
+    def test_linear_steps_resume_from_a_returned_field(self, sign):
+        # the scattering stage steps from one matched frame's state to the
+        # next: five single-step runs give the bits of one five-step run,
+        # with the quiet tail found again at each start
+        grid = RadialGrid(20.0, 256)
+        f0 = make_perturbation(grid, amplitude=0.1, center=6.0, width=2.0)
+        f0.psi_dot = bump_profile(grid.r, 0.2, 6.0, 2.0)
+        dt = sign * 0.5 * grid.dr
+        once = step_linear(f0, ROOT_PI, dt, 5)
+        chained = f0
+        for _ in range(5):
+            chained = step_linear(chained, ROOT_PI, dt, 1)
+        assert once.psi.tobytes() == chained.psi.tobytes()
+        assert once.psi_dot.tobytes() == chained.psi_dot.tobytes()
+        assert once.time == pytest.approx(chained.time, abs=1e-12)
+        assert np.max(np.abs(once.psi - f0.psi)) > 1e-4
+        assert np.count_nonzero(once.psi) < grid.n_points
 
     @pytest.mark.parametrize("label", ["nonlinear", "linear"])
     def test_backward_run_is_the_flipped_forward_run(self, label):

@@ -20,10 +20,6 @@ PACKAGE = ROOT / "src" / "wavemap"
 
 # public routines that no command reaches, each with the reason it stays
 ALLOWED = {
-    "step_linear": "wrapped by perfbench/tracer.py; goes when the tracer "
-                   "drops it",
-    "exterior_energy_ratio": "wrapped by perfbench/tracer.py; goes when the "
-                             "tracer drops it",
     "beta_hat_ensemble": "c05's subject and the driver of the benchmark's "
                          "ensemble workload",
 }

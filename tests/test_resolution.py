@@ -618,6 +618,28 @@ class TestScatteringState:
         budget = 3.0 * state.defect
         assert all(e <= budget for e in state.match_errors)
 
+    def test_back_evolution_steps_through_step_linear(self, monkeypatch,
+                                                      linear_scatter_traj):
+        # one call per matched frame other than t*, each resuming from the
+        # last state, so the steps of each direction add up to its
+        # farthest frame's offset from t*
+        calls, real = [], resolution.step_linear
+
+        def spy(field, ell, dt, n_steps):
+            calls.append((dt, n_steps))
+            return real(field, ell, dt, n_steps)
+
+        monkeypatch.setattr(resolution, "step_linear", spy)
+        traj = linear_scatter_traj
+        state = build_scattering_state(traj)
+        assert len(calls) == len(state.match_times) - 1
+        for sign in (1, -1):
+            far = max(sign * (t - state.t_star) for t in state.match_times)
+            assert far > 0
+            assert sum(n for dt, n in calls if dt == sign * traj.dt) == \
+                round(far / traj.dt)
+        assert all(n >= 1 for _, n in calls)
+
     def test_construction_is_linear_in_the_data(self):
         # doubling the seed doubles the defect and every match error
         # exactly: all operations scale by powers of two bit-for-bit
