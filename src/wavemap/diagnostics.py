@@ -19,8 +19,11 @@ kinetic-average time selection and the exterior-energy lower-bound
 estimate beta_hat.
 """
 
+import itertools
 import math
 import os
+import pickle
+import signal
 import threading
 import warnings
 from dataclasses import dataclass
@@ -39,12 +42,12 @@ SELECTED_TIMES = 5       # select_times returns the last this many records
 # beta_hat_ensemble evolves its members in node-major stacks of about this
 # many entries (128 KB per float64 array), so the kernel's temporaries stay
 # in cache, and a worker process steps one stack at a time.  The ensemble
-# of RadialGrid(128, 2048) at root 0 to t = 20, 100 members, on 2 workers
-# took 0.99-1.04 s at 2^12, 0.67-0.78 s at 2^13, 0.60-0.66 s at 2^14,
-# 0.58-0.60 s at 2^15, 0.69-0.74 s at 2^16, 0.85-0.91 s at 2^17 and
-# 1.50-1.84 s at 2^18 (one stack, so one process), three runs each on
-# 2 vCPUs.  2^15 gained 3-9% on 2^14, inside this host's drift, for twice
-# the memory per stack
+# of RadialGrid(128, 2048) at root 0 to t = 20, 100 members, on 2 forked
+# workers took 0.40-0.66 s at 2^12, 0.32-0.37 s at 2^13, 0.30-0.41 s at
+# 2^14, 0.30-0.43 s at 2^15, 0.38-0.50 s at 2^16, 0.48-0.58 s at 2^17 and
+# 0.81-0.97 s at 2^18 (one stack, so one process), six runs each on
+# 2 vCPUs.  2^13 to 2^15 are level within this host's drift, and 2^14
+# takes half the memory per stack of 2^15
 BLOCK_NODES = 2 ** 14
 
 
@@ -188,8 +191,8 @@ def _inner_kinetic(snap, t_plus=None):
     r = snap.grid.r
     i1 = min(int(np.searchsorted(r, cut)) + 1, len(r))
     # the kinetic row is the same under every system
-    return _energies(snap, UNIT_ROOT, [(0.0, min(cut, r[-1]))], 0,
-                     i1)[0].kinetic
+    x, (kin, _, _) = _densities(snap, UNIT_ROOT, 0, i1)
+    return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
 
 
 def _window_average(times, values, t, s):
@@ -405,18 +408,12 @@ def exterior_energy_ratio(fields0, ell, t, first=0):
     return reports
 
 
-def _block_ratios(members, ell, t, first):
-    """The exterior ratios of one block of ensemble members, whose errors
-    name members counted from `first`."""
-    return [rep.ratio
-            for rep in exterior_energy_ratio(members, ell, t, first)]
-
-
 def _workers(n_tasks):
     """How many processes share n_tasks: one per CPU this process may run
     on, at most one per task.  One, so nothing is forked, where the
     platform cannot fork or another thread runs: a fork copies that
-    thread's locks but not the thread."""
+    thread's locks but not the thread.  Each worker holds one task's
+    memory at a time, and the process that forks them holds none."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
@@ -426,36 +423,63 @@ def _workers(n_tasks):
     return max(1, min(cpus, n_tasks))
 
 
-def _map_in_draw_order(fn, tasks, workers):
-    """[fn(*task) for task in tasks], each task drawn from the iterable
-    only when a worker has room for it.  With more than one worker the
-    calls run in that many forked processes, at most two tasks per worker
-    in flight, and the results are read in draw order, so the first
-    failing task's error is the one raised.  After it no task is drawn,
-    and those in flight finish before the pool is closed and joined, so
-    that no worker is left; terminating a fork pool can deadlock."""
-    if workers == 1:
-        return [fn(*task) for task in tasks]
-    import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    results, pending = [], []
+def _outcomes(blocks, ell, t, k, workers):
+    """[(first, ratios or error)] of the blocks b = k (mod workers), each
+    drawn after every earlier block, up to and including the first that
+    fails; errors name members counted from the block's first."""
+    outcomes = []
+    for first, members in itertools.islice(blocks, k, None, workers):
+        try:
+            outcomes.append((first, [rep.ratio for rep in
+                                     exterior_energy_ratio(members, ell, t,
+                                                           first)]))
+        except Exception as exc:
+            outcomes.append((first, exc))
+            break
+    return outcomes
+
+
+def _forked_outcomes(blocks, ell, t, workers):
+    """The `_outcomes` of each of `workers` forked processes, which iterate
+    their copies of the unstarted generator `blocks` and pickle their
+    outcomes back through one pipe each.  Every pipe is read to its end
+    and every worker waited for, killed first if this process fails; a
+    worker that exits with a nonzero code, which it does unless its whole
+    result was written, raises DiagnosticsError."""
+    pipes, pids = [], []
     try:
-        for task in tasks:
-            pending.append(pool.apply_async(fn, task))
-            if len(pending) == 2 * workers:
-                results.append(pending.pop(0).get())
-        results += [p.get() for p in pending]
-    except Exception:
-        for p in pending:
-            p.wait()
-        pool.close()
-        pool.join()
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        pipe.write(pickle.dumps(
+                            _outcomes(blocks, ell, t, k, workers)))
+                        pipe.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
-    # an interrupt skips this: a worker it killed leaves a task that never
-    # ends, and the pool's finalizer stops the workers at exit
-    pool.close()
-    pool.join()
-    return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    outcomes = []
+    for payload, code in zip(payloads, codes):
+        if code:
+            raise DiagnosticsError(f"an ensemble worker ended without a "
+                                   f"result (exit code {code})")
+        outcomes += pickle.loads(payload)
+    return outcomes
 
 
 def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
@@ -472,10 +496,11 @@ def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
     run in forked worker processes, one per CPU in the process's affinity
     mask and at most one per block; with one worker, or where the
     platform cannot fork or another thread runs, they run in this
-    process.  Each member is elementwise its own run, so the ratios are
-    bit for bit those of one process, and an error is the first failing
-    block's in draw order.  Memory stays proportional to two blocks per
-    worker.
+    process.  Worker k replays the seeded draws and steps the blocks
+    b = k (mod workers), so each worker holds one block at a time and
+    this process holds none.  Each member is elementwise its own run, so
+    the ratios are bit for bit those of one process, and an error is the
+    first failing block's in draw order.
     """
     if not n_data >= 1:
         raise DiagnosticsError(f"n_data = {n_data} must be at least 1")
@@ -484,11 +509,17 @@ def beta_hat_ensemble(grid, ell, t, n_data=100, seed=20260819):
     rng = XorShift64Star(seed)
     block = max(1, BLOCK_NODES // grid.n_points)
     firsts = range(0, n_data, block)
-    tasks = (([make_superposition(grid, rng)
-               for _ in range(min(block, n_data - first))], ell, t, first)
-             for first in firsts)
-    ratios = np.concatenate(_map_in_draw_order(_block_ratios, tasks,
-                                               _workers(len(firsts))))
+    blocks = ((first, [make_superposition(grid, rng)
+                       for _ in range(min(block, n_data - first))])
+              for first in firsts)
+    workers = _workers(len(firsts))
+    outcomes = _outcomes(blocks, ell, t, 0, 1) if workers == 1 else \
+        _forked_outcomes(blocks, ell, t, workers)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, result in outcomes:
+        if isinstance(result, Exception):
+            raise result
+    ratios = np.concatenate([result for _, result in outcomes])
     return float(np.min(ratios)), ratios
 
 

@@ -8,10 +8,12 @@ deterministic.
 
 import csv
 import math
-import multiprocessing
-import multiprocessing.pool
 import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -279,6 +281,20 @@ class TestSelectTimes:
             assert all(v_sel <= e * (1 + 1e-12) for e in earlier
                        if e is not None)
 
+    def test_one_prefix_sum_per_frame(self, monkeypatch):
+        # the inner kinetic energy integrates its kinetic row alone: one
+        # prefix sum per frame whose cut is positive, every frame but t = 0
+        traj = _burst_trajectory()
+        real, calls = diagnostics._prefix, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "_prefix", counted)
+        select_times(traj)
+        assert len(calls) == len(traj.snapshots) - 1
+
     def test_amplitude_rescale_keeps_times(self):
         # doubling psi_t multiplies every window value by exactly 4, so
         # the record structure (and hence the times) is bit-identical
@@ -458,9 +474,42 @@ def _serial_ratios(grid, ell, t, n_data, seed=20260819):
                      for _ in range(n_data)])
 
 
+def _no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+DEAD_WORKER = textwrap.dedent("""
+    import os
+    import wavemap.diagnostics as diagnostics
+    from wavemap.evolution import RadialGrid
+    from wavemap.geometry import SPHERE, find_vanishing_set
+    os.sched_getaffinity = lambda pid: {0, 1, 2}
+    real = diagnostics.exterior_energy_ratio
+
+    def reports(members, ell, t, first=0):
+        if first == 8:
+            os._exit(3)
+        return real(members, ell, t, first)
+
+    diagnostics.exterior_energy_ratio = reports
+    root = find_vanishing_set(SPHERE).root_at(0.0)
+    try:
+        diagnostics.beta_hat_ensemble(RadialGrid(128.0, 2048), root, 4.0,
+                                      n_data=40)
+    except diagnostics.DiagnosticsError as exc:
+        print("raised:", exc)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left")
+""")
+
+
 class TestEnsemblePool:
-    """beta_hat_ensemble steps its blocks in forked workers.  The pool
-    tests give the process three CPUs, so the pool runs on any host, and
+    """beta_hat_ensemble steps its blocks in forked workers.  The worker
+    tests give the process three CPUs, so the workers run on any host, and
     count the processes forked."""
 
     @pytest.fixture
@@ -494,9 +543,9 @@ class TestEnsemblePool:
         # one block runs in this process and forks nothing
         n_blocks = -(-n_data // block)
         assert len(forks) == (min(3, n_blocks) if n_blocks > 1 else 0)
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
-    def test_a_failing_run_raises_its_error_and_joins_the_workers(self,
+    def test_a_failing_run_raises_its_error_and_reaps_the_workers(self,
                                                                   forks):
         steep = Root(0.0, 1e154, math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -506,26 +555,28 @@ class TestEnsemblePool:
                 beta_hat_ensemble(RadialGrid(128.0, 2048), steep, 4.0,
                                   n_data=30)
         assert len(forks) == 3
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
-    def test_the_pool_is_joined_and_never_terminated(self, forks,
-                                                     monkeypatch):
-        def terminate(pool):
-            raise AssertionError("Pool.terminate called")
+    def test_every_forked_worker_is_waited_for(self, forks, monkeypatch):
+        waitpid, waited = os.waitpid, []
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
-                            terminate)
+        def counted(pid, options):
+            waited.append(pid)
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", counted)
         grid = RadialGrid(128.0, 2048)
         ratios = beta_hat_ensemble(grid, ROOT0, 4.0, n_data=30)[1]
         assert ratios.tobytes() == _serial_ratios(grid, ROOT0, 4.0,
                                                   30).tobytes()
-        assert multiprocessing.active_children() == []
+        assert waited == forks
         steep = Root(0.0, 1e154, math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DiagnosticsError, match="member 0"):
                 beta_hat_ensemble(grid, steep, 4.0, n_data=30)
         assert len(forks) == 6
-        assert multiprocessing.active_children() == []
+        assert waited == forks
+        _no_child_left()
 
     def test_the_first_failing_block_in_draw_order_is_raised(self, forks,
                                                              monkeypatch):
@@ -545,7 +596,45 @@ class TestEnsemblePool:
             beta_hat_ensemble(RadialGrid(128.0, 2048), ROOT0, 4.0,
                               n_data=40)
         assert len(forks) == 3
-        assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    def test_a_dead_worker_raises_an_error(self):
+        # the worker stepping the block from member 8 exits mid-block; a
+        # fresh interpreter in its own session runs the call, so a hang is
+        # cut at the timeout with every process it started
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(diagnostics.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", DEAD_WORKER],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("beta_hat_ensemble hung on a dead worker")
+        assert proc.returncode == 0, err
+        assert out.splitlines() == [
+            "raised: an ensemble worker ended without a result (exit "
+            "code 3)", "no child left"]
+
+    def test_a_failed_fork_propagates_and_the_first_worker_is_reaped(
+            self, forks, monkeypatch):
+        counted = os.fork
+
+        def second_fails():
+            if forks:
+                raise OSError("fork refused")
+            return counted()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with pytest.raises(OSError, match="fork refused"):
+            beta_hat_ensemble(RadialGrid(128.0, 2048), ROOT0, 4.0,
+                              n_data=30)
+        assert len(forks) == 1
+        _no_child_left()
 
     @pytest.mark.parametrize("n_data, t, message", [
         (0, 2.0, "n_data = 0 must be at least 1"),
