@@ -228,11 +228,12 @@ def load_scenario(path, out_override=None):
     if cp.has_option("time", "dt"):
         if cp.has_option("time", "cfl"):
             raise CliError(f"{path}: [time] gives both dt and cfl; give one")
-        cfl = _getfloat(cp, "time", "dt", path) / grid.dr
+        key, cfl = "dt", _getfloat(cp, "time", "dt", path) / grid.dr
     else:
-        cfl = _getfloat(cp, "time", "cfl", path, default=0.5)
+        key, cfl = "cfl", _getfloat(cp, "time", "cfl", path, default=0.5)
     if not cfl > 0:
-        raise CliError(f"{path}: [time] dt must be positive")
+        raise CliError(f"{path}: [time] {key} = {cp.get('time', key)} must "
+                       f"be positive")
     try:
         _check_cfl(grid, cfl * grid.dr)
     except EvolutionError as e:
@@ -438,6 +439,17 @@ def load_trajectory(traj_dir):
     if dt < 0 or (dt == 0 and n_frames > 1):
         raise CliError(f"{manifest}: malformed manifest: [trajectory] "
                        f"dt = {dt:g} must be positive")
+    # a run's step is cfl dr, within the CFL bound of its grid
+    if dt > 0:
+        try:
+            _check_cfl(grid, dt)
+        except EvolutionError as e:
+            raise CliError(f"{manifest}: malformed manifest: [trajectory] "
+                           f"{e}")
+        if not abs(cfl - dt / grid.dr) <= 1e-12 * dt / grid.dr:
+            raise CliError(f"{manifest}: malformed manifest: [trajectory] "
+                           f"cfl = {cfl:g} is not dt / dr = "
+                           f"{dt / grid.dr:g}")
     metric = read_metric(cp, manifest)
     snaps = read_snapshot(frames_path, grid, ell0, ell_inf, times)
     return Trajectory(snapshots=snaps, dt=dt, scheme=scheme, cfl=cfl,

@@ -10,7 +10,9 @@ Conventions (all integrals carry the r dr measure unless stated):
 Quadrature is trapezoid on the solver nodes with a ghost node at r = 0
 carrying zero density (admissible fields have vanishing density there).
 Interval energies are evaluated from one prefix array per field, so
-adjacent intervals add up exactly at node-aligned cuts.
+adjacent intervals add up exactly at node-aligned cuts.  That prefix sum,
+evolution's `_prefix`, read between two points by `_interval_integral`,
+is the one trapezoid rule: integrals over frame times use it too.
 
 The linearized flow at a root conserves Hl x L^2, splits it equally
 between the kinetic and Hl parts as t grows (equipartition), and pushes
@@ -195,42 +197,19 @@ def _inner_kinetic(snap, t_plus=None):
     return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
 
 
-def _window_average(times, values, t, s):
-    """(1/s) int_{t-s}^{t+s} of the frame values, trapezoid-interpolated;
-    a window below the frame spacing reads the nearest frame's value as a
-    rectangle."""
-    a, b = t - s, t + s
-    if a < times[0] - 1e-12 or b > times[-1] + 1e-12:
-        raise DiagnosticsError(
-            f"window [{a:.6g}, {b:.6g}] exceeds the stored trajectory "
-            f"[{times[0]:.6g}, {times[-1]:.6g}]")
-    inside = (times >= a) & (times <= b)
-    if np.count_nonzero(inside) < 2:
-        # degenerate window below the frame spacing: single-frame
-        # rectangle rule, (1/s) * 2s * K(nearest)
-        k = int(np.argmin(np.abs(times - t)))
-        return 2.0 * float(values[k])
-    ts = times[inside]
-    vs = values[inside]
-    if ts[0] > a:
-        ts = np.concatenate([[a], ts])
-        vs = np.concatenate([[np.interp(a, times, values)], vs])
-    if ts[-1] < b:
-        ts = np.concatenate([ts, [b]])
-        vs = np.concatenate([vs, [np.interp(b, times, values)]])
-    return float(np.trapezoid(vs, ts)) / s
-
-
 def select_times(traj):
     """Times where the kinetic average is smallest over dyadic windows.
 
     For each frame t the criterion is the sup over dyadic s in
     {s_max, s_max/2, ...} down to 4 dt of the windowed kinetic average,
-    with s_max = t/2 (global) or T+ - t (blow-up), shrunk so the window
-    stays inside the stored frames.  The selection keeps the running
-    minima along increasing time (later frames win ties), so times
-    increase, values are nonincreasing, and burst windows are avoided;
-    the last SELECTED_TIMES records are returned.
+    with s_max = t/2 (global) or min(t/2, T+ - t) (blow-up), shrunk so
+    the window stays inside the stored frames.  Every window, one
+    narrower than the frame spacing included, integrates the frames'
+    piecewise-linear interpolant through one prefix sum over the frame
+    times.  The selection keeps the running minima along increasing time
+    (later frames win ties), so times increase, values are
+    nonincreasing, and burst windows are avoided; the last
+    SELECTED_TIMES records are returned.
 
     The candidates are the asymptotic window: every frame after a blow-up,
     else those at t >= 4 x the first frame's support radius, before which
@@ -248,31 +227,27 @@ def select_times(traj):
             f"pre-asymptotic: latest stored time {times[-1]:.6g} is below "
             f"4 x the data support radius {t_min / 4.0:.6g}")
     values = np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
+    prefix = _prefix(times, values)
     floor = 4.0 * traj.dt
-    candidates = []
+    records = []
+    running = math.inf
     for t in times[1:]:
         if t < t_min:
             continue
-        s_max = 0.5 * t if t_plus is None else min(0.5 * t, t_plus - t)
-        s_max = min(s_max, t - times[0], times[-1] - t)
-        s = s_max
-        sup_value = None
+        s = 0.5 * t if t_plus is None else min(0.5 * t, t_plus - t)
+        s = min(s, t - times[0], times[-1] - t)
+        averages = []
         while s >= floor:
-            v = _window_average(times, values, t, s)
-            sup_value = v if sup_value is None else max(sup_value, v)
+            averages.append(_interval_integral(times, values, prefix,
+                                               t - s, t + s) / s)
             s *= 0.5
-        if sup_value is not None:
-            candidates.append((float(t), sup_value))
-    if not candidates:
+        if averages and max(averages) <= running:
+            running = max(averages)
+            records.append((float(t), running))
+    if not records:
         raise DiagnosticsError(
             "no frame admits a dyadic window above 4 dt; run longer "
             "or record more often")
-    records = []
-    running = math.inf
-    for t, v in candidates:
-        if v <= running:
-            records.append((t, v))
-            running = v
     chosen = records[-SELECTED_TIMES:]
     return TimeSelection(times=[t for t, _ in chosen],
                          values=[v for _, v in chosen])
@@ -538,19 +513,16 @@ def s_norm(traj):
             f"exponent undefined: g'(l) = {ell.slope} not in {{1, 2}} "
             "after the sign convention")
     p = 2.0 + 3.0 / k
-    frame_vals = []
-    frame_ts = []
-    for snap in traj.snapshots:
-        r = snap.grid.r
-        dens = np.abs(snap.psi - snap.ell_inf) ** p / r ** 2
+    if len(traj.snapshots) < 2:
+        raise DiagnosticsError("need at least two frames")
+    frame_vals = np.empty(len(traj.snapshots))
+    for i, snap in enumerate(traj.snapshots):
+        dens = np.abs(snap.psi - snap.ell_inf) ** p / snap.grid.r ** 2
         # the integrand vanishes at the origin for fields decaying to the
         # root there; the ghost node closes the trapezoid
-        d = np.concatenate([[0.0], dens])
-        frame_vals.append(float(np.trapezoid(d, snap.grid.r_ghost)))
-        frame_ts.append(snap.time)
-    if len(frame_ts) < 2:
-        raise DiagnosticsError("need at least two frames")
-    return float(np.trapezoid(frame_vals, frame_ts)) ** (1.0 / p)
+        frame_vals[i] = _prefix(snap.grid.r_ghost,
+                                np.concatenate([[0.0], dens]))[-1]
+    return float(_prefix(traj.times, frame_vals)[-1]) ** (1.0 / p)
 
 
 def _linf_outside(snap, lam):

@@ -52,14 +52,6 @@ SETTLE_GRID = 2.0 ** -30    # log-scale grid the scale fit restarts on
 SETTLE_FRAMES = 5           # last cone-trace frames that must settle on ell*
 MARGIN_NODES = 8            # the regular part's fill keeps rho_c >= 8 dr
 
-# closed-form H contributions of the affine extension ramps, for a unit
-# boundary value: gradient term on either ramp, zeroth-order terms on
-# [r1/2, r1] and [r2, 2r2]; their totals stay below the 9 sup^2 of the
-# proof bound (3 sup), which is what makes the extension inequality safe
-EXTENSION_RAMP_GRADIENT = 1.5
-EXTENSION_RAMP_ZEROTH_INNER = math.log(2.0) - 0.5
-EXTENSION_RAMP_ZEROTH_OUTER = 4.0 * math.log(2.0) - 2.5
-
 
 class ResolutionError(ValueError):
     pass

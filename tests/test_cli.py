@@ -220,6 +220,9 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"time": {"dt": "0.2"}}, "CFL violation"),     # 0.5 dr = 0.039
+        ({"time": {"dt": "0"}}, "[time] dt = 0 must be positive"),
+        ({"time": {"cfl": "0"}}, "[time] cfl = 0 must be positive"),
+        ({"time": {"cfl": "-1"}}, "[time] cfl = -1 must be positive"),
         ({"time": {"t_final": "-1"}}, "t_final = -1 must be positive"),
         ({"time": {"record_every": "0"}}, "record_every = 0 must be"),
         ({"time": {"boundary": "periodic"}}, "unknown boundary"),
@@ -320,7 +323,8 @@ class TestScenarioValidation:
         # a cfl beside dt would be read by no run
         ({"time": {"dt": "0.02", "cfl": "0.5"}},
          "[time] gives both dt and cfl; give one"),
-    ], ids=["cfl", "t_final", "record_every", "boundary", "amplitude",
+    ], ids=["cfl", "dt_zero", "cfl_zero", "cfl_negative", "t_final",
+            "record_every", "boundary", "amplitude",
             "expression", "chain", "r_max_nan", "r_max_negative",
             "t_final_inf", "ell_nan", "amplitude_nan", "chain_scale_nan",
             "bump_support", "window_inf", "unread_key", "n_points_fraction",
@@ -987,6 +991,19 @@ class TestAnalyzeResolve:
                                             text)),
          "manifest.cfg",
          "malformed manifest: could not convert string to float: 'half'"),
+        # a step or CFL number that the run could not have taken
+        (_manifest_edit(lambda text: re.sub(
+            r"(?m)^dt = (.*)$", lambda m: f"dt = {4 * float(m[1])!r}", text)),
+         "manifest.cfg", "malformed manifest: [trajectory] CFL violation: "
+                         "dt = 0.15625 exceeds 0.5 dr"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^cfl = .*$", "cfl = 0.9",
+                                            text)),
+         "manifest.cfg", "malformed manifest: [trajectory] cfl = 0.9 is not "
+                         "dt / dr = 0.5"),
+        (_manifest_edit(lambda text: re.sub(r"(?m)^cfl = .*$", "cfl = -0.5",
+                                            text)),
+         "manifest.cfg", "malformed manifest: [trajectory] cfl = -0.5 is "
+                         "not dt / dr = 0.5"),
         *((_manifest_edit(lambda text, key=key: re.sub(
             rf"(?m)^{key} = .*\n", "", text)),
            "manifest.cfg",
@@ -1023,6 +1040,7 @@ class TestAnalyzeResolve:
         (_no_frames, "manifest.cfg",
          "malformed manifest: [trajectory] frames = 0 must be at least 1"),
     ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
+            "dt-past-cfl-bound", "cfl-not-dt-over-dr", "cfl-negative",
             "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
             "times-count", "r_max-nan", "ell0-nan", "times-inf",
             "t_plus-nan", "t_plus-inf", "last_valid_time-nan",

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import (bump_profile, make_bump, make_perturbation,
                           make_superposition)
 from wavemap.diagnostics import (BLOCK_NODES, DiagnosticsError,
-                                 _inner_kinetic, _window_average, energy,
+                                 _inner_kinetic, _interval_integral, energy,
                                  h_norms, select_times, lightcone_concentration,
                                  exterior_energy_ratio, beta_hat_ensemble,
                                  s_norm, linf_outside_cone, write_series,
@@ -170,12 +171,17 @@ def _kinetic_values(traj):
 
 
 def kinetic_average(traj, t, s):
-    """(1/s) int_{t-s}^{t+s} (kinetic energy inside the inner cone) dt'.
+    """(1/s) int_{t-s}^{t+s} (kinetic energy inside the inner cone) dt',
+    read as `select_times` reads it: the frames' piecewise-linear
+    interpolant, integrated through one prefix sum over the frame times.
 
     The inner radius is t'/2 on a global trajectory and T+ - t' on one
     with a blow-up record; `select_times` takes its sup over dyadic s.
     """
-    return _window_average(traj.times, _kinetic_values(traj), t, s)
+    times, values = traj.times, _kinetic_values(traj)
+    return _interval_integral(times, values,
+                              diagnostics._prefix(times, values),
+                              t - s, t + s) / s
 
 
 class TestKineticAverage:
@@ -185,22 +191,27 @@ class TestKineticAverage:
         traj = _static_traj(q, list(np.arange(0.0, 22.0, 2.0)))
         assert kinetic_average(traj, 10.0, 4.0) == 0.0
 
-    def test_window_exceeding_trajectory(self):
-        grid = RadialGrid(40.0, 512)
-        q = rescale_Q(build_harmonic_map(SPHERE, 0.0, +1), 1.0, grid)
-        traj = _static_traj(q, list(np.arange(0.0, 22.0, 2.0)))
-        with pytest.raises(DiagnosticsError, match="exceeds"):
-            kinetic_average(traj, 18.0, 6.0)
-
-    def test_single_frame_rectangle_rule(self):
+    @pytest.mark.parametrize("t, s", [(20.0, 1.0), (22.0, 0.5)],
+                             ids=["around-a-frame", "between-frames"])
+    def test_narrow_window_reads_the_linear_interpolant(self, t, s):
+        # s below the 4.0 frame spacing: the window integrates the linear
+        # interpolant of the frame values, not the nearest frame's value
         grid = RadialGrid(40.0, 256)
         f = make_perturbation(grid, amplitude=0.2, center=10.0, width=5.0)
         f.psi_dot = bump_profile(grid.r, 1.0, 10.0, 5.0)
         traj = _static_traj(f, list(np.arange(0.0, 44.0, 4.0)),
                             system=ROOT0)
-        # s below the 4.0 frame spacing: nearest-frame rectangle
-        v_small = kinetic_average(traj, 20.0, 1.0)
-        assert v_small > 0.0
+        times, values = traj.times, _kinetic_values(traj)
+        # the inner cone grows with t, so the frames at 16, 20 and 24
+        # differ
+        assert np.all(np.diff(values[4:7]) > 0)
+        ends = [t - s, t, t + s]
+        v = np.interp(ends, times, values)
+        exact = 0.5 * ((v[0] + v[1]) * s + (v[1] + v[2]) * s) / s
+        assert kinetic_average(traj, t, s) == pytest.approx(exact,
+                                                           rel=1e-13)
+        nearest = values[np.argmin(np.abs(times - t))]
+        assert kinetic_average(traj, t, s) != pytest.approx(2.0 * nearest)
 
 
 def _burst_trajectory():
@@ -213,6 +224,22 @@ def _burst_trajectory():
         frames.append(RadialField(grid, np.zeros_like(prof), c * prof,
                                   0.0, 0.0, float(t)))
     return Trajectory(snapshots=frames, dt=0.5, scheme="synthetic",
+                      cfl=0.5, system=ROOT0, blowup=None)
+
+
+def _concave_trajectory():
+    """Frames at t = 0, 2, ..., 100 whose velocity squared falls as the
+    concave 1 - (t/120)^2, at a step of 0.25: the windows halve down to
+    half-width 1, below the frame spacing, and the narrowest, which holds
+    one frame, gives each frame's sup.  The profile peaks at r = 0.2, so
+    the inner cone holds nearly all of it from the first frame on."""
+    grid = RadialGrid(20.0, 1024)
+    prof = 5.0 * grid.r * np.exp(-5.0 * grid.r)
+    frames = [RadialField(grid, np.zeros_like(prof),
+                          math.sqrt(1.0 - (t / 120.0) ** 2) * prof,
+                          0.0, 0.0, float(t))
+              for t in np.arange(0.0, 102.0, 2.0)]
+    return Trajectory(snapshots=frames, dt=0.25, scheme="synthetic",
                       cfl=0.5, system=ROOT0, blowup=None)
 
 
@@ -256,20 +283,30 @@ class TestSelectTimes:
         assert all(v2 <= v1 for v1, v2 in zip(sel.values, sel.values[1:]))
         assert all(not (40.0 <= t <= 62.0) for t in sel.times)
 
-    def test_records_beat_all_earlier_frames(self):
+    @pytest.mark.parametrize("make", [_burst_trajectory,
+                                      _concave_trajectory],
+                             ids=["burst", "narrow-window-sup"])
+    def test_records_beat_all_earlier_frames(self, make):
         # brute-force oracle: each selected value is <= the criterion of
         # every earlier frame (that is what a running record means)
-        traj = _burst_trajectory()
+        traj = make()
         sel = select_times(traj)
         times = traj.times
         values = _kinetic_values(traj)
         floor = 4.0 * traj.dt
 
+        def average(t, s):
+            # np.trapezoid over the frames strictly inside [t - s, t + s]
+            # and the interpolated values at its ends
+            a, b = t - s, t + s
+            ts = np.concatenate([[a], times[(times > a) & (times < b)], [b]])
+            return np.trapezoid(np.interp(ts, times, values), ts) / s
+
         def criterion(t):
             s = min(0.5 * t, t - times[0], times[-1] - t)
             best = None
             while s >= floor:
-                v = _window_average(times, values, t, s)
+                v = average(t, s)
                 best = v if best is None else max(best, v)
                 s *= 0.5
             return best
@@ -283,17 +320,34 @@ class TestSelectTimes:
 
     def test_one_prefix_sum_per_frame(self, monkeypatch):
         # the inner kinetic energy integrates its kinetic row alone: one
-        # prefix sum per frame whose cut is positive, every frame but t = 0
+        # radial prefix sum per frame whose cut is positive, every frame
+        # but t = 0; the windows read one more, over the frame times
         traj = _burst_trajectory()
         real, calls = diagnostics._prefix, []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(x, *args, **kwargs):
+            calls.append(x)
+            return real(x, *args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "_prefix", counted)
         select_times(traj)
-        assert len(calls) == len(traj.snapshots) - 1
+        over_times = [x for x in calls if np.array_equal(x, traj.times)]
+        assert len(over_times) == 1
+        assert len(calls) - len(over_times) == len(traj.snapshots) - 1
+
+    @pytest.mark.parametrize("t0", [0.0, 37.3, 1000.1, 12345.678])
+    def test_windows_stay_inside_the_frames(self, t0):
+        # the widest window reaches the first or last frame time exactly,
+        # so no window is clipped, and clipping would warn
+        burst = _burst_trajectory()
+        frames = [RadialField(f.grid, f.psi, f.psi_dot, f.ell0, f.ell_inf,
+                              f.time + t0) for f in burst.snapshots]
+        traj = Trajectory(snapshots=frames, dt=burst.dt, scheme="synthetic",
+                          cfl=burst.cfl, system=ROOT0, blowup=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = select_times(traj)
+        assert sel.times and set(sel.times) <= set(traj.times)
 
     def test_amplitude_rescale_keeps_times(self):
         # doubling psi_t multiplies every window value by exactly 4, so

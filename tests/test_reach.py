@@ -1,19 +1,23 @@
-"""Every public routine has a caller in the package, and every defaulted
-parameter a call that passes it.
+"""Every public routine and constant has a reader in the package, and
+every defaulted parameter a call that passes it.
 
-A public top-level function or class of a package module must be named
-by package code outside its own definition, so that some command can
-reach it.  A re-export in `__init__` does not count, and neither does a
-test or the benchmark: perfbench/tracer.py wraps functions for its traced
-run but calls none of them.  Likewise a parameter with a default must be
-passed, by keyword or by position, at some package call outside its
-function's definition; one that no call passes has one value in use and
-is a constant.  The package modules are parsed, not imported or
+A public top-level function or class of a package module, and a public
+UPPER_CASE constant that a top-level assignment binds, must be named by
+package code outside its own definition, so that some command can reach
+it: a constant that only tests read is test data, and lives in the
+tests.  A re-export in `__init__` does not count, and neither does a
+test or the benchmark: perfbench/tracer.py wraps functions for its
+traced run but calls none of them.  Likewise a parameter with a default
+must be passed, by keyword or by position, at some package call outside
+its function's definition; one that no call passes has one value in use
+and is a constant.  The package modules are parsed, not imported or
 executed.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wavemap"
@@ -41,9 +45,25 @@ def _used_names(node, skip=None):
     return found
 
 
+def _public_names(node):
+    """The public names a top-level statement defines: a function's or
+    class's, or the UPPER_CASE names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target]
+        names = [n.id for target in targets for n in ast.walk(target)
+                 if isinstance(n, ast.Name) and n.id.isupper()]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def _unreached():
-    """Public top-level functions and classes of the package modules that
-    no package code outside their definition names."""
+    """Public top-level functions, classes and UPPER_CASE constants of the
+    package modules that no package code outside their definition
+    names."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.stem != "__init__"}
@@ -53,12 +73,25 @@ def _unreached():
         elsewhere = set().union(*(names for m, names in used.items()
                                   if m != module))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not node.name.startswith("_") and \
-                    node.name not in elsewhere and \
-                    node.name not in _used_names(tree, skip=node):
-                unreached.add(node.name)
+            for name in _public_names(node):
+                if name not in elsewhere and \
+                        name not in _used_names(tree, skip=node):
+                    unreached.add(name)
     return unreached
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def f():\n    pass\n", ["f"]),
+    ("class C:\n    pass\n", ["C"]),
+    ("LIMIT = 3\n", ["LIMIT"]),
+    ("LIMIT: int = 3\n", ["LIMIT"]),
+    ("LO, HI = 1, 2\n", ["LO", "HI"]),
+    ("_LIMIT = 3\n", []),
+    ("table = {}\n", []),
+], ids=["function", "class", "constant", "annotated", "tuple", "private",
+        "lower-case"])
+def test_public_names_include_constants(source, names):
+    assert _public_names(ast.parse(source).body[0]) == names
 
 
 def test_every_public_routine_is_reached():
