@@ -193,7 +193,7 @@ def _inner_kinetic(snap, t_plus=None):
     r = snap.grid.r
     i1 = min(int(np.searchsorted(r, cut)) + 1, len(r))
     # the kinetic row is the same under every system
-    x, (kin, _, _) = _densities(snap, UNIT_ROOT, 0, i1)
+    x, (kin,) = _densities(snap, UNIT_ROOT, 0, i1, rows=(0,))
     return _interval_integral(x, kin, _prefix(x, kin), 0.0, min(cut, r[-1]))
 
 
@@ -206,9 +206,12 @@ def select_times(traj):
     the window stays inside the stored frames.  Every window, one
     narrower than the frame spacing included, integrates the frames'
     piecewise-linear interpolant through one prefix sum over the frame
-    times.  The selection keeps the running minima along increasing time
-    (later frames win ties), so times increase, values are
-    nonincreasing, and burst windows are avoided; the last
+    times.  That sum starts at the frame at or before the earliest time a
+    candidate's window reaches, t_min/2 on a global run (s <= t/2), so a
+    late window carries no rounding of the frames before it, and those
+    frames are not read.  The selection keeps the running minima along
+    increasing time (later frames win ties), so times increase, values
+    are nonincreasing, and burst windows are avoided; the last
     SELECTED_TIMES records are returned.
 
     The candidates are the asymptotic window: every frame after a blow-up,
@@ -226,7 +229,10 @@ def select_times(traj):
         raise DiagnosticsError(
             f"pre-asymptotic: latest stored time {times[-1]:.6g} is below "
             f"4 x the data support radius {t_min / 4.0:.6g}")
-    values = np.array([_inner_kinetic(sn, t_plus) for sn in traj.snapshots])
+    k0 = max(int(np.searchsorted(times, 0.5 * t_min, "right")) - 1, 0)
+    times = times[k0:]
+    values = np.array([_inner_kinetic(traj.snapshots[k], t_plus)
+                       for k in range(k0, len(traj.snapshots))])
     prefix = _prefix(times, values)
     floor = 4.0 * traj.dt
     records = []
@@ -260,8 +266,16 @@ def support_radius(field):
     scale = float(np.max(dev))
     if scale == 0.0:
         return 0.0
-    idx = np.flatnonzero(dev > 1e-12 * scale)
-    return float(field.grid.r[idx[-1]]) if len(idx) else 0.0
+    i = _outermost(dev > 1e-12 * scale)
+    return float(field.grid.r[i]) if i >= 0 else 0.0
+
+
+def _outermost(mask):
+    """Index of the last True of a boolean array, or -1 where none is,
+    from argmax over the reversed mask: no index array is built."""
+    if not mask.any():
+        return -1
+    return len(mask) - 1 - int(np.argmax(mask[::-1]))
 
 
 @dataclass

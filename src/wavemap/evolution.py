@@ -91,13 +91,15 @@ class RadialGrid:
 
     @cached_property
     def r(self):
-        return np.arange(1, self.n_points + 1) * self.dr
+        """The nodes: a view of r_ghost past its ghost, so a grid holds
+        its radii once."""
+        return self.r_ghost[1:]
 
     @cached_property
     def r_ghost(self):
-        """0 followed by r: the radii of the energy densities, whose
-        quadrature closes at the origin ghost."""
-        return np.concatenate([[0.0], self.r])
+        """0 followed by the nodes: the radii of the energy densities,
+        whose quadrature closes at the origin ghost."""
+        return np.arange(self.n_points + 1) * self.dr
 
 
 @dataclass
@@ -415,30 +417,35 @@ def _zeroth_weight(system, psi, out=None):
     raise EvolutionError(f"system must be a Metric or Root, got {system!r}")
 
 
-def _densities(field, system, i0=0, i1=None):
-    """(x, dens): the kinetic, gradient and zeroth-order energy densities,
-    each already times r, of the nodes i0 <= i < i1 (default: every node)
-    as the rows of one (3, len(x)) block, at the radii x.
+def _densities(field, system, i0=0, i1=None, rows=(0, 1, 2)):
+    """(x, dens): the kinetic (row 0), gradient (1) and zeroth-order (2)
+    energy densities, each already times r, of the nodes i0 <= i < i1
+    (default: every node) as the rows of one (len(rows), len(x)) block, at
+    the radii x.  `rows` names the rows built, in the order given; a row
+    left out is not computed.
 
     A range from the origin (i0 = 0) leads with the ghost r = 0, where
     every density is 0; a range further out has no ghost.  d_r psi is
     `RadialField.gradient` on the range, so each node's densities have the
-    bits the full pass gives them."""
+    bits the full pass gives them, whichever rows are built."""
     grid = field.grid
     i1 = grid.n_points if i1 is None else i1
     ghost = int(i0 == 0)
     x = grid.r_ghost[i0 + 1 - ghost:i1 + 1]
     r = x[ghost:]
-    dens = np.empty((3, len(x)))
+    dens = np.empty((len(rows), len(x)))
     dens[:, :ghost] = 0.0
-    kin, grad, pot = dens[:, ghost:]
-    np.square(field.psi_dot[i0:i1], out=kin)
-    kin *= r
-    field.gradient(i0, i1, out=grad)
-    np.square(grad, out=grad)
-    grad *= r
-    _zeroth_weight(system, field.psi[i0:i1], out=pot)
-    pot /= r
+    for row, out in zip(rows, dens[:, ghost:]):
+        if row == 0:
+            np.square(field.psi_dot[i0:i1], out=out)
+            out *= r
+        elif row == 1:
+            field.gradient(i0, i1, out=out)
+            np.square(out, out=out)
+            out *= r
+        else:
+            _zeroth_weight(system, field.psi[i0:i1], out=out)
+            out /= r
     return x, dens
 
 

@@ -23,7 +23,8 @@ previous bubble's flat zone; the fit and its misfit read the fit window
 [w_lo, w_hi], the misfit through the densities of the window's nodes and
 one node either side (`diagnostics.window_misfit`), and every step of the
 fit evaluates the connector on the whole window.  Only the energy ledger
-and the subtraction of a fitted bubble read every node.
+and the subtraction of a fitted bubble read every node, and the scan and
+the fit hold no full-grid array past its last read.
 
 All routines are pure functions over immutable inputs; reports for
 different fields can be computed in parallel with no shared state.
@@ -42,7 +43,7 @@ from .evolution import (RadialField, evolve, min_bubble_energy, step_linear,
                         _step_plan)
 from .diagnostics import (UNIT_ROOT, TimeSelection, energy, far_root,
                           h_norms, perturbation, select_times, window_misfit,
-                          window_nodes)
+                          window_nodes, _outermost)
 
 SEPARATION_FLOOR = 0.2      # accept bubble j+1 only if lambda ratio <= this
 MISFIT_FRACTION = 0.10      # windowed H misfit^2 <= this fraction of E(Q)
@@ -140,6 +141,7 @@ def _fit_log_scale(qmap, r, psi, u0):
         jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
         grad = float(jac @ np.subtract(psi, q, out=q))
         curv = float(jac @ jac)
+        del q, jac
         if last and not restarted:
             slope = (grad - last[1]) / (u - last[0])
             curv = slope if slope > 0 else curv
@@ -229,17 +231,17 @@ def extract_bubbles(field, metric):
             f"{delta0:.4g}: field not settled at the outer limit")
     outer_root = vset.nearest(psi_R)
 
+    e_total = energy(field, metric, 0.0, R).total
     work = field.psi.copy()
     current = outer_root
     scan_hi = R
     bubbles, scales, misfits, notes = [], [], [], []
     while True:
         top = int(np.searchsorted(r, scan_hi, "right"))
-        g_work = np.abs(np.asarray(metric.g(work[:top])))
-        idx = np.flatnonzero(g_work >= delta0)
-        if len(idx) == 0:
+        i_star = _outermost(np.abs(np.asarray(metric.g(work[:top])))
+                            >= delta0)
+        if i_star < 0:
             break
-        i_star = int(idx[-1])
         r_star = float(r[i_star])
         side = +1 if work[i_star] > current.value else -1
         inner = vset.neighbor(current.value, side)
@@ -292,7 +294,6 @@ def extract_bubbles(field, metric):
     residual = RadialField(grid, work, field.psi_dot.copy(),
                            ell0=field.ell0, ell_inf=current.value,
                            time=field.time)
-    e_total = energy(field, metric, 0.0, R).total
     e_bub = float(sum(q.energy for q in bubbles))
     e_res = energy(residual, metric, 0.0, R).total
     ledger = ExtractionLedger(e_total=e_total, e_bubbles=e_bub,

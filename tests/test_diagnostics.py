@@ -172,8 +172,10 @@ def _kinetic_values(traj):
 
 def kinetic_average(traj, t, s):
     """(1/s) int_{t-s}^{t+s} (kinetic energy inside the inner cone) dt',
-    read as `select_times` reads it: the frames' piecewise-linear
-    interpolant, integrated through one prefix sum over the frame times.
+    read by `select_times`' rule: the frames' piecewise-linear
+    interpolant, integrated through one prefix sum over the frame times
+    (here from the first frame; `select_times` starts at the earliest
+    frame its windows reach).
 
     The inner radius is t'/2 on a global trajectory and T+ - t' on one
     with a blow-up record; `select_times` takes its sup over dyadic s.
@@ -320,8 +322,10 @@ class TestSelectTimes:
 
     def test_one_prefix_sum_per_frame(self, monkeypatch):
         # the inner kinetic energy integrates its kinetic row alone: one
-        # radial prefix sum per frame whose cut is positive, every frame
-        # but t = 0; the windows read one more, over the frame times
+        # radial prefix sum per frame read; the windows read one more,
+        # over the frame times.  Frame 0's support reaches r_max = 20, so
+        # the candidates start at t = 80 and their windows at t = 40: the
+        # frames before t = 40 are not read
         traj = _burst_trajectory()
         real, calls = diagnostics._prefix, []
 
@@ -331,9 +335,43 @@ class TestSelectTimes:
 
         monkeypatch.setattr(diagnostics, "_prefix", counted)
         select_times(traj)
-        over_times = [x for x in calls if np.array_equal(x, traj.times)]
+        read = traj.times[traj.times >= 40.0]
+        over_times = [x for x in calls if np.array_equal(x, read)]
         assert len(over_times) == 1
-        assert len(calls) - len(over_times) == len(traj.snapshots) - 1
+        assert len(calls) - len(over_times) == len(read)
+
+    def test_late_windows_carry_no_early_rounding(self):
+        # an inner kinetic energy up to 8e12 before the first window
+        # opens, at t = 10, and at most 6.4 after it: each selected value
+        # is the np.trapezoid average over the same frames to 1e-13,
+        # which a prefix sum from t = 0 misses by about 2e-3 relative
+        grid = RadialGrid(40.0, 512)
+        shell = (grid.r <= 5.0).astype(float)
+        frames = [RadialField(grid, np.zeros_like(shell),
+                              (1e6 if t < 10.0 else math.exp(-t / 30.0))
+                              * shell, 0.0, 0.0, float(t))
+                  for t in np.arange(0.0, 102.0, 2.0)]
+        traj = Trajectory(snapshots=frames, dt=0.5, scheme="synthetic",
+                          cfl=0.5, system=ROOT0, blowup=None)
+        assert 4.0 * support_radius(frames[0]) == 20.0
+        times, values = traj.times, _kinetic_values(traj)
+        assert values[:5].max() > 1e11 * values[5:].max()
+
+        def criterion(t):
+            s, best = min(0.5 * t, times[-1] - t), -math.inf
+            while s >= 4.0 * traj.dt:
+                a, b = t - s, t + s
+                ts = np.concatenate([[a], times[(times > a) & (times < b)],
+                                     [b]])
+                best = max(best, np.trapezoid(np.interp(ts, times, values),
+                                              ts) / s)
+                s *= 0.5
+            return best
+
+        sel = select_times(traj)
+        assert sel.times[-1] == 98.0
+        for t, v in zip(sel.times, sel.values):
+            assert v == pytest.approx(criterion(t), rel=1e-13)
 
     @pytest.mark.parametrize("t0", [0.0, 37.3, 1000.1, 12345.678])
     def test_windows_stay_inside_the_frames(self, t0):

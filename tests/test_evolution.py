@@ -51,6 +51,16 @@ class TestGridAndField:
         with pytest.raises(EvolutionError, match="at least"):
             RadialGrid(10.0, 3)
 
+    @pytest.mark.parametrize("r_max, n", [(10.0, 5), (4.0, 2 ** 15),
+                                          (20.0, 1024), (300.0, 4096),
+                                          (6.0, 2048), (math.pi, 1531),
+                                          (0.1, 7)])
+    def test_a_grid_holds_its_radii_once(self, r_max, n):
+        grid = RadialGrid(r_max, n)
+        assert np.shares_memory(grid.r, grid.r_ghost)
+        assert grid.r_ghost[0] == 0.0 and len(grid.r_ghost) == n + 1
+        _assert_same_bits(grid.r, np.arange(1, n + 1) * grid.dr)
+
     def test_gradient_uses_origin_ghost(self):
         grid = RadialGrid(4.0, 400)
         psi = 2.0 * grid.r
@@ -615,6 +625,20 @@ class TestDensityPass:
                 p = _prefix(x, d)
                 _assert_same_bits(p, _old_prefix(old_x, d_old))
                 _assert_same_bits(_prefix(x, d, out=reused), p)
+
+    @pytest.mark.parametrize("system", [SPHERE, ROOT],
+                             ids=["sphere", "root"])
+    @pytest.mark.parametrize("i0, i1", [(0, 700), (300, 1024)],
+                             ids=["from-origin", "away-from-origin"])
+    def test_each_chosen_row_is_the_full_blocks_row(self, system, i0, i1):
+        for f in self._fields(1024):
+            x_all, full = _densities(f, system, i0, i1)
+            for rows in [(0,), (1,), (2,), (2, 0)]:
+                x, dens = _densities(f, system, i0, i1, rows=rows)
+                _assert_same_bits(x, x_all)
+                assert dens.shape == (len(rows), len(x))
+                for d, row in zip(dens, rows):
+                    _assert_same_bits(d, full[row])
 
     def test_prefix_keeps_a_leading_negative_zero(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])

@@ -8,6 +8,7 @@ frozen from refined-grid runs and every scenario is deterministic.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,31 @@ class TestWindowedExtraction:
         oracle = extract_bubbles(field, SPHERE)
         assert rep.J == 2 and rep.scales == oracle.scales
         np.testing.assert_array_equal(rep.residual.psi, oracle.residual.psi)
+
+
+class TestWorkingSet:
+    """An extraction holds only the full-grid arrays it still reads.  Its
+    peak is the ledger's energy of the residual: the residual's two
+    arrays, the last fitted bubble, the (3, n + 1) density block, its
+    prefix and g(psi), eight arrays of 8 n bytes."""
+
+    @pytest.mark.parametrize("scales", [[0.45, 0.003], [0.3]],
+                             ids=["two-bubble", "one-bubble"])
+    def test_peak_is_eight_full_grid_arrays(self, scales):
+        grid = RadialGrid(4.0, 2 ** 15)
+        field = make_chain(grid, SPHERE, 0.0, [(-1, lam) for lam in scales])
+        # the warm-up builds the connectors and the grid's radii
+        assert extract_bubbles(field, SPHERE).J == len(scales)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rep = extract_bubbles(field, SPHERE)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.J == len(scales)
+        assert peak <= 8.1 * 8 * grid.n_points
 
 
 SPHERE_UP = (SPHERE, 0.0, 4.0 - math.sqrt(15.0),
