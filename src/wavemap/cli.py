@@ -37,7 +37,8 @@ from .geometry import (FMT, SPHERE, YANG_MILLS, GeometryError,
 from .statics import build_harmonic_map, eval_Q
 from .evolution import (BOUNDARIES, RadialGrid, RadialField, Trajectory,
                         BlowupRecord, EvolutionError, evolve, write_snapshot,
-                        read_snapshot, discrete_energy, _check_cfl)
+                        read_snapshot, discrete_energy, _check_cfl,
+                        _step_plan)
 from .exprgrammar import ExpressionError
 from .data import (make_bubble, make_bubble_bump, make_bump, make_chain,
                    make_perturbation)
@@ -235,7 +236,7 @@ def load_scenario(path, out_override=None):
         raise CliError(f"{path}: [time] {key} = {cp.get('time', key)} must "
                        f"be positive")
     try:
-        _check_cfl(grid, cfl * grid.dr)
+        _step_plan(grid, t_final, cfl)
     except EvolutionError as e:
         raise CliError(f"{path}: [time] {e}")
     record_every = _getint(cp, "time", "record_every", path, default=64.0)
@@ -261,8 +262,13 @@ def load_scenario(path, out_override=None):
             f", {metric.search_window[1]:g}]")
     out_dir = out_override or _require(cp, "output", "dir", path)
 
-    return Scenario(path=path, metric=metric,
-                    data=_read_data(cp, path, family, grid, metric),
+    data = _read_data(cp, path, family, grid, metric)
+    with np.errstate(over="ignore"):
+        e0 = energy(data, metric).total
+    if not math.isfinite(e0):
+        raise CliError(f"{path}: [data] the initial energy is {e0:g}; the "
+                       f"flow is run for maps of finite energy")
+    return Scenario(path=path, metric=metric, data=data,
                     t_final=t_final, cfl=cfl, record_every=record_every,
                     boundary=boundary, stages=stages, out_dir=out_dir)
 

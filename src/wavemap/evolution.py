@@ -53,8 +53,10 @@ it holds, so only `evolve` decides how many frames a run records.
 """
 
 import io
+import itertools
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,12 +188,18 @@ def _check_cfl(grid, dt):
 
 def _step_plan(grid, t_final, cfl):
     """(dt, n_steps) of a run to t_final at CFL number cfl: the last step
-    ends at or just past t_final."""
+    ends at or just past t_final.  A count above sys.maxsize, which no
+    index can hold, raises EvolutionError."""
     dt = cfl * grid.dr
     _check_cfl(grid, dt)
     if not 0 < t_final < math.inf:
         raise EvolutionError("t_final must be positive and finite")
-    return dt, max(1, int(math.ceil(t_final / dt - 1e-9)))
+    steps = t_final / dt - 1e-9
+    if not steps <= sys.maxsize:
+        raise EvolutionError(
+            f"t_final = {t_final:.6g} takes {steps:.3g} steps of dt = "
+            f"{dt:.6g}, more than the {sys.maxsize} a run can count")
+    return dt, max(1, int(math.ceil(steps)))
 
 
 class _Flow:
@@ -210,10 +218,11 @@ class _Flow:
         self.lap_den = np.repeat(r[:-1] * dr * dr, m)
         self.r_sq = np.repeat(r ** 2, m)
         if isinstance(system, Metric):
-            self.ghost, self.source = ell0, system.f
+            self.ghost, self.f = ell0, system.f
         elif isinstance(system, Root):
             slope_sq = system.slope ** 2
-            self.ghost, self.source = 0.0, lambda phi: slope_sq * phi
+            self.ghost = 0.0
+            self.f = lambda phi, out: np.multiply(slope_sq, phi, out=out)
         else:
             raise EvolutionError(
                 f"system must be a Metric or Root, got {system!r}")
@@ -228,8 +237,10 @@ class _Flow:
         here.  The quotients stay divisions, not products with stored
         reciprocals: those change last bits, and stored trajectories are
         reproduced byte for byte.  `a` and `flux` (shaped like psi) are
-        filled when given, else allocated; `a` is returned.  psi may be a
-        prefix of the grid's nodes, whose last node then takes the 0.
+        filled when given, else allocated; `a` is returned.  The spent
+        flux holds the source over r^2, so a call given both allocates
+        nothing.  psi may be a prefix of the grid's nodes, whose last node
+        then takes the 0.
         """
         if a is None:
             a, flux = np.empty_like(psi), np.empty_like(psi)
@@ -240,7 +251,7 @@ class _Flow:
         inner = a[:-m]
         np.subtract(flux[m:], flux[:-m], out=inner)
         inner /= self.lap_den[:w - m]
-        inner -= (self.source(psi) / self.r_sq[:w])[:-m]
+        inner -= np.divide(self.f(psi, out=flux), self.r_sq[:w], out=flux)[:-m]
         a[-m:] = 0.0
         return a
 
@@ -278,9 +289,10 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf, quiet):
     The arrays are flat and node-major, flow.m members per node (one
     field for m = 1).  `a` is the acceleration at the current psi; it is
     updated in place to the acceleration at the final psi, so consecutive
-    calls continue one run.  The flux, the drift product and the half
-    kick acc dt/2 live in three work arrays allocated once per call; the
-    half kick is formed once per step, after the new acceleration, and
+    calls continue one run.  A step allocates nothing: the drift product
+    and the flux share one work array, as p += v dt has used the product
+    before `accel` writes the flux, and the half kick acc dt/2 has the
+    other.  It is formed once per step, after the new acceleration, and
     serves the second kick of that step and the first of the next.
 
     Nodes quiet.. start bitwise quiet (`_quiet_from`), and step k changes
@@ -293,17 +305,17 @@ def _leapfrog(flow, psi, psi_dot, a, dt, n_steps, boundary, ell_inf, quiet):
     """
     m, size = flow.m, psi.size
     half = 0.5 * dt
-    whole = psi, psi_dot, a, *(np.empty_like(psi) for _ in range(3))
+    whole = psi, psi_dot, a, np.empty_like(psi), np.empty_like(psi)
     reach = (quiet + n_steps + 1) * m
     np.multiply(a[:reach], half, out=whole[-1][:reach])
     for k in range(1, n_steps + 1):
         w = (quiet + k + 1) * m
-        p, v, acc, work, flux, kick = \
+        p, v, acc, work, kick = \
             whole if w >= size else [x[:w] for x in whole]
         v += kick
         flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
         p += np.multiply(v, dt, out=work)
-        flow.accel(p, acc, flux)
+        flow.accel(p, acc, work)
         v += np.multiply(acc, half, out=kick)
         flow.apply_boundary(psi, psi_dot, boundary, ell_inf)
 
@@ -471,11 +483,12 @@ def _prefix(x, y, out=None):
 
 def _concentration_radius(field, metric, e_crit):
     """(rho, x, dens): the smallest node radius enclosing energy e_crit,
-    or None, and the summed density block times r at the radii x."""
+    or None, and the summed density block times r at the radii x.  The
+    energy prefix is written into the spent gradient row."""
     x, (dens, grad, pot) = _densities(field, metric)
     dens += grad
     dens += pot
-    prefix = _prefix(x, dens)
+    prefix = _prefix(x, dens, out=grad)
     idx = np.searchsorted(prefix, e_crit)
     return (float(x[idx]) if idx < len(prefix) else None), x, dens
 
@@ -499,7 +512,8 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
     dt, n_steps = _step_plan(grid, t_final, cfl)
     if record_every < 1:
         raise EvolutionError("record_every must be at least 1")
-    stops = [*range(record_every, n_steps, record_every), n_steps]
+    stops = itertools.chain(range(record_every, n_steps, record_every),
+                            [n_steps])
 
     e_crit = min_bubble_energy(system, field.ell0) \
         if isinstance(system, Metric) else math.inf
@@ -532,7 +546,8 @@ def evolve(field, system, t_final, record_every=64, cfl=CFL_DEFAULT,
                     blowup = _make_blowup_record(frame, x, dens,
                                                  radius_series)
                     break
-            del x, dens     # held across the next steps, it grew peak RSS
+            del x, dens
+        del frame   # held across the next steps, these grew peak RSS
 
     # _advance has refused any system that is not a Metric or a Root
     scheme = f"leapfrog-nonlinear:{system.id}" \

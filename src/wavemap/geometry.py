@@ -75,7 +75,8 @@ class Metric:
     into this target are expected to take values inside it.  `keys` are
     the config's [metric] (key, value) pairs the metric is built from.
     `source`, set by the built-ins only (no config key or `make_metric`
-    sets it), evaluates an equal, cheaper form of g g' for `f`.
+    sets it), evaluates an equal, cheaper form of g g' for `f` as
+    source(psi, out): into `out`, or a new array where it is None.
     """
     id: str
     g: Callable
@@ -84,12 +85,12 @@ class Metric:
     keys: tuple = ()
     source: Callable = None
 
-    def f(self, psi):
+    def f(self, psi, out=None):
         """Nonlinearity of the wave-map flow: f = g * g', by `source`
-        where the metric has one."""
+        where the metric has one, written into `out` when given."""
         if self.source is not None:
-            return self.source(psi)
-        return self.g(psi) * self.g_prime(psi)
+            return self.source(psi, out)
+        return np.multiply(self.g(psi), self.g_prime(psi), out=out)
 
     def __repr__(self):
         return f"Metric({self.id!r}, window={self.search_window})"
@@ -185,9 +186,9 @@ def _sphere_g_prime(rho):
     return np.cos(rho)
 
 
-def _sphere_source(rho):
-    """sin(rho) cos(rho) as sin(2 rho) / 2: one transcendental, not two."""
-    out = np.sin(np.multiply(rho, 2.0))
+def _sphere_source(rho, out):
+    """sin(rho) cos(rho) as sin(2 rho) / 2 into `out`: one transcendental."""
+    out = np.sin(np.multiply(rho, 2.0, out=out), out=out)
     out *= 0.5
     return out
 
@@ -200,11 +201,11 @@ def _ym_g_prime(rho):
     return -2.0 * np.asarray(rho) if np.ndim(rho) else -2.0 * rho
 
 
-def _ym_source(rho):
-    """(1 - rho^2)(-2 rho) as 2 rho (rho^2 - 1), with no temporary beyond
-    one; the doubling and the negation are exact, so the bits are those of
-    g g' up to the sign of a zero."""
-    out = np.multiply(rho, rho)
+def _ym_source(rho, out):
+    """(1 - rho^2)(-2 rho) as 2 rho (rho^2 - 1) into `out`; the doubling
+    and the negation are exact, so the bits are those of g g' up to the
+    sign of a zero."""
+    out = np.multiply(rho, rho, out=out)
     out -= 1.0
     out *= rho
     out *= 2.0

@@ -432,6 +432,7 @@ def build_scattering_state(traj):
     phi1 = np.where(r >= cut, snap.psi_dot, 0.0)
     phi = RadialField(grid, phi0, phi1, 0.0, 0.0, time=t_star)
     defect = _match_error(snap, phi, 0.0)
+    del snap    # held through the linear runs, it grew the peak
 
     # the frames after t*, run forward, and those of the window before it,
     # run backward from t*, as frame indices found from the times; a frame
@@ -451,8 +452,8 @@ def build_scattering_state(traj):
                     f"frame offset {off:.12g} is not a step multiple of "
                     f"dt = {dt:.12g}")
             L, done = step_linear(L, ell, dt, n - done), n
-            s = traj.snapshots[k]
-            matches.append((s.time, _match_error(s, L, 0.5 * s.time)))
+            t = float(times[k])
+            matches.append((t, _match_error(traj.snapshots[k], L, 0.5 * t)))
     matches.sort(key=lambda p: p[0])
     return ScatteringState(phi_L=phi, ell=ell, t_star=t_star,
                            alpha_rule="t/2",

@@ -11,6 +11,7 @@ import io
 import os
 import re
 import shutil
+import sys
 import tempfile
 from configparser import ConfigParser
 
@@ -23,7 +24,8 @@ from wavemap.geometry import (SPHERE, Metric, check_assumptions,
 from wavemap.statics import build_harmonic_map, rescale_Q
 from wavemap.evolution import RadialGrid, RadialField, Trajectory, evolve
 from wavemap.data import make_bump, make_chain, make_perturbation
-from wavemap.diagnostics import SERIES_COLUMNS, lightcone_concentration
+from wavemap.diagnostics import (SERIES_COLUMNS, energy,
+                                 lightcone_concentration)
 from wavemap.resolution import compute_delta0, extract_bubbles
 from wavemap import cli, evolution
 from wavemap.cli import (main, load_scenario, load_trajectory,
@@ -546,14 +548,67 @@ def test_any_config_runs_or_is_refused_in_one_line(replaced):
             assert not os.path.exists(out)
 
 
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                    "sphere-small-data.cfg")
+
+
+def _demo_edit(tmp_path, old, new):
+    """The demo config with the line `old` made `new`, writing its run
+    to tmp_path / "out"."""
+    with open(DEMO) as fh:
+        text = fh.read()
+    assert text.count(old + "\n") == 1
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n").replace(
+        "dir = out/sphere-small-data", f"dir = {tmp_path / 'out'}"))
+    return str(cfg)
+
+
+class TestDemoEdits:
+    """Demo configs that load_scenario refuses in one line, before any
+    file is written, where they once ran and crashed."""
+
+    @pytest.mark.parametrize("old, new, steps", [
+        ("cfl = 0.5", "cfl = 0.5e-300", "1.43e+303"),
+        ("t_final = 70", "t_final = 1e300", "2.05e+301"),
+        ("r_max = 100", "r_max = 1e-300", "1.43e+305"),
+    ], ids=["cfl", "t_final", "r_max"])
+    def test_a_step_count_no_index_holds_is_refused(self, tmp_path, capsys,
+                                                     old, new, steps):
+        cfg = _demo_edit(tmp_path, old, new)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [time] t_final = ")
+        assert f" takes {steps} steps of dt = " in err
+        assert err.endswith(f", more than the {sys.maxsize} a run can "
+                            f"count\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_data_of_infinite_energy_is_refused(self, tmp_path, capsys):
+        # the field values are finite, their gradient energy is not
+        cfg = _demo_edit(tmp_path, "amplitude = 0.08", "amplitude = 1e200")
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [data] the initial energy is inf; the flow is "
+            f"run for maps of finite energy\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_data_of_finite_energy_runs(self, tmp_path, capsys):
+        cfg = _demo_edit(tmp_path, "amplitude = 0.08", "amplitude = 1e150")
+        scen = load_scenario(cfg)
+        assert energy(scen.data, scen.metric).total == \
+            pytest.approx(7.527e300, rel=1e-3)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert "status truncated, 4 frames" in capsys.readouterr().out
+
+
 class TestSimulate:
     def test_demo_config_builds_no_connector(self, tmp_path):
         # the demo finds no bubble; its thresholds come from quadratures
-        demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                            "sphere-small-data.cfg")
         compute_delta0.cache_clear()
         before = build_harmonic_map.cache_info()
-        assert main(["simulate", "--config", demo,
+        assert main(["simulate", "--config", DEMO,
                      "--out", str(tmp_path / "demo")]) == 0
         after = build_harmonic_map.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)

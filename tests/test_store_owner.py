@@ -10,9 +10,11 @@ module names.  cli reaches frames only through the two frame functions: it
 imports both and names no FrameFile.  A store has one writer:
 `write_snapshot(fields, path)` opens it, and its header is written at
 commit for the frames stored, so no FrameFile holds a planned count, and
-cli, which never plans one, names neither `_record_stops` nor
-`_step_plan`: how many frames a run records is `evolve`'s alone.  Each
-package module is parsed, not imported or executed.
+cli, which never plans one, names no `_record_stops` and calls
+`_step_plan` only as a statement, to refuse a run no count can hold
+before any work, discarding the plan: how many frames a run records is
+`evolve`'s alone.  Each package module is parsed, not imported or
+executed.
 """
 
 import ast
@@ -84,8 +86,25 @@ def test_cli_reaches_frames_through_the_frame_functions():
                                                             "cli.py")
 
 
+def _step_plan_uses(tree):
+    """(calls of _step_plan, those that are bare statements) under the
+    AST node, and every other mention of the name."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) == "_step_plan"]
+    bare = [n for n in ast.walk(tree) if isinstance(n, ast.Expr)
+            and n.value in calls]
+    named = [n for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and n.id == "_step_plan"]
+    return len(calls), len(bare), len(named)
+
+
 def test_one_writer_and_no_planned_count():
-    assert not {"_record_stops", "_step_plan"} & _names(PACKAGE / "cli.py")
+    assert "_record_stops" not in _names(PACKAGE / "cli.py")
+    calls, bare, named = _step_plan_uses(ast.parse(
+        (PACKAGE / "cli.py").read_text()))
+    assert calls == bare == named
+    assert _step_plan_uses(ast.parse("n = _step_plan(g, t, c)[1]")) == \
+        (1, 0, 1)
     tree = ast.parse((PACKAGE / "evolution.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
