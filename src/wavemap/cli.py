@@ -28,6 +28,7 @@ import sys
 import tempfile
 from collections import namedtuple
 from configparser import ConfigParser, Error as ConfigError
+from pathlib import Path
 
 import numpy as np
 
@@ -816,16 +817,14 @@ def _check_snapshot_roundtrip():
     f = RadialField(grid, gen.standard_normal(257),
                     gen.standard_normal(257), 0.25, -1.75, 3.0625)
     with tempfile.TemporaryDirectory() as d:
-        p1 = os.path.join(d, "a")
-        p2 = os.path.join(d, "b")
+        p1, p2 = os.path.join(d, "a"), os.path.join(d, "b")
         save_trajectory(Trajectory([f], 0.0, "one-frame", 0.0, SPHERE), p1)
         back = load_trajectory(p1)
         with back.snapshots:
             save_trajectory(back, p2)
         for name in ("manifest.cfg", FRAMES):
-            with open(os.path.join(p1, name), "rb") as fh1, \
-                    open(os.path.join(p2, name), "rb") as fh2:
-                assert fh1.read() == fh2.read(), f"{name} bytes differ"
+            assert Path(p1, name).read_bytes() == \
+                Path(p2, name).read_bytes(), f"{name} bytes differ"
     return "save -> load -> save byte-identical"
 
 def _check_series_determinism():
@@ -834,12 +833,10 @@ def _check_series_determinism():
     f = make_perturbation(grid, amplitude=0.1, center=8.0, width=3.0)
     traj = evolve(f, root, 3.0, record_every=64)
     with tempfile.TemporaryDirectory() as d:
-        p1 = os.path.join(d, "a.csv")
-        p2 = os.path.join(d, "b.csv")
+        p1, p2 = os.path.join(d, "a.csv"), os.path.join(d, "b.csv")
         write_series(traj, p1)
         write_series(traj, p2)
-        with open(p1, "rb") as fh1, open(p2, "rb") as fh2:
-            assert fh1.read() == fh2.read(), "bytes differ"
+        assert Path(p1).read_bytes() == Path(p2).read_bytes(), "bytes differ"
     return "rewrite byte-identical"
 
 

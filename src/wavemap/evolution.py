@@ -571,9 +571,11 @@ def _make_blowup_record(frame, x, dens, radius_series):
     rhos = np.array([rho for _, rho in radius_series[-5:]])
     t_plus = float(frame.time + rhos[-1])
     if len(ts) >= 2:
-        beta, alpha = np.polyfit(ts, rhos, 1)
+        # where the least-squares line of rho over t (centred sums) meets 0
+        dts = ts - ts.mean()
+        beta = (dts * (rhos - rhos.mean())).sum() / (dts * dts).sum()
         if beta < -1e-12:
-            t_fit = -alpha / beta
+            t_fit = ts.mean() - rhos.mean() / beta
             if frame.time < t_fit < frame.time + 2 * rhos[-1] + 10 * frame.grid.dr:
                 t_plus = float(t_fit)
     return BlowupRecord(t_plus=t_plus, concentration_radius=r_peak,

@@ -135,15 +135,9 @@ class VanishingSet:
 
         Returns None when no neighbor exists inside the window.
         """
-        if side > 0:
-            above = self.roots[self.roots > value + ROOT_TOL]
-            if len(above) == 0:
-                return None
-            return self.root_at(above[0])
-        below = self.roots[self.roots < value - ROOT_TOL]
-        if len(below) == 0:
-            return None
-        return self.root_at(below[-1])
+        near = self.roots[self.roots > value + ROOT_TOL] if side > 0 \
+            else self.roots[self.roots < value - ROOT_TOL][::-1]
+        return self.root_at(near[0]) if len(near) else None
 
 
 @dataclass
@@ -267,7 +261,9 @@ def make_metric(metric_id, g_expr, g_prime_expr, window):
 
 def _gauss_legendre(f, lo, hi):
     """Node terms of the 24-point Gauss-Legendre rule for f on each panel
-    [lo_i, hi_i]; row i sums to the panel's integral."""
+    [lo_i, hi_i]; row i sums to the panel's integral.  The package's one
+    rule: `integrate` and the connector branches of `statics` sum its
+    rows, and no other code places or weights Gauss-Legendre nodes."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
     fx = np.asarray(f(x.ravel()), dtype=float)
@@ -372,11 +368,8 @@ def find_vanishing_set(metric, window=None):
     xs = np.linspace(lo, hi, n + 1)
     gs = np.asarray(metric.g(xs), dtype=float)
 
-    roots = []
     # exact zeros on the sample grid first (e.g. integer windows hitting roots)
-    on_grid = np.flatnonzero(np.abs(gs) < 1e-14)
-    for k in on_grid:
-        roots.append(xs[k])
+    roots = list(xs[np.abs(gs) < 1e-14])
     sign = np.sign(gs)
     crossings = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
     for k in crossings:
@@ -390,15 +383,10 @@ def find_vanishing_set(metric, window=None):
                 root = polished
         roots.append(root)
 
-    # flag near-degenerate behavior: a sample where |g| dips to ~0 without
-    # a sign change is a non-simple root
-    small = np.flatnonzero(np.abs(gs) < 1e-10)
-    for k in small:
-        if np.abs(gs[k]) < 1e-14:
-            continue  # handled as on-grid root above
-        if k == 0 or k == n:
-            continue
-        if sign[k - 1] == sign[k + 1] and sign[k - 1] != 0:
+    # flag near-degenerate behavior: an inner sample where |g| dips to ~0,
+    # but is no on-grid root, without a sign change is a non-simple root
+    for k in np.flatnonzero(np.abs(gs[1:-1]) < 1e-10) + 1:
+        if abs(gs[k]) >= 1e-14 and sign[k - 1] == sign[k + 1] != 0:
             raise GeometryError(
                 f"assumption A2 violated: non-simple root near {xs[k]:.9g}")
 
@@ -415,15 +403,9 @@ def find_vanishing_set(metric, window=None):
             raise GeometryError(
                 f"assumption A2 violated: non-simple root at {r:.12g}")
 
-    if len(roots) > 1:
-        seps = np.diff(roots)
-        gaps = np.empty(len(roots))
-        gaps[0] = seps[0]
-        gaps[-1] = seps[-1]
-        for k in range(1, len(roots) - 1):
-            gaps[k] = min(seps[k - 1], seps[k])
-    else:
-        gaps = np.full(len(roots), np.inf)
+    # each root's gap to its nearer neighbour; an empty set has no gap
+    seps = np.concatenate(([np.inf], np.diff(roots), [np.inf]))
+    gaps = np.minimum(seps[:-1], seps[1:])[:len(roots)]
 
     return VanishingSet(roots, slopes, gaps)
 

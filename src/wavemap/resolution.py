@@ -125,22 +125,23 @@ def _fit_log_scale(qmap, r, psi, u0):
     of the window, kept inside u0 +- log 2.
 
     With jac = sign g(Q) = -d/du Q(r e^{-u}), each step divides the
-    gradient jac @ (psi - Q) by the secant slope of the gradient between
+    gradient sum jac (psi - Q) by the secant slope of the gradient between
     the last two iterates where it is positive, else by the Gauss-Newton
-    curvature jac @ jac, which drops that of Q and alone converges only
-    linearly.  Near the fixed point rounding maps neighbouring doubles
-    onto each other, so the first step below 1e-12 restarts from the
-    nearest multiple of SETTLE_GRID, which every path near the fixed
-    point shares, and plain Gauss-Newton steps end the fit: each depends
-    on u alone, not on the iterate before, so the double returned does
-    not depend on the path."""
+    curvature sum jac^2, which drops that of Q and alone converges only
+    linearly.  Both sums run in einsum's own loop, not in BLAS, whose bits
+    follow its kernel and thread count.  Near the fixed point rounding maps
+    neighbouring doubles onto each other, so the first step below 1e-12
+    restarts from the nearest multiple of SETTLE_GRID, which every path
+    near the fixed point shares, and plain Gauss-Newton steps end the fit:
+    each depends on u alone, not on the iterate before, so the double
+    returned does not depend on the path."""
     u_lo, u_hi = u0 - math.log(2.0), u0 + math.log(2.0)
     u, last, restarted = u0, None, False
     for _ in range(100):
         q = eval_Q(qmap, r * math.exp(-u))
         jac = qmap.sign * np.asarray(qmap.metric.g(q), dtype=float)
-        grad = float(jac @ np.subtract(psi, q, out=q))
-        curv = float(jac @ jac)
+        grad = float(np.einsum("i,i", jac, np.subtract(psi, q, out=q)))
+        curv = float(np.einsum("i,i", jac, jac))
         del q, jac
         if last and not restarted:
             slope = (grad - last[1]) / (u - last[0])

@@ -13,11 +13,11 @@ toward a root `target` is parametrized by u = log(|mid - target| /
 |q - target|), in which q(u) is explicit and ds/du = (target - q) /
 (+-g(q)) is smooth and bounded up to the root.  A uniform u-grid from the
 midpoint to the stitch point (|Q - target| = 1e-6, where the tail model
-takes over) is integrated interval by interval with the Gauss-Legendre
-rule of `geometry`, which makes the Hermite data (s_i, q_i, +-g(q_i))
-exact to rounding.  Between the stitch points Q is the cubic Hermite
-interpolant of that data; beyond them the stored power-law tails take
-over.  Everything here runs on numpy.
+takes over) is integrated interval by interval with the package's one
+Gauss-Legendre rule, `geometry._gauss_legendre`, which makes the Hermite
+data (s_i, q_i, +-g(q_i)) exact to rounding.  Between the stitch points Q
+is the cubic Hermite interpolant of that data; beyond them the stored
+power-law tails take over.  Everything here runs on numpy, with no BLAS.
 """
 
 import math
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (GL_NODES, GL_WEIGHTS, GeometryError, Metric, eval_G,
+from .geometry import (GeometryError, Metric, _gauss_legendre, eval_G,
                        find_vanishing_set)
 
 STITCH_TOL = 1e-6      # eval switches to the tail model this close
@@ -66,23 +66,21 @@ def _branch(metric, sign, mid, target):
     """(s_i, q_i) from the midpoint (s = 0) to the stitch point near
     `target`, on N_SAMPLES uniform intervals in u.
 
-    The Gauss-Legendre nodes are formed and summed BLOCK_ROWS intervals at
-    a time, so a branch holds (BLOCK_ROWS, 24) tables rather than
-    (N_SAMPLES, 24) ones; each interval's ds is the product of its
-    half-width and its row's `@ GL_WEIGHTS` either way, and one cumsum
-    over all of them gives s, so the knots keep their bits."""
+    Each interval's ds is the row sum of `geometry._gauss_legendre` over
+    it, taken BLOCK_ROWS intervals per call, so a branch holds
+    (BLOCK_ROWS, 24) tables rather than (N_SAMPLES, 24) ones; a row's sum
+    does not depend on its block, and one cumsum over all of them gives
+    s, so the knots keep their bits."""
+    def dsdu(x):
+        q = target + (mid - target) * np.exp(-x)
+        return (target - q) / (sign * np.asarray(metric.g(q), dtype=float))
+
     u = np.linspace(0.0, math.log(abs(mid - target) / STITCH_TOL),
                     N_SAMPLES + 1)
-    half = 0.5 * np.diff(u)
-    ds = np.empty(N_SAMPLES)
+    lo, hi, ds = u[:-1], u[1:], np.empty(N_SAMPLES)
     for b in range(0, N_SAMPLES, BLOCK_ROWS):
         rows = slice(b, b + BLOCK_ROWS)
-        h = half[rows]
-        u_gl = (u[rows] + h)[:, None] + h[:, None] * GL_NODES
-        q_gl = target + (mid - target) * np.exp(-u_gl)
-        dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl),
-                                                    dtype=float))
-        np.multiply(h, dsdu @ GL_WEIGHTS, out=ds[rows])
+        _gauss_legendre(dsdu, lo[rows], hi[rows]).sum(axis=1, out=ds[rows])
     s = np.concatenate(([0.0], np.cumsum(ds)))
     q = np.concatenate(([mid], target + (mid - target) * np.exp(-u[1:])))
     return s, q

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from wavemap import statics
-from wavemap.geometry import (GL_NODES, GL_WEIGHTS, SPHERE, YANG_MILLS,
-                              eval_G, find_vanishing_set)
+from wavemap.geometry import (SPHERE, YANG_MILLS, _gauss_legendre, eval_G,
+                              find_vanishing_set)
 from wavemap.statics import (HarmonicMap, StaticsError, build_harmonic_map,
                              eval_Q, rescale_Q)
 
@@ -143,14 +143,16 @@ class TestRescale:
 
 def whole_table_branch(metric, sign, mid, target):
     """`statics._branch` with every interval's Gauss-Legendre nodes in one
-    (N_SAMPLES, 24) table."""
+    (N_SAMPLES, 24) table of `_gauss_legendre`."""
+    def dsdu(x):
+        q_gl = target + (mid - target) * np.exp(-x)
+        return (target - q_gl) / (sign * np.asarray(metric.g(q_gl),
+                                                    dtype=float))
+
     u = np.linspace(0.0, math.log(abs(mid - target) / statics.STITCH_TOL),
                     statics.N_SAMPLES + 1)
-    half = 0.5 * np.diff(u)
-    u_gl = (u[:-1] + half)[:, None] + half[:, None] * GL_NODES
-    q_gl = target + (mid - target) * np.exp(-u_gl)
-    dsdu = (target - q_gl) / (sign * np.asarray(metric.g(q_gl), dtype=float))
-    s = np.concatenate(([0.0], np.cumsum(half * (dsdu @ GL_WEIGHTS))))
+    ds = _gauss_legendre(dsdu, u[:-1], u[1:]).sum(axis=1)
+    s = np.concatenate(([0.0], np.cumsum(ds)))
     q = np.concatenate(([mid], target + (mid - target) * np.exp(-u[1:])))
     return s, q
 
