@@ -442,6 +442,12 @@ def load_trajectory(traj_dir):
         # configparser's messages span lines; the error is one
         raise CliError(f"{manifest}: malformed manifest: "
                        f"{' '.join(str(e).split())}")
+    # evolve records increasing times and ends a blow-up record at the last
+    if any(b <= a for a, b in zip(times, times[1:])) or blow and not (
+            blow.last_valid_time == times[-1] < blow.t_plus):
+        raise CliError(f"{manifest}: malformed manifest: [trajectory] times "
+                       f"must increase, and [blowup] last_valid_time be the "
+                       f"last of them, before t_plus")
     # a one-frame store has no step and writes dt = 0
     if dt < 0 or (dt == 0 and n_frames > 1):
         raise CliError(f"{manifest}: malformed manifest: [trajectory] "

@@ -11,34 +11,31 @@ module is parsed, not imported.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import (ALIAS, AS, ATTRIBUTE, MODULE, NAME, modules,
+                          names, naming)
+
 FORBIDDEN = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg",
              "polyfit", "lstsq"}
 NODE_TABLES = {"GL_NODES", "GL_WEIGHTS"}
+TABLE_KINDS = (NAME, ATTRIBUTE, ALIAS, AS)
 
 
-def _blas_uses(source):
-    """Every BLAS or LAPACK use in a source: `@` and `@=`, a forbidden
-    name as an attribute or imported (under any alias, or as a module on
-    the import path), and an einsum call given `optimize=`.  A bare name
-    is not one: `inner` is a local variable in several modules."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
+def _blas_uses(tree):
+    """Every BLAS or LAPACK use under an AST node: `@` and `@=`, a
+    forbidden name as an attribute or imported (under any alias, or as a
+    module on the import path), and an einsum call given `optimize=`.  A
+    bare name is not one: `inner` is a local variable in several
+    modules."""
+    found = {part for module in names(tree, MODULE)
+             for part in module.split(".")}
+    found = (found | names(tree, ATTRIBUTE)) & FORBIDDEN
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
                 and isinstance(node.op, ast.MatMult):
             found.add("@")
-        elif isinstance(node, ast.Attribute) and node.attr in FORBIDDEN:
-            found.add(node.attr)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                found |= set(alias.name.split(".")) & FORBIDDEN
-        elif isinstance(node, ast.ImportFrom):
-            found |= set((node.module or "").split(".")) & FORBIDDEN
-            found |= {alias.name for alias in node.names} & FORBIDDEN
         elif isinstance(node, ast.Call) \
                 and getattr(node.func, "attr",
                             getattr(node.func, "id", None)) == "einsum" \
@@ -47,34 +44,16 @@ def _blas_uses(source):
     return found
 
 
-def _names(source):
-    """Every name, attribute and imported name in a source."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found |= {node.name, node.asname}
-    return found
-
-
-def _modules():
-    return sorted(PACKAGE.glob("*.py"))
-
-
 def test_no_module_calls_blas_or_lapack():
-    found = {path.stem: sorted(_blas_uses(path.read_text()))
-             for path in _modules()}
+    found = {stem: sorted(_blas_uses(tree))
+             for stem, tree in modules().items()}
     assert {"statics", "resolution", "evolution"} <= set(found)
     assert {stem: used for stem, used in found.items() if used} == {}
 
 
 def test_only_geometry_names_the_node_tables():
-    assert {path.stem for path in _modules()
-            if _names(path.read_text()) & NODE_TABLES} == {"geometry"}
-    assert "_gauss_legendre" in _names((PACKAGE / "statics.py").read_text())
+    assert set(naming(NODE_TABLES, *TABLE_KINDS)) == {"geometry"}
+    assert "_gauss_legendre" in names(modules()["statics"], *TABLE_KINDS)
 
 
 @pytest.mark.parametrize("source, use", [
@@ -98,15 +77,16 @@ def test_only_geometry_names_the_node_tables():
      "einsum(optimize=)"),
 ])
 def test_the_guard_sees_every_import_and_call_form(source, use):
-    assert use in _blas_uses(source)
+    assert use in _blas_uses(ast.parse(source))
 
 
 def test_the_guard_passes_numpys_own_loops():
-    assert not _blas_uses("inner = vset.neighbor(level, side)\n"
-                          "psi_dot = field.psi_dot\n"
-                          "s = float(np.einsum('i,i', a, b))\n"
-                          "t = np.add.reduce(np.multiply(a, b, out=a))\n"
-                          "r = a * b\n")
+    assert not _blas_uses(ast.parse(
+        "inner = vset.neighbor(level, side)\n"
+        "psi_dot = field.psi_dot\n"
+        "s = float(np.einsum('i,i', a, b))\n"
+        "t = np.add.reduce(np.multiply(a, b, out=a))\n"
+        "r = a * b\n"))
 
 
 @pytest.mark.parametrize("source", [
@@ -115,4 +95,4 @@ def test_the_guard_passes_numpys_own_loops():
     "w = GL_WEIGHTS[::-1]\n",
 ])
 def test_the_guard_sees_a_node_table(source):
-    assert _names(source) & NODE_TABLES
+    assert names(source, *TABLE_KINDS) & NODE_TABLES

@@ -79,6 +79,13 @@ def _blowup_edit(**values):
         f"{key} = {value}\n" for key, value in keys.items()))
 
 
+def _times_edit(order):
+    """An edit that writes the frame times t as order(t)."""
+    return _manifest_edit(lambda text: re.sub(
+        r"(?m)^times = (.*)$",
+        lambda m: "times = " + " ".join(order(m[1].split())), text))
+
+
 def _frames_edit(change):
     def edit(traj):
         frames = traj / "frames.npy"
@@ -1094,6 +1101,20 @@ class TestAnalyzeResolve:
          "allow_pickle=False"),
         (_no_frames, "manifest.cfg",
          "malformed manifest: [trajectory] frames = 0 must be at least 1"),
+        # times out of order (s-norm's quadrature once went complex on
+        # them), and blow-up records that do not end at the run's last
+        # frame, t = 4.0234375, before t_plus
+        *((edit, "manifest.cfg", "malformed manifest: [trajectory] times "
+                                 "must increase, and [blowup] "
+                                 "last_valid_time be the last of them, "
+                                 "before t_plus")
+          for edit in (_times_edit(lambda t: t[::-1]),
+                       _times_edit(lambda t: [t[1], t[0], *t[2:]]),
+                       _times_edit(lambda t: [t[0], *t[:-1]]),
+                       _blowup_edit(),
+                       _blowup_edit(t_plus="4.0234375",
+                                    last_valid_time="4.0234375"),
+                       _blowup_edit(t_plus="1", last_valid_time="4.0234375"))),
     ], ids=["no-header", "no-trajectory-section", "dt", "cfl",
             "dt-past-cfl-bound", "cfl-not-dt-over-dr", "cfl-negative",
             "no-r_max", "no-n_points", "no-ell0", "no-ell_inf", "no-times",
@@ -1101,7 +1122,9 @@ class TestAnalyzeResolve:
             "t_plus-nan", "t_plus-inf", "last_valid_time-nan",
             "radius_series-inf", "older-store", "frames-dtype",
             "frames-count", "frames-nodes", "frames-truncated",
-            "frames-object", "no-frames"])
+            "frames-object", "no-frames", "times-reversed", "times-swapped",
+            "times-repeated", "last_valid_time-not-last", "t_plus-at-end",
+            "t_plus-before-end"])
     def test_malformed_manifest_is_one_line(self, run_dir, tmp_path, capsys,
                                             edit, where, message):
         traj = tmp_path / "run"
@@ -1137,6 +1160,16 @@ class TestAnalyzeResolve:
         traj = load_trajectory(str(store))
         with traj.snapshots:
             assert traj.dt == 0.0
+
+    def test_s_norm_of_one_frame_is_one_line(self, tmp_path, capsys):
+        # the S-norm integrates over the frame times, so it needs two
+        grid = RadialGrid(20.0, 256)
+        store = write_store(RadialField(grid, np.zeros(256), np.zeros(256),
+                                        0.0, 0.0), tmp_path / "store")
+        assert main(["analyze", "--traj", str(store), "--ops",
+                     "s-norm"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: need at least two frames\n"
 
     @pytest.mark.parametrize("edit", [_cut_frames, _extra_bytes],
                              ids=["cut-mid-frame", "extra-bytes"])

@@ -8,12 +8,8 @@ package module calls `bump_profile`.  Each package module is parsed for
 the calls, not imported or executed.
 """
 
-import ast
-import pathlib
-
+from source_index import CALL, naming
 from wavemap import cli
-
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
 
 
 def test_data_builds_every_family_but_snapshot():
@@ -24,11 +20,4 @@ def test_data_builds_every_family_but_snapshot():
 
 
 def test_only_data_calls_bump_profile():
-    callers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and "bump_profile" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
-                callers.add(path.stem)
-    assert callers == {"data"}
+    assert set(naming({"bump_profile"}, CALL)) == {"data"}

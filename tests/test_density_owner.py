@@ -17,49 +17,25 @@ Each package module is parsed, not imported or executed.
 """
 
 import ast
-import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import ALIAS, ATTRIBUTE, DEF, NAME, modules, naming
+
 FORMULAS = {"_zeroth_weight"}
 INTEGRATION = {"_densities", "_density_reads", "_prefix"}
-
-
-def _uses(path):
-    """Names a module's source defines or references, with a call of any
-    attribute named `gradient` recorded as "gradient()"."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.alias, ast.FunctionDef)):
-            found.add(node.name)
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr == "gradient":
-            found.add("gradient()")
-    return found
-
-
-def _modules():
-    return {path.stem: _uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+# every name a module's source defines or references
+KINDS = (NAME, ATTRIBUTE, ALIAS, DEF)
 
 
 def test_evolution_owns_the_density_formulas():
-    uses = _modules()
-    assert {"gradient()", *FORMULAS, *INTEGRATION} <= uses["evolution"]
-    outside = {name: sorted(used & {"gradient()", *FORMULAS})
-               for name, used in uses.items() if name != "evolution"}
-    assert {name: used for name, used in outside.items() if used} == {}
+    assert naming(FORMULAS, *KINDS) == {"evolution": sorted(FORMULAS)}
+    assert {stem for stem, tree in modules().items()
+            if any(_gradient_callers(tree, stem))} == {"evolution"}
 
 
 def test_only_diagnostics_integrates_the_densities():
-    uses = _modules()
-    assert INTEGRATION <= uses["diagnostics"]
-    readers = {name for name, used in uses.items()
-               if used & INTEGRATION and name != "evolution"}
-    assert readers == {"diagnostics"}
+    readers = naming(INTEGRATION, *KINDS)
+    assert readers.pop("evolution") == sorted(INTEGRATION)
+    assert readers == {"diagnostics": sorted(INTEGRATION)}
 
 
 def _gradient_callers(tree, module, owner=None):
@@ -76,8 +52,6 @@ def _gradient_callers(tree, module, owner=None):
 
 
 def test_only_densities_calls_gradient():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        found.update(_gradient_callers(ast.parse(path.read_text()),
-                                       path.stem))
+    found = {caller for stem, tree in modules().items()
+             for caller in _gradient_callers(tree, stem)}
     assert found == {("evolution", "_densities")}

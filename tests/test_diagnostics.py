@@ -500,6 +500,15 @@ class TestExteriorEnergy:
         assert 0.0 < rep.ratio <= 1.0 + 1e-12
         assert rep.flagged == ""
 
+    def test_data_the_wall_reaches_is_flagged(self):
+        # support 13 + t = 10 passes r_max = 20: the fixed wall reflects
+        grid = RadialGrid(20.0, 256)
+        p = make_perturbation(grid, amplitude=0.1, center=10.0, width=3.0)
+        assert exterior_energy_ratio([p], ROOT0, 5.0)[0].flagged == ""
+        rep = exterior_energy_ratio([p], ROOT0, 10.0)[0]
+        assert rep.flagged == "boundary-tainted"
+        assert 0.0 < rep.ratio < 1.0
+
     @pytest.mark.parametrize("column", ["psi", "psi_dot"])
     def test_non_finite_data_refused(self, column):
         grid = RadialGrid(60.0, 512)

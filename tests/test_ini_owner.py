@@ -7,30 +7,20 @@ but cli imports `configparser`.  Each package module is parsed, not
 imported or executed.
 """
 
-import ast
-import pathlib
 import textwrap
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import MODULE, modules, names
 
 
-def _imports_configparser(tree):
-    """Whether any import under the AST node names configparser."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split(".")[0] == "configparser" for name in names):
-            return True
-    return False
+def _top_modules(tree):
+    """The top-level packages of the modules a tree imports; a relative
+    import's is ""."""
+    return {module.split(".")[0] for module in names(tree, MODULE)}
 
 
 def test_only_cli_imports_configparser():
-    assert {path.stem for path in sorted(PACKAGE.glob("*.py"))
-            if _imports_configparser(ast.parse(path.read_text()))} == {"cli"}
+    assert {stem for stem, tree in modules().items()
+            if "configparser" in _top_modules(tree)} == {"cli"}
 
 
 def test_the_guard_sees_every_import_form():
@@ -39,9 +29,9 @@ def test_the_guard_sees_every_import_form():
                  "from configparser import ConfigParser",
                  "import os, configparser",
                  "def f():\n    from configparser import Error"):
-        assert _imports_configparser(ast.parse(text)), text
-    assert not _imports_configparser(ast.parse(textwrap.dedent("""
+        assert "configparser" in _top_modules(text), text
+    assert "configparser" not in _top_modules(textwrap.dedent("""
         import config
         from .configparser import x
         from ast import parse
-    """)))
+    """))

@@ -13,46 +13,25 @@ it uses are checked.
 """
 
 import ast
-import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import (ALIAS, ATTRIBUTE, NAME, counts, modules, names,
+                          naming)
+
 KERNEL = {"_Flow", "_leapfrog"}
-
-
-def _names(path):
-    """Every name, attribute and imported name in a module's source."""
-    return _names_in(ast.parse(path.read_text()))
-
-
-def _names_in(tree):
-    """Every name, attribute and imported name under an AST node."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
-    return found
+KINDS = (NAME, ATTRIBUTE, ALIAS)
 
 
 def test_only_evolution_uses_the_kernel():
-    assert KERNEL <= _names(PACKAGE / "evolution.py")
-    users = {path.name: sorted(_names(path) & KERNEL)
-             for path in sorted(PACKAGE.glob("*.py"))
-             if path.stem != "evolution"}
-    assert "resolution.py" in users
-    assert {name: used for name, used in users.items() if used} == {}
+    assert "resolution" in modules()
+    assert naming(KERNEL, *KINDS) == {"evolution": sorted(KERNEL)}
 
 
 def _accel_refs(node):
-    return sum(isinstance(n, ast.Attribute) and n.attr == "accel"
-               for n in ast.walk(node))
+    return counts(node, ATTRIBUTE)["accel"]
 
 
 def test_only_the_step_loops_evaluate_accel():
-    tree = ast.parse((PACKAGE / "evolution.py").read_text())
+    tree = modules()["evolution"]
     loops = {f.name: _accel_refs(f) for f in ast.walk(tree)
              if isinstance(f, ast.FunctionDef)
              and f.name in ("_advance", "_leapfrog")}
@@ -61,7 +40,7 @@ def test_only_the_step_loops_evaluate_accel():
 
 
 def test_the_step_code_has_no_branch_by_ndim():
-    tree = ast.parse((PACKAGE / "evolution.py").read_text())
+    tree = modules()["evolution"]
     flow = next(c for c in tree.body
                 if isinstance(c, ast.ClassDef) and c.name == "_Flow")
     steps = {f.name: f for scope in (tree, flow) for f in scope.body
@@ -69,4 +48,4 @@ def test_the_step_code_has_no_branch_by_ndim():
              and f.name in ("_quiet_from", "_leapfrog", "accel")}
     assert sorted(steps) == ["_leapfrog", "_quiet_from", "accel"]
     assert {name: "ndim" for name, f in steps.items()
-            if "ndim" in _names_in(f)} == {}
+            if "ndim" in names(f, *KINDS)} == {}

@@ -7,20 +7,24 @@ __import__.  Each module is parsed, not imported or executed.  An
 attribute of the same name, such as re.compile, is not one of them.
 """
 
-import ast
-import pathlib
+import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import NAME, modules, names, naming
+
 RUNNERS = {"eval", "exec", "compile", "__import__"}
 
 
-def _runners(path):
-    """The code-running builtins a module's source names."""
-    return sorted({node.id for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.Name) and node.id in RUNNERS})
-
-
 def test_no_module_names_a_code_runner():
-    found = {path.name: _runners(path) for path in PACKAGE.glob("*.py")}
-    assert "exprgrammar.py" in found
-    assert {name: used for name, used in found.items() if used} == {}
+    assert "exprgrammar" in modules()
+    assert naming(RUNNERS, NAME) == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x = eval(text)\n", ["eval"]),
+    ("exec(code, {})\n", ["exec"]),
+    ("run = compile\n", ["compile"]),
+    ("m = __import__(name)\n", ["__import__"]),
+    ("pattern = re.compile(r'\\d+')\n", []),
+], ids=["eval", "exec", "compile", "import", "re.compile"])
+def test_the_guard_sees_a_bare_runner_only(source, found):
+    assert sorted(names(source, NAME) & RUNNERS) == found

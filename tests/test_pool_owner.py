@@ -9,61 +9,49 @@ imported; a fresh interpreter checks that the imports leave
 in-process, forks nothing.
 """
 
-import ast
 import os
-import pathlib
 import subprocess
 import sys
 import textwrap
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import (ALIAS, ATTRIBUTE, MODULE, NAME, PACKAGE, modules,
+                          records)
+
 POOLS = ("multiprocessing", "concurrent.futures")
 FORKS = {"fork", "forkpty"}
 
 
-def _is_pool(name):
-    return any(name == p or name.startswith(p + ".") for p in POOLS)
+def _pool(kind, name):
+    """Whether a name is an imported pool module."""
+    return kind == MODULE and \
+        any(name == p or name.startswith(p + ".") for p in POOLS)
 
 
-def _pool_imports(tree):
-    """Line of each import of a pool module under an AST node."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [f"{node.module}.{a.name}" for a in node.names]
-        else:
-            continue
-        if any(_is_pool(name) for name in names):
-            yield node.lineno
+def _fork(kind, name):
+    """Whether a name is a fork: named, an attribute or imported."""
+    return kind in (NAME, ATTRIBUTE) and name in FORKS or \
+        kind == ALIAS and name.rpartition(".")[2] in FORKS
 
 
-def _fork_names(tree):
-    """Line of each name, attribute or import of a fork under an AST
-    node."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in FORKS or \
-                isinstance(node, ast.Attribute) and node.attr in FORKS or \
-                isinstance(node, ast.alias) and \
-                node.name.rpartition(".")[2] in FORKS:
-            yield node.lineno
-
-
-def _found(finder):
-    return {path.name for path in sorted(PACKAGE.glob("*.py"))
-            if list(finder(ast.parse(path.read_text())))}
+def _lines(tree, hit):
+    """The lines of the names under an AST node, or in a source, that hit
+    (kind, name) holds for."""
+    return sorted({line for kind, name, line in records(tree)
+                   if hit(kind, name)})
 
 
 def test_no_package_module_imports_a_pool():
-    assert _found(_pool_imports) == set()
+    assert {stem for stem, tree in modules().items()
+            if _lines(tree, _pool)} == set()
 
 
 def test_only_diagnostics_forks():
-    assert _found(_fork_names) == {"diagnostics.py"}
+    assert {stem for stem, tree in modules().items()
+            if _lines(tree, _fork)} == {"diagnostics"}
 
 
 def test_the_guards_see_every_form():
-    tree = ast.parse(textwrap.dedent("""
+    source = textwrap.dedent("""
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent import futures
@@ -75,17 +63,17 @@ def test_the_guards_see_every_form():
             import multiprocessing
         class C:
             from multiprocessing import Pool
-    """))
-    assert sorted(_pool_imports(tree)) == [2, 3, 4, 5, 8, 10, 12]
-    tree = ast.parse(textwrap.dedent("""
+    """)
+    assert _lines(source, _pool) == [2, 3, 4, 5, 8, 10, 12]
+    source = textwrap.dedent("""
         import os
         os.fork()
         from os import fork
         spawn = os.forkpty
         fork()
         os.forkserver = None
-    """))
-    assert sorted(_fork_names(tree)) == [3, 4, 5, 6]
+    """)
+    assert _lines(source, _fork) == [3, 4, 5, 6]
 
 
 LOADED = textwrap.dedent("""

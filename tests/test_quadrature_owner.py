@@ -10,42 +10,25 @@ defines `_window_average`, the second window rule that the time
 selection once had.  Each package module is parsed, not imported.
 """
 
-import ast
-import pathlib
-
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import (ALIAS, AS, ASYNC_DEF, ATTRIBUTE, CLASS, DEF, NAME,
+                          modules, names, naming)
+
 FORBIDDEN = {"trapezoid", "trapz", "_window_average"}
-
-
-def _names(source):
-    """Every name a source defines, references or imports."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.asname or node.name)
-            found.add(node.name)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            found.add(node.name)
-    return found
+# every name a source defines, references or imports
+KINDS = (NAME, ATTRIBUTE, ALIAS, AS, DEF, ASYNC_DEF, CLASS)
 
 
 def test_the_rule_has_its_owners():
-    assert "_prefix" in _names((PACKAGE / "evolution.py").read_text())
+    trees = modules()
+    assert "_prefix" in names(trees["evolution"], *KINDS)
     assert {"_prefix", "_interval_integral"} <= \
-        _names((PACKAGE / "diagnostics.py").read_text())
+        names(trees["diagnostics"], *KINDS)
 
 
 def test_no_module_names_a_second_rule():
-    found = {path.stem: sorted(_names(path.read_text()) & FORBIDDEN)
-             for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: used for name, used in found.items() if used} == {}
+    assert naming(FORBIDDEN, *KINDS) == {}
 
 
 @pytest.mark.parametrize("source, name", [
@@ -56,4 +39,4 @@ def test_no_module_names_a_second_rule():
      "_window_average"),
 ], ids=["attribute", "import", "aliased-import", "definition"])
 def test_the_guard_sees_every_form(source, name):
-    assert name in _names(source) & FORBIDDEN
+    assert name in names(source, *KINDS) & FORBIDDEN

@@ -15,34 +15,16 @@ executed.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "wavemap"
+from source_index import ATTRIBUTE, NAME, counts, modules
 
 # public routines that no command reaches, each with the reason it stays
 ALLOWED = {
     "beta_hat_ensemble": "c05's subject and the driver of the benchmark's "
                          "ensemble workload",
 }
-
-
-def _used_names(node, skip=None):
-    """Names and attribute names used under node, outside the subtree
-    `skip`."""
-    found, todo = set(), [node]
-    while todo:
-        n = todo.pop()
-        if n is skip:
-            continue
-        if isinstance(n, ast.Name):
-            found.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
-        todo.extend(ast.iter_child_nodes(n))
-    return found
 
 
 def _public_names(node):
@@ -64,18 +46,19 @@ def _unreached():
     """Public top-level functions, classes and UPPER_CASE constants of the
     package modules that no package code outside their definition
     names."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))
-             if path.stem != "__init__"}
-    used = {module: _used_names(tree) for module, tree in trees.items()}
+    trees = modules()
+    del trees["__init__"]
+    used = {module: counts(tree, NAME, ATTRIBUTE)
+            for module, tree in trees.items()}
     unreached = set()
     for module, tree in trees.items():
         elsewhere = set().union(*(names for m, names in used.items()
                                   if m != module))
         for node in tree.body:
+            inside = counts(node, NAME, ATTRIBUTE)
             for name in _public_names(node):
                 if name not in elsewhere and \
-                        name not in _used_names(tree, skip=node):
+                        used[module][name] == inside[name]:
                     unreached.add(name)
     return unreached
 
@@ -137,8 +120,7 @@ def _unpassed():
     parameter no package call outside the function's definition passes.
     A call counts when it names the function, bare or as an attribute;
     a method's index skips self."""
-    trees = [ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))]
+    trees = modules().values()
     calls = [n for tree in trees for n in ast.walk(tree)
              if isinstance(n, ast.Call)]
     unpassed = set()

@@ -285,6 +285,31 @@ class TestExtraction:
         rn = residual_norms(rep)
         assert rn.h_x_l2 > 1.0
 
+    @pytest.mark.parametrize("inner, note", [
+        (0.06, "under-resolved scale 0.0595 < 4 dr = 0.07812"),
+        (0.01, "under-resolved scale near 0.005233: fewer than 8 nodes in "
+               "the fit window"),
+    ])
+    def test_scale_below_the_grid_stops_with_note(self, inner, note):
+        # dr = 0.0195: the outer bubble is fitted (the inner one's tail
+        # bends its scale by up to 6%), the inner one is refused
+        grid = RadialGrid(20.0, 1024)
+        field = make_chain(grid, SPHERE, 0.0, [(1, 2.0), (1, inner)])
+        rep = extract_bubbles(field, SPHERE)
+        assert rep.J == 1 and rep.scales[0] == pytest.approx(2.0, rel=0.1)
+        assert rep.notes == [note]
+
+    def test_transition_past_the_last_root_stops_with_note(self):
+        # Yang-Mills has roots -1 and 1 only: a rise above 1 has no
+        # connector to an adjacent root
+        grid = RadialGrid(20.0, 1024)
+        psi = 1.0 + 0.9 * np.exp(-(grid.r - 10.0) ** 2)
+        f = RadialField(grid, psi, np.zeros_like(psi), 1.0, 1.0, 0.0)
+        rep = extract_bubbles(f, YANG_MILLS)
+        assert rep.J == 0
+        assert rep.notes == ["unresolved structure at r = 11.1719: no "
+                             "adjacent root on the approach side"]
+
     def test_non_harmonic_profile_rejected(self):
         grid = RadialGrid(10.0, 4096)
         psi = np.pi * np.tanh(2.0 * grid.r)
@@ -732,6 +757,20 @@ class TestScatteringState:
         with pytest.raises(ResolutionError, match="global trajectory"):
             build_scattering_state(traj)
 
+    def test_frame_off_the_step_lattice_rejected(self, linear_scatter_traj):
+        # the last frame, matched forward from t*, moved 0.3 dt later
+        traj = linear_scatter_traj
+        frames = list(traj.snapshots)
+        last = frames[-1]
+        frames[-1] = RadialField(last.grid, last.psi, last.psi_dot,
+                                 last.ell0, last.ell_inf,
+                                 last.time + 0.3 * traj.dt)
+        with pytest.raises(ResolutionError, match="frame offset "
+                           r"0\.9912109375 is not a step multiple of "
+                           r"dt = 0\.048828125"):
+            build_scattering_state(dataclasses.replace(traj,
+                                                       snapshots=frames))
+
     def test_mismatched_root_rejected(self, nonlinear_scatter_traj,
                                       monkeypatch):
         # the run shifted by 0.5 everywhere: its far value 0.5 is not a
@@ -778,6 +817,32 @@ class TestRegularPart:
     def test_global_trajectory_rejected(self, linear_scatter_traj):
         with pytest.raises(ResolutionError, match="blow-up record"):
             extract_regular_part(linear_scatter_traj)
+
+    def test_linear_flow_rejected(self):
+        traj = dataclasses.replace(_surrogate_blowup_traj(values=np.pi),
+                                   system=ROOT0)
+        with pytest.raises(ResolutionError, match="nonlinear flow only"):
+            extract_regular_part(traj)
+
+    @pytest.mark.parametrize("radii, message", [
+        # T+ - t = 0.5, 0.4, 0.3: three frames for five settle frames
+        (lambda dr: [0.5, 0.4, 0.3],
+         "only 3 frames sample the backward cone; need 5"),
+        # five frames, each 6 to 2 dr inside the cone: none keeps 8 dr
+        (lambda dr: [k * dr for k in range(6, 1, -1)],
+         "no stored frame keeps the cone radius above 8 grid cells"),
+    ], ids=["three-cone-frames", "cone-below-margin"])
+    def test_too_few_cone_frames_rejected(self, radii, message):
+        # T+ = 1 and every frame sits on the root pi
+        traj = _surrogate_blowup_traj(values=np.pi)
+        first = traj.snapshots[0]
+        frames = [dataclasses.replace(first, time=1.0 - rho)
+                  for rho in radii(first.grid.dr)]
+        blow = dataclasses.replace(traj.blowup,
+                                   last_valid_time=frames[-1].time)
+        with pytest.raises(ResolutionError, match=message):
+            extract_regular_part(dataclasses.replace(traj, snapshots=frames,
+                                                     blowup=blow))
 
     def test_evolved_blowup_settles_on_a_root(self, blowup_traj):
         assert blowup_traj.blowup is not None

@@ -18,11 +18,12 @@ executed.
 """
 
 import ast
-import pathlib
 import textwrap
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import ALIAS, ATTRIBUTE, MODULE, NAME, modules, names
+
 FILE_FUNCTIONS = {"load", "save", "memmap", "fromfile"}
+KINDS = (NAME, ATTRIBUTE, ALIAS)
 
 
 def _file_calls(tree):
@@ -40,50 +41,30 @@ def _file_calls(tree):
     return found
 
 
-def _names(path):
-    """Every name, attribute and imported name in a module's source."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
-    return found
-
-
-def _modules():
-    return sorted(PACKAGE.glob("*.py"))
-
-
 def test_no_module_calls_a_whole_array_file_function():
-    calls = {path.stem: sorted(_file_calls(ast.parse(path.read_text())))
-             for path in _modules()}
+    calls = {stem: sorted(_file_calls(tree))
+             for stem, tree in modules().items()}
     assert "evolution" in calls
     assert {stem: used for stem, used in calls.items() if used} == {}
 
 
-def _uses_np_lib(path):
+def _uses_np_lib(tree):
     return any(isinstance(node, ast.Attribute) and node.attr == "lib"
                and isinstance(node.value, ast.Name)
                and node.value.id in ("np", "numpy")
-               for node in ast.walk(ast.parse(path.read_text())))
+               for node in ast.walk(tree))
 
 
 def test_only_evolution_parses_npy_headers():
-    assert {path.stem for path in _modules() if _uses_np_lib(path)} \
-        == {"evolution"}
+    assert {stem for stem, tree in modules().items()
+            if _uses_np_lib(tree)} == {"evolution"}
 
 
 def test_cli_reaches_frames_through_the_frame_functions():
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    imported = {a.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                and node.module == "evolution" for a in node.names}
-    assert {"write_snapshot", "read_snapshot"} <= imported
-    assert not {"FrameFile", "readinto", "tofile"} & _names(PACKAGE /
-                                                            "cli.py")
+    cli = modules()["cli"]
+    assert {".evolution.write_snapshot", ".evolution.read_snapshot"} <= \
+        names(cli, MODULE)
+    assert not {"FrameFile", "readinto", "tofile"} & names(cli, *KINDS)
 
 
 def _step_plan_uses(tree):
@@ -99,21 +80,18 @@ def _step_plan_uses(tree):
 
 
 def test_one_writer_and_no_planned_count():
-    assert "_record_stops" not in _names(PACKAGE / "cli.py")
-    calls, bare, named = _step_plan_uses(ast.parse(
-        (PACKAGE / "cli.py").read_text()))
+    trees = modules()
+    assert "_record_stops" not in names(trees["cli"], *KINDS)
+    calls, bare, named = _step_plan_uses(trees["cli"])
     assert calls == bare == named
     assert _step_plan_uses(ast.parse("n = _step_plan(g, t, c)[1]")) == \
         (1, 0, 1)
-    tree = ast.parse((PACKAGE / "evolution.py").read_text())
-    defs = {node.name: node for node in tree.body
+    defs = {node.name: node for node in trees["evolution"].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     args = defs["write_snapshot"].args
     assert [a.arg for a in args.posonlyargs + args.args] == ["fields", "path"]
     assert not (args.vararg or args.kwonlyargs or args.kwarg)
-    assert "_planned" not in {node.attr for node in
-                              ast.walk(defs["FrameFile"])
-                              if isinstance(node, ast.Attribute)}
+    assert "_planned" not in names(defs["FrameFile"], ATTRIBUTE)
 
 
 def test_the_guard_sees_every_call_form():

@@ -9,16 +9,16 @@ files are parsed, not imported or executed.
 
 import ast
 import importlib
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from source_index import ROOT, parse
+
 TRACER = ROOT / "perfbench" / "tracer.py"
 REACH = ROOT / "tests" / "test_reach.py"
 
 
 def _literal(path, name):
     """The literal value assigned to `name` at the top of the file."""
-    for node in ast.parse(path.read_text()).body:
+    for node in parse(path).body:
         if isinstance(node, ast.Assign) and \
                 any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)

@@ -10,42 +10,26 @@ window from outside.  Each package module is parsed, not imported.
 """
 
 import ast
-import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wavemap"
+from source_index import ALIAS, ATTRIBUTE, DEF, NAME, modules, naming
 
-
-def _tree(name):
-    return ast.parse((PACKAGE / f"{name}.py").read_text())
-
-
-def _names(tree):
-    """Every name a module's source defines, references or imports."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.alias, ast.FunctionDef)):
-            found.add(node.name)
-    return found
+# every name a module's source defines, references or imports
+KINDS = (NAME, ATTRIBUTE, ALIAS, DEF)
 
 
 def test_cli_derives_neither_the_root_nor_the_window():
-    assert "far_root" in _names(_tree("diagnostics"))
-    assert _names(_tree("cli")) & {"far_root", "asymptotic_start"} == set()
+    found = naming({"far_root", "asymptotic_start"}, *KINDS)
+    assert "far_root" in found["diagnostics"] and "cli" not in found
 
 
 def test_no_function_takes_a_window_start():
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for stem, tree in modules().items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
                 args = node.args
                 params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
                 if "t_min" in (a.arg for a in params):
-                    found.append((path.stem, getattr(node, "name",
-                                                     "<lambda>")))
+                    found.append((stem, getattr(node, "name", "<lambda>")))
     assert found == []
